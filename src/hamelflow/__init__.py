@@ -26,7 +26,7 @@ from .linear import (SourceSpectrum, ModeSolution, SpectralSolution,
 from .nonlin import convolution_sources, compute_sources
 from .solve import (SolverConfig, SolveReport, SolverConvergenceError,
                     BranchMember, picard_solve, fixed_point_residual,
-                    shoot_mu, branch_sweep, picard_norm, thread_count)
+                    shoot_mu, branch_sweep, picard_norm)
 from .field import (PhysicalField, reconstruct, field_at_radius, ns_residual,
                     mode_ode_residuals, derivative_consistency,
                     divergence_residual, asymptotic_circulation,

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .flows import mode_exponents
 from .linear import SpectralSolution, SourceSpectrum
@@ -205,6 +204,25 @@ def field_at_radius(solution: SpectralSolution, radius: float,
     return theta, ur, ut, wf
 
 
+_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_min(fun, lo: float, hi: float, xatol: float = 1e-8) -> float:
+    """Local minimizer of a scalar function on [lo, hi], golden-section search."""
+    c, d = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
+    fc, fd = fun(c), fun(d)
+    while hi - lo > xatol:
+        if fc <= fd:
+            hi, d, fd = d, c, fc
+            c = hi - _GOLDEN * (hi - lo)
+            fc = fun(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + _GOLDEN * (hi - lo)
+            fd = fun(d)
+    return float(c if fc <= fd else d)
+
+
 @dataclass(frozen=True)
 class CirculationFit:
     mu_effective: float  # extrapolated circulation r u_theta mean at infinity
@@ -236,11 +254,10 @@ def asymptotic_circulation(solution: SpectralSolution) -> CirculationFit:
         coef, *_ = np.linalg.lstsq(a, y, rcond=None)
         return float(np.sum((a @ coef - y) ** 2)), coef
 
-    opt = minimize_scalar(lambda q: residual(q)[0], bounds=(0.05, 8.0),
-                          method="bounded")
-    rss, coef = residual(float(opt.x))
+    q = _golden_min(lambda q: residual(q)[0], 0.05, 8.0)
+    rss, coef = residual(q)
     return CirculationFit(mu_effective=float(coef[0]),
-                          decay_exponent=float(opt.x),
+                          decay_exponent=q,
                           amplitude=float(coef[1]),
                           rms=float(np.sqrt(rss / r.size)))
 

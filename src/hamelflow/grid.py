@@ -12,7 +12,9 @@ cumulative integrals,
 evaluated at every node.  Both satisfy one-step recurrences along the grid
 whose multipliers have modulus <= 1 for every exponent the solver uses, so
 they are accumulated by stable linear scans rather than by repeated
-summation.
+summation.  Every routine takes either one profile or a stack of rows
+(one exponent zeta per row), so all modes of a kernel family are integrated
+in one call.
 
 Per-segment integrals use a local power-law model: on [s_j, s_{j+1}] the
 integrand G is replaced by G_j (s/s_j)^q with q = Log(G_{j+1}/G_j)/h, which
@@ -31,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import lfilter
 
 __all__ = [
     "DivergentTailError",
@@ -56,10 +57,15 @@ _STEEP_SEGMENT_LIMIT = 2.5  # |Re log ratio| beyond this -> fallback rule
 _CURVATURE_RAMP = (10.0, 50.0)  # log-curvature band blending the two rules
 _DIVERGENCE_TOL = 1e-6      # fitted p >= -1 + this counts as divergent
 _NEGLIGIBLE_TAIL = 1e-300
+_SCAN_BLOCK = 16            # nodes per block of the recurrence scans
 
 
 class DivergentTailError(ArithmeticError):
     """Tail extrapolation would diverge: fitted exponent >= -1."""
+
+    def __init__(self, message, exponent=None):
+        super().__init__(message)
+        self.exponent = exponent
 
 
 class FluxMismatchError(ValueError):
@@ -168,10 +174,10 @@ def _segment_power_integrals(s_left, a, b, h, a_prev=None, b_next=None):
         ict[good] -= corr[good]
 
     # Blend weight: fraction of the corrected-trapezoid rule.
-    if logr.size > 1:
-        step = np.abs(np.diff(logr))
-        drift = np.maximum(np.concatenate([step[:1], step]),
-                           np.concatenate([step, step[-1:]]))
+    if logr.shape[-1] > 1:
+        step = np.abs(np.diff(logr, axis=-1))
+        drift = np.maximum(np.concatenate([step[..., :1], step], axis=-1),
+                           np.concatenate([step, step[..., -1:]], axis=-1))
     else:
         drift = np.zeros(logr.shape)
     lo, hi = _CURVATURE_RAMP
@@ -185,36 +191,41 @@ def _segment_power_integrals(s_left, a, b, h, a_prev=None, b_next=None):
 
 
 def _tail_value(grid: RadialGrid, g_last5, r_last5):
-    """Extrapolated int_{R_max}^inf of an integrand sampled at the last 5 nodes.
+    """Extrapolated int_{R_max}^inf of integrands sampled at the last 5 nodes.
 
-    The local exponent is fitted as a complex number from consecutive log
-    ratios so oscillatory power tails (complex weight exponents) extrapolate
-    exactly; sign-changing or noisy samples fall back to a fit of the
-    magnitudes alone.
+    ``g_last5`` holds one integrand per row.  The local exponent is fitted
+    as a complex number from consecutive log ratios so oscillatory power
+    tails (complex weight exponents) extrapolate exactly; sign-changing or
+    noisy samples fall back to a fit of the magnitudes alone.  Raises
+    ``DivergentTailError`` if any row diverges.
     """
     g = np.asarray(g_last5, dtype=complex)
     mags = np.abs(g)
-    g_end = complex(g[-1])
-    if abs(g_end) <= max(_NEGLIGIBLE_TAIL, 1e-14 * mags.max(initial=0.0)):
-        return 0.0 + 0.0j
-    if np.any(mags <= 0.0):
-        p = complex(grid.tail_exponent_floor)
-    else:
+    g_end = g[:, -1]
+    negligible = np.abs(g_end) <= np.fmax(_NEGLIGIBLE_TAIL,
+                                          1e-14 * mags.max(axis=1))
+    floor = complex(grid.tail_exponent_floor)
+    p = np.full(g_end.shape, floor)
+    fit = ~negligible & ~np.any(mags <= 0.0, axis=1)
+    if np.any(fit):
         with np.errstate(all="ignore"):
-            logs = np.log(g[1:] / g[:-1])
-        if np.all(np.isfinite(logs)) \
-                and np.abs(logs.imag).max() < _PHASE_JUMP_LIMIT:
-            p = complex(np.mean(logs)) / grid.h
-        else:
-            p = complex(np.polyfit(np.log(r_last5), np.log(mags), 1)[0])
-        if p.real >= -1.0 + _DIVERGENCE_TOL:
+            logs = np.log(g[fit, 1:] / g[fit, :-1])
+            phased = (np.all(np.isfinite(logs), axis=1)
+                      & (np.abs(logs.imag).max(axis=1) < _PHASE_JUMP_LIMIT))
+            p_fit = logs.mean(axis=1) / grid.h
+        if not np.all(phased):
+            p_fit[~phased] = np.polyfit(np.log(r_last5),
+                                        np.log(mags[fit][~phased]).T, 1)[0]
+        diverging = p_fit.real >= -1.0 + _DIVERGENCE_TOL
+        if np.any(diverging):
+            worst = float(p_fit.real[diverging].max())
             raise DivergentTailError(
-                f"integrand tail fitted as r^{p.real:.3g} at "
+                f"integrand tail fitted as r^{worst:.3g} at "
                 f"r_max={grid.r_max:g}; the weighted integral does not "
-                "converge")
-    if p.real > grid.tail_exponent_floor:
-        p = complex(grid.tail_exponent_floor)
-    return g_end * grid.r_max / (-(p + 1.0))
+                "converge", exponent=worst)
+        p[fit] = p_fit
+    p = np.where(p.real > grid.tail_exponent_floor, floor, p)
+    return np.where(negligible, 0.0 + 0.0j, g_end * grid.r_max / (-(p + 1.0)))
 
 
 def fit_tail_exponent(grid: RadialGrid, f) -> float:
@@ -226,80 +237,112 @@ def fit_tail_exponent(grid: RadialGrid, f) -> float:
     return float(np.polyfit(np.log(grid.r[-5:]), np.log(mags), 1)[0])
 
 
+def _scan_forward(local, factor):
+    """e_j = factor * e_{j-1} + local_j along the last axis, one factor per row.
+
+    The nodes are cut into blocks of ``_SCAN_BLOCK``.  Inside a block the
+    recurrence is a lower-triangular Toeplitz product with the powers
+    factor^0..factor^_SCAN_BLOCK, and a short loop over the blocks carries
+    each block's last value into the next.  No power beyond
+    factor^_SCAN_BLOCK is formed, so nothing underflows or overflows the way
+    a global cumulative product factor^j does for high modes on long grids.
+    """
+    rows, n = local.shape
+    size = _SCAN_BLOCK
+    n_blocks = -(-n // size)
+    x = np.zeros((rows, n_blocks * size), dtype=complex)
+    x[:, :n] = local
+    x = x.reshape(rows, n_blocks, size)
+    powers = factor[:, None] ** np.arange(size + 1)
+    lag = np.subtract.outer(np.arange(size), np.arange(size))
+    toeplitz = np.where(lag >= 0, powers[:, np.maximum(lag, 0)], 0.0)
+    scan = x @ toeplitz.transpose(0, 2, 1)
+    carry_in = powers[:, 1:]
+    for b in range(1, n_blocks):
+        scan[:, b] += scan[:, b - 1, -1:] * carry_in
+    return scan.reshape(rows, -1)[:, :n]
+
+
 def _scan_backward(local, factor):
     """d_j = local_j + factor * d_{j+1}, d_J = seed folded into local[-1]."""
-    rev = local[::-1]
-    return lfilter([1.0], [1.0, -factor], rev)[::-1]
+    return _scan_forward(local[:, ::-1], factor)[:, ::-1]
 
 
-def _scan_forward(local, factor):
-    """e_j = factor * e_{j-1} + local_j."""
-    return lfilter([1.0], [1.0, -factor], local)
+def _rows(grid: RadialGrid, f, zeta):
+    """Samples as (rows, nodes) and exponents as a (rows, 1) column."""
+    f = np.asarray(f, dtype=complex)
+    if f.ndim not in (1, 2) or f.shape[-1] != grid.n_nodes:
+        raise ValueError("sample array does not match the grid")
+    rows = np.atleast_2d(f)
+    zeta = np.asarray(zeta, dtype=complex).reshape(-1)
+    if zeta.size != rows.shape[0]:
+        raise ValueError("need one exponent zeta per sample row")
+    return rows, zeta[:, None]
 
 
 def integrate_out_all(grid: RadialGrid, f, zeta) -> np.ndarray:
     """out_j = int_{r_j}^inf s f(s) (r_j/s)^zeta ds for every node j.
 
-    Stable for Re zeta >= -? : the scan multiplier is e^{-zeta h}; all solver
-    uses have |e^{-zeta h}| <= 1 except the sink-weighted inner integral
-    (zeta = -(phi0+1)) whose growth is matched by the decay of the values it
-    multiplies, keeping the relative error at O(J eps).
+    ``f`` is one profile of shape (nodes,) with a scalar ``zeta``, or a
+    stack of shape (rows, nodes) with one ``zeta`` per row; the result has
+    the shape of ``f``.  The scan multiplier is e^{-zeta h}, of modulus
+    <= 1 for Re zeta >= 0, which covers every solver use except the
+    sink-weighted inner integral (zeta = -(phi0+1)); its growth is matched
+    by the decay of the values it multiplies, keeping the relative error at
+    O(J eps).
     """
-    f = np.asarray(f, dtype=complex)
-    if f.shape != grid.r.shape:
-        raise ValueError("sample array does not match the grid")
-    zeta = complex(zeta)
+    f2, zeta = _rows(grid, f, zeta)
     r = grid.r
     h = grid.h
-    base = r * f
+    base = r * f2
     # Integrand of segment j referenced to its own left endpoint:
     # value a_j at r_j, value b_j = r_{j+1} f_{j+1} e^{-zeta h} at r_{j+1};
     # the node one to the left carries weight e^{+zeta h}, the node two to
     # the right e^{-2 zeta h}.
     step = np.exp(-zeta * h)
-    a_prev = np.full(base.size - 1, np.nan, dtype=complex)
-    a_prev[1:] = base[:-2] / step
-    b_next = np.full(base.size - 1, np.nan, dtype=complex)
-    b_next[:-1] = base[2:] * (step * step)
-    seg = _segment_power_integrals(r[:-1], base[:-1], base[1:] * step, h,
-                                   a_prev, b_next)
+    a_prev = np.full((base.shape[0], grid.n_nodes - 1), np.nan, dtype=complex)
+    a_prev[:, 1:] = base[:, :-2] / step
+    b_next = np.full_like(a_prev, np.nan)
+    b_next[:, :-1] = base[:, 2:] * (step * step)
+    seg = _segment_power_integrals(r[:-1], base[:, :-1], base[:, 1:] * step,
+                                   h, a_prev, b_next)
 
-    g_last5 = base[-5:] * (grid.r_max / r[-5:]) ** zeta
+    g_last5 = base[:, -5:] * (grid.r_max / r[-5:]) ** zeta
     tail = _tail_value(grid, g_last5, r[-5:])
 
-    local = np.empty(grid.n_nodes, dtype=complex)
-    local[:-1] = seg
-    local[-1] = tail
-    return _scan_backward(local, np.exp(-zeta * h))
+    local = np.empty_like(base)
+    local[:, :-1] = seg
+    local[:, -1] = tail
+    out = _scan_backward(local, step[:, 0])
+    return out if np.ndim(f) == 2 else out[0]
 
 
 def integrate_in_all(grid: RadialGrid, f, zeta) -> np.ndarray:
     """in_j = int_1^{r_j} s f(s) (r_j/s)^zeta ds for every node j.
 
-    Stable for Re zeta <= 0 (scan multiplier e^{zeta h}).
+    Same shapes as ``integrate_out_all``.  Stable for Re zeta <= 0 (scan
+    multiplier e^{zeta h}).
     """
-    f = np.asarray(f, dtype=complex)
-    if f.shape != grid.r.shape:
-        raise ValueError("sample array does not match the grid")
-    zeta = complex(zeta)
+    f2, zeta = _rows(grid, f, zeta)
     r = grid.r
     h = grid.h
-    base = r * f
+    base = r * f2
     # Segment j-1..j referenced to its right endpoint r_j:
     # left value a = r_{j-1} f_{j-1} e^{zeta h}, right value b = r_j f_j;
     # neighbouring nodes carry weights e^{2 zeta h} and e^{-zeta h}.
     step = np.exp(zeta * h)
-    a_prev = np.full(base.size - 1, np.nan, dtype=complex)
-    a_prev[1:] = base[:-2] * (step * step)
-    b_next = np.full(base.size - 1, np.nan, dtype=complex)
-    b_next[:-1] = base[2:] / step
-    seg = _segment_power_integrals(r[:-1], base[:-1] * step, base[1:], h,
-                                   a_prev, b_next)
+    a_prev = np.full((base.shape[0], grid.n_nodes - 1), np.nan, dtype=complex)
+    a_prev[:, 1:] = base[:, :-2] * (step * step)
+    b_next = np.full_like(a_prev, np.nan)
+    b_next[:, :-1] = base[:, 2:] / step
+    seg = _segment_power_integrals(r[:-1], base[:, :-1] * step, base[:, 1:],
+                                   h, a_prev, b_next)
 
-    local = np.empty(grid.n_nodes, dtype=complex)
-    local[0] = 0.0
-    local[1:] = seg
-    return _scan_forward(local, np.exp(zeta * h))
+    local = np.empty_like(base)
+    local[:, 0] = 0.0
+    local[:, 1:] = seg
+    out = _scan_forward(local, step[:, 0])
+    return out if np.ndim(f) == 2 else out[0]
 
 
 def integrate_out(grid: RadialGrid, f, r_index: int, zeta) -> complex:

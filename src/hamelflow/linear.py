@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .flows import RESONANCE_TOL, ReferenceFlow, mode_exponents
+from .flows import RESONANCE_TOL, ReferenceFlow, mode_exponents, zeta_pair
 from .grid import BoundarySpectrum, RadialGrid, integrate_in_all, integrate_out_all
 
 __all__ = [
@@ -118,6 +118,28 @@ class SpectralSolution:
             w_bar=complex(conj(self.w_bar[k])), resonant=bool(self.resonant[k]))
 
 
+def _w_response(grid: RadialGrid, f, zeta_plus, zeta_minus):
+    """(w, d_r w) with L_w w = -f; rows of f pair with the exponent arrays."""
+    out = integrate_out_all(grid, f, zeta_plus)
+    inn = integrate_in_all(grid, f, zeta_minus)
+    zp = np.asarray(zeta_plus)[..., None]
+    zm = np.asarray(zeta_minus)[..., None]
+    sd = zp - zm
+    w = (out + inn) / sd
+    dw = (zp * out + zm * inn) / (sd * grid.r)
+    return w, dw
+
+
+def _gamma_response(grid: RadialGrid, w, k):
+    """(gamma, d_r gamma) with Delta gamma = -w; rows of w pair with k = |n|."""
+    k = np.asarray(k, dtype=float)
+    out = integrate_out_all(grid, w, k)
+    inn = integrate_in_all(grid, w, -k)
+    g = (out + inn) / (2.0 * k[..., None])
+    dg = (out - inn) / (2.0 * grid.r)
+    return g, dg
+
+
 def solve_w_particular(grid: RadialGrid, flow: ReferenceFlow, n: int, f_n):
     """Decaying response (w, d_r w) of the mode-n vorticity operator to f_n.
 
@@ -127,12 +149,7 @@ def solve_w_particular(grid: RadialGrid, flow: ReferenceFlow, n: int, f_n):
     if n == 0:
         raise ValueError("mode 0 uses solve_w_zero")
     me = mode_exponents(flow, n)
-    out = integrate_out_all(grid, f_n, me.zeta_plus)
-    inn = integrate_in_all(grid, f_n, me.zeta_minus)
-    sd = me.sqrt_disc
-    w = (out + inn) / sd
-    dw = (me.zeta_plus * out + me.zeta_minus * inn) / (sd * grid.r)
-    return w, dw
+    return _w_response(grid, f_n, me.zeta_plus, me.zeta_minus)
 
 
 def solve_gamma_particular(grid: RadialGrid, n: int, w):
@@ -143,12 +160,7 @@ def solve_gamma_particular(grid: RadialGrid, n: int, w):
     """
     if n == 0:
         raise ValueError("mode 0 uses solve_gamma_zero")
-    k = abs(n)
-    out = integrate_out_all(grid, w, float(k))
-    inn = integrate_in_all(grid, w, -float(k))
-    g = (out + inn) / (2.0 * k)
-    dg = (out - inn) / (2.0 * grid.r)
-    return g, dg
+    return _gamma_response(grid, w, float(abs(n)))
 
 
 def solve_w_zero(grid: RadialGrid, phi0: float, f_0):
@@ -178,6 +190,27 @@ def solve_gamma_zero(grid: RadialGrid, w):
     return big_gamma, -big_h / grid.r
 
 
+def _trace_amplitudes(n, zeta_minus, vr, vt, g_part_1, dg_part_1,
+                      resonance_tol):
+    """``boundary_constants`` for arrays of nonzero modes n."""
+    n = np.asarray(n)
+    k = np.abs(n).astype(float)
+    sgn = np.sign(n)
+    zm = zeta_minus
+    a = -1j * sgn * vr / k + g_part_1
+    b = dg_part_1 - vt
+    denom = 2.0 + zm + k
+    resonant = np.abs(denom) < resonance_tol
+    big_d = (zm + 2.0) ** 2 - n * n
+    with np.errstate(all="ignore"):   # resonant rows take the log pair
+        w_bar = np.where(resonant,
+                         2.0 * k * (k * g_part_1 - 1j * sgn * vr
+                                    + dg_part_1 - vt),
+                         -big_d * (k * a + b) / denom)
+        gamma_bar = np.where(resonant, a, a + w_bar / big_d)
+    return gamma_bar, w_bar, resonant
+
+
 def boundary_constants(flow: ReferenceFlow, n: int, vr_n: complex, vt_n: complex,
                        g_part_1: complex, dg_part_1: complex,
                        resonance_tol: float = RESONANCE_TOL):
@@ -188,54 +221,47 @@ def boundary_constants(flow: ReferenceFlow, n: int, vr_n: complex, vt_n: complex
     """
     if n == 0:
         raise ValueError("mode 0 has no trace-determined pair")
-    k = abs(n)
     me = mode_exponents(flow, n)
-    zm = me.zeta_minus
-    sgn = 1.0 if n > 0 else -1.0
-    a = -1j * sgn * vr_n / k + g_part_1
-    b = dg_part_1 - vt_n
-    denom = 2.0 + zm + k
-    resonant = abs(denom) < resonance_tol
-    if resonant:
-        gamma_bar = a
-        w_bar = 2.0 * k * (k * g_part_1 - 1j * sgn * vr_n + dg_part_1 - vt_n)
-    else:
-        big_d = (zm + 2.0) ** 2 - n * n
-        w_bar = -big_d * (k * a + b) / denom
-        gamma_bar = a + w_bar / big_d
-    return gamma_bar, w_bar, resonant
+    gamma_bar, w_bar, resonant = _trace_amplitudes(
+        n, me.zeta_minus, vr_n, vt_n, g_part_1, dg_part_1, resonance_tol)
+    return complex(gamma_bar), complex(w_bar), bool(resonant)
 
 
-def _assemble_nonzero(grid: RadialGrid, flow: ReferenceFlow, n: int,
-                      vr_n: complex, vt_n: complex, f_n,
-                      resonance_tol: float):
-    k = abs(n)
+def _assemble_nonzero(grid: RadialGrid, flow: ReferenceFlow,
+                      boundary: BoundarySpectrum, F, resonance_tol: float):
+    """Modes 1..n_max at once: one kernel call per family for all rows."""
+    n = np.arange(1, boundary.n_max + 1)
+    k = n.astype(float)
+    zp, zm = zeta_pair(flow.phi0, flow.mu, n)
+    w_part, dw_part = _w_response(grid, F, zp, zm)
+    g_part, dg_part = _gamma_response(grid, w_part, k)
+    gamma_bar, w_bar, resonant = _trace_amplitudes(
+        n, zm, boundary.vr[1:], boundary.vtheta[1:], g_part[:, 0],
+        dg_part[:, 0], resonance_tol)
+
     r = grid.r
-    w_part, dw_part = solve_w_particular(grid, flow, n, f_n)
-    g_part, dg_part = solve_gamma_particular(grid, n, w_part)
-    gamma_bar, w_bar, resonant = boundary_constants(
-        flow, n, vr_n, vt_n, complex(g_part[0]), complex(dg_part[0]),
-        resonance_tol)
-
-    me = mode_exponents(flow, n)
-    zm = me.zeta_minus
-    pk = r ** float(-k)
-    if resonant:
+    col = lambda a: a[:, None]
+    pk = r ** col(-k)
+    big_d = col((zm + 2.0) ** 2 - n * n)
+    rzm = r ** col(zm)
+    with np.errstate(all="ignore"):   # resonant rows are replaced below
+        w_hom = col(w_bar) * rzm
+        dw_hom = col(w_bar) * col(zm) * rzm / r
+        gamma = (col(gamma_bar) * pk - (col(w_bar) / big_d) * rzm * r * r
+                 - g_part)
+        dgamma = (-col(k) * col(gamma_bar) * pk / r
+                  - (col(w_bar) / big_d) * col(2.0 + zm) * rzm * r - dg_part)
+    if np.any(resonant):
         # exact integer pair keeps Delta gamma = -w to rounding
+        i = resonant
         log_r = np.log(r)
-        w_hom = w_bar * pk / (r * r)
-        dw_hom = -(k + 2.0) * w_bar * pk / (r ** 3)
-        gamma = gamma_bar * pk + (w_bar / (2.0 * k)) * log_r * pk - g_part
-        dgamma = (-k * gamma_bar * pk / r
-                  + (w_bar / (2.0 * k)) * pk / r * (1.0 - k * log_r) - dg_part)
-    else:
-        big_d = (zm + 2.0) ** 2 - n * n
-        rzm = r ** zm
-        w_hom = w_bar * rzm
-        dw_hom = w_bar * zm * rzm / r
-        gamma = gamma_bar * pk - (w_bar / big_d) * rzm * r * r - g_part
-        dgamma = (-k * gamma_bar * pk / r
-                  - (w_bar / big_d) * (2.0 + zm) * rzm * r - dg_part)
+        kk, wb, gb, pki = col(k[i]), col(w_bar[i]), col(gamma_bar[i]), pk[i]
+        w_hom[i] = wb * pki / (r * r)
+        dw_hom[i] = -(kk + 2.0) * wb * pki / (r ** 3)
+        gamma[i] = gb * pki + (wb / (2.0 * kk)) * log_r * pki - g_part[i]
+        dgamma[i] = (-kk * gb * pki / r
+                     + (wb / (2.0 * kk)) * pki / r * (1.0 - kk * log_r)
+                     - dg_part[i])
     w = w_hom - w_part
     dw = dw_hom - dw_part
     return gamma, dgamma, w, dw, gamma_bar, w_bar, resonant
@@ -271,7 +297,11 @@ def solve_linear(flow: ReferenceFlow, grid: RadialGrid,
                  boundary: BoundarySpectrum,
                  sources: SourceSpectrum | None = None,
                  resonance_tol: float = RESONANCE_TOL) -> SpectralSolution:
-    """Solve every mode 0..n_max against the given sources and trace."""
+    """Solve every mode 0..n_max against the given sources and trace.
+
+    Modes 1..n_max are solved together: each kernel family is one
+    quadrature call on the (modes, nodes) stack of its integrands.
+    """
     if sources is None:
         sources = SourceSpectrum.zeros(boundary.n_max, grid)
     if sources.n_max != boundary.n_max:
@@ -296,11 +326,9 @@ def solve_linear(flow: ReferenceFlow, grid: RadialGrid,
     gamma[0], dgamma[0], w[0], dw[0], w_bar[0] = _assemble_zero(
         grid, flow, complex(boundary.vtheta[0]), sources.F[0])
 
-    for n in range(1, n_max + 1):
-        (gamma[n], dgamma[n], w[n], dw[n],
-         gamma_bar[n], w_bar[n], resonant[n]) = _assemble_nonzero(
-            grid, flow, n, complex(boundary.vr[n]), complex(boundary.vtheta[n]),
-            sources.F[n], resonance_tol)
+    (gamma[1:], dgamma[1:], w[1:], dw[1:],
+     gamma_bar[1:], w_bar[1:], resonant[1:]) = _assemble_nonzero(
+        grid, flow, boundary, sources.F[1:], resonance_tol)
 
     return SpectralSolution(flow=flow, grid=grid, boundary=boundary,
                             gamma=gamma, dgamma=dgamma, w=w, dw=dw,

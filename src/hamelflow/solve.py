@@ -16,8 +16,6 @@ mu against one physical trace exhibits the non-uniqueness branch.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -37,18 +35,24 @@ __all__ = [
     "fixed_point_residual",
     "shoot_mu",
     "branch_sweep",
-    "thread_count",
 ]
 
 MODE_WEIGHT_EXP = 4.0  # kappa in the contraction norm
 
 
 class SolverConvergenceError(RuntimeError):
-    """Iteration failed; carries the partial report for diagnosis."""
+    """Iteration failed; carries the partial report for diagnosis.
 
-    def __init__(self, message, report=None):
+    When a quadrature failure stopped the iteration, ``iteration`` is the
+    Picard step it happened in (0 for the initial linear solve) and
+    ``exponent`` the fitted tail exponent, if the failure had one.
+    """
+
+    def __init__(self, message, report=None, iteration=None, exponent=None):
         super().__init__(message)
         self.report = report
+        self.iteration = iteration
+        self.exponent = exponent
 
 
 @dataclass(frozen=True)
@@ -133,14 +137,25 @@ def picard_solve(flow: ReferenceFlow, boundary: BoundarySpectrum,
             "decay rate rho <= 2: contraction window is empty, using "
             f"alpha={alpha:g} as a diagnostic weight only")
 
-    x = solve_linear(flow, grid, boundary, resonance_tol=config.resonance_tol)
     increments = []
     converged = False
     iterations = 0
+
+    def linear_step(sources):
+        try:
+            return solve_linear(flow, grid, boundary, sources,
+                                resonance_tol=config.resonance_tol)
+        except ArithmeticError as exc:
+            report = _report(False, iterations, increments, alpha, feasible,
+                             flow, boundary, warnings)
+            raise SolverConvergenceError(
+                f"quadrature failed in Picard iteration {iterations}: {exc}",
+                report, iteration=iterations,
+                exponent=getattr(exc, "exponent", None)) from exc
+
+    x = linear_step(None)
     for iterations in range(1, config.max_iter + 1):
-        sources = compute_sources(x)
-        y = solve_linear(flow, grid, boundary, sources,
-                         resonance_tol=config.resonance_tol)
+        y = linear_step(compute_sources(x))
         y = _blend(x, y, config.relaxation)
         inc = picard_norm(grid, y.gamma - x.gamma, alpha)
         increments.append(inc)
@@ -244,21 +259,13 @@ class BranchMember:
     error: str | None = None
 
 
-def thread_count() -> int:
-    """Worker count from HAMEL_THREADS (default 1, floor 1)."""
-    try:
-        return max(1, int(os.environ.get("HAMEL_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def branch_sweep(boundary: BoundarySpectrum, mu_values,
                  config: SolverConfig | None = None):
     """Solve one physical trace against each circulation in mu_values.
 
     Requires phi0 > 2 (elsewhere mu is determined, not free).  Failures are
-    recorded per member; the sweep continues.  Members are assembled in the
-    order of mu_values regardless of the worker pool.
+    recorded per member; the sweep continues.  Members come back in the
+    order of mu_values.
     """
     config = config or SolverConfig()
     if boundary.phi0 <= 2.0:
@@ -276,9 +283,4 @@ def branch_sweep(boundary: BoundarySpectrum, mu_values,
             return BranchMember(mu=float(mu), solution=None, report=rep,
                                 error=str(exc))
 
-    workers = thread_count()
-    mu_list = [float(m) for m in mu_values]
-    if workers == 1 or len(mu_list) <= 1:
-        return [run(mu) for mu in mu_list]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run, mu_list))
+    return [run(float(mu)) for mu in mu_values]

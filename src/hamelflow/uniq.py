@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .grid import RadialGrid, build_grid
 
@@ -200,15 +199,30 @@ def positivity_roots(phi0: float, lo: float = 1.05, hi: float = 30.0,
                      samples: int = 4000):
     """Sign-change locations of positivity_factor(., phi0) in (lo, hi)."""
     grid_a = np.linspace(lo, hi, samples)
-    vals = np.array([positivity_factor(a, phi0) for a in grid_a])
+    vals = positivity_factor(grid_a, phi0)
     roots = []
     for a0, a1, v0, v1 in zip(grid_a, grid_a[1:], vals, vals[1:]):
         if v0 == 0.0:
             roots.append(float(a0))
         elif v0 * v1 < 0.0:
-            roots.append(float(brentq(positivity_factor, a0, a1,
-                                      args=(phi0,), xtol=1e-12)))
+            roots.append(_bisect(lambda a: positivity_factor(a, phi0),
+                                 float(a0), float(a1)))
     return roots
+
+
+def _bisect(fun, a: float, b: float, xtol: float = 1e-12) -> float:
+    """Root of fun in [a, b], where fun(a) and fun(b) differ in sign."""
+    negative = fun(a) < 0.0
+    while b - a > xtol:
+        mid = 0.5 * (a + b)
+        value = fun(mid)
+        if value == 0.0:
+            return mid
+        if (value < 0.0) == negative:
+            a = mid
+        else:
+            b = mid
+    return 0.5 * (a + b)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,9 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -77,6 +80,31 @@ def test_solve_nonconvergence_exits_2(tmp_path, runner):
                                "--out", str(tmp_path / "o")])
     assert res.exit_code == 2
     assert "did not converge" in res.output
+
+
+def test_divergent_tail_exits_2_in_one_line(tmp_path, runner):
+    # A weak-flux trace on which the quadrature's tail fit reads the
+    # integrand as divergent: a typed solver failure, not a traceback.
+    cfg = json.loads(json.dumps(SOLVE_CFG))
+    cfg["flow"] = {"phi0": 1.8, "mu0": 0.5}
+    cfg["solver"] = {"n_modes": 16}
+    res = runner.invoke(main, ["solve", "--config", write_cfg(tmp_path, cfg),
+                               "--out", str(tmp_path / "o")])
+    assert res.exit_code == 2
+    assert res.output.count("\n") == 1
+    assert "did not converge" in res.output
+    assert "does not converge" in res.output
+
+
+def test_cli_import_leaves_scipy_out():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = "import sys, hamelflow.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_invalid_config_exits_1(tmp_path, runner):

@@ -9,6 +9,7 @@ from hamelflow import (BoundarySpectrum, DivergentTailError, FluxMismatchError,
                        fit_tail_exponent, integrate_in_all, integrate_out,
                        integrate_out_all, project_boundary, seq_norm,
                        synthesize_boundary)
+from hamelflow.grid import _scan_backward, _scan_forward
 
 
 def test_grid_construction():
@@ -101,6 +102,84 @@ def test_oscillatory_integrands_take_fallback():
     exact = g.r ** -2.0 * (2.0 * np.sin(np.log(g.r))
                            + np.cos(np.log(g.r))) / 5.0
     assert np.max(np.abs(got - exact)) < 5e-3 * np.abs(exact).max()
+
+
+def batch_rows(g):
+    """Rows taking every rule: power model, fallback segments, a tail that
+    changes sign (magnitude-only fit), and a negligible tail."""
+    x = np.log(g.r)
+    flip = g.r ** -4.0
+    flip[-5::2] *= -1.0
+    rows = np.array([g.r ** -3.5, np.sin(3.0 * x) * g.r ** -4.0, flip,
+                     np.exp(-g.r)], dtype=complex)
+    zeta = np.array([1.0 + 0.5j, 0.0, 0.7 - 0.3j, 2.0])
+    return rows, zeta
+
+
+def test_row_stacks_match_single_rows():
+    g = build_grid(1e4, 48)
+    rows, zeta = batch_rows(g)
+    for integrate, sign in ((integrate_out_all, 1.0), (integrate_in_all, -1.0)):
+        batch = integrate(g, rows, sign * zeta)
+        assert batch.shape == rows.shape
+        for f, z, got in zip(rows, sign * zeta, batch):
+            one = integrate(g, f, z)
+            scale = np.abs(one).max()
+            assert np.abs(got - one).max() <= 1e-14 * scale
+    with pytest.raises(ValueError):
+        integrate_out_all(g, rows, zeta[:2])
+
+
+def test_one_divergent_row_fails_the_stack():
+    g = build_grid(1e4, 48)
+    rows, zeta = batch_rows(g)
+    bad = np.vstack([rows, g.r ** -0.5])
+    with pytest.raises(DivergentTailError) as info:
+        integrate_out_all(g, bad, np.append(zeta, 0.0))
+    # the integrand s f(s) = s^0.5 is the one fitted
+    assert info.value.exponent == pytest.approx(0.5, abs=1e-9)
+    with pytest.raises(DivergentTailError):
+        integrate_out_all(g, bad[-1], 0.0)
+
+
+def sequential_scan(local, factor):
+    out = []
+    acc = 0.0
+    for value in local:
+        acc = factor * acc + value
+        out.append(acc)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("r_max, npd", [(1e4, 64), (1e6, 64), (1e3, 8)])
+def test_block_scan_matches_sequential_recurrence(r_max, npd):
+    g = build_grid(r_max, npd)
+    rng = np.random.default_rng(5)
+    zeta = np.array([0.0, 1.0 + 0.3j, 64.0 + 2.0j, -3.5, -1.5 + 0.5j])
+    factor = np.exp(-zeta * g.h)          # |factor| < 1, = 1 and > 1
+    local = (rng.standard_normal((zeta.size, g.n_nodes))
+             + 1j * rng.standard_normal((zeta.size, g.n_nodes)))
+    forward = _scan_forward(local, factor)
+    backward = _scan_backward(local, factor)
+    assert np.all(np.isfinite(forward)) and np.all(np.isfinite(backward))
+    for i in range(zeta.size):
+        ref = sequential_scan(local[i], factor[i])
+        assert np.abs(forward[i] - ref).max() <= 1e-12 * np.abs(ref).max()
+        ref = sequential_scan(local[i, ::-1], factor[i])[::-1]
+        assert np.abs(backward[i] - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_high_modes_stay_finite_on_long_grids():
+    # e^{-zeta h j} underflows long before r_max = 1e6 at zeta = 64; the
+    # block scan never forms those powers.
+    g = build_grid(1e6, 64)
+    f = g.r ** -3.0
+    zeta = 64.0 + 1.0j
+    out = integrate_out_all(g, f, zeta)
+    inn = integrate_in_all(g, f, -zeta)
+    assert np.all(np.isfinite(out)) and np.all(np.isfinite(inn))
+    exact = -g.r ** -1.0 / (-1.0 - zeta)
+    assert np.abs(out - exact).max() < 1e-12 * np.abs(exact).max()
 
 
 def test_domain_doubling_leaves_head_unchanged():

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from hamelflow import (BoundarySpectrum, DegenerateFluxError, ReferenceFlow,
-                       SourceSpectrum, build_grid, mode_exponents,
+                       SourceSpectrum, boundary_constants, build_grid,
+                       mode_exponents,
                        solve_gamma_particular, solve_gamma_zero, solve_linear,
                        solve_w_particular, solve_w_zero)
 
@@ -117,6 +118,32 @@ def test_boundary_traces_exact_resonant(grid):
     assert sol.resonant[3]
     assert abs(1j * 3 * sol.gamma[3, 0] - boundary.vr[3]) < 1e-8
     assert abs(-sol.dgamma[3, 0] - boundary.vtheta[3]) < 1e-8
+
+
+@pytest.mark.parametrize("phi0, mu", [(2.5, 0.2), (3.2, 0.0)])
+def test_batched_modes_match_one_mode_kernels(grid, phi0, mu):
+    # solve_linear integrates all nonzero modes in one stack; every mode
+    # must agree with the one-row kernels (phi0 = 3.2, mu = 0 makes mode 3
+    # resonant).
+    flow = ReferenceFlow(phi0, mu)
+    boundary = mode_boundary(4, phi0, mu0=mu + 0.1, mu=mu,
+                             vr={1: 0.02 + 0.01j, 3: 0.01 + 0.004j},
+                             vtheta={2: -0.01j, 3: -0.002j, 4: 0.002})
+    sources = steep_sources(grid, 4)
+    sol = solve_linear(flow, grid, boundary, sources)
+    close = lambda a, b: np.abs(a - b).max() <= 1e-14 * np.abs(b).max()
+    for n in range(1, 5):
+        w_part, dw_part = solve_w_particular(grid, flow, n, sources.F[n])
+        g_part, dg_part = solve_gamma_particular(grid, n, w_part)
+        gamma_bar, w_bar, resonant = boundary_constants(
+            flow, n, boundary.vr[n], boundary.vtheta[n], g_part[0],
+            dg_part[0])
+        assert sol.resonant[n] == resonant == (phi0 == 3.2 and n == 3)
+        assert close(sol.gamma_bar[n], gamma_bar)
+        assert close(sol.w_bar[n], w_bar)
+        zm = mode_exponents(flow, n).zeta_minus
+        w_hom = w_bar * grid.r ** (zm if not resonant else -n - 2.0)
+        assert close(sol.w[n], w_hom - w_part)
 
 
 def test_linearity_in_boundary_and_sources(grid):
