@@ -20,8 +20,8 @@ from .field import (asymptotic_circulation, decay_fit, ns_residual,
                     reconstruct)
 from .flows import ReferenceFlow
 from .grid import synthesize_boundary
-from .report import (dumps, report_payload, solution_payload, write_field_csv,
-                     write_json, write_modes_csv)
+from .report import (report_payload, solution_payload, write_field_csv,
+                     write_json, write_mode_profiles, write_modes_csv)
 from .solve import (SolverConvergenceError, branch_sweep, picard_solve,
                     shoot_mu)
 from .verify import run_battery
@@ -228,24 +228,17 @@ def export(soldir, fmt, outpath):
                                                              "modes.json")
     if not os.path.exists(src):
         raise click.ClickException(f"{soldir} has no modes.json")
-    with open(src) as fh:
+    with open(src, encoding="utf-8") as fh:
         payload = json.load(fh)
     if fmt == "json":
-        with open(outpath, "w", newline="\n") as fh:
-            fh.write(dumps(payload))
+        write_json(outpath, payload)
     else:
-        lines = ["n,r,gamma_re,gamma_im,dgamma_re,dgamma_im,"
-                 "w_re,w_im,dw_re,dw_im"]
-        from .report import fmt_float as f
-        for mode in payload["modes"]:
-            rows = zip(payload["r"], mode["gamma"], mode["dgamma"],
-                       mode["w"], mode["dw"])
-            for r, g, dg, w, dw in rows:
-                lines.append(",".join(
-                    [str(mode["n"]), f(r), f(g[0]), f(g[1]), f(dg[0]),
-                     f(dg[1]), f(w[0]), f(w[1]), f(dw[0]), f(dw[1])]))
-        with open(outpath, "w", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+        modes = payload["modes"]
+        # [re, im] pairs viewed as complex: no arithmetic, exact values
+        profile = lambda key: np.array([m[key] for m in modes],
+                                       dtype=float).view(complex)[..., 0]
+        write_mode_profiles(outpath, [m["n"] for m in modes], payload["r"],
+                            *map(profile, ("gamma", "dgamma", "w", "dw")))
     click.echo(f"wrote {outpath}")
 
 

@@ -46,14 +46,14 @@ def read_bytes(path):
 
 
 def test_solve_is_deterministic(tmp_path, runner):
-    cfg = write_cfg(tmp_path, SOLVE_CFG)
+    cfg = write_cfg(tmp_path, {**SOLVE_CFG, "output": {"write_field": True}})
     one = tmp_path / "one"
     two = tmp_path / "two"
     for out in (one, two):
         res = runner.invoke(main, ["solve", "--config", cfg, "--out", str(out)])
         assert res.exit_code == 0, res.output
         assert "converged" in res.output
-    for name in ("report.json", "modes.json", "modes.csv"):
+    for name in ("report.json", "modes.json", "modes.csv", "field.csv"):
         assert read_bytes(one / name) == read_bytes(two / name)
     report = json.loads((one / "report.json").read_text())
     assert report["converged"] is True
@@ -196,14 +196,14 @@ def test_export_formats(tmp_path, runner):
     assert lines[0] == ("n,r,gamma_re,gamma_im,dgamma_re,dgamma_im,"
                         "w_re,w_im,dw_re,dw_im")
     assert len(lines) > 100
+    assert read_bytes(csv_path) == read_bytes(out / "modes.csv")
 
     json_path = tmp_path / "modes_export.json"
     res = runner.invoke(main, ["export", "--solution",
                                str(out / "modes.json"), "--format", "json",
                                "--out", str(json_path)])
     assert res.exit_code == 0
-    assert (json.loads(json_path.read_text())
-            == json.loads((out / "modes.json").read_text()))
+    assert read_bytes(json_path) == read_bytes(out / "modes.json")
 
     res = runner.invoke(main, ["export", "--solution", str(out),
                                "--format", "yaml", "--out", "x"])
@@ -216,6 +216,21 @@ def test_export_formats(tmp_path, runner):
                                "--out", "x"])
     assert res.exit_code == 1
     assert "no modes.json" in res.output
+
+
+def test_export_csv_keeps_signed_zeros_and_nulls(tmp_path, runner):
+    pair = [[-0.0, 1e300], [None, -0.0]]
+    modes = {"r": [1.0, 2.5], "modes": [
+        {"n": 3, "gamma": pair, "dgamma": pair, "w": pair, "dw": pair}]}
+    src = tmp_path / "modes.json"
+    src.write_text(json.dumps(modes))
+    out = tmp_path / "modes.csv"
+    res = runner.invoke(main, ["export", "--solution", str(src),
+                               "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    assert out.read_text().splitlines()[1:] == [
+        "3,1.0" + ",-0.0,1.0000000000000001e+300" * 4,
+        "3,2.5" + ",null,-0.0" * 4]
 
 
 def test_schema_doc_matches_module():

@@ -1,0 +1,241 @@
+"""Serialization: the row formatter, JSON escaping, and the byte format of
+every artifact against a value-by-value reference encoder."""
+
+import json
+import math
+
+import numpy as np
+import pytest
+from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
+
+import hamelflow.cli
+import hamelflow.report
+from hamelflow.report import dumps, fmt_float, format_rows
+
+# ---------------------------------------------------------------------------
+# reference encoder: one float at a time, the byte format the artifacts keep
+
+
+def ref_fmt(x):
+    x = float(x)
+    if not math.isfinite(x):
+        return "null"
+    if x == int(x) and abs(x) < 1e16:
+        return f"{x:.1f}"
+    return f"{x:.17g}"
+
+
+def ref_encode(obj, out, indent):
+    pad = " " * indent
+    if obj is None:
+        out.append("null")
+    elif isinstance(obj, (bool, np.bool_)):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, (int, np.integer)):
+        out.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        out.append(ref_fmt(obj))
+    elif isinstance(obj, (complex, np.complexfloating)):
+        out.append(f"[{ref_fmt(obj.real)}, {ref_fmt(obj.imag)}]")
+    elif isinstance(obj, str):
+        out.append('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        out.append("{\n")
+        keys = sorted(obj.keys())
+        for i, k in enumerate(keys):
+            out.append(pad + "  " + '"' + str(k) + '": ')
+            ref_encode(obj[k], out, indent + 2)
+            out.append(",\n" if i + 1 < len(keys) else "\n")
+        out.append(pad + "}")
+    elif isinstance(obj, (list, tuple, np.ndarray)):
+        seq = list(obj)
+        if not seq:
+            out.append("[]")
+            return
+        if len(seq) <= 8 and all(
+                isinstance(v, (int, float, complex, np.integer, np.floating,
+                               np.complexfloating)) for v in seq):
+            out.append("[" + ", ".join(ref_dumps(v)[:-1] for v in seq) + "]")
+            return
+        out.append("[\n")
+        for i, v in enumerate(seq):
+            out.append(pad + "  ")
+            ref_encode(v, out, indent + 2)
+            out.append(",\n" if i + 1 < len(seq) else "\n")
+        out.append(pad + "]")
+    else:
+        raise TypeError(type(obj))
+
+
+def ref_dumps(obj):
+    out = []
+    ref_encode(obj, out, 0)
+    return "".join(out) + "\n"
+
+
+def ref_solution_payload(s):
+    return {
+        "phi0": s.flow.phi0, "mu": s.flow.mu, "mu0": s.boundary.mu0,
+        "n_max": s.n_max, "r": [float(v) for v in s.grid.r],
+        "modes": [{"n": n,
+                   "gamma": [complex(v) for v in s.gamma[n]],
+                   "dgamma": [complex(v) for v in s.dgamma[n]],
+                   "w": [complex(v) for v in s.w[n]],
+                   "dw": [complex(v) for v in s.dw[n]],
+                   "gamma_bar": complex(s.gamma_bar[n]),
+                   "w_bar": complex(s.w_bar[n]),
+                   "resonant": bool(s.resonant[n])}
+                  for n in range(s.n_max + 1)],
+    }
+
+
+def ref_modes_csv(s):
+    f = ref_fmt
+    lines = ["n,r,gamma_re,gamma_im,dgamma_re,dgamma_im,w_re,w_im,dw_re,dw_im"]
+    for n in range(s.n_max + 1):
+        for j, r in enumerate(s.grid.r):
+            g, dg, w, dw = s.gamma[n, j], s.dgamma[n, j], s.w[n, j], s.dw[n, j]
+            lines.append(",".join([str(n), f(r), f(g.real), f(g.imag),
+                                   f(dg.real), f(dg.imag), f(w.real),
+                                   f(w.imag), f(dw.real), f(dw.imag)]))
+    return "\n".join(lines) + "\n"
+
+
+def ref_field_csv(field):
+    f = ref_fmt
+    lines = ["r,theta,u_r,u_theta,w"]
+    for i, r in enumerate(field.r):
+        for k, th in enumerate(field.theta):
+            lines.append(",".join([f(r), f(th), f(field.ur[i, k]),
+                                   f(field.utheta[i, k]), f(field.w[i, k])]))
+    return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# format_rows against fmt_float
+
+EDGE = [0.0, -0.0, 1.0, -3.0, 9999999999999998.0, -9999999999999998.0, 1e16,
+        -1e16, 1e17, 0.5, math.inf, -math.inf, math.nan, 5e-324, 2.2e-308,
+        -1e-310, 1e308, -1.7976931348623157e308, 0.1, 1.0 / 3.0]
+values = st.one_of(st.sampled_from(EDGE),
+                   st.floats(allow_nan=True, allow_infinity=True,
+                             allow_subnormal=True),
+                   st.floats(min_value=-1e3, max_value=1e3))
+
+
+def reference_lines(a, sep):
+    return [sep.join(map(fmt_float, row)) for row in np.asarray(a).tolist()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda cols: st.lists(
+    st.lists(values, min_size=cols, max_size=cols), min_size=1,
+    max_size=12)),
+    st.sampled_from([",", ", ", ""]))
+def test_format_rows_matches_fmt_float(rows, sep):
+    a = np.array(rows, dtype=float).reshape(len(rows), -1)
+    assert format_rows(a, sep) == reference_lines(a, sep)
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (5, 1), (1, 7), (1, 1)])
+def test_format_rows_degenerate_shapes(shape, rng):
+    a = rng.standard_normal(shape)
+    if a.size:
+        a.flat[0] = -0.0
+    assert format_rows(a, ",") == reference_lines(a, ",")
+    assert len(format_rows(a, ",")) == shape[0]
+
+
+def test_fmt_float_edge_values():
+    assert [fmt_float(x) for x in EDGE[:8]] == [
+        "0.0", "-0.0", "1.0", "-3.0", "9999999999999998.0",
+        "-9999999999999998.0", "10000000000000000", "-10000000000000000"]
+    assert format_rows(np.array([[math.nan, math.inf, -math.inf]]), ",") \
+        == ["null,null,null"]
+
+
+def test_dumps_long_sequences_match_reference(rng):
+    z = rng.standard_normal(20) + 1j * rng.standard_normal(20)
+    z[3] = complex(0.0, -0.0)
+    z[5] = complex(math.inf, 2.0)
+    x = z.real.copy()
+    x[7] = math.nan
+    cases = [z, list(z), tuple(z), z.astype(np.complex64), x, list(x),
+             x.astype(np.float32), [complex(v) for v in z[:9]],
+             list(x[:8]), list(z[:8]),
+             [True] * 10, list(range(12)), [1.5] * 9 + [2], [1.5] * 9 + [z[0]],
+             {"nested": [{"a": list(z), "b": x}]}, [list(x)] * 3,
+             np.zeros((3, 10))]
+    for obj in cases:
+        assert dumps(obj) == ref_dumps(obj)
+
+
+# ---------------------------------------------------------------------------
+# strings and keys
+
+
+def test_dumps_escapes_strings_and_keys():
+    obj = {"a": "x\ny\tz\x00\x1f", 'b"': 1, "back\\slash": 'q"uote',
+           "mu ≥ 0": "été \U0001F600", "": None}
+    text = dumps(obj)
+    assert text.isascii()
+    assert json.loads(text) == obj
+
+
+def test_dumps_keeps_printable_ascii_strings():
+    obj = {"name": "ode_residuals", "detail": "stream 8.96e-06 (ok) <= 1e-4",
+           "warnings": ["alpha fallback: window [3, 4.0]"]}
+    assert dumps(obj) == ref_dumps(obj)
+
+
+# ---------------------------------------------------------------------------
+# every artifact of a solve, byte for byte against the reference encoder
+
+CFG = {
+    "flow": {"phi0": 2.5, "mu0": 0.2, "mu": 0.2},
+    "boundary": {"modes": {"vr": [[0.0, 0.0], [0.01, 0.0]],
+                           "vtheta": [[0.01, 0.0]]}},
+    "solver": {"n_modes": 4, "nodes_per_decade": 32, "r_max": 1e3},
+    "output": {"write_field": True, "theta_points": 48},
+}
+
+
+@pytest.mark.parametrize("block_rows", [None, 7])
+def test_artifacts_match_reference_encoder(tmp_path, monkeypatch, block_rows):
+    if block_rows:   # many CSV blocks, a partial one last
+        monkeypatch.setattr(hamelflow.report, "_BLOCK_ROWS", block_rows)
+    expected = {}
+
+    def spy(name, reference):
+        real = getattr(hamelflow.cli, name)
+
+        def wrapper(path, obj):
+            real(path, obj)
+            expected.update(reference(path, obj))
+        monkeypatch.setattr(hamelflow.cli, name, wrapper)
+
+    # modes.json is written before modes.csv; the reference for it is
+    # rebuilt from the solution the modes.csv writer receives.
+    spy("write_json", lambda p, obj: {p: ref_dumps(obj)})
+    spy("write_modes_csv", lambda p, s: {
+        p: ref_modes_csv(s),
+        p.replace("modes.csv", "modes.json"):
+            ref_dumps(ref_solution_payload(s))})
+    spy("write_field_csv", lambda p, field: {p: ref_field_csv(field)})
+
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(CFG))
+    out = tmp_path / "o"
+    res = CliRunner().invoke(hamelflow.cli.main, ["solve", "--config",
+                                                  str(cfg), "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    names = sorted(p.name for p in out.iterdir())
+    assert names == ["field.csv", "modes.csv", "modes.json", "report.json"]
+    assert sorted(expected) == sorted(str(out / n) for n in names)
+    for path, text in expected.items():
+        with open(path, "rb") as fh:
+            assert fh.read() == text.encode("ascii"), path
