@@ -22,8 +22,15 @@ import sys
 import numpy as np
 
 from hamelflow import (BoundarySpectrum, SolverConfig, asymptotic_circulation,
-                       branch_sweep, decay_fit, field_at_radius, ns_residual,
+                       branch_sweep, decay_fit, ns_residual, reconstruct,
                        synthesize_boundary)
+
+
+def field_row(solution, radius):
+    """(u_r, u_theta, w) on 256 angles at the grid node nearest ``radius``."""
+    full = reconstruct(solution, 256)
+    j = int(np.argmin(np.abs(np.log(full.r) - np.log(radius))))
+    return np.concatenate([full.ur[j], full.utheta[j], full.w[j]])
 
 
 def make_boundary(args):
@@ -81,7 +88,7 @@ def main(argv=None):
         fit = asymptotic_circulation(sol)
         profile = decay_fit(sol)
         resid = ns_residual(sol)
-        field = np.concatenate(field_at_radius(sol, args.probe_radius)[1:])
+        field = field_row(sol, args.probe_radius)
         trace = np.concatenate(synthesize_boundary(sol.boundary, 256))
         if reference_field is None:
             reference_field, reference_trace = field, trace

@@ -12,29 +12,22 @@ __version__ = "0.1.0"
 from .flows import (ReferenceFlow, ModeExponents, hamel_velocity, ref_velocity,
                     mode_exponents, zeta_pair, re_zeta_minus_closed_form,
                     rho_decay, alpha_window, circulation_threshold,
-                    existence_condition, flux_circulation, resonance_offset,
-                    is_resonant)
-from .grid import (RadialGrid, build_grid, integrate_out, integrate_in,
-                   integrate_out_all, integrate_in_all, fit_tail_exponent,
+                    existence_condition)
+from .grid import (RadialGrid, build_grid, integrate_out_all, integrate_in_all,
                    BoundarySpectrum, project_boundary, synthesize_boundary,
-                   WeightedNorms, seq_norm, field_norm, DivergentTailError,
-                   FluxMismatchError)
-from .linear import (SourceSpectrum, ModeSolution, SpectralSolution,
-                     solve_linear, solve_w_particular, solve_gamma_particular,
-                     solve_w_zero, solve_gamma_zero, boundary_constants,
+                   DivergentTailError, FluxMismatchError)
+from .linear import (SourceSpectrum, SpectralSolution, solve_linear,
+                     solve_w_particular, solve_w_zero, solve_gamma_zero,
                      DegenerateFluxError)
 from .nonlin import convolution_sources, compute_sources
 from .solve import (SolverConfig, SolveReport, SolverConvergenceError,
                     BranchMember, picard_solve, fixed_point_residual,
                     shoot_mu, branch_sweep, picard_norm)
-from .field import (PhysicalField, reconstruct, field_at_radius, ns_residual,
+from .field import (PhysicalField, reconstruct, ns_residual,
                     mode_ode_residuals, derivative_consistency,
-                    divergence_residual, asymptotic_circulation,
-                    CirculationFit, DecayProfile, decay_fit, log_derivatives,
-                    interior)
+                    asymptotic_circulation, CirculationFit, DecayProfile,
+                    decay_fit, log_derivatives, interior)
 from .uniq import (TestStream, random_stream, random_w_profile, HardyResult,
                    hardy_check, hardy_sharpness, positivity_factor,
                    positivity_roots, QFormResult, q_form,
                    poincare_wirtinger_check, Q1Probe, probe_q1_negativity)
-
-__all__ = [name for name in dir() if not name.startswith("_")]

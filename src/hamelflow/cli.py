@@ -1,8 +1,10 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 invalid input or failed verification, 2 solver
-non-convergence.  Reports are deterministic: rerunning a command with the
-same config and seed reproduces every output byte for byte.
+Exit codes: 0 success, 1 invalid input (a flux in the degenerate band around
+2 and an export source that is not a modes.json included) or failed
+verification, 2 solver non-convergence.  Reports are deterministic: rerunning
+a command with the same config and seed reproduces every output byte for
+byte.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .field import (asymptotic_circulation, decay_fit, ns_residual,
                     reconstruct)
 from .flows import ReferenceFlow
 from .grid import synthesize_boundary
+from .linear import DegenerateFluxError
 from .report import (report_payload, solution_payload, write_field_csv,
                      write_json, write_mode_profiles, write_modes_csv)
 from .solve import (SolverConvergenceError, branch_sweep, picard_solve,
@@ -116,6 +119,8 @@ def solve(config_path, outdir, phi0, mu0, mu, quick, seed):
     except SolverConvergenceError as exc:
         click.echo(f"solver did not converge: {exc}", err=True)
         sys.exit(CONVERGENCE_EXIT)
+    except DegenerateFluxError as exc:
+        raise click.ClickException(str(exc)) from exc
     _write_solution(outdir, solution, report, cfg, seed)
     click.echo(f"converged in {report.iterations} iterations "
                f"(mu={report.mu:.12g}); wrote {outdir}/report.json")
@@ -185,6 +190,8 @@ def shoot(config_path, outdir, quick, seed):
     except SolverConvergenceError as exc:
         click.echo(f"shooting failed: {exc}", err=True)
         sys.exit(CONVERGENCE_EXIT)
+    except DegenerateFluxError as exc:
+        raise click.ClickException(str(exc)) from exc
     _write_solution(outdir, solution, report, cfg, seed,
                     extra={"mu_solved": report.mu})
     click.echo(f"closed at mu={report.mu:.12g} "
@@ -228,17 +235,23 @@ def export(soldir, fmt, outpath):
                                                              "modes.json")
     if not os.path.exists(src):
         raise click.ClickException(f"{soldir} has no modes.json")
-    with open(src, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if fmt == "json":
-        write_json(outpath, payload)
-    else:
-        modes = payload["modes"]
-        # [re, im] pairs viewed as complex: no arithmetic, exact values
-        profile = lambda key: np.array([m[key] for m in modes],
-                                       dtype=float).view(complex)[..., 0]
-        write_mode_profiles(outpath, [m["n"] for m in modes], payload["r"],
-                            *map(profile, ("gamma", "dgamma", "w", "dw")))
+    try:
+        with open(src, encoding="utf-8") as fh:
+            payload = json.load(fh)
+        if fmt == "json":
+            write_json(outpath, payload)
+        else:
+            modes = payload["modes"]
+            # [re, im] pairs viewed as complex: no arithmetic, exact values
+            profile = lambda key: np.array([m[key] for m in modes],
+                                           dtype=float).view(complex)[..., 0]
+            write_mode_profiles(outpath, [m["n"] for m in modes],
+                                np.asarray(payload["r"], dtype=float),
+                                *map(profile, ("gamma", "dgamma", "w", "dw")))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise click.ClickException(
+            f"{src} is not a modes.json ({type(exc).__name__}: {exc})"
+        ) from exc
     click.echo(f"wrote {outpath}")
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flows import mode_exponents
+from .flows import alpha_window, mode_exponents
 from .linear import SpectralSolution, SourceSpectrum
 from .nonlin import compute_sources
 
@@ -23,11 +23,9 @@ __all__ = [
     "log_derivatives",
     "interior",
     "derivative_consistency",
-    "divergence_residual",
     "mode_ode_residuals",
     "ns_residual",
     "reconstruct",
-    "field_at_radius",
     "CirculationFit",
     "asymptotic_circulation",
     "DecayProfile",
@@ -89,27 +87,6 @@ def derivative_consistency(solution: SpectralSolution) -> float:
             continue
         worst = max(worst, float(np.abs(fd1[:, c] - ders[:, c]).max() / scale))
     return worst
-
-
-def divergence_residual(solution: SpectralSolution) -> float:
-    """Mode-wise divergence of the reconstructed velocity, FD radial part.
-
-    Analytically zero for any stream function; numerically it reduces to the
-    mismatch between d_r gamma_n and the FD derivative of gamma_n.
-    """
-    grid = solution.grid
-    c = interior(grid)
-    r = grid.r
-    fd1, _ = _fd_radial(grid, solution.gamma)
-    worst = 0.0
-    scale = 0.0
-    for n in range(1, solution.n_max + 1):
-        div = (1j * n / r) * (fd1[n] - solution.dgamma[n])
-        worst = max(worst, float(np.abs(div[c]).max()))
-        scale = max(scale, float(np.abs((1j * n / r) * solution.dgamma[n])[c].max()))
-    if scale == 0.0:
-        return 0.0
-    return worst / scale
 
 
 def mode_ode_residuals(solution: SpectralSolution,
@@ -183,25 +160,6 @@ def reconstruct(solution: SpectralSolution, n_theta: int | None = None) -> Physi
         ut -= 2.0 * np.real(solution.dgamma[n][:, None] * phase)
         wf += 2.0 * np.real(solution.w[n][:, None] * phase)
     return PhysicalField(r=solution.grid.r, theta=theta, ur=ur, utheta=ut, w=wf)
-
-
-def field_at_radius(solution: SpectralSolution, radius: float,
-                    n_theta: int = 256):
-    """(theta, u_r, u_theta, w) at the grid node nearest the given radius."""
-    grid = solution.grid
-    j = int(np.argmin(np.abs(np.log(grid.r) - np.log(radius))))
-    theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
-    flow = solution.flow
-    r = grid.r[j]
-    ur = np.full(n_theta, -flow.phi0 / r)
-    ut = np.full(n_theta, flow.mu / r - float(np.real(solution.dgamma[0, j])))
-    wf = np.full(n_theta, float(np.real(solution.w[0, j])))
-    for n in range(1, solution.n_max + 1):
-        phase = np.exp(1j * n * theta)
-        ur += 2.0 * np.real(1j * n * solution.gamma[n, j] / r * phase)
-        ut -= 2.0 * np.real(solution.dgamma[n, j] * phase)
-        wf += 2.0 * np.real(solution.w[n, j] * phase)
-    return theta, ur, ut, wf
 
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
@@ -290,8 +248,6 @@ def decay_fit(solution: SpectralSolution) -> DecayProfile:
     exponents).  A fitted slope above its ceiling by more than fit noise
     indicates an assembly defect.
     """
-    from .flows import alpha_window
-
     grid = solution.grid
     flow = solution.flow
     alpha, _ = alpha_window(flow.phi0, flow.mu)

@@ -14,7 +14,7 @@ are
 with the principal branch of the square root.  Everything downstream (decay
 rates, contraction windows, resonance bookkeeping) is a function of these
 exponents, so they live here together with the solvability threshold for the
-boundary-value problem and small helpers for flux/circulation bookkeeping.
+boundary-value problem.
 """
 
 from __future__ import annotations
@@ -35,9 +35,6 @@ __all__ = [
     "alpha_window",
     "circulation_threshold",
     "existence_condition",
-    "flux_circulation",
-    "resonance_offset",
-    "is_resonant",
 ]
 
 RESONANCE_TOL = 1e-8
@@ -170,33 +167,3 @@ def alpha_window(phi0: float, mu: float):
         alpha = 1e-3
     return alpha, feasible
 
-
-def flux_circulation(ur_samples, utheta_samples):
-    """(phi0, mu0) from equispaced boundary samples of (u_r*, u_theta*).
-
-    phi0 = -mean(u_r*) and mu0 = mean(u_theta*); the means are the exact
-    zeroth Fourier coefficients for equispaced samples of band-limited data.
-    """
-    ur = np.asarray(ur_samples, dtype=float)
-    ut = np.asarray(utheta_samples, dtype=float)
-    if ur.shape != ut.shape or ur.ndim != 1 or ur.size < 4:
-        raise ValueError("need matching 1-d sample arrays of length >= 4")
-    return -float(np.mean(ur)), float(np.mean(ut))
-
-
-def resonance_offset(flow: ReferenceFlow, n: int) -> float:
-    """Distance |zeta_n^- + 2 + |n|| from the logarithmic degeneracy."""
-    if n == 0:
-        raise ValueError("resonance bookkeeping applies to n != 0 only")
-    me = mode_exponents(flow, n)
-    return abs(me.zeta_minus + 2.0 + abs(n))
-
-
-def is_resonant(flow: ReferenceFlow, n: int, tol: float = RESONANCE_TOL) -> bool:
-    """True when mode n sits on the log-resonant branch r^{-|n|} log r.
-
-    At mu = 0 this happens exactly at phi0 = 4 (1 + |n|) / (2 + |n|); for
-    mu != 0 the offset has an imaginary part n mu / ... that keeps it away
-    from zero, so resonance is a mu = 0 phenomenon in practice.
-    """
-    return resonance_offset(flow, n) < tol

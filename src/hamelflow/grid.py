@@ -39,17 +39,11 @@ __all__ = [
     "FluxMismatchError",
     "RadialGrid",
     "build_grid",
-    "integrate_out",
-    "integrate_in",
     "integrate_out_all",
     "integrate_in_all",
-    "fit_tail_exponent",
     "BoundarySpectrum",
     "project_boundary",
     "synthesize_boundary",
-    "WeightedNorms",
-    "seq_norm",
-    "field_norm",
 ]
 
 _PHASE_JUMP_LIMIT = 2.5     # |Im log ratio| beyond this -> fallback rule
@@ -228,15 +222,6 @@ def _tail_value(grid: RadialGrid, g_last5, r_last5):
     return np.where(negligible, 0.0 + 0.0j, g_end * grid.r_max / (-(p + 1.0)))
 
 
-def fit_tail_exponent(grid: RadialGrid, f) -> float:
-    """Least-squares log-log slope of |f| over the last five nodes."""
-    f = np.asarray(f)
-    mags = np.abs(f[-5:]).astype(float)
-    if np.any(mags <= 0.0):
-        return -np.inf
-    return float(np.polyfit(np.log(grid.r[-5:]), np.log(mags), 1)[0])
-
-
 def _scan_forward(local, factor):
     """e_j = factor * e_{j-1} + local_j along the last axis, one factor per row.
 
@@ -345,16 +330,6 @@ def integrate_in_all(grid: RadialGrid, f, zeta) -> np.ndarray:
     return out if np.ndim(f) == 2 else out[0]
 
 
-def integrate_out(grid: RadialGrid, f, r_index: int, zeta) -> complex:
-    """Weighted outward integral from node ``r_index`` to infinity."""
-    return complex(integrate_out_all(grid, f, zeta)[r_index])
-
-
-def integrate_in(grid: RadialGrid, f, r_index: int, zeta) -> complex:
-    """Weighted inward integral from the boundary to node ``r_index``."""
-    return complex(integrate_in_all(grid, f, zeta)[r_index])
-
-
 # ---------------------------------------------------------------------------
 # boundary traces
 
@@ -435,62 +410,3 @@ def synthesize_boundary(spec: BoundarySpectrum, n_samples: int):
     ut = spec.mu + np.sum(weights * (spec.vtheta[:, None] * phases).real, axis=0)
     return ur, ut
 
-
-# ---------------------------------------------------------------------------
-# weighted norms
-
-
-@dataclass(frozen=True)
-class WeightedNorms:
-    """Parameters of the polynomially weighted sup norms."""
-
-    alpha: float   # radial weight exponent
-    kappa: float   # mode weight exponent
-    m: int = 0     # number of radial derivatives included
-
-    def __post_init__(self):
-        if self.m < 0 or self.m > 2:
-            raise ValueError("derivative order m must be 0, 1, or 2")
-        if self.m >= self.kappa:
-            raise ValueError("need m < kappa for the mode weights to nest")
-
-
-def seq_norm(coeffs, kappa: float) -> float:
-    """sup_n (1+|n|)^kappa |c_n| over coefficients indexed n = 0..len-1."""
-    c = np.asarray(coeffs)
-    n = np.arange(c.shape[0])
-    return float(np.max((1.0 + n) ** kappa * np.abs(c))) if c.size else 0.0
-
-
-def field_norm(grid: RadialGrid, mode_numbers, mode_values, norms: WeightedNorms,
-               mode_derivs=None) -> float:
-    """sup over modes, radii, and derivative order l <= m of
-
-        r^(alpha + l) (1 + |n|)^(kappa - l) |d_r^l phi_n(r)|.
-
-    ``mode_values`` has one row per entry of ``mode_numbers``; radial
-    derivatives beyond those supplied are formed by centered differences in
-    the log variable.
-    """
-    vals = np.atleast_2d(np.asarray(mode_values))
-    ns = np.asarray(mode_numbers).ravel()
-    if vals.shape != (ns.size, grid.n_nodes):
-        raise ValueError("mode_values must be (n_modes, n_nodes)")
-    r = grid.r
-
-    def d_log(a):
-        return np.gradient(a, grid.log_r, axis=-1)
-
-    levels = [vals]
-    if norms.m >= 1:
-        d1 = (np.atleast_2d(np.asarray(mode_derivs))
-              if mode_derivs is not None else d_log(vals) / r)
-        levels.append(d1)
-    if norms.m >= 2:
-        levels.append((d_log(levels[1] * r) - levels[1] * r) / (r * r))
-
-    total = 0.0
-    for l, lev in enumerate(levels):
-        w = r ** (norms.alpha + l) * ((1.0 + np.abs(ns)) ** (norms.kappa - l))[:, None]
-        total = max(total, float(np.max(w * np.abs(lev))))
-    return total

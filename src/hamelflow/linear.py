@@ -38,13 +38,10 @@ from .grid import BoundarySpectrum, RadialGrid, integrate_in_all, integrate_out_
 __all__ = [
     "DegenerateFluxError",
     "SourceSpectrum",
-    "ModeSolution",
     "SpectralSolution",
     "solve_w_particular",
-    "solve_gamma_particular",
     "solve_w_zero",
     "solve_gamma_zero",
-    "boundary_constants",
     "solve_linear",
 ]
 
@@ -73,20 +70,6 @@ class SourceSpectrum:
 
 
 @dataclass(frozen=True)
-class ModeSolution:
-    """One angular mode of the solved perturbation."""
-
-    n: int
-    gamma: np.ndarray
-    dgamma: np.ndarray
-    w: np.ndarray
-    dw: np.ndarray
-    gamma_bar: complex
-    w_bar: complex
-    resonant: bool
-
-
-@dataclass(frozen=True)
 class SpectralSolution:
     """Stacked mode solutions for n = 0..n_max (negative n by conjugation)."""
 
@@ -104,18 +87,6 @@ class SpectralSolution:
     @property
     def n_max(self) -> int:
         return self.gamma.shape[0] - 1
-
-    def mode(self, n: int) -> ModeSolution:
-        """Mode n for any |n| <= n_max; negative n conjugates."""
-        k = abs(n)
-        if k > self.n_max:
-            raise IndexError(f"mode {n} not stored (n_max={self.n_max})")
-        conj = (lambda a: np.conj(a)) if n < 0 else (lambda a: a)
-        return ModeSolution(
-            n=n, gamma=conj(self.gamma[k]), dgamma=conj(self.dgamma[k]),
-            w=conj(self.w[k]), dw=conj(self.dw[k]),
-            gamma_bar=complex(conj(self.gamma_bar[k])),
-            w_bar=complex(conj(self.w_bar[k])), resonant=bool(self.resonant[k]))
 
 
 def _w_response(grid: RadialGrid, f, zeta_plus, zeta_minus):
@@ -152,17 +123,6 @@ def solve_w_particular(grid: RadialGrid, flow: ReferenceFlow, n: int, f_n):
     return _w_response(grid, f_n, me.zeta_plus, me.zeta_minus)
 
 
-def solve_gamma_particular(grid: RadialGrid, n: int, w):
-    """Decaying response (gamma, d_r gamma) of the mode-n Laplacian to w.
-
-    Returns the pair with Delta_n gamma = -w (same sign convention as the
-    assembled stream mode, which subtracts this response).
-    """
-    if n == 0:
-        raise ValueError("mode 0 uses solve_gamma_zero")
-    return _gamma_response(grid, w, float(abs(n)))
-
-
 def solve_w_zero(grid: RadialGrid, phi0: float, f_0):
     """Decaying mean-mode vorticity response: L_w w = +f_0 at n = 0.
 
@@ -192,7 +152,12 @@ def solve_gamma_zero(grid: RadialGrid, w):
 
 def _trace_amplitudes(n, zeta_minus, vr, vt, g_part_1, dg_part_1,
                       resonance_tol):
-    """``boundary_constants`` for arrays of nonzero modes n."""
+    """Homogeneous amplitudes (bar gamma_n, bar w_n, resonant) from the trace.
+
+    Arrays over nonzero modes n.  g_part_1 and dg_part_1 are the values at
+    r = 1 of the particular stream response and its derivative (the pair
+    that the assembly subtracts).
+    """
     n = np.asarray(n)
     k = np.abs(n).astype(float)
     sgn = np.sign(n)
@@ -209,22 +174,6 @@ def _trace_amplitudes(n, zeta_minus, vr, vt, g_part_1, dg_part_1,
                          -big_d * (k * a + b) / denom)
         gamma_bar = np.where(resonant, a, a + w_bar / big_d)
     return gamma_bar, w_bar, resonant
-
-
-def boundary_constants(flow: ReferenceFlow, n: int, vr_n: complex, vt_n: complex,
-                       g_part_1: complex, dg_part_1: complex,
-                       resonance_tol: float = RESONANCE_TOL):
-    """Homogeneous amplitudes (bar gamma_n, bar w_n, resonant) from the trace.
-
-    g_part_1 and dg_part_1 are the values at r = 1 of the particular stream
-    response and its derivative (the pair that the assembly subtracts).
-    """
-    if n == 0:
-        raise ValueError("mode 0 has no trace-determined pair")
-    me = mode_exponents(flow, n)
-    gamma_bar, w_bar, resonant = _trace_amplitudes(
-        n, me.zeta_minus, vr_n, vt_n, g_part_1, dg_part_1, resonance_tol)
-    return complex(gamma_bar), complex(w_bar), bool(resonant)
 
 
 def _assemble_nonzero(grid: RadialGrid, flow: ReferenceFlow,
@@ -277,17 +226,14 @@ def _assemble_zero(grid: RadialGrid, flow: ReferenceFlow, circ_deficit: complex,
             "from the log pair there")
     r = grid.r
     w_part, dw_part = solve_w_zero(grid, phi0, f_0)
+    big_gamma, d_big_gamma = solve_gamma_zero(grid, w_part)
     if phi0 <= 2.0:
-        big_gamma, d_big_gamma = solve_gamma_zero(grid, w_part)
-        gamma = -big_gamma
-        dgamma = -d_big_gamma
-        return gamma, dgamma, w_part, dw_part, 0.0 + 0.0j
+        return -big_gamma, -d_big_gamma, w_part, dw_part, 0.0 + 0.0j
 
-    i1 = integrate_out_all(grid, w_part, 0.0)[0]
+    i1 = -d_big_gamma[0]   # int_1^inf s w_part ds, since r[0] == 1
     w_bar = -(phi0 - 2.0) * (circ_deficit + i1)
     w = w_bar * r ** (-phi0) + w_part
     dw = -phi0 * w_bar * r ** (-phi0 - 1.0) + dw_part
-    big_gamma, d_big_gamma = solve_gamma_zero(grid, w_part)
     gamma = -(w_bar * r ** (2.0 - phi0) / (phi0 - 2.0) ** 2 + big_gamma)
     dgamma = w_bar * r ** (1.0 - phi0) / (phi0 - 2.0) - d_big_gamma
     return gamma, dgamma, w, dw, w_bar

@@ -216,7 +216,6 @@ def shoot_mu(boundary: BoundarySpectrum, config: SolverConfig | None = None,
                          "picard_solve directly for phi0 > 2")
     grid = grid or config.make_grid()
     mu = boundary.mu
-    mu_history = [mu]
     g_history = []
     secant = False
     solution = report = None
@@ -244,7 +243,6 @@ def shoot_mu(boundary: BoundarySpectrum, config: SolverConfig | None = None,
                 mu = m2 - g2 * (m2 - m1) / (g2 - g1)
         else:
             mu = boundary.mu0 + dg0
-        mu_history.append(mu)
     raise SolverConvergenceError(
         f"circulation shooting did not reach tol_mu={config.tol_mu:g} in "
         f"{config.max_shoot} steps (last residual {abs(g_history[-1][1]):.3e})",

@@ -12,11 +12,11 @@ import pytest
 from hamelflow import (BoundarySpectrum, ReferenceFlow, SolverConfig,
                        alpha_window, asymptotic_circulation, branch_sweep,
                        build_grid, decay_fit, existence_condition,
-                       field_at_radius, hardy_check, hardy_sharpness,
-                       mode_exponents, ns_residual, positivity_roots, q_form,
-                       random_stream, random_w_profile,
-                       re_zeta_minus_closed_form, shoot_mu, solve_gamma_zero,
-                       solve_linear, solve_w_zero, synthesize_boundary)
+                       hardy_check, hardy_sharpness, mode_exponents,
+                       ns_residual, positivity_roots, q_form, random_stream,
+                       random_w_profile, re_zeta_minus_closed_form,
+                       reconstruct, shoot_mu, solve_gamma_zero, solve_linear,
+                       solve_w_zero, synthesize_boundary)
 from hamelflow.solve import picard_solve
 from hamelflow.verify import (MANUFACTURED_CASES, check_ode_residuals,
                               check_trace_exactness,
@@ -34,6 +34,13 @@ def mode_boundary(n_max, phi0, mu0, mu, vr=None, vtheta=None):
         vt_a[n] = v
     vt_a[0] = mu0 - mu
     return BoundarySpectrum(n_max, vr_a, vt_a, phi0, mu0, mu)
+
+
+def field_row(solution, radius):
+    """(u_r, u_theta, w) on 256 angles at the node nearest ``radius``."""
+    full = reconstruct(solution, 256)
+    j = int(np.argmin(np.abs(np.log(full.r) - np.log(radius))))
+    return np.concatenate([full.ur[j], full.utheta[j], full.w[j]])
 
 
 @pytest.fixture(scope="module")
@@ -154,8 +161,7 @@ def test_criterion_05_branch_members_share_the_trace_but_not_the_field(
 
     traces = [np.concatenate(synthesize_boundary(m.solution.boundary, 256))
               for m in members]
-    fields = [np.concatenate(field_at_radius(m.solution, 10.0)[1:])
-              for m in members]
+    fields = [field_row(m.solution, 10.0) for m in members]
     worst_trace = 0.0
     best_field_gap = np.inf
     for i in range(len(members)):

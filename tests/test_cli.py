@@ -96,6 +96,22 @@ def test_divergent_tail_exits_2_in_one_line(tmp_path, runner):
     assert "does not converge" in res.output
 
 
+@pytest.mark.parametrize("command, base, phi0", [
+    ("solve", SOLVE_CFG, 2.0000001), ("shoot", SHOOT_CFG, 1.9999999)],
+    ids=["solve", "shoot"])
+def test_degenerate_flux_exits_1_in_one_line(tmp_path, runner, command, base,
+                                             phi0):
+    cfg = json.loads(json.dumps(base))
+    cfg["flow"]["phi0"] = phi0
+    res = runner.invoke(main, [command, "--config", write_cfg(tmp_path, cfg),
+                               "--out", str(tmp_path / "o")])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)   # handled, no traceback
+    assert "Traceback" not in res.output
+    assert res.output.count("\n") == 1
+    assert "degenerate band" in res.output
+
+
 def test_cli_import_leaves_scipy_out():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
@@ -216,6 +232,22 @@ def test_export_formats(tmp_path, runner):
                                "--out", "x"])
     assert res.exit_code == 1
     assert "no modes.json" in res.output
+
+
+@pytest.mark.parametrize("content, fmt", [
+    ('{"a": 1}', "csv"), ("not json", "csv"), ("not json", "json")],
+    ids=["no-modes-key", "not-json-csv", "not-json-json"])
+def test_export_rejects_input_that_is_not_modes_json(tmp_path, runner,
+                                                     content, fmt):
+    src = tmp_path / "modes.json"
+    src.write_text(content)
+    res = runner.invoke(main, ["export", "--solution", str(src), "--format",
+                               fmt, "--out", str(tmp_path / "x")])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)   # handled, no traceback
+    assert "Traceback" not in res.output
+    assert res.output.count("\n") == 1
+    assert "is not a modes.json" in res.output
 
 
 def test_export_csv_keeps_signed_zeros_and_nulls(tmp_path, runner):

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hamelflow import (ReferenceFlow, alpha_window, circulation_threshold,
-                       existence_condition, flux_circulation, hamel_velocity,
-                       is_resonant, mode_exponents, re_zeta_minus_closed_form,
-                       ref_velocity, resonance_offset, rho_decay, zeta_pair)
+from hamelflow import (BoundarySpectrum, ReferenceFlow, alpha_window,
+                       build_grid, circulation_threshold, existence_condition,
+                       hamel_velocity, mode_exponents, project_boundary,
+                       re_zeta_minus_closed_form, ref_velocity, rho_decay,
+                       solve_linear, zeta_pair)
 
 finite_phi0 = st.floats(min_value=0.0, max_value=6.0)
 finite_mu = st.floats(min_value=-50.0, max_value=50.0)
@@ -153,29 +154,33 @@ def test_ref_velocity_is_circulation_flux_pair():
 
 
 def test_flux_circulation_recovers_means():
+    # project_boundary infers the flux and circulation from the sample means.
     theta = np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
     ur = -2.5 + 0.3 * np.cos(theta)
     ut = 0.7 + 0.1 * np.sin(2 * theta)
-    phi0, mu0 = flux_circulation(ur, ut)
-    assert phi0 == pytest.approx(2.5, abs=1e-13)
-    assert mu0 == pytest.approx(0.7, abs=1e-13)
+    spec = project_boundary(ur, ut, 4, mu=0.7)
+    assert spec.phi0 == pytest.approx(2.5, abs=1e-13)
+    assert spec.mu0 == pytest.approx(0.7, abs=1e-13)
     with pytest.raises(ValueError):
-        flux_circulation(np.array([1.0, 2.0]), np.array([1.0, 2.0]))
+        project_boundary(np.array([1.0, 2.0]), np.array([1.0, 2.0]), 1, mu=0.0)
 
 
 def test_resonance_closed_form_flux():
-    # With zero circulation, mode n is resonant exactly at
-    # phi0 = 4 (1 + n) / (2 + n).
+    # With zero circulation, mode n is resonant (zeta_n^- + 2 + n = 0)
+    # exactly at phi0 = 4 (1 + n) / (2 + n); solve_linear flags that mode.
+    grid = build_grid(1e3, 16)
+
+    def resonant(phi0):
+        spec = BoundarySpectrum(n_max=6, vr=np.zeros(7, complex),
+                                vtheta=np.zeros(7, complex), phi0=phi0,
+                                mu0=0.0, mu=0.0)
+        return solve_linear(ReferenceFlow(phi0, 0.0), grid, spec).resonant
+
     for n in range(1, 7):
         phi0 = 4.0 * (1.0 + n) / (2.0 + n)
-        flow = ReferenceFlow(phi0, 0.0)
-        assert resonance_offset(flow, n) < 1e-12
-        assert is_resonant(flow, n)
-        assert not is_resonant(ReferenceFlow(phi0 + 1e-6, 0.0), n)
-    assert is_resonant(ReferenceFlow(3.2, 0.0), 3)
-    assert not is_resonant(ReferenceFlow(3.2, 0.0), 2)
-    with pytest.raises(ValueError):
-        resonance_offset(ReferenceFlow(3.2, 0.0), 0)
+        assert abs(zeta_pair(phi0, 0.0, n)[1] + 2.0 + n) < 1e-12
+        assert np.flatnonzero(resonant(phi0)).tolist() == [n]
+        assert not resonant(phi0 + 1e-6).any()
 
 
 def test_mode_exponents_carries_discriminant():

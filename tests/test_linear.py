@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from hamelflow import (BoundarySpectrum, DegenerateFluxError, ReferenceFlow,
-                       SourceSpectrum, boundary_constants, build_grid,
-                       mode_exponents,
-                       solve_gamma_particular, solve_gamma_zero, solve_linear,
-                       solve_w_particular, solve_w_zero)
+                       SourceSpectrum, build_grid, mode_exponents,
+                       solve_gamma_zero, solve_linear, solve_w_particular,
+                       solve_w_zero)
+from hamelflow.flows import RESONANCE_TOL
+from hamelflow.linear import _gamma_response, _trace_amplitudes
 
 
 def mode_boundary(n_max, phi0, mu0, mu, vr=None, vtheta=None):
@@ -65,7 +66,7 @@ def test_stream_kernel_inverts_mode_laplacian(grid):
     # r^-2 (1/16 + log(r)/4); its mode Laplacian is -w via the identity
     # Delta_n[log(r) r^-n] = -2 n r^(-n-2).
     w = grid.r ** -4.0 + 0j
-    g, dg = solve_gamma_particular(grid, 2, w)
+    (g,), (dg,) = _gamma_response(grid, w[None], [2.0])
     exact_g = grid.r ** -2.0 * (1.0 / 16.0 + np.log(grid.r) / 4.0)
     exact_dg = grid.r ** -3.0 * (1.0 / 8.0 - np.log(grid.r) / 2.0)
     assert np.abs(g - exact_g).max() < 1e-13
@@ -123,8 +124,8 @@ def test_boundary_traces_exact_resonant(grid):
 @pytest.mark.parametrize("phi0, mu", [(2.5, 0.2), (3.2, 0.0)])
 def test_batched_modes_match_one_mode_kernels(grid, phi0, mu):
     # solve_linear integrates all nonzero modes in one stack; every mode
-    # must agree with the one-row kernels (phi0 = 3.2, mu = 0 makes mode 3
-    # resonant).
+    # must agree with the kernels applied to its row alone (phi0 = 3.2,
+    # mu = 0 makes mode 3 resonant).
     flow = ReferenceFlow(phi0, mu)
     boundary = mode_boundary(4, phi0, mu0=mu + 0.1, mu=mu,
                              vr={1: 0.02 + 0.01j, 3: 0.01 + 0.004j},
@@ -133,15 +134,16 @@ def test_batched_modes_match_one_mode_kernels(grid, phi0, mu):
     sol = solve_linear(flow, grid, boundary, sources)
     close = lambda a, b: np.abs(a - b).max() <= 1e-14 * np.abs(b).max()
     for n in range(1, 5):
+        zm = mode_exponents(flow, n).zeta_minus
         w_part, dw_part = solve_w_particular(grid, flow, n, sources.F[n])
-        g_part, dg_part = solve_gamma_particular(grid, n, w_part)
-        gamma_bar, w_bar, resonant = boundary_constants(
-            flow, n, boundary.vr[n], boundary.vtheta[n], g_part[0],
-            dg_part[0])
+        g_part, dg_part = _gamma_response(grid, w_part[None], [float(n)])
+        (gamma_bar,), (w_bar,), (resonant,) = _trace_amplitudes(
+            np.array([n]), np.array([zm]), boundary.vr[n:n + 1],
+            boundary.vtheta[n:n + 1], g_part[:, 0], dg_part[:, 0],
+            RESONANCE_TOL)
         assert sol.resonant[n] == resonant == (phi0 == 3.2 and n == 3)
         assert close(sol.gamma_bar[n], gamma_bar)
         assert close(sol.w_bar[n], w_bar)
-        zm = mode_exponents(flow, n).zeta_minus
         w_hom = w_bar * grid.r ** (zm if not resonant else -n - 2.0)
         assert close(sol.w[n], w_hom - w_part)
 
@@ -181,15 +183,6 @@ def test_conjugate_boundary_gives_conjugate_solution(grid):
     sol = solve_linear(flow, grid, b)
     sol_r = solve_linear(flow, grid, refl)
     assert np.abs(sol_r.gamma - np.conj(sol.gamma)).max() < 1e-13
-
-
-def test_mode_accessor_conjugates(grid):
-    flow = ReferenceFlow(2.5, 0.2)
-    b = mode_boundary(2, 2.5, mu0=0.3, mu=0.2, vr={1: 0.01 + 0.02j})
-    sol = solve_linear(flow, grid, b)
-    m = sol.mode(-1)
-    assert np.allclose(m.gamma, np.conj(sol.gamma[1]))
-    assert m.n == -1
 
 
 def test_degenerate_flux_band(grid):
