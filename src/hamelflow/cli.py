@@ -145,7 +145,10 @@ def branch(config_path, outdir, mu_extra, quick, seed):
                                    "in the config or --mu")
     if boundary.phi0 <= 2.0:
         raise click.ClickException("branch sweeps need phi0 > 2")
-    members = branch_sweep(boundary, mu_values, sc)
+    try:
+        members = branch_sweep(boundary, mu_values, sc)
+    except DegenerateFluxError as exc:
+        raise click.ClickException(str(exc)) from exc
     os.makedirs(outdir, exist_ok=True)
     summary = []
     failed = 0
@@ -238,17 +241,19 @@ def export(soldir, fmt, outpath):
     try:
         with open(src, encoding="utf-8") as fh:
             payload = json.load(fh)
+        # Both formats read the keys of a modes.json; [re, im] pairs viewed
+        # as complex: no arithmetic, exact values.
+        modes = payload["modes"]
+        profile = lambda key: np.array([m[key] for m in modes],
+                                       dtype=float).view(complex)[..., 0]
+        columns = ([m["n"] for m in modes],
+                   np.asarray(payload["r"], dtype=float),
+                   *map(profile, ("gamma", "dgamma", "w", "dw")))
         if fmt == "json":
             write_json(outpath, payload)
         else:
-            modes = payload["modes"]
-            # [re, im] pairs viewed as complex: no arithmetic, exact values
-            profile = lambda key: np.array([m[key] for m in modes],
-                                           dtype=float).view(complex)[..., 0]
-            write_mode_profiles(outpath, [m["n"] for m in modes],
-                                np.asarray(payload["r"], dtype=float),
-                                *map(profile, ("gamma", "dgamma", "w", "dw")))
-    except (KeyError, TypeError, ValueError) as exc:
+            write_mode_profiles(outpath, *columns)
+    except (IndexError, KeyError, TypeError, ValueError) as exc:
         raise click.ClickException(
             f"{src} is not a modes.json ({type(exc).__name__}: {exc})"
         ) from exc

@@ -131,41 +131,30 @@ def _segment_power_integrals(s_left, a, b, h, a_prev=None, b_next=None):
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    out = np.zeros_like(a)
-
-    finite = np.isfinite(a) & np.isfinite(b)
-    usable = finite & (a != 0) & (b != 0)
-    with np.errstate(all="ignore"):
-        ratio = np.where(usable, b, 1.0) / np.where(usable, a, 1.0)
-        logr = np.log(ratio)
-    usable &= (np.isfinite(logr)
-               & (np.abs(logr.imag) < _PHASE_JUMP_LIMIT)
-               & (np.abs(logr.real) < _STEEP_SEGMENT_LIMIT))
-    logr = np.where(usable, logr, 0.0)
+    finite, usable, logr = _log_ratios(a, b)
+    f0 = a * s_left
 
     # Power model: (e^z - 1)/z with z = (q + 1) h, q = logr / h.
     z = np.where(usable, logr + h, 1.0)
-    small = np.abs(z) < 1e-4
-    phi1 = np.empty_like(z)
-    zs = z[small]
-    phi1[small] = 1.0 + zs / 2.0 + zs * zs / 6.0 + zs * zs * zs / 24.0
-    phi1[~small] = np.expm1(z[~small]) / z[~small]
-    ipow = np.where(usable, a * s_left * h * phi1, 0.0)
+    with np.errstate(all="ignore"):
+        phi1 = np.where(np.abs(z) < 1e-4,
+                        1.0 + z / 2.0 + z * z / 6.0 + z * z * z / 24.0,
+                        _complex_expm1(z) / z)
+    ipow = np.where(usable, f0 * h * phi1, 0.0)
 
     # Corrected trapezoid: plain trapezoid plus the Euler-Maclaurin endpoint
     # term built from central-difference derivatives.
     eh = np.exp(h)
-    f0 = a * s_left
     f1 = b * s_left * eh
     trap = 0.5 * h * (f0 + f1)
-    ict = trap.copy()
+    ict = trap
     if a_prev is not None and b_next is not None:
         fm1 = np.asarray(a_prev, dtype=complex) * s_left / eh
         f2 = np.asarray(b_next, dtype=complex) * s_left * (eh * eh)
         with np.errstate(all="ignore"):
             corr = (h / 24.0) * (f2 - f1 - f0 + fm1)
-        good = np.isfinite(corr) & (np.abs(corr) <= 0.5 * np.abs(trap))
-        ict[good] -= corr[good]
+            good = np.isfinite(corr) & (np.abs(corr) <= 0.5 * np.abs(trap))
+            ict = np.where(good, trap - corr, trap)
 
     # Blend weight: fraction of the corrected-trapezoid rule.
     if logr.shape[-1] > 1:
@@ -180,7 +169,51 @@ def _segment_power_integrals(s_left, a, b, h, a_prev=None, b_next=None):
     wgt = np.where(usable, wgt, 1.0)
 
     mixed = (1.0 - wgt) * ipow + wgt * ict
-    out[finite] = mixed[finite]
+    return np.where(finite, mixed, 0.0)
+
+
+def _log_ratios(a, b):
+    """(finite, usable, Log(b/a)) per segment of the power model.
+
+    A segment is usable when both values are finite and nonzero and the log
+    ratio stays within the phase and steepness limits; its log ratio is 0
+    where it is not.
+    """
+    finite = np.isfinite(a) & np.isfinite(b)
+    usable = finite & (a != 0) & (b != 0)
+    with np.errstate(all="ignore"):
+        ratio = np.where(usable, b, 1.0) / np.where(usable, a, 1.0)
+        logr = _complex_log(ratio)
+    usable &= (np.isfinite(logr)
+               & (np.abs(logr.imag) < _PHASE_JUMP_LIMIT)
+               & (np.abs(logr.real) < _STEEP_SEGMENT_LIMIT))
+    return finite, usable, np.where(usable, logr, 0.0)
+
+
+def _complex_log(z):
+    """Principal log of a complex array as log|z| + i arg z.
+
+    Same values and branch cut (arg of -x - 0i is -pi) as complex ``np.log``
+    to a few ulp, at a fraction of its cost.
+    """
+    out = np.empty(z.shape, dtype=complex)
+    out.real = np.log(np.abs(z))
+    out.imag = np.arctan2(z.imag, z.real)
+    return out
+
+
+def _complex_expm1(z):
+    """e^z - 1 for a complex array, from real expm1/exp/sin/cos.
+
+    The real part expm1(x) cos y - 2 sin^2(y/2) keeps full relative accuracy
+    for small |z|.  It is the formula numpy's complex expm1 applies element
+    by element, here in whole-array real operations.
+    """
+    x, y = z.real, z.imag
+    half = np.sin(0.5 * y)
+    out = np.empty(z.shape, dtype=complex)
+    out.real = np.expm1(x) * np.cos(y) - 2.0 * half * half
+    out.imag = np.exp(x) * np.sin(y)
     return out
 
 
@@ -265,6 +298,21 @@ def _rows(grid: RadialGrid, f, zeta):
     return rows, zeta[:, None]
 
 
+def _live_rows(kernel, grid: RadialGrid, rows, zeta):
+    """``kernel`` on the rows holding a nonzero sample, scattered back.
+
+    An all-zero row integrates to exactly +0 with no quadrature, tail fit or
+    scan; the kernel on it would return the same +0.
+    """
+    live = np.any(rows != 0, axis=1)
+    if live.all():
+        return kernel(grid, rows, zeta)
+    out = np.zeros(rows.shape, dtype=complex)
+    if live.any():
+        out[live] = kernel(grid, rows[live], zeta[live])
+    return out
+
+
 def integrate_out_all(grid: RadialGrid, f, zeta) -> np.ndarray:
     """out_j = int_{r_j}^inf s f(s) (r_j/s)^zeta ds for every node j.
 
@@ -274,9 +322,15 @@ def integrate_out_all(grid: RadialGrid, f, zeta) -> np.ndarray:
     <= 1 for Re zeta >= 0, which covers every solver use except the
     sink-weighted inner integral (zeta = -(phi0+1)); its growth is matched
     by the decay of the values it multiplies, keeping the relative error at
-    O(J eps).
+    O(J eps).  Rows that are identically zero return +0 at no cost.
     """
     f2, zeta = _rows(grid, f, zeta)
+    out = _live_rows(_integrate_out, grid, f2, zeta)
+    return out if np.ndim(f) == 2 else out[0]
+
+
+def _integrate_out(grid: RadialGrid, f2, zeta):
+    """``integrate_out_all`` on a (rows, nodes) stack, zeta a (rows, 1) column."""
     r = grid.r
     h = grid.h
     base = r * f2
@@ -298,8 +352,7 @@ def integrate_out_all(grid: RadialGrid, f, zeta) -> np.ndarray:
     local = np.empty_like(base)
     local[:, :-1] = seg
     local[:, -1] = tail
-    out = _scan_backward(local, step[:, 0])
-    return out if np.ndim(f) == 2 else out[0]
+    return _scan_backward(local, step[:, 0])
 
 
 def integrate_in_all(grid: RadialGrid, f, zeta) -> np.ndarray:
@@ -309,6 +362,12 @@ def integrate_in_all(grid: RadialGrid, f, zeta) -> np.ndarray:
     multiplier e^{zeta h}).
     """
     f2, zeta = _rows(grid, f, zeta)
+    out = _live_rows(_integrate_in, grid, f2, zeta)
+    return out if np.ndim(f) == 2 else out[0]
+
+
+def _integrate_in(grid: RadialGrid, f2, zeta):
+    """``integrate_in_all`` on a (rows, nodes) stack, zeta a (rows, 1) column."""
     r = grid.r
     h = grid.h
     base = r * f2
@@ -326,8 +385,7 @@ def integrate_in_all(grid: RadialGrid, f, zeta) -> np.ndarray:
     local = np.empty_like(base)
     local[:, 0] = 0.0
     local[:, 1:] = seg
-    out = _scan_forward(local, step[:, 0])
-    return out if np.ndim(f) == 2 else out[0]
+    return _scan_forward(local, step[:, 0])
 
 
 # ---------------------------------------------------------------------------

@@ -246,7 +246,10 @@ def solve_linear(flow: ReferenceFlow, grid: RadialGrid,
     """Solve every mode 0..n_max against the given sources and trace.
 
     Modes 1..n_max are solved together: each kernel family is one
-    quadrature call on the (modes, nodes) stack of its integrands.
+    quadrature call on the (modes, nodes) stack of its integrands.  Modes
+    without a source (all of them when ``sources`` is None, and those above
+    the reach of the trace's products) cost no quadrature: the integrators
+    return their zero rows as exact +0.
     """
     if sources is None:
         sources = SourceSpectrum.zeros(boundary.n_max, grid)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .flows import ReferenceFlow, alpha_window
 from .grid import BoundarySpectrum, RadialGrid, build_grid
-from .linear import SpectralSolution, solve_linear
+from .linear import DegenerateFluxError, SpectralSolution, solve_linear
 from .nonlin import compute_sources
 
 __all__ = [
@@ -263,7 +263,8 @@ def branch_sweep(boundary: BoundarySpectrum, mu_values,
 
     Requires phi0 > 2 (elsewhere mu is determined, not free).  Failures are
     recorded per member; the sweep continues.  Members come back in the
-    order of mu_values.
+    order of mu_values.  A flux in the degenerate band around 2 is an input
+    error shared by every member: ``DegenerateFluxError`` propagates.
     """
     config = config or SolverConfig()
     if boundary.phi0 <= 2.0:
@@ -276,6 +277,8 @@ def branch_sweep(boundary: BoundarySpectrum, mu_values,
             sol, rep = picard_solve(flow, boundary.with_mu(float(mu)),
                                     config, grid)
             return BranchMember(mu=float(mu), solution=sol, report=rep)
+        except DegenerateFluxError:
+            raise
         except (SolverConvergenceError, ValueError, ArithmeticError) as exc:
             rep = getattr(exc, "report", None)
             return BranchMember(mu=float(mu), solution=None, report=rep,

@@ -112,6 +112,21 @@ def test_degenerate_flux_exits_1_in_one_line(tmp_path, runner, command, base,
     assert "degenerate band" in res.output
 
 
+def test_branch_degenerate_flux_exits_1_in_one_line(tmp_path, runner):
+    cfg = json.loads(json.dumps(SOLVE_CFG))
+    cfg["flow"]["phi0"] = 2.0000001
+    cfg["branch"] = {"mu_values": [0.15, 0.2]}
+    out = tmp_path / "o"
+    res = runner.invoke(main, ["branch", "--config", write_cfg(tmp_path, cfg),
+                               "--out", str(out)])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)   # handled, no traceback
+    assert "Traceback" not in res.output
+    assert res.output.count("\n") == 1
+    assert "degenerate band" in res.output
+    assert not out.exists()
+
+
 def test_cli_import_leaves_scipy_out():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
@@ -234,9 +249,15 @@ def test_export_formats(tmp_path, runner):
     assert "no modes.json" in res.output
 
 
+NO_PROFILE = '{"r": [1.0], "modes": [{"n": 0, "gamma": [[0.0, 0.0]]}]}'
+
+
 @pytest.mark.parametrize("content, fmt", [
-    ('{"a": 1}', "csv"), ("not json", "csv"), ("not json", "json")],
-    ids=["no-modes-key", "not-json-csv", "not-json-json"])
+    ('{"a": 1}', "csv"), ('{"a": 1}', "json"), ("not json", "csv"),
+    ("not json", "json"), (NO_PROFILE, "csv"), (NO_PROFILE, "json"),
+    ('{"r": [], "modes": []}', "json")],
+    ids=["no-modes-key", "no-modes-key-json", "not-json-csv", "not-json-json",
+         "no-profile-key-csv", "no-profile-key-json", "no-modes-json"])
 def test_export_rejects_input_that_is_not_modes_json(tmp_path, runner,
                                                      content, fmt):
     src = tmp_path / "modes.json"

@@ -1,14 +1,19 @@
 """Radial grid, weighted quadrature, and boundary projection."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from hamelflow import (BoundarySpectrum, DivergentTailError, FluxMismatchError,
-                       RadialGrid, build_grid, integrate_in_all,
-                       integrate_out_all, project_boundary,
+                       RadialGrid, build_grid, grid as grid_module,
+                       integrate_in_all, integrate_out_all, project_boundary,
                        synthesize_boundary)
-from hamelflow.grid import _scan_backward, _scan_forward
+from hamelflow.grid import (_CURVATURE_RAMP, _PHASE_JUMP_LIMIT,
+                            _STEEP_SEGMENT_LIMIT, _complex_expm1,
+                            _complex_log, _log_ratios, _scan_backward,
+                            _scan_forward, _segment_power_integrals)
 
 
 def test_grid_construction():
@@ -139,6 +144,246 @@ def test_one_divergent_row_fails_the_stack():
     assert info.value.exponent == pytest.approx(0.5, abs=1e-9)
     with pytest.raises(DivergentTailError):
         integrate_out_all(g, bad[-1], 0.0)
+
+
+def bits(a):
+    """The bit patterns of a complex array: equal only if bitwise equal."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def positive_zero(a):
+    return (not np.any(a) and not np.any(np.signbit(a.real))
+            and not np.any(np.signbit(a.imag)))
+
+
+def live_rows(g, integrate):
+    rows, zeta = batch_rows(g)
+    if integrate is integrate_in_all:
+        return rows, -zeta
+    # the mean mode's sink-weighted inner integral, zeta = -(phi0 + 1)
+    return np.vstack([rows, g.r ** -6.0]), np.append(zeta, -(1.5 + 1.0))
+
+
+@pytest.mark.parametrize("integrate", [integrate_out_all, integrate_in_all],
+                         ids=["out", "in"])
+def test_zero_rows_are_skipped_exactly(integrate, monkeypatch):
+    g = build_grid(1e4, 48)
+    rows, zeta = live_rows(g, integrate)
+    stack = np.zeros((2 * len(rows) + 1, g.n_nodes), dtype=complex)
+    stack[1::2] = rows
+    zetas = np.full(len(stack), 0.5 + 0.25j) * np.sign(zeta[0].real)
+    zetas[1::2] = zeta
+
+    seen = []
+    kernel = grid_module._segment_power_integrals
+    monkeypatch.setattr(grid_module, "_segment_power_integrals",
+                        lambda s, a, *args: seen.append(len(a))
+                        or kernel(s, a, *args))
+    got = integrate(g, stack, zetas)
+    assert seen == [len(rows)]          # only the live rows are integrated
+    for f, z, row in zip(stack, zetas, got):
+        assert np.array_equal(bits(row), bits(integrate(g, f, z)))
+    assert positive_zero(got[0::2])
+    assert np.all(np.abs(got[1::2]).max(axis=1) > 0)
+
+    seen.clear()
+    none = integrate(g, np.zeros((3, g.n_nodes)), zetas[:3])
+    one = integrate(g, np.zeros(g.n_nodes), zetas[1])
+    assert none.shape == (3, g.n_nodes) and one.shape == (g.n_nodes,)
+    assert positive_zero(none) and positive_zero(one)
+    assert seen == []
+
+
+def test_divergent_row_among_zero_rows_fails_the_stack():
+    g = build_grid(1e4, 48)
+    stack = np.zeros((3, g.n_nodes), dtype=complex)
+    stack[1] = g.r ** -0.5
+    with pytest.raises(DivergentTailError) as info:
+        integrate_out_all(g, stack, np.zeros(3))
+    assert info.value.exponent == pytest.approx(0.5, abs=1e-9)
+
+
+def complex_segment_power_integrals(s_left, a, b, h, a_prev=None,
+                                   b_next=None):
+    """Reference: the segment rule in complex arithmetic (np.log, np.expm1)
+    with masked writes; returns the integrals and the power-model mask."""
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    out = np.zeros_like(a)
+
+    finite = np.isfinite(a) & np.isfinite(b)
+    usable = finite & (a != 0) & (b != 0)
+    with np.errstate(all="ignore"):
+        ratio = np.where(usable, b, 1.0) / np.where(usable, a, 1.0)
+        logr = np.log(ratio)
+    usable &= (np.isfinite(logr)
+               & (np.abs(logr.imag) < _PHASE_JUMP_LIMIT)
+               & (np.abs(logr.real) < _STEEP_SEGMENT_LIMIT))
+    logr = np.where(usable, logr, 0.0)
+
+    z = np.where(usable, logr + h, 1.0)
+    small = np.abs(z) < 1e-4
+    phi1 = np.empty_like(z)
+    zs = z[small]
+    phi1[small] = 1.0 + zs / 2.0 + zs * zs / 6.0 + zs * zs * zs / 24.0
+    phi1[~small] = np.expm1(z[~small]) / z[~small]
+    ipow = np.where(usable, a * s_left * h * phi1, 0.0)
+
+    eh = np.exp(h)
+    f0 = a * s_left
+    f1 = b * s_left * eh
+    trap = 0.5 * h * (f0 + f1)
+    ict = trap.copy()
+    if a_prev is not None and b_next is not None:
+        fm1 = np.asarray(a_prev, dtype=complex) * s_left / eh
+        f2 = np.asarray(b_next, dtype=complex) * s_left * (eh * eh)
+        with np.errstate(all="ignore"):
+            corr = (h / 24.0) * (f2 - f1 - f0 + fm1)
+        good = np.isfinite(corr) & (np.abs(corr) <= 0.5 * np.abs(trap))
+        ict[good] -= corr[good]
+
+    if logr.shape[-1] > 1:
+        step = np.abs(np.diff(logr, axis=-1))
+        drift = np.maximum(np.concatenate([step[..., :1], step], axis=-1),
+                           np.concatenate([step, step[..., -1:]], axis=-1))
+    else:
+        drift = np.zeros(logr.shape)
+    lo, hi = _CURVATURE_RAMP
+    ramp = np.clip((drift / (h * h) - lo) / (hi - lo), 0.0, 1.0)
+    wgt = ramp * ramp * (3.0 - 2.0 * ramp)
+    wgt = np.where(usable, wgt, 1.0)
+
+    mixed = (1.0 - wgt) * ipow + wgt * ict
+    out[finite] = mixed[finite]
+    return out, usable
+
+
+def out_segments(g, rows, zeta):
+    """Arguments of the segment rule as integrate_out_all forms them."""
+    base = g.r * rows
+    step = np.exp(-zeta[:, None] * g.h)
+    a_prev = np.full((len(rows), g.n_nodes - 1), np.nan, dtype=complex)
+    a_prev[:, 1:] = base[:, :-2] / step
+    b_next = np.full_like(a_prev, np.nan)
+    b_next[:, :-1] = base[:, 2:] * (step * step)
+    return g.r[:-1], base[:, :-1], base[:, 1:] * step, g.h, a_prev, b_next
+
+
+def test_real_arithmetic_kernel_matches_the_complex_one():
+    g = build_grid(1e4, 96)
+    x = np.log(g.r)
+    flip = g.r ** -4.0 * np.sign(np.cos(2.0 * x))
+    holes = g.r ** -4.0
+    holes[100:110] = 0.0
+    holes[200] = 0.0
+    broken = g.r ** -4.0
+    broken[50], broken[150] = np.nan, np.inf
+    # per-segment phase and log-magnitude steps sweeping 2.3..2.7, across
+    # the phase and steepness limits of the power model
+    sweep = np.linspace(2.3, 2.7, g.n_nodes - 1)
+    phase = np.exp(1j * np.concatenate([[0.0], np.cumsum(sweep)]))
+    zigzag = np.exp(np.concatenate([[0.0], np.cumsum(
+        sweep * (-1.0) ** np.arange(sweep.size))]))
+    # (e^z - 1)/z at z = (2 + q - zeta) h just inside and just outside the
+    # series branch |z| < 1e-4
+    near = [-1.5 - dz / g.h for dz in (9e-5, 1.1e-4)]
+    rows = np.array([g.r ** -3.5,                       # pure power
+                     g.r ** -2.3 + g.r ** -3.7,         # mixture
+                     np.sin(3.0 * x) * g.r ** -4.0,     # oscillatory
+                     g.r ** (-4.0 + 2.0j),              # complex power
+                     flip,                              # sign flips
+                     holes,                             # isolated zeros
+                     np.zeros(g.n_nodes),
+                     phase * g.r ** -4.0,
+                     zigzag * g.r ** -4.0,
+                     g.r ** -3.5, g.r ** -3.5,
+                     broken], dtype=complex)               # nan and inf
+    zeta = np.array([1.0 + 0.5j, 0.0, 0.0, 0.7 - 0.3j, 2.0, 0.0, 1.0, 0.0,
+                     0.0, *near, 0.0])
+    with np.errstate(all="ignore"):
+        args = out_segments(g, rows, zeta)
+    for kernel_args in (args, args[:4]):    # with and without neighbours
+        with np.errstate(all="ignore"):
+            ref, ref_usable = complex_segment_power_integrals(*kernel_args)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _segment_power_integrals(*kernel_args)
+            finite, usable, _ = _log_ratios(*kernel_args[1:3])
+        assert np.array_equal(usable, ref_usable)
+        assert np.sum(~finite) == 4         # the segments touching nan, inf
+        scale = np.abs(ref).max(axis=1, keepdims=True)
+        assert np.all(np.abs(got - ref) <= 1e-14 * scale)
+    # every rule is taken: powers use the model throughout, the zero row
+    # never, the sweeps on one side of the limits only
+    assert np.all(usable[[0, 9, 10]]) and not np.any(usable[6])
+    for sweeping in usable[7], usable[8]:
+        assert sweeping.any() and not sweeping.all()
+
+
+def special_values():
+    parts = np.array([0.0, -0.0, 1.5, -1.5, np.inf, -np.inf, np.nan])
+    re, im = np.meshgrid(parts, parts)
+    z = np.empty(re.size, dtype=complex)
+    z.real, z.imag = re.ravel(), im.ravel()
+    return z
+
+
+def assert_same_specials(got, ref):
+    """Same nans, infinities and signed zeros; finite values to 4 ulp."""
+    for g_part, r_part in ((got.real, ref.real), (got.imag, ref.imag)):
+        nan = np.isnan(r_part)
+        assert np.array_equal(np.isnan(g_part), nan)
+        g_part, r_part = g_part[~nan], r_part[~nan]
+        assert np.array_equal(np.signbit(g_part), np.signbit(r_part))
+        assert np.all((g_part == r_part) | (np.abs(g_part - r_part)
+                                            <= 4 * np.spacing(np.abs(r_part))))
+
+
+def test_real_arithmetic_log_matches_numpy():
+    rng = np.random.default_rng(23)
+    eps = np.finfo(float).eps
+    n = 4000
+    polar = 10.0 ** rng.uniform(-8, 8, n) * np.exp(
+        1j * rng.uniform(-np.pi, np.pi, n))
+    near_one = 1.0 + 1e-3 * (rng.standard_normal(n)
+                             + 1j * rng.standard_normal(n))
+    tiny = 1e-5 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    cut = -10.0 ** rng.uniform(-3, 3, 2 * n) + 0j     # the negative real axis
+    cut.imag[n:] = -0.0
+    z = np.concatenate([polar, near_one, tiny, cut])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, ref = _complex_log(z), np.log(z)
+    assert np.all(np.abs(got - ref) <= 4 * eps * np.maximum(1.0, np.abs(ref)))
+    # branch cut: arg(-x + 0i) = pi, arg(-x - 0i) = -pi
+    assert np.all(got.imag[-2 * n:-n] == np.pi)
+    assert np.all(got.imag[-n:] == -np.pi)
+    with np.errstate(all="ignore"):
+        assert_same_specials(_complex_log(special_values()),
+                             np.log(special_values()))
+
+
+def test_real_arithmetic_expm1_matches_numpy():
+    rng = np.random.default_rng(29)
+    eps = np.finfo(float).eps
+    n = 4000
+    wide = rng.uniform(-30, 30, n) + 1j * rng.uniform(-10, 10, n)
+    small = 1e-4 * rng.uniform(0, 1, n) * np.exp(
+        1j * rng.uniform(-np.pi, np.pi, n))                  # |z| < 1e-4
+    axis = np.concatenate([rng.uniform(-1, 1, n) + 0j,
+                           1j * rng.uniform(-1, 1, n)])
+    cut = -10.0 ** rng.uniform(-3, 1, 2 * n) + 0j
+    cut.imag[n:] = -0.0
+    z = np.concatenate([wide, small, axis, cut])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, ref = _complex_expm1(z), np.expm1(z)
+    # relative to |e^z - 1|: (e^z - 1)/z needs it for small |z|
+    assert np.all(np.abs(got - ref) <= 4 * eps * np.abs(ref))
+    assert np.array_equal(np.signbit(got.imag), np.signbit(ref.imag))
+    with np.errstate(all="ignore"):
+        assert_same_specials(_complex_expm1(special_values()),
+                             np.expm1(special_values()))
 
 
 def sequential_scan(local, factor):
