@@ -198,7 +198,7 @@ def shoot(config_path, outdir, quick, seed):
     _write_solution(outdir, solution, report, cfg, seed,
                     extra={"mu_solved": report.mu})
     click.echo(f"closed at mu={report.mu:.12g} "
-               f"({len(report.mu_history)} candidates); "
+               f"({len(report.mu_history)} steps); "
                f"wrote {outdir}/report.json")
 
 

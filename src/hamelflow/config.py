@@ -79,7 +79,6 @@ CONFIG_SCHEMA = {
                 "relaxation": {"type": "number", "exclusiveMinimum": 0,
                                "maximum": 1},
                 "tol_mu": {"type": "number", "exclusiveMinimum": 0},
-                "max_shoot": {"type": "integer", "minimum": 1},
                 "resonance_tol": {"type": "number", "exclusiveMinimum": 0},
             },
         },

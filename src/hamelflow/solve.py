@@ -8,10 +8,12 @@ boundary data small in the weighted trace norm the map contracts in
 
 with alpha inside the window (0, min(rho - 2, 1)) fixed by the flow.  For
 phi0 <= 2 the mean mode carries no usable homogeneous solution, so the
-circulation of the reference flow is itself an unknown: mu solves
-g(mu) = mu0 + d_r gamma_{mu,0}(1) - mu = 0, iterated as a fixed point with a
-secant fallback.  For phi0 > 2 every mu near mu0 is admissible and sweeping
-mu against one physical trace exhibits the non-uniqueness branch.
+circulation of the reference flow is itself an unknown closing
+g(mu) = mu0 + d_r gamma_{mu,0}(1) - mu = 0.  It joins X in one fixed point:
+each Picard step sets mu <- mu0 + d_r gamma_0(1) of the current iterate (a
+secant step on g once g stops contracting) before applying the linear map.
+For phi0 > 2 every mu near mu0 is admissible and sweeping mu against one
+physical trace exhibits the non-uniqueness branch.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ __all__ = [
 ]
 
 MODE_WEIGHT_EXP = 4.0  # kappa in the contraction norm
+_SECANT = "shooting switched to secant updates"
 
 
 class SolverConvergenceError(RuntimeError):
@@ -65,7 +68,6 @@ class SolverConfig:
     max_iter: int = 60
     relaxation: float = 1.0
     tol_mu: float = 1e-10
-    max_shoot: int = 40
     resonance_tol: float = 1e-8
 
     def __post_init__(self):
@@ -120,75 +122,104 @@ def _contraction_ratio(increments) -> float:
     return float(np.median([b / a for a, b in pairs]))
 
 
+def _fixed_point(flow: ReferenceFlow, boundary: BoundarySpectrum,
+                 config: SolverConfig, grid: RadialGrid, shoot: bool):
+    """The Picard loop over (X, mu) shared by picard_solve and shoot_mu.
+
+    Step 0 solves the linear problem without sources; every later step
+    applies one linear solve to the sources of the current iterate.  With
+    ``shoot`` each step first sets mu <- mu0 + Re dgamma_0(1) of the
+    current iterate (a secant step on g(mu) once g stops contracting) and
+    rebudgets the trace against it; otherwise mu stays at ``flow.mu``.
+    """
+    spec, g = boundary, 0.0
+    increments, mu_history, g_history, notes = [], [], [], []
+
+    def report(converged):
+        alpha, feasible = alpha_window(flow.phi0, flow.mu)
+        warnings = [] if feasible else [
+            "decay rate rho <= 2: contraction window is empty, using "
+            f"alpha={alpha:g} as a diagnostic weight only"]
+        return SolveReport(
+            converged=converged, iterations=iterations,
+            increments=list(increments),
+            contraction_ratio=_contraction_ratio(increments), alpha=alpha,
+            alpha_feasible=feasible, mu=flow.mu, mu0=boundary.mu0,
+            phi0=flow.phi0, mu_history=list(mu_history),
+            shoot_residual=abs(g) if shoot else float("nan"),
+            warnings=warnings + notes)
+
+    x = None
+    for iterations in range(config.max_iter + 1):
+        if shoot:
+            if x is not None:
+                flow = ReferenceFlow(flow.phi0, _next_mu(g_history, notes))
+            spec = boundary.with_mu(flow.mu)
+            mu_history.append(flow.mu)
+        try:
+            y = solve_linear(flow, grid, spec,
+                             None if x is None else compute_sources(x),
+                             resonance_tol=config.resonance_tol)
+        except ArithmeticError as exc:
+            raise SolverConvergenceError(
+                f"quadrature failed in Picard iteration {iterations}: {exc}",
+                report(False), iteration=iterations,
+                exponent=getattr(exc, "exponent", None)) from exc
+        if x is not None:
+            y = _blend(x, y, config.relaxation)
+            alpha, _ = alpha_window(flow.phi0, flow.mu)
+            increments.append(picard_norm(grid, y.gamma - x.gamma, alpha))
+        x = y
+        if shoot:
+            g = boundary.mu0 + float(np.real(x.dgamma[0, 0])) - flow.mu
+            g_history.append((flow.mu, g))
+        if not np.isfinite([g] + increments[-1:]).all():
+            raise SolverConvergenceError(
+                "Picard iterate lost finiteness; data too large for the "
+                "contraction regime", report(False))
+        if (increments and increments[-1] < config.tol_fp
+                and abs(g) <= config.tol_mu * max(1.0, abs(flow.mu))):
+            return x, report(True)
+
+    rep = report(False)
+    closure = (f"; circulation residual {abs(g):.3e}, tol_mu="
+               f"{config.tol_mu:g}" if shoot else "")
+    raise SolverConvergenceError(
+        f"no contraction to tol_fp={config.tol_fp:g} within "
+        f"{config.max_iter} iterations (last increment "
+        f"{increments[-1]:.3e}, contraction ratio "
+        f"{rep.contraction_ratio:.3f}){closure}", rep)
+
+
+def _next_mu(g_history, notes):
+    """mu0 + Re dgamma_0(1) of the last iterate, i.e. mu + g; a secant step
+    on g(mu) once |g| has twice in a row fallen by less than half over the
+    steps with sources (the switch is noted once in the warnings)."""
+    m2, g2 = g_history[-1]
+    gs = [abs(g) for _, g in g_history[1:]]
+    if (_SECANT not in notes and len(gs) >= 3 and gs[-1] >= 0.5 * gs[-2]
+            and gs[-2] >= 0.5 * gs[-3]):
+        notes.append(_SECANT)
+    if _SECANT in notes:
+        m1, g1 = g_history[-2]
+        step = m2 - g2 * (m2 - m1) / (g2 - g1) if g2 != g1 else np.nan
+        if np.isfinite(step) and m2 != m1:
+            return step
+    return m2 + g2
+
+
 def picard_solve(flow: ReferenceFlow, boundary: BoundarySpectrum,
                  config: SolverConfig | None = None,
                  grid: RadialGrid | None = None):
-    """Iterate the source-to-solution map to its fixed point.
+    """Iterate the source-to-solution map to its fixed point at fixed mu.
 
     Returns (solution, report); raises SolverConvergenceError (with the
-    report attached) when max_iter is exhausted or the iterate degenerates.
+    report attached) when max_iter is exhausted, the iterate degenerates or
+    the quadrature fails.
     """
     config = config or SolverConfig()
-    grid = grid or config.make_grid()
-    alpha, feasible = alpha_window(flow.phi0, flow.mu)
-    warnings = []
-    if not feasible:
-        warnings.append(
-            "decay rate rho <= 2: contraction window is empty, using "
-            f"alpha={alpha:g} as a diagnostic weight only")
-
-    increments = []
-    converged = False
-    iterations = 0
-
-    def linear_step(sources):
-        try:
-            return solve_linear(flow, grid, boundary, sources,
-                                resonance_tol=config.resonance_tol)
-        except ArithmeticError as exc:
-            report = _report(False, iterations, increments, alpha, feasible,
-                             flow, boundary, warnings)
-            raise SolverConvergenceError(
-                f"quadrature failed in Picard iteration {iterations}: {exc}",
-                report, iteration=iterations,
-                exponent=getattr(exc, "exponent", None)) from exc
-
-    x = linear_step(None)
-    for iterations in range(1, config.max_iter + 1):
-        y = linear_step(compute_sources(x))
-        y = _blend(x, y, config.relaxation)
-        inc = picard_norm(grid, y.gamma - x.gamma, alpha)
-        increments.append(inc)
-        x = y
-        if not np.isfinite(inc):
-            report = _report(False, iterations, increments, alpha, feasible,
-                             flow, boundary, warnings)
-            raise SolverConvergenceError(
-                "Picard iterate lost finiteness; data too large for the "
-                "contraction regime", report)
-        if inc < config.tol_fp:
-            converged = True
-            break
-
-    report = _report(converged, iterations, increments, alpha, feasible,
-                     flow, boundary, warnings)
-    if not converged:
-        raise SolverConvergenceError(
-            f"no contraction to tol_fp={config.tol_fp:g} within "
-            f"{config.max_iter} iterations (last increment "
-            f"{increments[-1]:.3e}, contraction ratio "
-            f"{report.contraction_ratio:.3f})", report)
-    return x, report
-
-
-def _report(converged, iterations, increments, alpha, feasible, flow,
-            boundary, warnings):
-    return SolveReport(converged=converged, iterations=iterations,
-                       increments=list(increments),
-                       contraction_ratio=_contraction_ratio(increments),
-                       alpha=alpha, alpha_feasible=feasible,
-                       mu=flow.mu, mu0=boundary.mu0, phi0=flow.phi0,
-                       warnings=list(warnings))
+    return _fixed_point(flow, boundary, config, grid or config.make_grid(),
+                        shoot=False)
 
 
 def fixed_point_residual(solution: SpectralSolution,
@@ -204,49 +235,18 @@ def fixed_point_residual(solution: SpectralSolution,
 
 def shoot_mu(boundary: BoundarySpectrum, config: SolverConfig | None = None,
              grid: RadialGrid | None = None):
-    """Close the circulation condition for phi0 <= 2 by shooting in mu.
+    """Close the circulation condition for phi0 <= 2 with mu an unknown.
 
-    The trace in ``boundary`` is rebudgeted against each candidate mu; the
-    update is the fixed point mu <- mu0 + d_r gamma_{mu,0}(1), switching to
-    a secant step on g(mu) after two consecutive non-contracting steps.
+    One Picard loop over (X, mu) from ``boundary.mu``; it stops when both
+    the increment and g(mu) = mu0 + Re dgamma_0(1) - mu are within
+    tolerance.  The report holds one ``mu_history`` entry per step.
     """
     config = config or SolverConfig()
     if boundary.phi0 > 2.0:
         raise ValueError("shooting applies to phi0 <= 2; use branch_sweep or "
                          "picard_solve directly for phi0 > 2")
-    grid = grid or config.make_grid()
-    mu = boundary.mu
-    g_history = []
-    secant = False
-    solution = report = None
-    for _ in range(config.max_shoot):
-        flow = ReferenceFlow(boundary.phi0, mu)
-        spec = boundary.with_mu(mu)
-        solution, report = picard_solve(flow, spec, config, grid)
-        dg0 = float(np.real(solution.dgamma[0, 0]))
-        g = boundary.mu0 + dg0 - mu
-        g_history.append((mu, g))
-        report.mu_history = [m for m, _ in g_history]
-        report.shoot_residual = abs(g)
-        if abs(g) <= config.tol_mu * max(1.0, abs(mu)):
-            return solution, report
-        if (not secant and len(g_history) >= 3
-                and abs(g_history[-1][1]) >= 0.5 * abs(g_history[-2][1])
-                and abs(g_history[-2][1]) >= 0.5 * abs(g_history[-3][1])):
-            secant = True
-            report.warnings.append("shooting switched to secant updates")
-        if secant and len(g_history) >= 2:
-            (m1, g1), (m2, g2) = g_history[-2], g_history[-1]
-            if g2 == g1:
-                mu = m2 + g2
-            else:
-                mu = m2 - g2 * (m2 - m1) / (g2 - g1)
-        else:
-            mu = boundary.mu0 + dg0
-    raise SolverConvergenceError(
-        f"circulation shooting did not reach tol_mu={config.tol_mu:g} in "
-        f"{config.max_shoot} steps (last residual {abs(g_history[-1][1]):.3e})",
-        report)
+    return _fixed_point(ReferenceFlow(boundary.phi0, boundary.mu), boundary,
+                        config, grid or config.make_grid(), shoot=True)
 
 
 @dataclass

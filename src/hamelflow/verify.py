@@ -224,7 +224,7 @@ def check_shooting(quick: bool):
     ok = rep.shoot_residual < config.tol_mu * max(1.0, abs(rep.mu))
     return _check("circulation_shooting", ok, rep.shoot_residual, config.tol_mu,
                   f"mu = mu0 {rep.mu - mu0:+.3e} after "
-                  f"{len(rep.mu_history)} candidates; quadratic shift "
+                  f"{len(rep.mu_history)} steps; quadratic shift "
                   f"{shift:.3e}")
 
 

@@ -159,6 +159,29 @@ def test_shoot_closes_circulation(tmp_path, runner):
     assert abs(report["shoot_residual"]) < 1e-8
 
 
+def test_shoot_reports_one_mu_per_step(tmp_path, runner):
+    out = tmp_path / "o"
+    res = runner.invoke(main, ["shoot", "--config",
+                               write_cfg(tmp_path, SHOOT_CFG),
+                               "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    report = json.loads((out / "report.json").read_text())
+    steps = len(report["mu_history"])
+    assert steps == report["iterations"] + 1 > 2
+    assert f"({steps} steps)" in res.output
+
+
+def test_max_shoot_is_rejected_in_one_line(tmp_path, runner):
+    cfg = json.loads(json.dumps(SHOOT_CFG))
+    cfg["solver"]["max_shoot"] = 40
+    res = runner.invoke(main, ["shoot", "--config", write_cfg(tmp_path, cfg),
+                               "--out", str(tmp_path / "o")])
+    assert res.exit_code == 1
+    assert res.output.count("\n") == 1
+    assert "max_shoot" in res.output and "Traceback" not in res.output
+    assert not (tmp_path / "o").exists()
+
+
 def test_shoot_rejects_strong_flux(tmp_path, runner):
     cfg = write_cfg(tmp_path, SOLVE_CFG)
     res = runner.invoke(main, ["shoot", "--config", cfg,

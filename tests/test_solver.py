@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import hamelflow.solve
 from hamelflow import (BoundarySpectrum, DivergentTailError, ReferenceFlow,
                        SolverConfig,
                        SolverConvergenceError, branch_sweep,
-                       fixed_point_residual, picard_norm, picard_solve,
-                       shoot_mu, solve_linear)
+                       circulation_threshold, fixed_point_residual,
+                       picard_norm, picard_solve, shoot_mu, solve_linear)
 
 
 def bdry(n_max, phi0, mu0, mu, eps):
@@ -103,6 +105,140 @@ def test_shooting_shift_is_quadratic_in_data():
 def test_shooting_rejects_supercritical_flux():
     with pytest.raises(ValueError):
         shoot_mu(bdry(8, 2.5, 0.2, 0.2, 0.01), CFG)
+
+
+def nested_shoot_mu(boundary, config, max_shoot=40):
+    """The former shooting scheme, kept as the reference: a full picard_solve
+    per candidate mu, updated by mu <- mu0 + d_r gamma_{mu,0}(1) with a
+    secant switch after two non-contracting candidates."""
+    grid = config.make_grid()
+    mu = boundary.mu
+    g_history = []
+    secant = False
+    for _ in range(max_shoot):
+        flow = ReferenceFlow(boundary.phi0, mu)
+        solution, report = picard_solve(flow, boundary.with_mu(mu), config,
+                                        grid)
+        dg0 = float(np.real(solution.dgamma[0, 0]))
+        g = boundary.mu0 + dg0 - mu
+        g_history.append((mu, g))
+        report.mu_history = [m for m, _ in g_history]
+        report.shoot_residual = abs(g)
+        if abs(g) <= config.tol_mu * max(1.0, abs(mu)):
+            return solution, report
+        if (not secant and len(g_history) >= 3
+                and abs(g_history[-1][1]) >= 0.5 * abs(g_history[-2][1])
+                and abs(g_history[-2][1]) >= 0.5 * abs(g_history[-3][1])):
+            secant = True
+        if secant and len(g_history) >= 2:
+            (m1, g1), (m2, g2) = g_history[-2], g_history[-1]
+            mu = m2 + g2 if g2 == g1 else m2 - g2 * (m2 - m1) / (g2 - g1)
+        else:
+            mu = boundary.mu0 + dg0
+    raise SolverConvergenceError("reference shooting did not close", report)
+
+
+def count_linear_solves(monkeypatch):
+    calls = [0]
+    inner = hamelflow.solve.solve_linear
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(hamelflow.solve, "solve_linear", counted)
+    return calls
+
+
+def check_shooting_trace(n_max):
+    # The trace of verify.check_shooting (quick settings).
+    vr = np.zeros(n_max + 1, complex)
+    vt = np.zeros(n_max + 1, complex)
+    vr[1] = 0.01
+    vt[1] = 0.01j
+    return BoundarySpectrum(n_max, vr, vt, 1.0, 5.0, 5.0)
+
+
+@pytest.mark.parametrize("boundary", [bdry(8, 1.0, 5.0, 5.0, 0.01),
+                                      check_shooting_trace(8)],
+                         ids=["test_solver", "check_shooting"])
+def test_fused_shooting_matches_nested_shooting(monkeypatch, boundary):
+    calls = count_linear_solves(monkeypatch)
+    ref_sol, ref_rep = nested_shoot_mu(boundary, CFG)
+    nested_calls, calls[0] = calls[0], 0
+    sol, rep = shoot_mu(boundary, CFG)
+    assert rep.converged and rep.warnings == []
+    assert abs(rep.mu - ref_rep.mu) <= 2 * CFG.tol_mu * max(1.0, abs(rep.mu))
+    assert rep.shoot_residual <= CFG.tol_mu * max(1.0, abs(rep.mu))
+    # Each mode row agrees to 1e-8 of its maximum; rows whose maximum is
+    # below tol_fp are not resolved by either loop (the check_shooting
+    # trace's mode 8 peaks at 2e-24) and are held to the overall maximum.
+    scale = np.abs(ref_sol.gamma).max(axis=1, keepdims=True)
+    scale = np.where(scale > CFG.tol_fp, scale, scale.max())
+    assert (np.abs(sol.gamma - ref_sol.gamma) <= 1e-8 * scale).all()
+    # one linear solve per step: the first has no sources
+    assert calls[0] == len(rep.mu_history) == rep.iterations + 1
+    assert rep.mu_history[0] == boundary.mu and rep.mu_history[-1] == rep.mu
+    assert len(rep.increments) == rep.iterations
+    assert calls[0] < nested_calls
+
+
+def test_shooting_falls_back_to_secant_updates():
+    # Under-relaxation slows g to about half per step, so the loop switches
+    # to secant updates in mu and still closes the same circulation.
+    b = bdry(8, 1.0, 5.0, 5.0, 0.01)
+    _, full = shoot_mu(b, CFG)
+    relaxed = SolverConfig(n_modes=8, nodes_per_decade=48, relaxation=0.5)
+    _, rep = shoot_mu(b, relaxed)
+    assert rep.converged
+    assert rep.warnings == ["shooting switched to secant updates"]
+    assert abs(rep.mu - full.mu) <= 2 * CFG.tol_mu * max(1.0, abs(full.mu))
+    assert len(rep.mu_history) == rep.iterations + 1
+
+
+def test_shooting_stops_only_when_the_circulation_closes():
+    # A loose tol_fp is met after the first step with sources, while g is
+    # still of order eps^2: the loop must go on until g closes too.
+    b = bdry(8, 1.0, 5.0, 5.0, 0.01)
+    _, tight = shoot_mu(b, CFG)
+    loose = SolverConfig(n_modes=8, nodes_per_decade=48, tol_fp=1e-3)
+    _, rep = shoot_mu(b, loose)
+    assert rep.increments[0] < loose.tol_fp
+    assert rep.shoot_residual <= loose.tol_mu * max(1.0, abs(rep.mu))
+    assert abs(rep.mu - tight.mu) <= 2 * CFG.tol_mu * max(1.0, abs(tight.mu))
+
+
+def test_shooting_budget_is_max_iter():
+    cfg = SolverConfig(n_modes=8, nodes_per_decade=48, max_iter=3)
+    with pytest.raises(SolverConvergenceError) as err:
+        shoot_mu(bdry(8, 1.0, 5.0, 5.0, 0.01), cfg)
+    rep = err.value.report
+    assert not rep.converged and rep.iterations == 3
+    assert len(rep.mu_history) == 4
+    assert "circulation residual" in str(err.value)
+
+
+_row = st.tuples(st.floats(-0.015, 0.015), st.floats(-0.015, 0.015))
+
+
+@settings(max_examples=25, deadline=None)
+@given(phi0=st.floats(0.5, 1.9), offset=st.floats(0.02, 6.0),
+       vr=st.lists(_row, min_size=3, max_size=3),
+       vt=st.lists(_row, min_size=3, max_size=3))
+def test_weak_flux_shooting_converges_or_fails_typed(phi0, offset, vr, vt):
+    n_max = 6
+    mu0 = float(circulation_threshold(phi0) + offset)
+    r = np.zeros(n_max + 1, complex)
+    t = np.zeros(n_max + 1, complex)
+    r[1:4] = [complex(*z) for z in vr]
+    t[1:4] = [complex(*z) for z in vt]
+    cfg = SolverConfig(n_modes=n_max, nodes_per_decade=48)
+    try:
+        _, rep = shoot_mu(BoundarySpectrum(n_max, r, t, phi0, mu0, mu0), cfg)
+    except SolverConvergenceError as exc:
+        assert exc.report is not None and not exc.report.converged
+        return
+    assert rep.shoot_residual <= cfg.tol_mu * max(1.0, abs(rep.mu))
 
 
 def test_branch_sweep_orders_members():
