@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import click
 import numpy as np
@@ -54,30 +55,11 @@ def _load(config_path, quick, overrides):
 
 
 def _diagnostics(solution):
-    fit = asymptotic_circulation(solution)
-    prof = decay_fit(solution)
-    nanlist = lambda arr: [None if not np.isfinite(v) else float(v)
-                           for v in arr]
-    return {
-        "ns_residual": ns_residual(solution),
-        "circulation_fit": {
-            "mu_effective": fit.mu_effective,
-            "decay_exponent": (fit.decay_exponent
-                               if np.isfinite(fit.decay_exponent) else None),
-            "amplitude": fit.amplitude,
-            "rms": fit.rms,
-        },
-        "decay": {
-            "gamma_slopes": nanlist(prof.gamma_slopes),
-            "w_slopes": nanlist(prof.w_slopes),
-            "gamma_ceilings": nanlist(prof.gamma_ceilings),
-            "w_ceilings": nanlist(prof.w_ceilings),
-            "beta0": prof.beta0 if np.isfinite(prof.beta0) else None,
-            "beta1": prof.beta1 if np.isfinite(prof.beta1) else None,
-            "beta_sup1": (prof.beta_sup1
-                          if np.isfinite(prof.beta_sup1) else None),
-        },
-    }
+    decay = asdict(decay_fit(solution))
+    del decay["modes"]
+    return {"ns_residual": ns_residual(solution),
+            "circulation_fit": asdict(asymptotic_circulation(solution)),
+            "decay": decay}
 
 
 def _write_solution(outdir, solution, report, cfg, seed, extra=None):

@@ -72,14 +72,9 @@ CONFIG_SCHEMA = {
                 "r_max": {"type": "number", "exclusiveMinimum": 1},
                 "nodes_per_decade": {"type": "integer", "minimum": 8,
                                      "maximum": 512},
-                "tail_exponent_floor": {"type": "number",
-                                        "exclusiveMaximum": -1},
                 "tol_fp": {"type": "number", "exclusiveMinimum": 0},
                 "max_iter": {"type": "integer", "minimum": 1},
-                "relaxation": {"type": "number", "exclusiveMinimum": 0,
-                               "maximum": 1},
                 "tol_mu": {"type": "number", "exclusiveMinimum": 0},
-                "resonance_tol": {"type": "number", "exclusiveMinimum": 0},
             },
         },
         "branch": {

@@ -37,8 +37,6 @@ __all__ = [
     "existence_condition",
 ]
 
-RESONANCE_TOL = 1e-8
-
 
 @dataclass(frozen=True)
 class ReferenceFlow:

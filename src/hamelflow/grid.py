@@ -23,7 +23,7 @@ where the ratio is unusable (zeros, sign flips, wild phase) fall back to
 trapezoid in the log variable.
 
 Beyond R_max the integrand is modeled as a power tail r^p with p fitted from
-the last five nodes and clamped to at most ``tail_exponent_floor`` (the
+the last five nodes and clamped to at most ``_TAIL_EXPONENT_FLOOR`` (the
 shallowest decay the extrapolation will accept); a fitted p >= -1 with a
 non-negligible magnitude at R_max raises ``DivergentTailError``.
 """
@@ -50,6 +50,7 @@ _PHASE_JUMP_LIMIT = 2.5     # |Im log ratio| beyond this -> fallback rule
 _STEEP_SEGMENT_LIMIT = 2.5  # |Re log ratio| beyond this -> fallback rule
 _CURVATURE_RAMP = (10.0, 50.0)  # log-curvature band blending the two rules
 _DIVERGENCE_TOL = 1e-6      # fitted p >= -1 + this counts as divergent
+_TAIL_EXPONENT_FLOOR = -1.1  # shallowest tail decay r^p extrapolated
 _NEGLIGIBLE_TAIL = 1e-300
 _SCAN_BLOCK = 16            # nodes per block of the recurrence scans
 
@@ -72,7 +73,6 @@ class RadialGrid:
 
     r_max: float
     nodes_per_decade: int
-    tail_exponent_floor: float = -1.1
     h: float = field(init=False)
     r: np.ndarray = field(init=False, repr=False)
 
@@ -81,8 +81,6 @@ class RadialGrid:
             raise ValueError(f"r_max must exceed 1, got {self.r_max}")
         if self.nodes_per_decade < 8:
             raise ValueError("nodes_per_decade must be at least 8")
-        if self.tail_exponent_floor >= -1.0:
-            raise ValueError("tail_exponent_floor must lie below -1")
         n_seg = int(np.ceil(self.nodes_per_decade * np.log10(self.r_max)))
         h = np.log(self.r_max) / n_seg
         r = np.exp(h * np.arange(n_seg + 1))
@@ -100,10 +98,8 @@ class RadialGrid:
         return self.h * np.arange(self.r.size)
 
 
-def build_grid(r_max: float = 1e4, nodes_per_decade: int = 64,
-               tail_exponent_floor: float = -1.1) -> RadialGrid:
-    return RadialGrid(r_max=float(r_max), nodes_per_decade=int(nodes_per_decade),
-                      tail_exponent_floor=float(tail_exponent_floor))
+def build_grid(r_max: float = 1e4, nodes_per_decade: int = 64) -> RadialGrid:
+    return RadialGrid(r_max=float(r_max), nodes_per_decade=int(nodes_per_decade))
 
 
 def _segment_power_integrals(s_left, a, b, h, a_prev=None, b_next=None):
@@ -231,8 +227,7 @@ def _tail_value(grid: RadialGrid, g_last5, r_last5):
     g_end = g[:, -1]
     negligible = np.abs(g_end) <= np.fmax(_NEGLIGIBLE_TAIL,
                                           1e-14 * mags.max(axis=1))
-    floor = complex(grid.tail_exponent_floor)
-    p = np.full(g_end.shape, floor)
+    p = np.full(g_end.shape, complex(_TAIL_EXPONENT_FLOOR))
     fit = ~negligible & ~np.any(mags <= 0.0, axis=1)
     if np.any(fit):
         with np.errstate(all="ignore"):
@@ -251,7 +246,7 @@ def _tail_value(grid: RadialGrid, g_last5, r_last5):
                 f"r_max={grid.r_max:g}; the weighted integral does not "
                 "converge", exponent=worst)
         p[fit] = p_fit
-    p = np.where(p.real > grid.tail_exponent_floor, floor, p)
+    p = np.where(p.real > _TAIL_EXPONENT_FLOOR, _TAIL_EXPONENT_FLOOR, p)
     return np.where(negligible, 0.0 + 0.0j, g_end * grid.r_max / (-(p + 1.0)))
 
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .flows import RESONANCE_TOL, ReferenceFlow, mode_exponents, zeta_pair
+from .flows import ReferenceFlow, mode_exponents, zeta_pair
 from .grid import BoundarySpectrum, RadialGrid, integrate_in_all, integrate_out_all
 
 __all__ = [
@@ -51,6 +51,7 @@ class DegenerateFluxError(ValueError):
 
 
 _PHI_BAND = 1e-6
+_RESONANCE_TOL = 1e-8   # |zeta_n^- + 2 + |n|| below this: log-resonant pair
 
 
 @dataclass(frozen=True)
@@ -150,8 +151,7 @@ def solve_gamma_zero(grid: RadialGrid, w):
     return big_gamma, -big_h / grid.r
 
 
-def _trace_amplitudes(n, zeta_minus, vr, vt, g_part_1, dg_part_1,
-                      resonance_tol):
+def _trace_amplitudes(n, zeta_minus, vr, vt, g_part_1, dg_part_1):
     """Homogeneous amplitudes (bar gamma_n, bar w_n, resonant) from the trace.
 
     Arrays over nonzero modes n.  g_part_1 and dg_part_1 are the values at
@@ -165,7 +165,7 @@ def _trace_amplitudes(n, zeta_minus, vr, vt, g_part_1, dg_part_1,
     a = -1j * sgn * vr / k + g_part_1
     b = dg_part_1 - vt
     denom = 2.0 + zm + k
-    resonant = np.abs(denom) < resonance_tol
+    resonant = np.abs(denom) < _RESONANCE_TOL
     big_d = (zm + 2.0) ** 2 - n * n
     with np.errstate(all="ignore"):   # resonant rows take the log pair
         w_bar = np.where(resonant,
@@ -177,7 +177,7 @@ def _trace_amplitudes(n, zeta_minus, vr, vt, g_part_1, dg_part_1,
 
 
 def _assemble_nonzero(grid: RadialGrid, flow: ReferenceFlow,
-                      boundary: BoundarySpectrum, F, resonance_tol: float):
+                      boundary: BoundarySpectrum, F):
     """Modes 1..n_max at once: one kernel call per family for all rows."""
     n = np.arange(1, boundary.n_max + 1)
     k = n.astype(float)
@@ -186,7 +186,7 @@ def _assemble_nonzero(grid: RadialGrid, flow: ReferenceFlow,
     g_part, dg_part = _gamma_response(grid, w_part, k)
     gamma_bar, w_bar, resonant = _trace_amplitudes(
         n, zm, boundary.vr[1:], boundary.vtheta[1:], g_part[:, 0],
-        dg_part[:, 0], resonance_tol)
+        dg_part[:, 0])
 
     r = grid.r
     col = lambda a: a[:, None]
@@ -241,8 +241,7 @@ def _assemble_zero(grid: RadialGrid, flow: ReferenceFlow, circ_deficit: complex,
 
 def solve_linear(flow: ReferenceFlow, grid: RadialGrid,
                  boundary: BoundarySpectrum,
-                 sources: SourceSpectrum | None = None,
-                 resonance_tol: float = RESONANCE_TOL) -> SpectralSolution:
+                 sources: SourceSpectrum | None = None) -> SpectralSolution:
     """Solve every mode 0..n_max against the given sources and trace.
 
     Modes 1..n_max are solved together: each kernel family is one
@@ -277,7 +276,7 @@ def solve_linear(flow: ReferenceFlow, grid: RadialGrid,
 
     (gamma[1:], dgamma[1:], w[1:], dw[1:],
      gamma_bar[1:], w_bar[1:], resonant[1:]) = _assemble_nonzero(
-        grid, flow, boundary, sources.F[1:], resonance_tol)
+        grid, flow, boundary, sources.F[1:])
 
     return SpectralSolution(flow=flow, grid=grid, boundary=boundary,
                             gamma=gamma, dgamma=dgamma, w=w, dw=dw,

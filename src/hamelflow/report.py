@@ -4,12 +4,15 @@ Identical inputs must produce byte-identical artifacts, so everything here
 avoids wall-clock fields, hash randomization, and locale-dependent
 formatting: dict keys are emitted sorted, floats carry 17 significant
 digits, strings are escaped ASCII, newlines are '\\n', and non-finite floats
-are written as null (reports should not contain them; nulls make an
-accidental one visible).
+are written as null.  In report.json that is where a value is undefined:
+the decay slope of an inactive mode, beta0/beta1/beta_sup1 without an
+active mode to take them from, the infinite decay exponent of a constant
+circulation fit, and the shoot residual of a fixed-mu solve.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import numbers
 
@@ -122,24 +125,8 @@ def solution_payload(solution) -> dict:
 
 
 def report_payload(report, extras=None) -> dict:
-    payload = {
-        "converged": report.converged,
-        "iterations": report.iterations,
-        "increments": [float(v) for v in report.increments],
-        "contraction_ratio": report.contraction_ratio,
-        "alpha": report.alpha,
-        "alpha_feasible": report.alpha_feasible,
-        "phi0": report.phi0,
-        "mu": report.mu,
-        "mu0": report.mu0,
-        "mu_history": [float(v) for v in report.mu_history],
-        "shoot_residual": (report.shoot_residual
-                           if np.isfinite(report.shoot_residual) else None),
-        "warnings": list(report.warnings),
-    }
-    if extras:
-        payload.update(extras)
-    return payload
+    """Every SolveReport field, then the extras (which win on a clash)."""
+    return {**dataclasses.asdict(report), **(extras or {})}
 
 
 def _write_csv(path, header, table, labels=None):

@@ -18,7 +18,7 @@ physical trace exhibits the non-uniqueness branch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -63,22 +63,16 @@ class SolverConfig:
     n_modes: int = 16
     r_max: float = 1e4
     nodes_per_decade: int = 64
-    tail_exponent_floor: float = -1.1
     tol_fp: float = 1e-12
     max_iter: int = 60
-    relaxation: float = 1.0
     tol_mu: float = 1e-10
-    resonance_tol: float = 1e-8
 
     def __post_init__(self):
-        if not (0.0 < self.relaxation <= 1.0):
-            raise ValueError("relaxation must lie in (0, 1]")
         if self.n_modes < 1:
             raise ValueError("need at least one nonzero mode")
 
     def make_grid(self) -> RadialGrid:
-        return build_grid(self.r_max, self.nodes_per_decade,
-                          self.tail_exponent_floor)
+        return build_grid(self.r_max, self.nodes_per_decade)
 
 
 @dataclass
@@ -103,16 +97,6 @@ def picard_norm(grid: RadialGrid, gamma_rows, alpha: float) -> float:
     n = np.arange(rows.shape[0], dtype=float)
     weights = grid.r ** alpha * ((1.0 + n) ** MODE_WEIGHT_EXP)[:, None]
     return float(np.max(weights * np.abs(rows)))
-
-
-def _blend(x: SpectralSolution, y: SpectralSolution, omega: float) -> SpectralSolution:
-    if omega == 1.0:
-        return y
-    mix = lambda a, b: (1.0 - omega) * a + omega * b
-    return replace(y, gamma=mix(x.gamma, y.gamma), dgamma=mix(x.dgamma, y.dgamma),
-                   w=mix(x.w, y.w), dw=mix(x.dw, y.dw),
-                   gamma_bar=mix(x.gamma_bar, y.gamma_bar),
-                   w_bar=mix(x.w_bar, y.w_bar))
 
 
 def _contraction_ratio(increments) -> float:
@@ -158,15 +142,13 @@ def _fixed_point(flow: ReferenceFlow, boundary: BoundarySpectrum,
             mu_history.append(flow.mu)
         try:
             y = solve_linear(flow, grid, spec,
-                             None if x is None else compute_sources(x),
-                             resonance_tol=config.resonance_tol)
+                             None if x is None else compute_sources(x))
         except ArithmeticError as exc:
             raise SolverConvergenceError(
                 f"quadrature failed in Picard iteration {iterations}: {exc}",
                 report(False), iteration=iterations,
                 exponent=getattr(exc, "exponent", None)) from exc
         if x is not None:
-            y = _blend(x, y, config.relaxation)
             alpha, _ = alpha_window(flow.phi0, flow.mu)
             increments.append(picard_norm(grid, y.gamma - x.gamma, alpha))
         x = y
@@ -222,13 +204,10 @@ def picard_solve(flow: ReferenceFlow, boundary: BoundarySpectrum,
                         shoot=False)
 
 
-def fixed_point_residual(solution: SpectralSolution,
-                         config: SolverConfig | None = None) -> float:
+def fixed_point_residual(solution: SpectralSolution) -> float:
     """||Phi(X) - X|| in the contraction norm, one extra map application."""
-    config = config or SolverConfig()
-    sources = compute_sources(solution)
     image = solve_linear(solution.flow, solution.grid, solution.boundary,
-                         sources, resonance_tol=config.resonance_tol)
+                         compute_sources(solution))
     alpha, _ = alpha_window(solution.flow.phi0, solution.flow.mu)
     return picard_norm(solution.grid, image.gamma - solution.gamma, alpha)
 

@@ -171,14 +171,19 @@ def test_shoot_reports_one_mu_per_step(tmp_path, runner):
     assert f"({steps} steps)" in res.output
 
 
-def test_max_shoot_is_rejected_in_one_line(tmp_path, runner):
+@pytest.mark.parametrize("key, value", [
+    ("max_shoot", 40), ("relaxation", 0.5), ("resonance_tol", 1e-8),
+    ("tail_exponent_floor", -1.1)],
+    ids=["max_shoot", "relaxation", "resonance_tol", "tail_exponent_floor"])
+def test_removed_solver_key_is_rejected_in_one_line(tmp_path, runner, key,
+                                                     value):
     cfg = json.loads(json.dumps(SHOOT_CFG))
-    cfg["solver"]["max_shoot"] = 40
+    cfg["solver"][key] = value
     res = runner.invoke(main, ["shoot", "--config", write_cfg(tmp_path, cfg),
                                "--out", str(tmp_path / "o")])
     assert res.exit_code == 1
     assert res.output.count("\n") == 1
-    assert "max_shoot" in res.output and "Traceback" not in res.output
+    assert key in res.output and "Traceback" not in res.output
     assert not (tmp_path / "o").exists()
 
 

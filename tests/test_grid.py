@@ -30,8 +30,6 @@ def test_grid_rejects_bad_parameters():
         RadialGrid(r_max=0.5, nodes_per_decade=48)
     with pytest.raises(ValueError):
         RadialGrid(r_max=1e4, nodes_per_decade=4)
-    with pytest.raises(ValueError):
-        RadialGrid(r_max=1e4, nodes_per_decade=48, tail_exponent_floor=-0.9)
 
 
 def test_pure_powers_integrate_exactly(grid):

@@ -7,7 +7,6 @@ from hamelflow import (BoundarySpectrum, DegenerateFluxError, ReferenceFlow,
                        SourceSpectrum, build_grid, mode_exponents,
                        solve_gamma_zero, solve_linear, solve_w_particular,
                        solve_w_zero)
-from hamelflow.flows import RESONANCE_TOL
 from hamelflow.linear import _gamma_response, _trace_amplitudes
 
 
@@ -139,8 +138,7 @@ def test_batched_modes_match_one_mode_kernels(grid, phi0, mu):
         g_part, dg_part = _gamma_response(grid, w_part[None], [float(n)])
         (gamma_bar,), (w_bar,), (resonant,) = _trace_amplitudes(
             np.array([n]), np.array([zm]), boundary.vr[n:n + 1],
-            boundary.vtheta[n:n + 1], g_part[:, 0], dg_part[:, 0],
-            RESONANCE_TOL)
+            boundary.vtheta[n:n + 1], g_part[:, 0], dg_part[:, 0])
         assert sol.resonant[n] == resonant == (phi0 == 3.2 and n == 3)
         assert close(sol.gamma_bar[n], gamma_bar)
         assert close(sol.w_bar[n], w_bar)

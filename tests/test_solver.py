@@ -30,18 +30,8 @@ def test_picard_converges_to_fixed_point():
     assert rep.converged
     assert rep.iterations <= 10
     assert rep.contraction_ratio < 0.1
-    assert fixed_point_residual(sol, CFG) < 2.0 * CFG.tol_fp
+    assert fixed_point_residual(sol) < 2.0 * CFG.tol_fp
     assert rep.alpha_feasible
-
-
-def test_relaxation_reaches_same_fixed_point():
-    flow = ReferenceFlow(2.5, 0.2)
-    b = bdry(8, 2.5, 0.2, 0.2, 0.01)
-    sol_full, _ = picard_solve(flow, b, CFG)
-    relaxed = SolverConfig(n_modes=8, nodes_per_decade=48, relaxation=0.5)
-    sol_half, rep = picard_solve(flow, b, relaxed)
-    assert rep.converged
-    assert np.abs(sol_full.gamma - sol_half.gamma).max() < 1e-8
 
 
 def test_nonlinear_correction_is_quadratic_in_data():
@@ -184,15 +174,19 @@ def test_fused_shooting_matches_nested_shooting(monkeypatch, boundary):
 
 
 def test_shooting_falls_back_to_secant_updates():
-    # Under-relaxation slows g to about half per step, so the loop switches
-    # to secant updates in mu and still closes the same circulation.
-    b = bdry(8, 1.0, 5.0, 5.0, 0.01)
-    _, full = shoot_mu(b, CFG)
-    relaxed = SolverConfig(n_modes=8, nodes_per_decade=48, relaxation=0.5)
-    _, rep = shoot_mu(b, relaxed)
+    # On this weak-flux trace g falls by less than half per step, so the
+    # loop switches to secant updates in mu and still closes the
+    # circulation the nested scheme finds.
+    vr = np.zeros(9, complex)
+    vt = np.zeros(9, complex)
+    vr[1:4] = [-0.00363 - 0.184j, 0.000575 - 0.0412j, -0.155 - 0.0695j]
+    vt[1:4] = [0.0591 + 0.106j, 0.189 - 0.0431j, -0.112 - 0.11j]
+    b = BoundarySpectrum(8, vr, vt, 1.39, 1.82, 1.82)
+    _, ref = nested_shoot_mu(b, CFG)
+    _, rep = shoot_mu(b, CFG)
     assert rep.converged
     assert rep.warnings == ["shooting switched to secant updates"]
-    assert abs(rep.mu - full.mu) <= 2 * CFG.tol_mu * max(1.0, abs(full.mu))
+    assert abs(rep.mu - ref.mu) <= 2 * CFG.tol_mu * max(1.0, abs(ref.mu))
     assert len(rep.mu_history) == rep.iterations + 1
 
 
@@ -268,8 +262,6 @@ def test_branch_sweep_captures_member_failures():
 
 
 def test_solver_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(relaxation=0.0)
     with pytest.raises(ValueError):
         SolverConfig(n_modes=0)
     grid = SolverConfig(n_modes=4, nodes_per_decade=32, r_max=100.0).make_grid()

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+import hamelflow.verify
 from hamelflow import (build_grid, hardy_check, hardy_sharpness,
                        poincare_wirtinger_check, positivity_factor,
                        positivity_roots, probe_q1_negativity, q_form,
                        random_stream, random_w_profile)
+from hamelflow.uniq import Q1Probe
 
 
 def test_hardy_holds_on_random_profiles(grid, rng):
@@ -125,3 +127,15 @@ def test_q1_negativity_probe_reports_honestly():
     assert probe.verdict == "inconclusive"
     assert not probe.found_negative
     assert probe.min_value > 0.0
+
+
+def test_q1_probe_check_fails_on_a_negative_sample(monkeypatch):
+    # At phi0 = 3.2 no k = 1 stream makes Q_1 negative, so a probe that
+    # reports one means the quadratic form is wrong: the check must fail.
+    negative = Q1Probe(phi0=3.2, n_samples=7, min_value=-0.5,
+                       found_negative=True, verdict="negative-found")
+    monkeypatch.setattr(hamelflow.verify, "probe_q1_negativity",
+                        lambda *args, **kwargs: negative)
+    check = hamelflow.verify.check_q1_probe(quick=True, seed=0)
+    assert check["passed"] is False
+    assert "negative-found" in check["detail"]
