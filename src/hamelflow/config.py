@@ -159,8 +159,8 @@ def build_boundary(cfg: dict, config: SolverConfig) -> BoundarySpectrum:
         raise ConfigError("mode-form boundaries need flow.mu0")
     mu0 = float(flow["mu0"])
     mu = float(flow.get("mu", mu0))
-    vr_rows = modes.get("vr", [])
-    vt_rows = modes.get("vtheta", [])
+    vr_rows = _prescribed(modes.get("vr", []))
+    vt_rows = _prescribed(modes.get("vtheta", []))
     if max(len(vr_rows), len(vt_rows)) > config.n_modes:
         raise ConfigError(
             f"boundary prescribes mode {max(len(vr_rows), len(vt_rows))} "
@@ -174,3 +174,12 @@ def build_boundary(cfg: dict, config: SolverConfig) -> BoundarySpectrum:
     vt[0] = mu0 - mu
     return BoundarySpectrum(n_max=config.n_modes, vr=vr, vtheta=vt,
                             phi0=phi0, mu0=mu0, mu=mu)
+
+
+def _prescribed(rows):
+    """Mode rows up to the last one that is not all zero; the zero rows
+    above it prescribe nothing, so they do not count against n_modes."""
+    n = len(rows)
+    while n and not any(rows[n - 1]):
+        n -= 1
+    return rows[:n]

@@ -411,12 +411,6 @@ class BoundarySpectrum:
                                 vtheta=vtheta, phi0=self.phi0,
                                 mu0=self.mu0, mu=float(mu))
 
-    def norm(self, kappa: float = 4.0) -> float:
-        stacked = np.concatenate([self.vr, self.vtheta])
-        weights = (1.0 + np.abs(np.concatenate(
-            [np.arange(self.n_max + 1)] * 2))) ** kappa
-        return float(np.max(weights * np.abs(stacked)))
-
 
 def project_boundary(ur_samples, utheta_samples, n_max: int, mu: float,
                      phi0: float | None = None) -> BoundarySpectrum:

@@ -17,7 +17,8 @@ a fixed fraction of the gradient-plus-weighted norm of that part.  These
 facts, a truncated Hardy inequality, and per-node Poincare-type mode
 inequalities are what the randomized suites here probe.  All streams are
 compactly supported smooth bumps in the log variable so every boundary term
-in the continuum identities vanishes identically.
+in the continuum identities vanishes identically.  Leading array axes stack
+independent samples; each form returns one value per sample (a float for one).
 """
 
 from __future__ import annotations
@@ -44,6 +45,10 @@ __all__ = [
     "probe_q1_negativity",
 ]
 
+# Profile rows (samples x modes) in one stack of the randomized suites, which
+# bounds their working arrays: 50 profiles or probe samples, 10 streams.
+_STACK_ROWS = 50
+
 
 # ---------------------------------------------------------------------------
 # compactly supported test data
@@ -59,25 +64,34 @@ def _bump(u):
     return b, db, d2b
 
 
-def _bump_profile(grid: RadialGrid, rng, n_bumps: int, complex_amp: bool):
-    """Sum of interior bumps in x = log r: (phi, d_r phi, d_rr phi)."""
+def _bump_profile(grid: RadialGrid, rng, size, rows: tuple, n_bumps: int,
+                  complex_amp: bool):
+    """Sums of interior bumps in x = log r: (phi, d_r phi, d_rr phi) of shape
+    lead + rows + (n_nodes,), with lead from a numpy-style ``size``."""
     x = grid.log_r
     big_l = x[-1]
-    phi = np.zeros(grid.n_nodes, dtype=complex)
-    dphi_x = np.zeros_like(phi)
-    d2phi_x = np.zeros_like(phi)
+    shape = (() if size is None else tuple(np.atleast_1d(size).tolist())) + rows
+    phi = dphi_x = d2phi_x = np.zeros(shape + (grid.n_nodes,))
+    col = shape + (1,)
     for _ in range(n_bumps):
-        c = rng.uniform(0.2 * big_l, 0.8 * big_l)
-        half = min(c - 0.05 * big_l, 0.95 * big_l - c, 0.3 * big_l)
+        c = rng.uniform(0.2 * big_l, 0.8 * big_l, col)
+        half = np.minimum(np.minimum(c - 0.05 * big_l, 0.95 * big_l - c),
+                          0.3 * big_l)
         width = rng.uniform(0.3 * half, half)
-        amp = rng.normal() + (1j * rng.normal() if complex_amp else 0.0)
-        u = (x - c) / width
-        b, db, d2b = _bump(u)
-        phi += amp * b
-        dphi_x += amp * db / width
-        d2phi_x += amp * d2b / width ** 2
+        amp = rng.normal(size=col) + (1j * rng.normal(size=col)
+                                      if complex_amp else 0.0)
+        b, db, d2b = _bump((x - c) / width)
+        phi = phi + amp * b
+        dphi_x = dphi_x + amp * db / width
+        d2phi_x = d2phi_x + amp * d2b / width ** 2
     r = grid.r
     return phi, dphi_x / r, (d2phi_x - dphi_x) / (r * r)
+
+
+def _stacks(n_samples: int, per_sample: int = 1):
+    """Sizes of the ``_STACK_ROWS``-row stacks covering ``n_samples``."""
+    step = max(1, _STACK_ROWS // per_sample)
+    return [min(step, n_samples - i) for i in range(0, n_samples, step)]
 
 
 @dataclass(frozen=True)
@@ -86,36 +100,40 @@ class TestStream:
 
     grid: RadialGrid
     modes: np.ndarray     # the k values, each >= 1
-    phi: np.ndarray       # (len(modes), n_nodes)
+    phi: np.ndarray       # (..., len(modes), n_nodes); leading axes: streams
     dphi: np.ndarray
     d2phi: np.ndarray
 
 
 def random_stream(grid: RadialGrid, rng, modes=(1, 2, 3, 4, 5),
-                  n_bumps: int = 2, complex_amp: bool = True) -> TestStream:
+                  n_bumps: int = 2, size=None) -> TestStream:
+    """Bump-sum modes with complex amplitudes; ``size`` (None, an int or a
+    tuple, as for numpy's Generator) is the leading shape of a stack."""
     modes = np.asarray(sorted(set(int(k) for k in modes)))
     if np.any(modes < 1):
         raise ValueError("stream modes must be >= 1")
-    rows = [_bump_profile(grid, rng, n_bumps, complex_amp) for _ in modes]
-    return TestStream(grid=grid, modes=modes,
-                      phi=np.stack([r[0] for r in rows]),
-                      dphi=np.stack([r[1] for r in rows]),
-                      d2phi=np.stack([r[2] for r in rows]))
+    return TestStream(grid, modes, *_bump_profile(grid, rng, size, modes.shape,
+                                                  n_bumps, complex_amp=True))
 
 
-def random_w_profile(grid: RadialGrid, rng, n_bumps: int = 3):
-    """Real compactly supported scalar profile and its radial derivative."""
-    phi, dphi, _ = _bump_profile(grid, rng, n_bumps, complex_amp=False)
-    return phi.real, dphi.real
+def random_w_profile(grid: RadialGrid, rng, size=None):
+    """Real compactly supported scalar profile of three bumps and its radial
+    derivative; ``size`` as for ``random_stream``."""
+    return _bump_profile(grid, rng, size, (), 3, complex_amp=False)[:2]
 
 
 # ---------------------------------------------------------------------------
 # quadrature over [1, r_max] in the log variable
 
 
-def _integ(grid: RadialGrid, vals) -> float:
-    """int vals dr via trapezoid in x (vals sampled on the grid)."""
-    return float(np.trapezoid(np.asarray(vals) * grid.r, dx=grid.h))
+def _integ(grid: RadialGrid, vals):
+    """int vals dr via trapezoid in x, over the last (node) axis."""
+    return np.trapezoid(vals * grid.r, dx=grid.h, axis=-1)
+
+
+def _unstack(*values):
+    """Python scalars for one sample, the arrays themselves for a stack."""
+    return [v.item() if np.ndim(v) == 0 else v for v in values]
 
 
 # ---------------------------------------------------------------------------
@@ -142,30 +160,27 @@ def hardy_check(grid: RadialGrid, w, dw, alpha: float) -> HardyResult:
     """
     if alpha <= 1.0:
         raise ValueError("the weighted Hardy inequality needs alpha > 1")
-    w = np.asarray(w)
-    dw = np.asarray(dw)
     lhs = _integ(grid, np.abs(w) ** 2 * grid.r ** (alpha - 2.0))
     rhs = (4.0 / (alpha - 1.0) ** 2) * _integ(grid, np.abs(dw) ** 2 * grid.r ** alpha)
-    scale = max(lhs, rhs, 1e-300)
-    ratio = lhs / rhs if rhs > 0 else np.inf
-    return HardyResult(alpha=alpha, lhs=lhs, rhs=rhs, ratio=ratio,
-                       ok=lhs <= rhs + 1e-12 * scale)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(rhs > 0, lhs / rhs, np.inf)
+    ok = lhs <= rhs + 1e-12 * np.maximum(lhs, rhs)
+    return HardyResult(alpha, *_unstack(lhs, rhs, ratio, ok))
 
 
-def hardy_sharpness(alpha: float = 2.0, r_max: float = 1e13,
-                    nodes_per_decade: int = 24, eps: float = 0.01,
-                    ramp_start: float = 0.65) -> HardyResult:
+def hardy_sharpness() -> HardyResult:
     """Ratio achieved by the near-extremal family r^(sigma+eps) - r^(sigma-eps).
 
     sigma = (1 - alpha)/2 balances the two sides exactly in the untruncated
-    limit; a smooth cosine-squared ramp to zero over the last stretch of the
+    limit; a smooth cosine-squared ramp to zero over the last 35% of the
     log range keeps the profile admissible.  The ratio approaches 1 as the
-    support lengthens (about 0.95 with the defaults).
+    support lengthens (about 0.94 for alpha = 2 up to r = 1e13).
     """
-    grid = build_grid(r_max, nodes_per_decade)
+    alpha, eps = 2.0, 0.01
+    grid = build_grid(1e13, 24)
     x = grid.log_r
     big_l = x[-1]
-    x0 = ramp_start * big_l
+    x0 = 0.65 * big_l
     span = big_l - x0
     u = np.clip((x - x0) / span, 0.0, 1.0)
     chi = np.cos(0.5 * np.pi * u) ** 2
@@ -195,34 +210,19 @@ def positivity_factor(alpha: float, phi0: float) -> float:
         (phi0 - 1.0) - (phi0 + 1.0 - alpha) * (alpha - 1.0) / 2.0)
 
 
-def positivity_roots(phi0: float, lo: float = 1.05, hi: float = 30.0,
-                     samples: int = 4000):
-    """Sign-change locations of positivity_factor(., phi0) in (lo, hi)."""
-    grid_a = np.linspace(lo, hi, samples)
-    vals = positivity_factor(grid_a, phi0)
-    roots = []
-    for a0, a1, v0, v1 in zip(grid_a, grid_a[1:], vals, vals[1:]):
-        if v0 == 0.0:
-            roots.append(float(a0))
-        elif v0 * v1 < 0.0:
-            roots.append(_bisect(lambda a: positivity_factor(a, phi0),
-                                 float(a0), float(a1)))
-    return roots
-
-
-def _bisect(fun, a: float, b: float, xtol: float = 1e-12) -> float:
-    """Root of fun in [a, b], where fun(a) and fun(b) differ in sign."""
-    negative = fun(a) < 0.0
-    while b - a > xtol:
-        mid = 0.5 * (a + b)
-        value = fun(mid)
-        if value == 0.0:
-            return mid
-        if (value < 0.0) == negative:
-            a = mid
-        else:
-            b = mid
-    return 0.5 * (a + b)
+def positivity_roots(phi0: float):
+    """Sign-change locations of positivity_factor(., phi0) in (1.05, 30):
+    brackets from 4000 samples, all bisected together to 1e-12."""
+    a = np.linspace(1.05, 30.0, 4000)
+    vals = positivity_factor(a, phi0)
+    hits = np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0.0))
+    lo, hi = a[hits], a[hits + 1]
+    negative = vals[hits] < 0.0
+    while np.any(hi - lo > 1e-12):
+        mid = 0.5 * (lo + hi)
+        same = (positivity_factor(mid, phi0) < 0.0) == negative
+        lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
+    return np.where(vals[hits] == 0.0, a[hits], 0.5 * (lo + hi)).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -257,43 +257,35 @@ def q_form(stream: TestStream, phi0: float) -> QFormResult:
     grid = stream.grid
     r = grid.r
     four_pi = 4.0 * np.pi
-    q_plus = 0.0
-    q_1 = 0.0
-    bound = 0.0
-    grad2 = 0.0
-    wnorm = 0.0
-    for row, k in enumerate(stream.modes):
-        k = float(k)
-        phi = stream.phi[row]
-        dphi = stream.dphi[row]
-        d2phi = stream.d2phi[row]
-        d_phi_over_r = dphi / r - phi / (r * r)
-        grad_int = (2.0 * k * k * np.abs(d_phi_over_r) ** 2
-                    + np.abs(d2phi) ** 2
-                    + np.abs(k * k * phi / (r * r) - dphi / r) ** 2)
-        sign_int = k * k * np.abs(phi) ** 2 / r ** 4 - np.abs(dphi) ** 2 / (r * r)
-        pair_q = four_pi * (_integ(grid, grad_int * r)
-                            + phi0 * _integ(grid, sign_int * r))
-        q_plus += pair_q
-        if k == 1.0:
-            q_1 += four_pi * _integ(
-                grid, ((3.0 - phi0) * np.abs(d_phi_over_r) ** 2
-                       + np.abs(d2phi) ** 2) * r)
-        else:
-            a_k = _integ(grid, np.abs(dphi) ** 2 / r)
-            b_k = _integ(grid, np.abs(phi) ** 2 / r ** 3)
-            c_k = _integ(grid, np.abs(d2phi) ** 2 * r)
-            bound += four_pi * ((k ** 4 + k ** 2) / 4.0 * b_k
-                                + (k * k + 2.0) * a_k + c_k)
-            grad2 += four_pi * _integ(grid, grad_int * r)
-            wnorm += four_pi * (a_k + k * k * b_k)
+    high = stream.modes >= 2
+    one = ~high
+    k = stream.modes.astype(float)[:, None]
+    phi, dphi, d2phi = stream.phi, stream.dphi, stream.d2phi
+    d_phi_over_r = dphi / r - phi / (r * r)
+    grad_int = (2.0 * k * k * np.abs(d_phi_over_r) ** 2
+                + np.abs(d2phi) ** 2
+                + np.abs(k * k * phi / (r * r) - dphi / r) ** 2)
+    sign_int = k * k * np.abs(phi) ** 2 / r ** 4 - np.abs(dphi) ** 2 / (r * r)
+    grad = _integ(grid, grad_int * r)
+    q_plus = (four_pi * (grad + phi0 * _integ(grid, sign_int * r))).sum(-1)
+    q_1 = (four_pi * _integ(
+        grid, ((3.0 - phi0) * np.abs(d_phi_over_r[..., one, :]) ** 2
+               + np.abs(d2phi[..., one, :]) ** 2) * r)).sum(-1)
+    kh = k[high, 0]
+    a_k = _integ(grid, np.abs(dphi[..., high, :]) ** 2 / r)
+    b_k = _integ(grid, np.abs(phi[..., high, :]) ** 2 / r ** 3)
+    c_k = _integ(grid, np.abs(d2phi[..., high, :]) ** 2 * r)
+    bound = (four_pi * ((kh ** 4 + kh ** 2) / 4.0 * b_k
+                        + (kh * kh + 2.0) * a_k + c_k)).sum(-1)
+    grad2 = (four_pi * grad[..., high]).sum(-1)
+    wnorm = (four_pi * (a_k + kh * kh * b_k)).sum(-1)
     q_sup1 = q_plus - q_1
     denom = grad2 + wnorm
-    c = q_sup1 / denom if denom > 0 else float("nan")
-    scale = max(abs(q_plus), abs(bound), denom, 1e-300)
-    return QFormResult(phi0=phi0, q_plus=q_plus, q_1=q_1, q_sup1=q_sup1,
-                       lower_bound=bound, gradient_norm=grad2,
-                       weighted_norm=wnorm, c_measured=c, scale=scale)
+    c = q_sup1 / np.where(denom > 0, denom, np.nan)
+    scale = np.maximum(np.maximum(np.abs(q_plus), np.abs(bound)),
+                       np.maximum(denom, 1e-300))
+    return QFormResult(phi0, *_unstack(q_plus, q_1, q_sup1, bound, grad2,
+                                       wnorm, c, scale))
 
 
 def poincare_wirtinger_check(stream: TestStream):
@@ -303,19 +295,18 @@ def poincare_wirtinger_check(stream: TestStream):
         sum k^2 |phi_k'|^2 >= 4 sum |phi_k'|^2,
 
     both termwise consequences of k^2 >= 4.  Returns the worst signed margin
-    (negative would be a violation) relative to the local scale.
+    (negative would be a violation) relative to the local scale; 0 when
+    the stream has no such mode.
     """
     sel = stream.modes >= 2
-    if not np.any(sel):
-        return 0.0
     k2 = (stream.modes[sel].astype(float) ** 2)[:, None]
-    p2 = np.abs(stream.phi[sel]) ** 2
-    dp2 = np.abs(stream.dphi[sel]) ** 2
-    m1 = (k2 * k2 * p2 - 4.0 * k2 * p2).sum(axis=0)
-    m2 = (k2 * dp2 - 4.0 * dp2).sum(axis=0)
-    scale = max(float((k2 * k2 * p2).sum(axis=0).max()),
-                float((k2 * dp2).sum(axis=0).max()), 1e-300)
-    return float(min(m1.min(), m2.min())) / scale
+    p2 = np.abs(stream.phi[..., sel, :]) ** 2
+    dp2 = np.abs(stream.dphi[..., sel, :]) ** 2
+    m1 = (k2 * k2 * p2 - 4.0 * k2 * p2).sum(axis=-2)
+    m2 = (k2 * dp2 - 4.0 * dp2).sum(axis=-2)
+    top = np.maximum((k2 * k2 * p2).sum(axis=-2), (k2 * dp2).sum(axis=-2))
+    scale = np.maximum(top.max(axis=-1), 1e-300)
+    return _unstack(np.minimum(m1.min(axis=-1), m2.min(axis=-1)) / scale)[0]
 
 
 @dataclass(frozen=True)
@@ -328,27 +319,30 @@ class Q1Probe:
 
 
 def probe_q1_negativity(phi0: float, n_samples: int = 10000,
-                        seed: int = 0, r_max: float = 1e4,
-                        nodes_per_decade: int = 16) -> Q1Probe:
+                        seed: int = 0) -> Q1Probe:
     """Random search for a k = 1 stream making Q_1 negative.
 
     In the log variable Q_1 is 4 pi int [(4 - phi0) u'^2 + u''^2] dx for
     u = phi/r, so no sample can be negative for phi0 <= 4 and the expected
     verdict up there is "inconclusive"; the probe exists to report the
-    margin honestly rather than assert an impossibility.
+    margin honestly rather than assert an impossibility.  The search stops
+    at the stack holding the first negative sample; ``min_value`` covers the
+    samples up to it.
     """
     rng = np.random.default_rng(seed)
-    grid = build_grid(r_max, nodes_per_decade)
+    grid = build_grid(1e4, 16)
     best = np.inf
     found = False
-    for _ in range(int(n_samples)):
-        stream = random_stream(grid, rng, modes=(1,), n_bumps=3)
-        res = q_form(stream, phi0)
+    for size in _stacks(int(n_samples)):
+        res = q_form(random_stream(grid, rng, modes=(1,), n_bumps=3,
+                                   size=size), phi0)
         rel = res.q_1 / res.scale
-        best = min(best, rel)
-        if res.q_1 < -1e-12 * res.scale:
+        negative = np.flatnonzero(res.q_1 < -1e-12 * res.scale)
+        if negative.size:
+            best = min(best, float(rel[:negative[0] + 1].min()))
             found = True
             break
+        best = min(best, float(rel.min()))
     verdict = "negative-found" if found else "inconclusive"
     return Q1Probe(phi0=phi0, n_samples=int(n_samples), min_value=best,
                    found_negative=found, verdict=verdict)

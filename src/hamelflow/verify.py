@@ -18,9 +18,10 @@ from .grid import BoundarySpectrum, build_grid
 from .linear import (SourceSpectrum, solve_gamma_zero, solve_linear,
                      solve_w_particular, solve_w_zero)
 from .solve import (SolverConfig, fixed_point_residual, picard_solve, shoot_mu)
-from .uniq import (hardy_check, hardy_sharpness, poincare_wirtinger_check,
-                   positivity_roots, probe_q1_negativity, q_form,
-                   random_stream, random_w_profile)
+from .uniq import (_stacks, hardy_check, hardy_sharpness,
+                   poincare_wirtinger_check, positivity_roots,
+                   probe_q1_negativity, q_form, random_stream,
+                   random_w_profile)
 
 __all__ = ["run_battery"]
 
@@ -30,14 +31,12 @@ def _check(name, passed, metric, threshold, detail=""):
             "threshold": float(threshold), "detail": detail}
 
 
-def _mode_boundary(n_max, phi0, mu0, mu, vr=None, vtheta=None):
+def _mode_boundary(n_max, phi0, mu0, mu, vr, vtheta):
     vr_arr = np.zeros(n_max + 1, dtype=complex)
     vt_arr = np.zeros(n_max + 1, dtype=complex)
     vt_arr[0] = mu0 - mu
-    for n, val in (vr or {}).items():
-        vr_arr[n] = val
-    for n, val in (vtheta or {}).items():
-        vt_arr[n] = val
+    vr_arr[list(vr)] = list(vr.values())
+    vt_arr[list(vtheta)] = list(vtheta.values())
     return BoundarySpectrum(n_max=n_max, vr=vr_arr, vtheta=vt_arr,
                             phi0=phi0, mu0=mu0, mu=mu)
 
@@ -45,21 +44,20 @@ def _mode_boundary(n_max, phi0, mu0, mu, vr=None, vtheta=None):
 def check_exponent_identities(quick: bool):
     side = 12 if quick else 50
     phis = np.linspace(0.0, 4.0, side)
-    mus = np.linspace(-8.0, 8.0, side)
+    mu = np.linspace(-8.0, 8.0, side)[:, None]
     ns = np.concatenate([np.arange(-32, 0), np.arange(1, 33)])
     worst_sum = 0.0
     worst_prod = 0.0
     worst_re = 0.0
     for phi0 in phis:
-        for mu in mus:
-            zp, zm = zeta_pair(phi0, mu, ns)
-            lam = 1j * ns * mu + ns.astype(float) ** 2
-            scale = np.abs(lam) + 1.0
-            worst_sum = max(worst_sum, float(np.abs(zp + zm + phi0).max()))
-            worst_prod = max(worst_prod,
-                             float((np.abs(zp * zm + lam) / scale).max()))
-            worst_re = max(worst_re, float(np.abs(
-                zm.real - re_zeta_minus_closed_form(phi0, mu, ns)).max()))
+        zp, zm = zeta_pair(phi0, mu, ns)
+        lam = 1j * ns * mu + ns.astype(float) ** 2
+        scale = np.abs(lam) + 1.0
+        worst_sum = max(worst_sum, float(np.abs(zp + zm + phi0).max()))
+        worst_prod = max(worst_prod,
+                         float((np.abs(zp * zm + lam) / scale).max()))
+        worst_re = max(worst_re, float(np.abs(
+            zm.real - re_zeta_minus_closed_form(phi0, mu, ns)).max()))
     metric = max(worst_sum, worst_prod, worst_re)
     return _check("exponent_identities", metric < 1e-12, metric, 1e-12,
                   f"sum {worst_sum:.2e}, product {worst_prod:.2e}, "
@@ -134,12 +132,11 @@ def check_manufactured_zero_mode(quick: bool):
 
 def _trace_errors(solution):
     b = solution.boundary
-    worst = 0.0
-    for n in range(1, solution.n_max + 1):
-        scale = max(1.0, abs(b.vr[n]), abs(b.vtheta[n]))
-        worst = max(worst,
-                    abs(1j * n * solution.gamma[n, 0] - b.vr[n]) / scale,
-                    abs(-solution.dgamma[n, 0] - b.vtheta[n]) / scale)
+    n = np.arange(1, solution.n_max + 1)
+    scale = np.maximum(1.0, np.maximum(np.abs(b.vr[n]), np.abs(b.vtheta[n])))
+    err = np.abs([1j * n * solution.gamma[n, 0] - b.vr[n],
+                  -solution.dgamma[n, 0] - b.vtheta[n]])
+    worst = np.max(err / scale, initial=0.0)
     if solution.flow.phi0 > 2.0:
         worst = max(worst, abs(-solution.dgamma[0, 0].real - b.vtheta[0].real)
                     / max(1.0, abs(b.vtheta[0])))
@@ -157,9 +154,8 @@ def check_trace_exactness(quick: bool):
             n_max, phi0, mu0=mu + 0.1, mu=mu,
             vr={1: 0.02 + 0.01j, 2: 0.01, 3: 0.005 - 0.002j},
             vtheta={1: 0.01, 2: -0.01j, 3: 0.004, 4: 0.002})
-        F = np.zeros((n_max + 1, grid.n_nodes), dtype=complex)
-        for n in range(n_max + 1):
-            F[n] = (0.01 + 0.002j * n) * grid.r ** (-5.5 - 0.3 * n)
+        n = np.arange(n_max + 1)[:, None]
+        F = (0.01 + 0.002j * n) * grid.r ** (-5.5 - 0.3 * n)
         sol = solve_linear(flow, grid, boundary, SourceSpectrum(n_max, F))
         err = _trace_errors(sol)
         worst = max(worst, err)
@@ -177,9 +173,8 @@ def check_ode_residuals(quick: bool):
     boundary = _mode_boundary(n_max, phi0, mu0=0.3, mu=mu,
                               vr={1: 0.02, 2: 0.01j},
                               vtheta={1: 0.01, 3: 0.004})
-    F = np.zeros((n_max + 1, grid.n_nodes), dtype=complex)
-    for n in range(n_max + 1):
-        F[n] = (0.01 + 0.001j * n) * grid.r ** (-5.5 - 0.2 * n)
+    n = np.arange(n_max + 1)[:, None]
+    F = (0.01 + 0.001j * n) * grid.r ** (-5.5 - 0.2 * n)
     sources = SourceSpectrum(n_max, F)
     sol = solve_linear(flow, grid, boundary, sources)
     res_g, res_w = mode_ode_residuals(sol, sources)
@@ -235,13 +230,12 @@ def check_hardy(quick: bool, seed: int):
     alphas = (1.5, 2.0, 3.0)
     violations = 0
     worst = 0.0
-    for _ in range(n_profiles):
-        w, dw = random_w_profile(grid, rng)
+    for size in _stacks(n_profiles):
+        w, dw = random_w_profile(grid, rng, size=size)
         for alpha in alphas:
             res = hardy_check(grid, w, dw, alpha)
-            if not res.ok:
-                violations += 1
-            worst = max(worst, res.ratio)
+            violations += int(np.count_nonzero(~res.ok))
+            worst = max(worst, float(res.ratio.max()))
     sharp = hardy_sharpness()
     ok = violations == 0 and sharp.ratio > 0.9
     return _check("hardy_inequality", ok, sharp.ratio, 0.9,
@@ -258,15 +252,17 @@ def check_qforms(quick: bool, seed: int):
     worst_gap = np.inf
     worst_c = np.inf
     worst_pw = np.inf
+    modes = (1, 2, 3, 4, 5)
     for phi0 in (2.2, 2.5, 3.0):
-        for _ in range(n_streams):
-            stream = random_stream(grid, rng)
+        for size in _stacks(n_streams, per_sample=len(modes)):
+            stream = random_stream(grid, rng, modes, size=size)
             res = q_form(stream, phi0)
-            worst_q1 = min(worst_q1, res.q_1 / res.scale)
-            worst_gap = min(worst_gap,
-                            (res.q_sup1 - res.lower_bound) / res.scale)
-            worst_c = min(worst_c, res.c_measured)
-            worst_pw = min(worst_pw, poincare_wirtinger_check(stream))
+            worst_q1 = min(worst_q1, float((res.q_1 / res.scale).min()))
+            worst_gap = min(worst_gap, float(
+                ((res.q_sup1 - res.lower_bound) / res.scale).min()))
+            worst_c = min(worst_c, float(res.c_measured.min()))
+            worst_pw = min(worst_pw,
+                           float(poincare_wirtinger_check(stream).min()))
     ok = (worst_q1 >= -1e-8 and worst_gap >= -1e-8 and worst_c >= 0.2
           and worst_pw >= -1e-12)
     return _check("quadratic_forms", ok, worst_c, 0.2,

@@ -187,6 +187,46 @@ def test_removed_solver_key_is_rejected_in_one_line(tmp_path, runner, key,
     assert not (tmp_path / "o").exists()
 
 
+def _sixteen_rows(base, nonzero_row=None):
+    """``base`` with 16 vr and vtheta rows; the added rows are zero except
+    ``nonzero_row`` (1-based mode number) of vr, if given."""
+    cfg = json.loads(json.dumps(base))
+    modes = cfg["boundary"]["modes"]
+    for key in ("vr", "vtheta"):
+        modes[key] += [[0.0, 0.0]] * (16 - len(modes[key]))
+    if nonzero_row is not None:
+        modes["vr"][nonzero_row - 1] = [0.001, 0.0]
+    cfg["solver"]["n_modes"] = 16
+    return cfg
+
+
+@pytest.mark.parametrize("command, base", [("solve", SOLVE_CFG),
+                                           ("shoot", SHOOT_CFG)],
+                         ids=["solve", "shoot"])
+def test_quick_ignores_trailing_zero_mode_rows(tmp_path, runner, command,
+                                               base):
+    # --quick caps n_modes at 8; rows above the last nonzero one prescribe
+    # nothing, so a config that writes all 16 rows still runs.
+    cfg = write_cfg(tmp_path, _sixteen_rows(base))
+    out = tmp_path / "o"
+    res = runner.invoke(main, [command, "--quick", "--config", cfg,
+                               "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    report = json.loads((out / "report.json").read_text())
+    assert report["converged"] is True
+    assert json.loads((out / "modes.json").read_text())["n_max"] == 8
+
+
+def test_quick_rejects_nonzero_mode_row_above_cap(tmp_path, runner):
+    cfg = write_cfg(tmp_path, _sixteen_rows(SOLVE_CFG, nonzero_row=12))
+    res = runner.invoke(main, ["solve", "--quick", "--config", cfg,
+                               "--out", str(tmp_path / "o")])
+    assert res.exit_code == 1
+    assert res.output.count("\n") == 1
+    assert "boundary prescribes mode 12 but n_modes=8" in res.output
+    assert "Traceback" not in res.output
+
+
 def test_shoot_rejects_strong_flux(tmp_path, runner):
     cfg = write_cfg(tmp_path, SOLVE_CFG)
     res = runner.invoke(main, ["shoot", "--config", cfg,

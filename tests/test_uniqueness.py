@@ -1,14 +1,18 @@
 """Randomized suites for the inequalities behind the uniqueness window."""
 
+import dataclasses
+import types
+
 import numpy as np
 import pytest
 
+import hamelflow.uniq
 import hamelflow.verify
 from hamelflow import (build_grid, hardy_check, hardy_sharpness,
                        poincare_wirtinger_check, positivity_factor,
                        positivity_roots, probe_q1_negativity, q_form,
                        random_stream, random_w_profile)
-from hamelflow.uniq import Q1Probe
+from hamelflow.uniq import Q1Probe, QFormResult
 
 
 def test_hardy_holds_on_random_profiles(grid, rng):
@@ -60,8 +64,6 @@ def test_positivity_window_empty_at_phi0_two():
 def test_q_decomposition_is_diagonal_in_modes(rng):
     # The form splits exactly across mode groups: evaluating the full stream
     # must equal the k = 1 part plus the k >= 2 part, with no cross terms.
-    import dataclasses
-
     grid = build_grid(1e4, 24)
     for phi0 in (2.1, 2.5, 3.0):
         stream = random_stream(grid, rng)
@@ -139,3 +141,78 @@ def test_q1_probe_check_fails_on_a_negative_sample(monkeypatch):
     check = hamelflow.verify.check_q1_probe(quick=True, seed=0)
     assert check["passed"] is False
     assert "negative-found" in check["detail"]
+
+
+def _close(stacked, single):
+    np.testing.assert_allclose(stacked, single, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("modes", [(1, 2, 4), (1,), (3, 5)],
+                         ids=["mixed", "k1-only", "high-only"])
+def test_stacked_streams_match_one_stream_calls(rng, modes):
+    grid = build_grid(1e4, 24)
+    stack = random_stream(grid, rng, modes=modes, size=(2, 3))
+    assert stack.phi.shape == (2, 3, len(modes), grid.n_nodes)
+    forms = q_form(stack, 2.5)
+    margins = poincare_wirtinger_check(stack)
+    assert margins.shape == (2, 3)
+    for i in np.ndindex(2, 3):
+        member = dataclasses.replace(stack, phi=stack.phi[i],
+                                     dphi=stack.dphi[i], d2phi=stack.d2phi[i])
+        single = q_form(member, 2.5)
+        for field in dataclasses.fields(QFormResult):
+            value = getattr(single, field.name)
+            assert isinstance(value, float)
+            if field.name != "phi0":
+                _close(getattr(forms, field.name)[i], value)
+        margin = poincare_wirtinger_check(member)
+        assert isinstance(margin, float)
+        _close(margins[i], margin)
+
+
+def test_stacked_profiles_match_one_profile_calls(grid, rng):
+    w, dw = random_w_profile(grid, rng, size=7)
+    assert w.shape == dw.shape == (7, grid.n_nodes)
+    for alpha in (1.5, 2.0, 3.0):
+        stacked = hardy_check(grid, w, dw, alpha)
+        for i in range(7):
+            single = hardy_check(grid, w[i], dw[i], alpha)
+            assert isinstance(single.ratio, float)
+            assert isinstance(single.ok, bool)
+            _close(stacked.ratio[i], single.ratio)
+            assert stacked.ok[i] == single.ok
+
+
+@pytest.mark.parametrize("first_negative", [130, None],
+                         ids=["negative-found", "none-negative"])
+def test_probe_stops_at_the_stack_of_the_first_negative(monkeypatch,
+                                                        first_negative):
+    # Relative Q_1 per sample, in draw order.  A later, more negative sample
+    # must not enter min_value, and no stack after the first negative one
+    # may be drawn.
+    values = np.linspace(1.0, 0.5, 250)
+    if first_negative is not None:
+        values[first_negative] = -0.25
+        values[first_negative + 10] = -9.0
+    stacks = []
+
+    def fake_q_form(stream, phi0):
+        n = stream.phi.shape[0]
+        start = sum(stacks)
+        stacks.append(n)
+        return types.SimpleNamespace(q_1=values[start:start + n],
+                                     scale=np.ones(n))
+
+    monkeypatch.setattr(hamelflow.uniq, "q_form", fake_q_form)
+    probe = probe_q1_negativity(3.2, n_samples=250, seed=0)
+    assert probe.n_samples == 250
+    step = hamelflow.uniq._STACK_ROWS
+    if first_negative is None:
+        assert probe.verdict == "inconclusive" and not probe.found_negative
+        assert probe.min_value == 0.5
+        assert sum(stacks) == 250
+    else:
+        assert probe.verdict == "negative-found" and probe.found_negative
+        assert probe.min_value == -0.25
+        assert len(stacks) == first_negative // step + 1
+    assert all(n == step for n in stacks[:-1])
