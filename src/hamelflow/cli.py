@@ -24,8 +24,8 @@ from .field import (asymptotic_circulation, decay_fit, ns_residual,
 from .flows import ReferenceFlow
 from .grid import synthesize_boundary
 from .linear import DegenerateFluxError
-from .report import (report_payload, solution_payload, write_field_csv,
-                     write_json, write_mode_profiles, write_modes_csv)
+from .report import (ModeTable, report_payload, solution_payload,
+                     write_field_csv, write_json, write_modes_csv)
 from .solve import (SolverConvergenceError, branch_sweep, picard_solve,
                     shoot_mu)
 from .verify import run_battery
@@ -70,12 +70,16 @@ def _write_solution(outdir, solution, report, cfg, seed, extra=None):
         extras.update(extra)
     write_json(os.path.join(outdir, "report.json"),
                report_payload(report, extras))
-    write_json(os.path.join(outdir, "modes.json"), solution_payload(solution))
-    write_modes_csv(os.path.join(outdir, "modes.csv"), solution)
+    # modes.json, modes.csv and field.csv share the formatted radii, and
+    # the two mode files the formatted profiles.
+    table = ModeTable.of(solution)
+    write_json(os.path.join(outdir, "modes.json"),
+               solution_payload(solution, table))
+    write_modes_csv(os.path.join(outdir, "modes.csv"), table)
     out_cfg = cfg.get("output", {})
     if out_cfg.get("write_field", False):
         field = reconstruct(solution, out_cfg.get("theta_points", 128))
-        write_field_csv(os.path.join(outdir, "field.csv"), field)
+        write_field_csv(os.path.join(outdir, "field.csv"), field, table.r)
 
 
 @main.command()
@@ -234,7 +238,7 @@ def export(soldir, fmt, outpath):
         if fmt == "json":
             write_json(outpath, payload)
         else:
-            write_mode_profiles(outpath, *columns)
+            write_modes_csv(outpath, ModeTable(*columns))
     except (IndexError, KeyError, TypeError, ValueError) as exc:
         raise click.ClickException(
             f"{src} is not a modes.json ({type(exc).__name__}: {exc})"

@@ -56,11 +56,27 @@ _SCAN_BLOCK = 16            # nodes per block of the recurrence scans
 
 
 class DivergentTailError(ArithmeticError):
-    """Tail extrapolation would diverge: fitted exponent >= -1."""
+    """Tail extrapolation would diverge: fitted exponent >= -1.
 
-    def __init__(self, message, exponent=None):
+    ``row`` is the index of the diverging row in the stack passed to
+    ``integrate_out_all`` (0 for a single profile) and ``zeta`` its kernel
+    exponent, which names the kernel family: k for the stream modes,
+    zeta_n^+ for vorticity, -(phi0+1) and 0 for the mean mode.
+    """
+
+    def __init__(self, message, exponent=None, row=None, zeta=None):
         super().__init__(message)
         self.exponent = exponent
+        self.row = row
+        self.zeta = zeta
+
+    def __str__(self):
+        text = super().__str__()
+        if self.row is None:
+            return text
+        z = complex(self.zeta)
+        return (f"{text} (kernel row {self.row}, "
+                f"zeta={z.real:.6g}{z.imag:+.6g}j)")
 
 
 class FluxMismatchError(ValueError):
@@ -240,11 +256,12 @@ def _tail_value(grid: RadialGrid, g_last5, r_last5):
                                         np.log(mags[fit][~phased]).T, 1)[0]
         diverging = p_fit.real >= -1.0 + _DIVERGENCE_TOL
         if np.any(diverging):
-            worst = float(p_fit.real[diverging].max())
+            i = np.flatnonzero(diverging)[np.argmax(p_fit.real[diverging])]
+            worst = float(p_fit.real[i])
             raise DivergentTailError(
                 f"integrand tail fitted as r^{worst:.3g} at "
                 f"r_max={grid.r_max:g}; the weighted integral does not "
-                "converge", exponent=worst)
+                "converge", exponent=worst, row=int(np.flatnonzero(fit)[i]))
         p[fit] = p_fit
     p = np.where(p.real > _TAIL_EXPONENT_FLOOR, _TAIL_EXPONENT_FLOOR, p)
     return np.where(negligible, 0.0 + 0.0j, g_end * grid.r_max / (-(p + 1.0)))
@@ -300,12 +317,19 @@ def _live_rows(kernel, grid: RadialGrid, rows, zeta):
     scan; the kernel on it would return the same +0.
     """
     live = np.any(rows != 0, axis=1)
-    if live.all():
-        return kernel(grid, rows, zeta)
-    out = np.zeros(rows.shape, dtype=complex)
-    if live.any():
-        out[live] = kernel(grid, rows[live], zeta[live])
-    return out
+    try:
+        if live.all():
+            return kernel(grid, rows, zeta)
+        out = np.zeros(rows.shape, dtype=complex)
+        if live.any():
+            out[live] = kernel(grid, rows[live], zeta[live])
+        return out
+    except DivergentTailError as exc:
+        # the kernel saw the live rows only: name the row of the caller's
+        # stack and its exponent
+        exc.row = int(np.flatnonzero(live)[exc.row])
+        exc.zeta = complex(zeta[exc.row, 0])
+        raise
 
 
 def integrate_out_all(grid: RadialGrid, f, zeta) -> np.ndarray:

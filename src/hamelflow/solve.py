@@ -47,15 +47,19 @@ class SolverConvergenceError(RuntimeError):
     """Iteration failed; carries the partial report for diagnosis.
 
     When a quadrature failure stopped the iteration, ``iteration`` is the
-    Picard step it happened in (0 for the initial linear solve) and
-    ``exponent`` the fitted tail exponent, if the failure had one.
+    Picard step it happened in (0 for the initial linear solve); a
+    divergent tail also gives the fitted ``exponent``, the diverging kernel
+    ``row`` and its exponent ``zeta`` (see ``DivergentTailError``).
     """
 
-    def __init__(self, message, report=None, iteration=None, exponent=None):
+    def __init__(self, message, report=None, iteration=None, exponent=None,
+                 row=None, zeta=None):
         super().__init__(message)
         self.report = report
         self.iteration = iteration
         self.exponent = exponent
+        self.row = row
+        self.zeta = zeta
 
 
 @dataclass(frozen=True)
@@ -147,7 +151,9 @@ def _fixed_point(flow: ReferenceFlow, boundary: BoundarySpectrum,
             raise SolverConvergenceError(
                 f"quadrature failed in Picard iteration {iterations}: {exc}",
                 report(False), iteration=iterations,
-                exponent=getattr(exc, "exponent", None)) from exc
+                exponent=getattr(exc, "exponent", None),
+                row=getattr(exc, "row", None),
+                zeta=getattr(exc, "zeta", None)) from exc
         if x is not None:
             alpha, _ = alpha_window(flow.phi0, flow.mu)
             increments.append(picard_norm(grid, y.gamma - x.gamma, alpha))

@@ -326,13 +326,14 @@ def probe_q1_negativity(phi0: float, n_samples: int = 10000,
     u = phi/r, so no sample can be negative for phi0 <= 4 and the expected
     verdict up there is "inconclusive"; the probe exists to report the
     margin honestly rather than assert an impossibility.  The search stops
-    at the stack holding the first negative sample; ``min_value`` covers the
-    samples up to it.
+    at the stack holding the first negative sample; ``min_value`` and
+    ``n_samples`` cover the samples up to and including it.
     """
     rng = np.random.default_rng(seed)
     grid = build_grid(1e4, 16)
     best = np.inf
     found = False
+    seen = 0
     for size in _stacks(int(n_samples)):
         res = q_form(random_stream(grid, rng, modes=(1,), n_bumps=3,
                                    size=size), phi0)
@@ -340,9 +341,11 @@ def probe_q1_negativity(phi0: float, n_samples: int = 10000,
         negative = np.flatnonzero(res.q_1 < -1e-12 * res.scale)
         if negative.size:
             best = min(best, float(rel[:negative[0] + 1].min()))
+            seen += int(negative[0]) + 1
             found = True
             break
         best = min(best, float(rel.min()))
+        seen += size
     verdict = "negative-found" if found else "inconclusive"
-    return Q1Probe(phi0=phi0, n_samples=int(n_samples), min_value=best,
+    return Q1Probe(phi0=phi0, n_samples=seen, min_value=best,
                    found_negative=found, verdict=verdict)

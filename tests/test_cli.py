@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -94,6 +95,9 @@ def test_divergent_tail_exits_2_in_one_line(tmp_path, runner):
     assert res.output.count("\n") == 1
     assert "did not converge" in res.output
     assert "does not converge" in res.output
+    # the diverging kernel row: mode 1 of the vorticity stack, zeta_1^+
+    assert re.search(r"\(kernel row 0, zeta=0\.4579\d*\+0\.1841\d*j\)$",
+                     res.output.strip())
 
 
 @pytest.mark.parametrize("command, base, phi0", [

@@ -199,6 +199,15 @@ def test_divergent_row_among_zero_rows_fails_the_stack():
     with pytest.raises(DivergentTailError) as info:
         integrate_out_all(g, stack, np.zeros(3))
     assert info.value.exponent == pytest.approx(0.5, abs=1e-9)
+    assert (info.value.row, info.value.zeta) == (1, 0.0)
+    # Rows count in the caller's stack, past the skipped zero row; of two
+    # diverging rows the worse is named, with its own kernel exponent.
+    stack[2] = g.r ** -0.2
+    with pytest.raises(DivergentTailError) as info:
+        integrate_out_all(g, stack, [0.0, 0.25 + 0.5j, 0.5 - 0.25j])
+    assert (info.value.row, info.value.zeta) == (2, 0.5 - 0.25j)
+    assert info.value.exponent == pytest.approx(0.3, abs=1e-9)
+    assert str(info.value).endswith("(kernel row 2, zeta=0.5-0.25j)")
 
 
 def complex_segment_power_integrals(s_left, a, b, h, a_prev=None,

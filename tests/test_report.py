@@ -3,6 +3,7 @@ every artifact against a value-by-value reference encoder."""
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -202,40 +203,107 @@ CFG = {
     "solver": {"n_modes": 4, "nodes_per_decade": 32, "r_max": 1e3},
     "output": {"write_field": True, "theta_points": 48},
 }
+# 5 nodes: every list of modes.json takes the one-line layout.
+TINY_SOLVER = {"n_modes": 4, "nodes_per_decade": 8, "r_max": 3}
+ARTIFACTS = ["field.csv", "modes.csv", "modes.json", "report.json"]
 
 
-@pytest.mark.parametrize("block_rows", [None, 7])
-def test_artifacts_match_reference_encoder(tmp_path, monkeypatch, block_rows):
-    if block_rows:   # many CSV blocks, a partial one last
+def solve(tmp_path, cfg):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    res = CliRunner().invoke(hamelflow.cli.main, ["solve", "--config",
+                                                  str(path), "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    assert sorted(p.name for p in out.iterdir()) == ARTIFACTS
+    return out
+
+
+@pytest.mark.parametrize("solver, block_rows", [
+    (CFG["solver"], None), (CFG["solver"], 7), (TINY_SOLVER, None)],
+    ids=["None", "7", "5-nodes"])
+def test_artifacts_match_reference_encoder(tmp_path, monkeypatch, solver,
+                                           block_rows):
+    if block_rows:   # many field.csv blocks, a partial one last
         monkeypatch.setattr(hamelflow.report, "_BLOCK_ROWS", block_rows)
     expected = {}
 
     def spy(name, reference):
         real = getattr(hamelflow.cli, name)
 
-        def wrapper(path, obj):
-            real(path, obj)
-            expected.update(reference(path, obj))
+        def wrapper(*args):
+            result = real(*args)
+            expected.update(reference(*args))
+            return result
         monkeypatch.setattr(hamelflow.cli, name, wrapper)
 
-    # modes.json is written before modes.csv; the reference for it is
-    # rebuilt from the solution the modes.csv writer receives.
-    spy("write_json", lambda p, obj: {p: ref_dumps(obj)})
-    spy("write_modes_csv", lambda p, s: {
-        p: ref_modes_csv(s),
-        p.replace("modes.csv", "modes.json"):
-            ref_dumps(ref_solution_payload(s))})
-    spy("write_field_csv", lambda p, field: {p: ref_field_csv(field)})
+    # The mode files are written from a table of preformatted values; their
+    # references are rebuilt from the solution the modes.json payload is
+    # made from.
+    spy("write_json", lambda p, obj: {} if p.endswith("modes.json")
+        else {os.path.basename(p): ref_dumps(obj)})
+    spy("solution_payload", lambda s, table: {
+        "modes.json": ref_dumps(ref_solution_payload(s)),
+        "modes.csv": ref_modes_csv(s)})
+    spy("write_field_csv",
+        lambda p, field, r: {"field.csv": ref_field_csv(field)})
 
-    cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps(CFG))
-    out = tmp_path / "o"
-    res = CliRunner().invoke(hamelflow.cli.main, ["solve", "--config",
-                                                  str(cfg), "--out", str(out)])
-    assert res.exit_code == 0, res.output
-    names = sorted(p.name for p in out.iterdir())
-    assert names == ["field.csv", "modes.csv", "modes.json", "report.json"]
-    assert sorted(expected) == sorted(str(out / n) for n in names)
-    for path, text in expected.items():
-        with open(path, "rb") as fh:
-            assert fh.read() == text.encode("ascii"), path
+    out = solve(tmp_path, dict(CFG, solver=solver))
+    assert sorted(expected) == ARTIFACTS
+    for name, text in expected.items():
+        assert (out / name).read_bytes() == text.encode("ascii"), name
+
+
+def test_export_reproduces_the_mode_files(tmp_path):
+    out = solve(tmp_path, CFG)
+    for fmt, name in (("csv", "modes.csv"), ("json", "modes.json")):
+        dest = tmp_path / f"export.{fmt}"
+        res = CliRunner().invoke(hamelflow.cli.main, [
+            "export", "--solution", str(out), "--format", fmt,
+            "--out", str(dest)])
+        assert res.exit_code == 0, res.output
+        assert dest.read_bytes() == (out / name).read_bytes(), fmt
+
+
+def test_each_value_is_formatted_once(tmp_path, monkeypatch):
+    # While a solve writes modes.json, modes.csv and field.csv, the table
+    # formatter sees each of the N radii, T angles, 3 N T field values and
+    # 8 M N mode values once; fmt_float alone sees only the scalars of
+    # modes.json (phi0, mu, mu0 and each mode's gamma_bar and w_bar).
+    counts = {"rows": 0, "scalars": 0}
+    state = {"in_rows": False, "report": False}
+    real_rows, real_float = hamelflow.report.format_rows, fmt_float
+
+    def counting_rows(a, sep):
+        if not state["report"]:
+            counts["rows"] += np.size(a)
+        state["in_rows"] = True
+        try:
+            return real_rows(a, sep)
+        finally:
+            state["in_rows"] = False
+
+    def counting_float(x):
+        if not (state["in_rows"] or state["report"]):
+            counts["scalars"] += 1
+        return real_float(x)
+
+    real_json = hamelflow.cli.write_json
+
+    def write_json(path, obj):
+        state["report"] = path.endswith("report.json")
+        try:
+            real_json(path, obj)
+        finally:
+            state["report"] = False
+
+    monkeypatch.setattr(hamelflow.report, "format_rows", counting_rows)
+    monkeypatch.setattr(hamelflow.report, "fmt_float", counting_float)
+    monkeypatch.setattr(hamelflow.cli, "write_json", write_json)
+    out = solve(tmp_path, CFG)
+    modes = json.loads((out / "modes.json").read_text())
+    n, t, m = len(modes["r"]), CFG["output"]["theta_points"], len(
+        modes["modes"])
+    assert n > 8 and m == CFG["solver"]["n_modes"] + 1
+    assert counts["rows"] == n + t + 3 * n * t + 8 * m * n
+    assert counts["scalars"] == 3 + 4 * m

@@ -9,7 +9,8 @@ from hamelflow import (BoundarySpectrum, DivergentTailError, ReferenceFlow,
                        SolverConfig,
                        SolverConvergenceError, branch_sweep,
                        circulation_threshold, fixed_point_residual,
-                       picard_norm, picard_solve, shoot_mu, solve_linear)
+                       mode_exponents, picard_norm, picard_solve, shoot_mu,
+                       solve_linear)
 
 
 def bdry(n_max, phi0, mu0, mu, eps):
@@ -72,6 +73,12 @@ def test_quadrature_failure_is_a_typed_convergence_error():
     assert exc.report.iterations == exc.iteration
     assert len(exc.report.increments) == exc.iteration - 1
     assert exc.exponent == exc.__cause__.exponent > -1.0
+    # The vorticity stack's row 0 (mode 1) diverges: its kernel is zeta_1^+.
+    assert exc.row == exc.__cause__.row == 0
+    assert exc.zeta == exc.__cause__.zeta
+    assert exc.zeta == pytest.approx(
+        mode_exponents(ReferenceFlow(1.8, 0.5), 1).zeta_plus, rel=1e-12)
+    assert "kernel row 0, zeta=0.4579" in str(exc)
 
 
 def test_shooting_closes_mean_trace():

@@ -205,7 +205,9 @@ def test_probe_stops_at_the_stack_of_the_first_negative(monkeypatch,
 
     monkeypatch.setattr(hamelflow.uniq, "q_form", fake_q_form)
     probe = probe_q1_negativity(3.2, n_samples=250, seed=0)
-    assert probe.n_samples == 250
+    # Samples drawn up to and including the first negative one.
+    assert probe.n_samples == (250 if first_negative is None
+                               else first_negative + 1)
     step = hamelflow.uniq._STACK_ROWS
     if first_negative is None:
         assert probe.verdict == "inconclusive" and not probe.found_negative
