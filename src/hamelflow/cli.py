@@ -1,10 +1,10 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 invalid input (a flux in the degenerate band around
-2 and an export source that is not a modes.json included) or failed
-verification, 2 solver non-convergence.  Reports are deterministic: rerunning
-a command with the same config and seed reproduces every output byte for
-byte.
+2, a grid of fewer than 5 nodes and an export source that is not a
+modes.json included) or failed verification, 2 solver non-convergence.
+Reports are deterministic: rerunning a command with the same config and
+seed reproduces every output byte for byte.
 """
 
 from __future__ import annotations
@@ -214,12 +214,12 @@ def verify(outdir, quick, seed):
               type=click.Path(exists=True),
               help="Directory written by solve/shoot/branch, or a modes.json.")
 @click.option("--format", "fmt", default="csv", show_default=True,
-              help="csv or json")
+              help="csv, the one format")
 @click.option("--out", "outpath", required=True, type=click.Path())
 def export(soldir, fmt, outpath):
-    """Re-emit stored mode profiles in another format."""
-    if fmt not in ("csv", "json"):
-        raise click.ClickException(f"unknown format {fmt!r}: use csv or json")
+    """Re-emit stored mode profiles as the bytes of a modes.csv."""
+    if fmt != "csv":
+        raise click.ClickException(f"unknown format {fmt!r}: use csv")
     src = soldir if os.path.isfile(soldir) else os.path.join(soldir,
                                                              "modes.json")
     if not os.path.exists(src):
@@ -227,18 +227,14 @@ def export(soldir, fmt, outpath):
     try:
         with open(src, encoding="utf-8") as fh:
             payload = json.load(fh)
-        # Both formats read the keys of a modes.json; [re, im] pairs viewed
-        # as complex: no arithmetic, exact values.
+        # [re, im] pairs viewed as complex: no arithmetic, exact values.
         modes = payload["modes"]
         profile = lambda key: np.array([m[key] for m in modes],
                                        dtype=float).view(complex)[..., 0]
         columns = ([m["n"] for m in modes],
                    np.asarray(payload["r"], dtype=float),
                    *map(profile, ("gamma", "dgamma", "w", "dw")))
-        if fmt == "json":
-            write_json(outpath, payload)
-        else:
-            write_modes_csv(outpath, ModeTable(*columns))
+        write_modes_csv(outpath, ModeTable(*columns))
     except (IndexError, KeyError, TypeError, ValueError) as exc:
         raise click.ClickException(
             f"{src} is not a modes.json ({type(exc).__name__}: {exc})"

@@ -112,20 +112,17 @@ def mode_ode_residuals(solution: SpectralSolution,
     g1, g2 = _fd_radial(grid, solution.gamma)
     w1, w2 = _fd_radial(grid, solution.w)
 
-    res_g = 0.0
-    scale_g = 0.0
-    res_w = 0.0
-    scale_w = 0.0
-    for n in range(solution.n_max + 1):
-        lam = 1j * n * flow.mu + n * n
-        terms_g = (g2[n][c], g1[n][c] / r, -(n * n) * solution.gamma[n][c] / r**2,
-                   solution.w[n][c])
-        terms_w = (w2[n][c], (flow.phi0 + 1.0) * w1[n][c] / r,
-                   -lam * solution.w[n][c] / r**2, -F[n][c])
-        res_g = max(res_g, float(np.abs(sum(terms_g)).max()))
-        res_w = max(res_w, float(np.abs(sum(terms_w)).max()))
-        scale_g = max(scale_g, max(float(np.abs(t).max()) for t in terms_g))
-        scale_w = max(scale_w, max(float(np.abs(t).max()) for t in terms_w))
+    # Each term on the whole (modes, interior) stack.
+    n = np.arange(solution.n_max + 1)[:, None]
+    lam = 1j * n * flow.mu + n * n
+    gamma, w = solution.gamma[:, c], solution.w[:, c]
+    terms_g = (g2[:, c], g1[:, c] / r, -(n * n) * gamma / r**2, w)
+    terms_w = (w2[:, c], (flow.phi0 + 1.0) * w1[:, c] / r, -lam * w / r**2,
+               -F[:, c])
+    res_g = float(np.abs(sum(terms_g)).max())
+    res_w = float(np.abs(sum(terms_w)).max())
+    scale_g = max(float(np.abs(t).max()) for t in terms_g)
+    scale_w = max(float(np.abs(t).max()) for t in terms_w)
     return (res_g / scale_g if scale_g > 0 else 0.0,
             res_w / scale_w if scale_w > 0 else 0.0)
 

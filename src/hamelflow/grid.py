@@ -53,6 +53,7 @@ _DIVERGENCE_TOL = 1e-6      # fitted p >= -1 + this counts as divergent
 _TAIL_EXPONENT_FLOOR = -1.1  # shallowest tail decay r^p extrapolated
 _NEGLIGIBLE_TAIL = 1e-300
 _SCAN_BLOCK = 16            # nodes per block of the recurrence scans
+_MIN_NODES = 5              # the tail fit and the 5-point stencils
 
 
 class DivergentTailError(ArithmeticError):
@@ -85,7 +86,7 @@ class FluxMismatchError(ValueError):
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Geometric grid on [1, r_max] with nodes r_j = exp(j h)."""
+    """Geometric grid on [1, r_max] with nodes r_j = exp(j h), at least 5."""
 
     r_max: float
     nodes_per_decade: int
@@ -98,6 +99,11 @@ class RadialGrid:
         if self.nodes_per_decade < 8:
             raise ValueError("nodes_per_decade must be at least 8")
         n_seg = int(np.ceil(self.nodes_per_decade * np.log10(self.r_max)))
+        if n_seg + 1 < _MIN_NODES:
+            raise ValueError(
+                f"r_max={self.r_max:g} at {self.nodes_per_decade} nodes per "
+                f"decade gives {n_seg + 1} nodes; need at least "
+                f"{_MIN_NODES} for the tail fit and the residual stencils")
         h = np.log(self.r_max) / n_seg
         r = np.exp(h * np.arange(n_seg + 1))
         r[0] = 1.0
@@ -148,11 +154,7 @@ def _segment_power_integrals(s_left, a, b, h, a_prev=None, b_next=None):
 
     # Power model: (e^z - 1)/z with z = (q + 1) h, q = logr / h.
     z = np.where(usable, logr + h, 1.0)
-    with np.errstate(all="ignore"):
-        phi1 = np.where(np.abs(z) < 1e-4,
-                        1.0 + z / 2.0 + z * z / 6.0 + z * z * z / 24.0,
-                        _complex_expm1(z) / z)
-    ipow = np.where(usable, f0 * h * phi1, 0.0)
+    ipow = np.where(usable, f0 * h * _expm1_over(z), 0.0)
 
     # Corrected trapezoid: plain trapezoid plus the Euler-Maclaurin endpoint
     # term built from central-difference derivatives.
@@ -226,6 +228,19 @@ def _complex_expm1(z):
     out = np.empty(z.shape, dtype=complex)
     out.real = np.expm1(x) * np.cos(y) - 2.0 * half * half
     out.imag = np.exp(x) * np.sin(y)
+    return out
+
+
+def _expm1_over(z):
+    """(e^z - 1)/z for a complex array: the quotient, with its cubic series
+    1 + z/2 + z^2/6 + z^3/24 on the elements where |z| < 1e-4 (formed on
+    those elements only)."""
+    with np.errstate(all="ignore"):
+        out = _complex_expm1(z) / z
+    small = np.abs(z) < 1e-4
+    if small.any():
+        zs = z[small]
+        out[small] = 1.0 + zs / 2.0 + zs * zs / 6.0 + zs * zs * zs / 24.0
     return out
 
 

@@ -90,9 +90,13 @@ class SpectralSolution:
         return self.gamma.shape[0] - 1
 
 
-def _w_response(grid: RadialGrid, f, zeta_plus, zeta_minus):
-    """(w, d_r w) with L_w w = -f; rows of f pair with the exponent arrays."""
-    out = integrate_out_all(grid, f, zeta_plus)
+def _w_response(grid: RadialGrid, f, zeta_plus, zeta_minus, out=None):
+    """(w, d_r w) with L_w w = -f; rows of f pair with the exponent arrays.
+
+    ``out`` is the rows' out-integral when the caller has formed it.
+    """
+    if out is None:
+        out = integrate_out_all(grid, f, zeta_plus)
     inn = integrate_in_all(grid, f, zeta_minus)
     zp = np.asarray(zeta_plus)[..., None]
     zm = np.asarray(zeta_minus)[..., None]
@@ -102,10 +106,14 @@ def _w_response(grid: RadialGrid, f, zeta_plus, zeta_minus):
     return w, dw
 
 
-def _gamma_response(grid: RadialGrid, w, k):
-    """(gamma, d_r gamma) with Delta gamma = -w; rows of w pair with k = |n|."""
+def _gamma_response(grid: RadialGrid, w, k, out=None):
+    """(gamma, d_r gamma) with Delta gamma = -w; rows of w pair with k = |n|.
+
+    ``out`` is the rows' out-integral when the caller has formed it.
+    """
     k = np.asarray(k, dtype=float)
-    out = integrate_out_all(grid, w, k)
+    if out is None:
+        out = integrate_out_all(grid, w, k)
     inn = integrate_in_all(grid, w, -k)
     g = (out + inn) / (2.0 * k[..., None])
     dg = (out - inn) / (2.0 * grid.r)
@@ -176,14 +184,21 @@ def _trace_amplitudes(n, zeta_minus, vr, vt, g_part_1, dg_part_1):
     return gamma_bar, w_bar, resonant
 
 
-def _assemble_nonzero(grid: RadialGrid, flow: ReferenceFlow,
-                      boundary: BoundarySpectrum, F):
-    """Modes 1..n_max at once: one kernel call per family for all rows."""
-    n = np.arange(1, boundary.n_max + 1)
+def _out_with_row(grid: RadialGrid, f, zeta, row, zeta_row):
+    """``integrate_out_all`` on the stack f with one more row under it.
+
+    Returns (the out-integrals of f, the out-integral of ``row``); a
+    diverging ``row`` is named as row len(f) of the stack.
+    """
+    out = integrate_out_all(grid, np.concatenate([f, row[None]]),
+                            np.append(zeta, zeta_row))
+    return out[:-1], out[-1]
+
+
+def _assemble_nonzero(grid: RadialGrid, n, zm, boundary: BoundarySpectrum,
+                      w_part, dw_part, g_part, dg_part):
+    """Modes 1..n_max at once from their particular responses."""
     k = n.astype(float)
-    zp, zm = zeta_pair(flow.phi0, flow.mu, n)
-    w_part, dw_part = _w_response(grid, F, zp, zm)
-    g_part, dg_part = _gamma_response(grid, w_part, k)
     gamma_bar, w_bar, resonant = _trace_amplitudes(
         n, zm, boundary.vr[1:], boundary.vtheta[1:], g_part[:, 0],
         dg_part[:, 0])
@@ -216,16 +231,18 @@ def _assemble_nonzero(grid: RadialGrid, flow: ReferenceFlow,
     return gamma, dgamma, w, dw, gamma_bar, w_bar, resonant
 
 
-def _assemble_zero(grid: RadialGrid, flow: ReferenceFlow, circ_deficit: complex,
-                   f_0):
-    phi0 = flow.phi0
+def _check_flux_band(phi0: float):
     if abs(phi0 - 2.0) < _PHI_BAND and phi0 != 2.0:
         raise DegenerateFluxError(
             f"phi0={phi0!r} is inside the degenerate band around 2; the "
             "homogeneous mean mode r^(2-phi0) is numerically indistinct "
             "from the log pair there")
+
+
+def _assemble_zero(grid: RadialGrid, phi0: float, circ_deficit: complex,
+                   w_part, dw_part):
+    """The mean mode from its vorticity response (see ``solve_w_zero``)."""
     r = grid.r
-    w_part, dw_part = solve_w_zero(grid, phi0, f_0)
     big_gamma, d_big_gamma = solve_gamma_zero(grid, w_part)
     if phi0 <= 2.0:
         return -big_gamma, -d_big_gamma, w_part, dw_part, 0.0 + 0.0j
@@ -245,7 +262,12 @@ def solve_linear(flow: ReferenceFlow, grid: RadialGrid,
     """Solve every mode 0..n_max against the given sources and trace.
 
     Modes 1..n_max are solved together: each kernel family is one
-    quadrature call on the (modes, nodes) stack of its integrands.  Modes
+    quadrature call on the (modes, nodes) stack of its integrands.  The
+    mean mode's first two integrals (``solve_w_zero``) ride as one extra
+    row under the out-stacks: F_0/r at zeta = -(phi0+1) under the
+    vorticity rows, inner/r at zeta = 0 under the stream rows.  A solve
+    thus makes six kernel calls, the last two the nested stream
+    quadratures of the mean mode (``solve_gamma_zero``).  Modes
     without a source (all of them when ``sources`` is None, and those above
     the reach of the trace's products) cost no quadrature: the integrators
     return their zero rows as exact +0.
@@ -271,12 +293,23 @@ def solve_linear(flow: ReferenceFlow, grid: RadialGrid,
     w_bar = np.zeros(n_max + 1, dtype=complex)
     resonant = np.zeros(n_max + 1, dtype=bool)
 
+    phi0 = flow.phi0
+    _check_flux_band(phi0)
+    F, r = sources.F, grid.r
+    n = np.arange(1, n_max + 1)
+    k = n.astype(float)
+    zp, zm = zeta_pair(phi0, flow.mu, n)
+    out_w, inner = _out_with_row(grid, F[1:], zp, F[0] / r, -(phi0 + 1.0))
+    w_part, dw_part = _w_response(grid, F[1:], zp, zm, out_w)
+    out_g, w0 = _out_with_row(grid, w_part, k, inner / r, 0.0)
+    g_part, dg_part = _gamma_response(grid, w_part, k, out_g)
+
     gamma[0], dgamma[0], w[0], dw[0], w_bar[0] = _assemble_zero(
-        grid, flow, complex(boundary.vtheta[0]), sources.F[0])
+        grid, phi0, complex(boundary.vtheta[0]), w0, -inner)
 
     (gamma[1:], dgamma[1:], w[1:], dw[1:],
      gamma_bar[1:], w_bar[1:], resonant[1:]) = _assemble_nonzero(
-        grid, flow, boundary, sources.F[1:])
+        grid, n, zm, boundary, w_part, dw_part, g_part, dg_part)
 
     return SpectralSolution(flow=flow, grid=grid, boundary=boundary,
                             gamma=gamma, dgamma=dgamma, w=w, dw=dw,

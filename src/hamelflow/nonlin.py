@@ -37,16 +37,18 @@ def convolution_sources(grid: RadialGrid, gamma, dgamma, w, dw) -> SourceSpectru
     w_all = extend(np.asarray(w, dtype=complex))
     dw_all = extend(np.asarray(dw, dtype=complex))
 
+    # Mode l of gamma meets modes k = n - l of w in the contiguous rows
+    # n = 0..min(n_max, l + n_max), so each l adds one slice.  Each row
+    # sums its terms from +0 in increasing l, as numpy sums a stack of them
+    # (terms that are all -0.0 give +0).
     F = np.zeros((n_max + 1, grid.n_nodes), dtype=complex)
-    for n in range(n_max + 1):
-        lo = max(-n_max, n - n_max)
-        hi = min(n_max, n + n_max)
-        ls = np.arange(lo, hi + 1)
-        li = ls + n_max
-        ki = (n - ls) + n_max
-        terms = (ls[:, None] * g_all[li] * dw_all[ki]
-                 - (n - ls)[:, None] * dg_all[li] * w_all[ki])
-        F[n] = (1j / grid.r) * terms.sum(axis=0)
+    for l in range(-n_max, n_max + 1):
+        hi = min(n_max, l + n_max)
+        ks = np.arange(-l, hi - l + 1)
+        rows = slice(n_max - l, n_max - l + hi + 1)
+        F[:hi + 1] += (l * g_all[l + n_max] * dw_all[rows]
+                       - ks[:, None] * dg_all[l + n_max] * w_all[rows])
+    np.multiply(1j / grid.r, F, out=F)
     return SourceSpectrum(n_max=n_max, F=F)
 
 

@@ -74,6 +74,7 @@ class SolverConfig:
     def __post_init__(self):
         if self.n_modes < 1:
             raise ValueError("need at least one nonzero mode")
+        self.make_grid()   # rejects grids too short to solve on
 
     def make_grid(self) -> RadialGrid:
         return build_grid(self.r_max, self.nodes_per_decade)

@@ -191,6 +191,24 @@ def test_removed_solver_key_is_rejected_in_one_line(tmp_path, runner, key,
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["solve", "shoot"])
+def test_grid_of_fewer_than_5_nodes_is_rejected_in_one_line(tmp_path, runner,
+                                                            command):
+    # r_max=2 at 8 nodes per decade gives 4 nodes; the 5-node grid of
+    # r_max=3 still solves (test_report's [5-nodes] case)
+    cfg = json.loads(json.dumps(SHOOT_CFG if command == "shoot"
+                                else SOLVE_CFG))
+    cfg["solver"].update(r_max=2, nodes_per_decade=8)
+    res = runner.invoke(main, [command, "--config", write_cfg(tmp_path, cfg),
+                               "--out", str(tmp_path / "o")])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)   # handled, no traceback
+    assert res.output.count("\n") == 1
+    assert "solver settings rejected" in res.output
+    assert "4 nodes" in res.output and "at least 5" in res.output
+    assert not (tmp_path / "o").exists()
+
+
 def _sixteen_rows(base, nonzero_row=None):
     """``base`` with 16 vr and vtheta rows; the added rows are zero except
     ``nonzero_row`` (1-based mode number) of vr, if given."""
@@ -301,17 +319,11 @@ def test_export_formats(tmp_path, runner):
     assert len(lines) > 100
     assert read_bytes(csv_path) == read_bytes(out / "modes.csv")
 
-    json_path = tmp_path / "modes_export.json"
-    res = runner.invoke(main, ["export", "--solution",
-                               str(out / "modes.json"), "--format", "json",
-                               "--out", str(json_path)])
-    assert res.exit_code == 0
-    assert read_bytes(json_path) == read_bytes(out / "modes.json")
-
-    res = runner.invoke(main, ["export", "--solution", str(out),
-                               "--format", "yaml", "--out", "x"])
-    assert res.exit_code == 1
-    assert "unknown format" in res.output
+    for fmt in ("yaml", "json"):   # the json format was removed
+        res = runner.invoke(main, ["export", "--solution", str(out),
+                                   "--format", fmt, "--out", "x"])
+        assert res.exit_code == 1
+        assert "unknown format" in res.output
 
     empty = tmp_path / "empty"
     empty.mkdir()
@@ -324,18 +336,16 @@ def test_export_formats(tmp_path, runner):
 NO_PROFILE = '{"r": [1.0], "modes": [{"n": 0, "gamma": [[0.0, 0.0]]}]}'
 
 
-@pytest.mark.parametrize("content, fmt", [
-    ('{"a": 1}', "csv"), ('{"a": 1}', "json"), ("not json", "csv"),
-    ("not json", "json"), (NO_PROFILE, "csv"), (NO_PROFILE, "json"),
-    ('{"r": [], "modes": []}', "json")],
-    ids=["no-modes-key", "no-modes-key-json", "not-json-csv", "not-json-json",
-         "no-profile-key-csv", "no-profile-key-json", "no-modes-json"])
+@pytest.mark.parametrize("content", [
+    '{"a": 1}', "not json", NO_PROFILE, '{"r": [], "modes": []}'],
+    ids=["no-modes-key", "not-json-csv", "no-profile-key-csv",
+         "no-modes-json"])
 def test_export_rejects_input_that_is_not_modes_json(tmp_path, runner,
-                                                     content, fmt):
+                                                     content):
     src = tmp_path / "modes.json"
     src.write_text(content)
     res = runner.invoke(main, ["export", "--solution", str(src), "--format",
-                               fmt, "--out", str(tmp_path / "x")])
+                               "csv", "--out", str(tmp_path / "x")])
     assert res.exit_code == 1
     assert isinstance(res.exception, SystemExit)   # handled, no traceback
     assert "Traceback" not in res.output

@@ -5,10 +5,12 @@ import dataclasses
 import numpy as np
 
 from hamelflow import (BoundarySpectrum, ReferenceFlow, SolverConfig,
-                       asymptotic_circulation, build_grid, decay_fit,
-                       derivative_consistency, interior, log_derivatives,
-                       mode_exponents, mode_ode_residuals, ns_residual,
-                       picard_solve, reconstruct, solve_linear)
+                       asymptotic_circulation, build_grid, compute_sources,
+                       decay_fit, derivative_consistency, interior,
+                       log_derivatives, mode_exponents, mode_ode_residuals,
+                       ns_residual, picard_solve, reconstruct, shoot_mu,
+                       solve_linear)
+from hamelflow.field import _fd_radial
 
 FLOW = ReferenceFlow(2.5, 0.2)
 
@@ -55,6 +57,45 @@ def test_zero_field_scores_zero_residual():
     grid = build_grid(1e3, 24)
     sol = solve_linear(FLOW, grid, bdry(4))
     assert mode_ode_residuals(sol) == (0.0, 0.0)
+
+
+def looped_mode_ode_residuals(solution, sources):
+    """The residuals formed one mode n at a time."""
+    grid, flow = solution.grid, solution.flow
+    c = interior(grid)
+    r = grid.r[c]
+    F = sources.F
+    g1, g2 = _fd_radial(grid, solution.gamma)
+    w1, w2 = _fd_radial(grid, solution.w)
+    res_g = scale_g = res_w = scale_w = 0.0
+    for n in range(solution.n_max + 1):
+        lam = 1j * n * flow.mu + n * n
+        terms_g = (g2[n][c], g1[n][c] / r,
+                   -(n * n) * solution.gamma[n][c] / r**2, solution.w[n][c])
+        terms_w = (w2[n][c], (flow.phi0 + 1.0) * w1[n][c] / r,
+                   -lam * solution.w[n][c] / r**2, -F[n][c])
+        res_g = max(res_g, float(np.abs(sum(terms_g)).max()))
+        res_w = max(res_w, float(np.abs(sum(terms_w)).max()))
+        scale_g = max(scale_g, max(float(np.abs(t).max()) for t in terms_g))
+        scale_w = max(scale_w, max(float(np.abs(t).max()) for t in terms_w))
+    return res_g / scale_g, res_w / scale_w
+
+
+def test_stacked_residuals_are_bitwise_the_mode_loop():
+    # positive and negative mu, fixed-mu and shot solutions
+    cfg = SolverConfig(n_modes=8, nodes_per_decade=48)
+    spec = lambda phi0, mu: BoundarySpectrum(
+        8, np.eye(9, dtype=complex)[2] * 0.01,
+        np.eye(9, dtype=complex)[1] * 0.01, phi0, mu, mu)
+    sols = [solved(),
+            picard_solve(ReferenceFlow(2.5, -0.3), spec(2.5, -0.3), cfg)[0],
+            shoot_mu(spec(1.5, 1.0), cfg)[0]]
+    for sol in sols:
+        sources = compute_sources(sol)
+        assert mode_ode_residuals(sol, sources) == \
+            looped_mode_ode_residuals(sol, sources)
+        assert mode_ode_residuals(sol) == looped_mode_ode_residuals(
+            sol, dataclasses.replace(sources, F=0.0 * sources.F))
 
 
 def test_converged_solve_diagnostics():

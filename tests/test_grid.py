@@ -12,8 +12,9 @@ from hamelflow import (BoundarySpectrum, DivergentTailError, FluxMismatchError,
                        synthesize_boundary)
 from hamelflow.grid import (_CURVATURE_RAMP, _PHASE_JUMP_LIMIT,
                             _STEEP_SEGMENT_LIMIT, _complex_expm1,
-                            _complex_log, _log_ratios, _scan_backward,
-                            _scan_forward, _segment_power_integrals)
+                            _complex_log, _expm1_over, _log_ratios,
+                            _scan_backward, _scan_forward,
+                            _segment_power_integrals)
 
 
 def test_grid_construction():
@@ -30,6 +31,9 @@ def test_grid_rejects_bad_parameters():
         RadialGrid(r_max=0.5, nodes_per_decade=48)
     with pytest.raises(ValueError):
         RadialGrid(r_max=1e4, nodes_per_decade=4)
+    with pytest.raises(ValueError, match="gives 4 nodes; need at least 5"):
+        RadialGrid(r_max=2.0, nodes_per_decade=8)
+    assert RadialGrid(r_max=3.0, nodes_per_decade=8).n_nodes == 5
 
 
 def test_pure_powers_integrate_exactly(grid):
@@ -400,6 +404,43 @@ def sequential_scan(local, factor):
         acc = factor * acc + value
         out.append(acc)
     return np.array(out)
+
+
+def where_expm1_over(z):
+    """(e^z - 1)/z with the series and the quotient both formed on every
+    element and selected by |z| < 1e-4."""
+    with np.errstate(all="ignore"):
+        return np.where(np.abs(z) < 1e-4,
+                        1.0 + z / 2.0 + z * z / 6.0 + z * z * z / 24.0,
+                        _complex_expm1(z) / z)
+
+
+def test_series_on_small_z_only_is_bitwise_the_whole_array_select():
+    rng = np.random.default_rng(5)
+    edge = [0.0, -0.0, complex(0.0, -0.0), 9e-5, -9e-5, 9e-5j, 1.1e-4,
+            -1.1e-4j, 1e-4, 6e-5 + 6e-5j, 8e-5 - 8e-5j, 1.0, -3.0 + 2.0j]
+    phases = np.exp(2j * np.pi * rng.random(212))
+    moduli = 10.0 ** rng.uniform(-9, 1, 212)
+    z = np.concatenate([edge, moduli * phases])
+    z = z[rng.permutation(z.size)].reshape(15, -1)   # a stack, edges anywhere
+    assert _expm1_over(z).tobytes() == where_expm1_over(z).tobytes()
+    assert _expm1_over(np.ones((2, 3), complex)).tobytes() == \
+        where_expm1_over(np.ones((2, 3), complex)).tobytes()   # none small
+
+
+def test_segment_rule_is_bitwise_the_whole_array_select(monkeypatch):
+    # Segments whose fitted power makes z = log(b/a) + h hit 0, 9e-5 and
+    # 1.1e-4, next to generic ones; the rule gives the same bytes with the
+    # whole-array select in place of the masked series.
+    g = build_grid(1e4, 48)
+    rng = np.random.default_rng(8)
+    a = rng.standard_normal((4, g.n_nodes - 1)) + 1j
+    z = rng.choice([0.0, 9e-5, -9e-5j, 1.1e-4, 0.3 - 0.2j], a.shape)
+    b = a * np.exp(z - g.h)
+    args = (g.r[:-1], a, b, g.h, np.roll(a, 1, axis=1), np.roll(b, -1, axis=1))
+    got = _segment_power_integrals(*args)
+    monkeypatch.setattr(grid_module, "_expm1_over", where_expm1_over)
+    assert got.tobytes() == _segment_power_integrals(*args).tobytes()
 
 
 @pytest.mark.parametrize("r_max, npd", [(1e4, 64), (1e6, 64), (1e3, 8)])

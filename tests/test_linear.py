@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
-from hamelflow import (BoundarySpectrum, DegenerateFluxError, ReferenceFlow,
-                       SourceSpectrum, build_grid, mode_exponents,
+from hamelflow import (BoundarySpectrum, DegenerateFluxError,
+                       DivergentTailError, ReferenceFlow, SourceSpectrum,
+                       build_grid, linear as linear_module, mode_exponents,
                        solve_gamma_zero, solve_linear, solve_w_particular,
                        solve_w_zero)
-from hamelflow.linear import _gamma_response, _trace_amplitudes
+from hamelflow.linear import (_assemble_zero, _gamma_response,
+                              _trace_amplitudes)
 
 
 def mode_boundary(n_max, phi0, mu0, mu, vr=None, vtheta=None):
@@ -200,3 +202,46 @@ def test_solver_checks_parameter_consistency(grid):
         solve_linear(ReferenceFlow(2.5, 0.2), grid, boundary)
     with pytest.raises(ValueError):
         solve_linear(ReferenceFlow(2.4, 0.25), grid, boundary)
+
+
+@pytest.mark.parametrize("phi0, mu", [(1.5, 0.7), (2.5, 0.2)])
+def test_mean_mode_rows_are_bitwise_the_one_row_chain(grid, phi0, mu,
+                                                      monkeypatch):
+    # solve_linear integrates the mean mode's first two kernels as extra
+    # rows of the vorticity and stream stacks; its mean-mode rows must be
+    # the bytes of the one-row solve_w_zero -> solve_gamma_zero chain.
+    boundary = mode_boundary(4, phi0, mu0=mu + 0.1, mu=mu, vr={1: 0.02},
+                             vtheta={2: -0.01j, 3: 0.004})
+    sources = steep_sources(grid, 4)
+    sources.F[0] *= 1.0 + 0.3j * np.cos(2.0 * np.log(grid.r))
+    calls = []
+    for name in ("integrate_out_all", "integrate_in_all"):
+        real = getattr(linear_module, name)
+        monkeypatch.setattr(linear_module, name,
+                            lambda *a, _real=real: calls.append(1) or _real(*a))
+    sol = solve_linear(ReferenceFlow(phi0, mu), grid, boundary, sources)
+    assert len(calls) == 6
+    w, dw = solve_w_zero(grid, phi0, sources.F[0])
+    want = _assemble_zero(grid, phi0, boundary.vtheta[0], w, dw)
+    got = (sol.gamma[0], sol.dgamma[0], sol.w[0], sol.dw[0], sol.w_bar[0])
+    for a, b in zip(got, want):
+        assert np.asarray(a).tobytes() == np.asarray(b, dtype=complex).tobytes()
+    assert (sol.w_bar[0] != 0) == (phi0 > 2.0)
+
+
+def test_diverging_mean_mode_row_is_named_in_its_stack(grid):
+    # F_0 ~ r^-(phi0+1.5) makes the sink-weighted integrand
+    # F_0(s) (s/r)^(phi0+1) decay like s^-0.5 beyond r_max; the other
+    # sources decay fast.  The error names the mean mode's row under the
+    # n_max vorticity rows.
+    phi0, n_max = 1.5, 4
+    sources = steep_sources(grid, n_max)
+    sources.F[0] = 0.01 * grid.r ** -(phi0 + 1.5)
+    boundary = mode_boundary(n_max, phi0, mu0=1.0, mu=1.0, vr={1: 0.01})
+    with pytest.raises(DivergentTailError) as info:
+        solve_linear(ReferenceFlow(phi0, 1.0), grid, boundary, sources)
+    exc = info.value
+    assert exc.row == n_max
+    assert exc.zeta == -(phi0 + 1.0)
+    assert exc.exponent == pytest.approx(-0.5, abs=1e-6)
+    assert f"kernel row {n_max}, zeta=-2.5+0j" in str(exc)

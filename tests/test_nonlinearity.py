@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hamelflow import (BoundarySpectrum, ReferenceFlow, build_grid,
                        compute_sources, convolution_sources, solve_linear)
@@ -114,3 +115,66 @@ def test_compute_sources_wraps_solution(grid):
     direct = convolution_sources(grid, sol.gamma, sol.dgamma, sol.w, sol.dw)
     assert np.array_equal(src.F, direct.F)
     assert src.n_max == 2
+
+
+def per_n_sources(grid, gamma, dgamma, w, dw):
+    """The convolution formed row by row from gathered copies: for each n,
+    the terms of every pair (l, n - l) stacked and summed over l."""
+    n_max = gamma.shape[0] - 1
+    extend = lambda a: np.concatenate([np.conj(a[:0:-1]), a], axis=0)
+    g_all, dg_all, w_all, dw_all = map(extend, (gamma, dgamma, w, dw))
+    F = np.zeros((n_max + 1, grid.n_nodes), dtype=complex)
+    for n in range(n_max + 1):
+        ls = np.arange(max(-n_max, n - n_max), min(n_max, n + n_max) + 1)
+        li = ls + n_max
+        ki = (n - ls) + n_max
+        terms = (ls[:, None] * g_all[li] * dw_all[ki]
+                 - (n - ls)[:, None] * dg_all[li] * w_all[ki])
+        F[n] = (1j / grid.r) * terms.sum(axis=0)
+    return F
+
+
+_SMALL_GRID = build_grid(1e2, 8)
+
+
+@st.composite
+def mode_stacks(draw):
+    """Four (n_max + 1, nodes) complex stacks with exact zeros, -0.0 parts
+    and whole zero or -0.0 rows."""
+    n_max = draw(st.integers(0, 8))
+    shape = (n_max + 1, _SMALL_GRID.n_nodes)
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    stacks = []
+    for _ in range(4):
+        scale = 10.0 ** rng.integers(-30, 3, (n_max + 1, 1))
+        a = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * scale
+        a[rng.random(shape) < 0.3] = 0.0
+        a.real[rng.random(shape) < 0.2] = -0.0
+        a.imag[rng.random(shape) < 0.2] = -0.0
+        kind = draw(st.sampled_from(["none", "zero", "negzero"]))
+        if kind != "none":
+            a[draw(st.integers(0, n_max))] = 0.0 if kind == "zero" else -0.0
+        stacks.append(a)
+    return stacks
+
+
+@settings(max_examples=150, deadline=None)
+@given(mode_stacks())
+def test_slice_accumulation_is_bitwise_the_per_n_sum(stacks):
+    got = convolution_sources(_SMALL_GRID, *stacks).F
+    want = per_n_sources(_SMALL_GRID, *stacks)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_slice_accumulation_keeps_zero_signs_of_the_per_n_sum():
+    # Every term of row 0 is -0.0 or +0: the per-n sum starts from +0, so
+    # the row is +0 whatever the signs of the zeros it adds.
+    grid = _SMALL_GRID
+    shape = (3, grid.n_nodes)
+    neg = np.full(shape, complex(-0.0, -0.0))
+    one = np.ones(shape, dtype=complex)
+    for stacks in ((neg, neg, neg, neg), (neg, one, -one, neg),
+                   (one, neg, neg, -one)):
+        got = convolution_sources(grid, *stacks).F
+        assert got.tobytes() == per_n_sources(grid, *stacks).tobytes()
