@@ -41,12 +41,7 @@ def main():
 
 def _load(config_path, quick, overrides):
     try:
-        cfg = load_config(config_path)
-        flow_cfg = dict(cfg["flow"])
-        for key, val in overrides.items():
-            if val is not None:
-                flow_cfg[key] = val
-        cfg["flow"] = flow_cfg
+        cfg = load_config(config_path, flow=overrides)
         sc = solver_config(cfg, quick=quick)
         boundary = build_boundary(cfg, sc)
         return cfg, sc, boundary

@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
-from jsonschema import Draft202012Validator
 
 from .grid import BoundarySpectrum, project_boundary
 from .solve import SolverConfig
@@ -98,21 +98,134 @@ CONFIG_SCHEMA = {
 }
 
 
-def load_config(path) -> dict:
+def load_config(path, flow=None) -> dict:
+    """The config at ``path``, validated against ``CONFIG_SCHEMA``.
+
+    The values of ``flow`` that are not None (command-line overrides)
+    replace those of the config's flow block before validation.  Floats
+    that the schema admits as integers (``4.0``) come back as ints.
+    """
     try:
         with open(path) as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, parse_constant=_finite, parse_float=_finite)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # json.JSONDecodeError included
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    validator = Draft202012Validator(CONFIG_SCHEMA)
-    errors = sorted(validator.iter_errors(cfg), key=lambda e: e.json_path)
-    if errors:
-        first = errors[0]
-        raise ConfigError(f"config invalid at {first.json_path}: "
-                          f"{first.message}")
-    return cfg
+    overrides = {k: v for k, v in (flow or {}).items() if v is not None}
+    for key, value in overrides.items():
+        # the schema's bounds let NaN through, and JSON cannot spell one
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"config invalid at $.flow.{key}: {value!r} "
+                              "is not a finite number")
+    if isinstance(cfg, dict) and isinstance(cfg.get("flow"), dict):
+        cfg["flow"].update(overrides)
+    error = _first_error(CONFIG_SCHEMA, cfg)
+    if error:
+        raise ConfigError("config invalid at %s: %s" % error)
+    return _with_ints(CONFIG_SCHEMA, cfg)
+
+
+def _finite(literal):
+    """JSON number parser that refuses NaN, Infinity and overflow."""
+    value = float(literal)
+    if not math.isfinite(value):
+        raise ValueError(f"{literal} is not a finite number")
+    return value
+
+
+def _with_ints(schema, value):
+    """``value`` with each integer-typed property made an int."""
+    if schema.get("type") == "integer":
+        return int(value)
+    for name, sub in schema.get("properties", {}).items():
+        if name in value:
+            value[name] = _with_ints(sub, value[name])
+    return value
+
+
+# A JSON Schema validator for the keywords CONFIG_SCHEMA uses, in the
+# semantics and words of jsonschema's Draft 2020-12 validator (4.26).
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "boolean": lambda v: isinstance(v, bool),
+    "number": _is_number,
+    # JSON Schema admits integer-valued floats (4.0) as integers
+    "integer": lambda v: _is_number(v) and (isinstance(v, int)
+                                            or v.is_integer()),
+}
+_KEYWORDS = {"$schema", "title", "type", "properties",
+             "additionalProperties", "required", "minProperties",
+             "maxProperties", "items", "minItems", "maxItems", "minimum",
+             "maximum", "exclusiveMinimum"}
+
+
+def _first_error(schema, value):
+    """``(json_path, message)`` of the first violation in json_path order
+    (ties in the order found), or None."""
+    return min(_errors(schema, value, "$"), key=lambda e: e[0], default=None)
+
+
+def _errors(schema, value, path):
+    """Each ``(json_path, message)`` by which ``value`` violates ``schema``.
+
+    A keyword outside ``_KEYWORDS`` (or an ``additionalProperties`` other
+    than false) raises, so the schema cannot outgrow this validator.
+    """
+    for key, want in schema.items():
+        if key not in _KEYWORDS or (key == "additionalProperties"
+                                    and want is not False):
+            raise ValueError(f"unsupported schema keyword {key}: {want!r}")
+        problem = None
+        if key == "type":
+            if not _TYPES[want](value):
+                problem = f"is not of type {want!r}"
+        elif isinstance(value, dict):
+            if key == "properties":
+                for name, sub in want.items():
+                    if name in value:
+                        yield from _errors(sub, value[name], f"{path}.{name}")
+            elif key == "additionalProperties":
+                extras = sorted(k for k in value
+                                if k not in schema.get("properties", {}))
+                if extras:
+                    verb = "was" if len(extras) == 1 else "were"
+                    yield path, ("Additional properties are not allowed ("
+                                 f"{', '.join(map(repr, extras))} {verb} "
+                                 "unexpected)")
+            elif key == "required":
+                yield from ((path, f"{name!r} is a required property")
+                            for name in want if name not in value)
+            elif key == "minProperties" and len(value) < want:
+                problem = ("should be non-empty" if want == 1
+                           else "does not have enough properties")
+            elif key == "maxProperties" and len(value) > want:
+                problem = ("is expected to be empty" if want == 0
+                           else "has too many properties")
+        elif isinstance(value, list):
+            if key == "items":
+                for i, item in enumerate(value):
+                    yield from _errors(want, item, f"{path}[{i}]")
+            elif key == "minItems" and len(value) < want:
+                problem = "should be non-empty" if want == 1 else "is too short"
+            elif key == "maxItems" and len(value) > want:
+                problem = ("is expected to be empty" if want == 0
+                           else "is too long")
+        elif _is_number(value):
+            if key == "minimum" and value < want:
+                problem = f"is less than the minimum of {want!r}"
+            elif key == "maximum" and value > want:
+                problem = f"is greater than the maximum of {want!r}"
+            elif key == "exclusiveMinimum" and value <= want:
+                problem = f"is less than or equal to the minimum of {want!r}"
+        if problem:
+            yield path, f"{value!r} {problem}"
 
 
 def solver_config(cfg: dict, quick: bool = False) -> SolverConfig:

@@ -131,12 +131,13 @@ def test_branch_degenerate_flux_exits_1_in_one_line(tmp_path, runner):
     assert not out.exists()
 
 
-def test_cli_import_leaves_scipy_out():
+@pytest.mark.parametrize("module", ["scipy", "jsonschema"])
+def test_cli_import_leaves_scipy_out(module):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    code = "import sys, hamelflow.cli; print('scipy' in sys.modules)"
+    code = f"import sys, hamelflow.cli; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
@@ -150,6 +151,74 @@ def test_invalid_config_exits_1(tmp_path, runner):
                                "--out", str(tmp_path / "o")])
     assert res.exit_code == 1
     assert "flow.phi0" in res.output
+
+
+INT_CFG = {**SOLVE_CFG, "solver": {**SOLVE_CFG["solver"], "max_iter": 20},
+           "output": {"write_field": True, "theta_points": 16}}
+
+
+@pytest.mark.parametrize("block, key", [
+    ("solver", "n_modes"), ("solver", "max_iter"), ("output", "theta_points")])
+def test_integer_valued_floats_run_as_ints(tmp_path, runner, block, key):
+    # JSON Schema's "integer" admits 6.0; the run and its bytes are those
+    # of the int config
+    floated = json.loads(json.dumps(INT_CFG))
+    floated[block][key] = float(floated[block][key])
+    outs = []
+    for name, payload in (("int", INT_CFG), ("float", floated)):
+        outs.append(tmp_path / name)
+        res = runner.invoke(main, ["solve", "--config",
+                                   write_cfg(tmp_path, payload, name + ".json"),
+                                   "--out", str(outs[-1])])
+        assert res.exit_code == 0, res.output
+    for name in ("report.json", "modes.json", "modes.csv", "field.csv"):
+        assert read_bytes(outs[0] / name) == read_bytes(outs[1] / name)
+
+
+@pytest.mark.parametrize("block, key, literal", [
+    ("flow", "phi0", "NaN"), ("solver", "r_max", "Infinity"),
+    ("flow", "mu0", "NaN"), ("solver", "r_max", "1e400")],
+    ids=["phi0-NaN", "r_max-Infinity", "mu0-NaN", "r_max-1e400"])
+def test_non_finite_numbers_are_not_json(tmp_path, runner, block, key,
+                                         literal):
+    cfg = json.loads(json.dumps(SOLVE_CFG))
+    cfg[block][key] = "@"
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(cfg).replace('"@"', literal))
+    res = runner.invoke(main, ["solve", "--config", str(path),
+                               "--out", str(tmp_path / "o")])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)   # handled, no traceback
+    assert res.output.count("\n") == 1
+    assert f"config is not valid JSON: {literal} is not a finite" in res.output
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--phi0", "-1", "-1.0 is less than the minimum of 0"),
+    ("--phi0", "nan", "nan is not a finite number"),
+    ("--mu0", "inf", "inf is not a finite number"),
+    ("--mu", "nan", "nan is not a finite number")],
+    ids=["phi0-negative", "phi0-nan", "mu0-inf", "mu-nan"])
+def test_flow_overrides_are_validated(tmp_path, runner, flag, value, message):
+    res = runner.invoke(main, ["solve", "--config",
+                               write_cfg(tmp_path, SOLVE_CFG),
+                               "--out", str(tmp_path / "o"), flag, value])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)   # handled, no traceback
+    assert res.output.count("\n") == 1
+    assert f"config invalid at $.flow.{flag[2:]}: {message}" in res.output
+    assert not (tmp_path / "o").exists()
+
+
+def test_override_replaces_an_invalid_flow_value(tmp_path, runner):
+    bad = json.loads(json.dumps(SOLVE_CFG))
+    bad["flow"]["phi0"] = -1.0
+    out = tmp_path / "o"
+    res = runner.invoke(main, ["solve", "--config", write_cfg(tmp_path, bad),
+                               "--out", str(out), "--phi0", "2.5"])
+    assert res.exit_code == 0, res.output
+    assert json.loads((out / "report.json").read_text())["phi0"] == 2.5
 
 
 def test_shoot_closes_circulation(tmp_path, runner):
