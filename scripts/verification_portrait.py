@@ -22,10 +22,11 @@ import sys
 import numpy as np
 
 from hamelflow import (BoundarySpectrum, ReferenceFlow, build_grid, decay_fit,
-                       hardy_check, hardy_sharpness, mode_exponents,
-                       positivity_roots, probe_q1_negativity, q_form,
-                       random_stream, random_w_profile,
-                       re_zeta_minus_closed_form, solve_linear)
+                       mode_exponents, re_zeta_minus_closed_form,
+                       solve_linear)
+from hamelflow.uniq import (hardy_check, hardy_sharpness, positivity_roots,
+                            probe_q1_negativity, q_form, random_stream,
+                            random_w_profile)
 from hamelflow.verify import run_battery
 
 

@@ -4,7 +4,9 @@ The solver builds perturbations of a sink/swirl background outside the unit
 disk as a fixed point of mode-wise kernel solves against self-generated
 advection sources, closes the circulation by shooting when the flux is weak,
 sweeps circulation branches when it is strong, and ships desk-scale checks
-of the inequalities underlying the uniqueness window.
+of the inequalities underlying the uniqueness window.  Those checks live in
+``hamelflow.uniq`` and ``hamelflow.verify``, which this namespace does not
+import: solving does not load them.
 """
 
 __version__ = "0.1.0"
@@ -27,7 +29,3 @@ from .field import (PhysicalField, reconstruct, ns_residual,
                     mode_ode_residuals, derivative_consistency,
                     asymptotic_circulation, CirculationFit, DecayProfile,
                     decay_fit, log_derivatives, interior)
-from .uniq import (TestStream, random_stream, random_w_profile, HardyResult,
-                   hardy_check, hardy_sharpness, positivity_factor,
-                   positivity_roots, QFormResult, q_form,
-                   poincare_wirtinger_check, Q1Probe, probe_q1_negativity)

@@ -23,12 +23,10 @@ from .field import (asymptotic_circulation, decay_fit, ns_residual,
                     reconstruct)
 from .flows import ReferenceFlow
 from .grid import synthesize_boundary
-from .linear import DegenerateFluxError
 from .report import (ModeTable, report_payload, solution_payload,
                      write_field_csv, write_json, write_modes_csv)
 from .solve import (SolverConvergenceError, branch_sweep, picard_solve,
                     shoot_mu)
-from .verify import run_battery
 
 CONVERGENCE_EXIT = 2
 
@@ -58,11 +56,10 @@ def _diagnostics(solution):
 
 
 def _write_solution(outdir, solution, report, cfg, seed, extra=None):
+    """Write a solve's artifacts; returns the diagnostics in report.json."""
     os.makedirs(outdir, exist_ok=True)
-    extras = {"seed": seed, "config": cfg}
-    extras.update(_diagnostics(solution))
-    if extra:
-        extras.update(extra)
+    diagnostics = _diagnostics(solution)
+    extras = {"seed": seed, "config": cfg, **diagnostics, **(extra or {})}
     write_json(os.path.join(outdir, "report.json"),
                report_payload(report, extras))
     # modes.json, modes.csv and field.csv share the formatted radii, and
@@ -75,6 +72,7 @@ def _write_solution(outdir, solution, report, cfg, seed, extra=None):
     if out_cfg.get("write_field", False):
         field = reconstruct(solution, out_cfg.get("theta_points", 128))
         write_field_csv(os.path.join(outdir, "field.csv"), field, table.r)
+    return diagnostics
 
 
 @main.command()
@@ -100,8 +98,6 @@ def solve(config_path, outdir, phi0, mu0, mu, quick, seed):
     except SolverConvergenceError as exc:
         click.echo(f"solver did not converge: {exc}", err=True)
         sys.exit(CONVERGENCE_EXIT)
-    except DegenerateFluxError as exc:
-        raise click.ClickException(str(exc)) from exc
     _write_solution(outdir, solution, report, cfg, seed)
     click.echo(f"converged in {report.iterations} iterations "
                f"(mu={report.mu:.12g}); wrote {outdir}/report.json")
@@ -126,10 +122,7 @@ def branch(config_path, outdir, mu_extra, quick, seed):
                                    "in the config or --mu")
     if boundary.phi0 <= 2.0:
         raise click.ClickException("branch sweeps need phi0 > 2")
-    try:
-        members = branch_sweep(boundary, mu_values, sc)
-    except DegenerateFluxError as exc:
-        raise click.ClickException(str(exc)) from exc
+    members = branch_sweep(boundary, mu_values, sc)
     os.makedirs(outdir, exist_ok=True)
     summary = []
     failed = 0
@@ -140,9 +133,9 @@ def branch(config_path, outdir, mu_extra, quick, seed):
             entry["error"] = member.error
         else:
             sub = os.path.join(outdir, f"mu_{idx:02d}")
-            _write_solution(sub, member.solution, member.report, cfg, seed)
-            fit = asymptotic_circulation(member.solution)
-            entry["mu_effective"] = fit.mu_effective
+            fit = _write_solution(sub, member.solution, member.report, cfg,
+                                  seed)["circulation_fit"]
+            entry["mu_effective"] = fit["mu_effective"]
             entry["iterations"] = member.report.iterations
             trace_ur, trace_ut = synthesize_boundary(
                 member.solution.boundary, 64)
@@ -174,8 +167,6 @@ def shoot(config_path, outdir, quick, seed):
     except SolverConvergenceError as exc:
         click.echo(f"shooting failed: {exc}", err=True)
         sys.exit(CONVERGENCE_EXIT)
-    except DegenerateFluxError as exc:
-        raise click.ClickException(str(exc)) from exc
     _write_solution(outdir, solution, report, cfg, seed,
                     extra={"mu_solved": report.mu})
     click.echo(f"closed at mu={report.mu:.12g} "
@@ -191,6 +182,8 @@ def shoot(config_path, outdir, quick, seed):
 @click.option("--seed", type=int, default=0, show_default=True)
 def verify(outdir, quick, seed):
     """Run the oracle battery: kernels, traces, residuals, inequalities."""
+    from .verify import run_battery   # only this command loads the checks
+
     battery = run_battery(quick=quick, seed=seed)
     for check in battery["checks"]:
         status = "PASS" if check["passed"] else "FAIL"

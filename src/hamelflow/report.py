@@ -72,21 +72,6 @@ class _Deferred:
         return map(self._make, range(self._count))
 
 
-def _float_items(seq):
-    """Encoded items of a 1-D all-float or all-complex sequence, else None."""
-    if not isinstance(seq, np.ndarray):
-        if not (all(isinstance(v, (float, np.floating)) for v in seq) or all(
-                isinstance(v, (complex, np.complexfloating)) for v in seq)):
-            return None
-        seq = np.array(seq)
-    if seq.ndim != 1 or seq.dtype.kind not in "fc":
-        return None
-    if seq.dtype.kind == "f":
-        return _column(seq)
-    pairs = format_rows(np.column_stack([seq.real, seq.imag]), ", ")
-    return ["[" + pair + "]" for pair in pairs]
-
-
 def _encode(obj, indent):
     if obj is None:
         return "null"
@@ -109,15 +94,12 @@ def _encode(obj, indent):
     if not isinstance(obj, (list, tuple, np.ndarray)):
         raise TypeError(f"cannot serialize {type(obj)!r}")
     # Up to 8 numbers share one line, anything else takes one line per
-    # item; long float and complex lists are formatted as a table, and
-    # pre-encoded ones arrive formatted.
+    # item; pre-encoded lists arrive formatted.
     if isinstance(obj, _Encoded):
         items = obj
         if len(items) <= 8:
             return "[" + ", ".join(items) + "]"
     else:
-        items = _float_items(obj) if len(obj) > 8 else None
-    if items is None:
         items = [_encode(v, indent + 2) for v in obj]
         if len(items) <= 8 and all(isinstance(v, numbers.Number) for v in obj):
             return "[" + ", ".join(items) + "]"

@@ -112,8 +112,9 @@ def _contraction_ratio(increments) -> float:
 
 
 def _fixed_point(flow: ReferenceFlow, boundary: BoundarySpectrum,
-                 config: SolverConfig, grid: RadialGrid, shoot: bool):
-    """The Picard loop over (X, mu) shared by picard_solve and shoot_mu.
+                 config: SolverConfig, shoot: bool):
+    """The Picard loop over (X, mu) shared by picard_solve and shoot_mu,
+    on the grid of ``config``.
 
     Step 0 solves the linear problem without sources; every later step
     applies one linear solve to the sources of the current iterate.  With
@@ -121,6 +122,7 @@ def _fixed_point(flow: ReferenceFlow, boundary: BoundarySpectrum,
     current iterate (a secant step on g(mu) once g stops contracting) and
     rebudgets the trace against it; otherwise mu stays at ``flow.mu``.
     """
+    grid = config.make_grid()
     spec, g = boundary, 0.0
     increments, mu_history, g_history, notes = [], [], [], []
 
@@ -198,17 +200,14 @@ def _next_mu(g_history, notes):
 
 
 def picard_solve(flow: ReferenceFlow, boundary: BoundarySpectrum,
-                 config: SolverConfig | None = None,
-                 grid: RadialGrid | None = None):
+                 config: SolverConfig | None = None):
     """Iterate the source-to-solution map to its fixed point at fixed mu.
 
     Returns (solution, report); raises SolverConvergenceError (with the
     report attached) when max_iter is exhausted, the iterate degenerates or
     the quadrature fails.
     """
-    config = config or SolverConfig()
-    return _fixed_point(flow, boundary, config, grid or config.make_grid(),
-                        shoot=False)
+    return _fixed_point(flow, boundary, config or SolverConfig(), shoot=False)
 
 
 def fixed_point_residual(solution: SpectralSolution) -> float:
@@ -219,8 +218,7 @@ def fixed_point_residual(solution: SpectralSolution) -> float:
     return picard_norm(solution.grid, image.gamma - solution.gamma, alpha)
 
 
-def shoot_mu(boundary: BoundarySpectrum, config: SolverConfig | None = None,
-             grid: RadialGrid | None = None):
+def shoot_mu(boundary: BoundarySpectrum, config: SolverConfig | None = None):
     """Close the circulation condition for phi0 <= 2 with mu an unknown.
 
     One Picard loop over (X, mu) from ``boundary.mu``; it stops when both
@@ -232,7 +230,7 @@ def shoot_mu(boundary: BoundarySpectrum, config: SolverConfig | None = None,
         raise ValueError("shooting applies to phi0 <= 2; use branch_sweep or "
                          "picard_solve directly for phi0 > 2")
     return _fixed_point(ReferenceFlow(boundary.phi0, boundary.mu), boundary,
-                        config, grid or config.make_grid(), shoot=True)
+                        config, shoot=True)
 
 
 @dataclass
@@ -255,13 +253,11 @@ def branch_sweep(boundary: BoundarySpectrum, mu_values,
     config = config or SolverConfig()
     if boundary.phi0 <= 2.0:
         raise ValueError("branch sweeps need phi0 > 2")
-    grid = config.make_grid()
 
     def run(mu: float) -> BranchMember:
         try:
             flow = ReferenceFlow(boundary.phi0, float(mu))
-            sol, rep = picard_solve(flow, boundary.with_mu(float(mu)),
-                                    config, grid)
+            sol, rep = picard_solve(flow, boundary.with_mu(float(mu)), config)
             return BranchMember(mu=float(mu), solution=sol, report=rep)
         except DegenerateFluxError:
             raise

@@ -12,12 +12,12 @@ import pytest
 from hamelflow import (BoundarySpectrum, ReferenceFlow, SolverConfig,
                        alpha_window, asymptotic_circulation, branch_sweep,
                        build_grid, decay_fit, existence_condition,
-                       hardy_check, hardy_sharpness, mode_exponents,
-                       ns_residual, positivity_roots, q_form, random_stream,
-                       random_w_profile, re_zeta_minus_closed_form,
+                       mode_exponents, ns_residual, re_zeta_minus_closed_form,
                        reconstruct, shoot_mu, solve_gamma_zero, solve_linear,
                        solve_w_zero, synthesize_boundary)
 from hamelflow.solve import picard_solve
+from hamelflow.uniq import (hardy_check, hardy_sharpness, positivity_roots,
+                            q_form, random_stream, random_w_profile)
 from hamelflow.verify import (MANUFACTURED_CASES, check_ode_residuals,
                               check_trace_exactness,
                               manufactured_vorticity_error)

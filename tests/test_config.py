@@ -70,8 +70,10 @@ BOUNDED = [("flow", "phi0"), ("solver", "n_modes"), ("solver", "r_max"),
 BOUNDS = st.sampled_from([-1, -0.5, -0.0, 0, 0.5, 1, 1.0, 7, 7.5, 8, 8.0,
                           64, 64.0, 65, 511, 512, 513, 4096, 4096.0, 4097,
                           4097.0, 1e300])
+# drawn as copies: later mutation steps edit the drawn lists and dicts in
+# place, which must not change what the next example draws
 EDGES = st.sampled_from([True, False, None, "", "1", [], {}, [1],
-                         [1.0, 2.0], [1, 2, 3], {"x": 1}])
+                         [1.0, 2.0], [1, 2, 3], {"x": 1}]).map(copy.deepcopy)
 LEAVES = (BOUNDS | EDGES | st.booleans() | st.integers(-5, 5000)
           | st.floats(allow_nan=False, allow_infinity=False) | st.floats()
           | st.text(max_size=2))

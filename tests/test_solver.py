@@ -108,14 +108,12 @@ def nested_shoot_mu(boundary, config, max_shoot=40):
     """The former shooting scheme, kept as the reference: a full picard_solve
     per candidate mu, updated by mu <- mu0 + d_r gamma_{mu,0}(1) with a
     secant switch after two non-contracting candidates."""
-    grid = config.make_grid()
     mu = boundary.mu
     g_history = []
     secant = False
     for _ in range(max_shoot):
         flow = ReferenceFlow(boundary.phi0, mu)
-        solution, report = picard_solve(flow, boundary.with_mu(mu), config,
-                                        grid)
+        solution, report = picard_solve(flow, boundary.with_mu(mu), config)
         dg0 = float(np.real(solution.dgamma[0, 0]))
         g = boundary.mu0 + dg0 - mu
         g_history.append((mu, g))

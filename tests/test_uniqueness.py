@@ -8,11 +8,12 @@ import pytest
 
 import hamelflow.uniq
 import hamelflow.verify
-from hamelflow import (build_grid, hardy_check, hardy_sharpness,
-                       poincare_wirtinger_check, positivity_factor,
-                       positivity_roots, probe_q1_negativity, q_form,
-                       random_stream, random_w_profile)
-from hamelflow.uniq import Q1Probe, QFormResult
+from hamelflow import build_grid
+from hamelflow.uniq import (Q1Probe, QFormResult, hardy_check,
+                            hardy_sharpness, poincare_wirtinger_check,
+                            positivity_factor, positivity_roots,
+                            probe_q1_negativity, q_form, random_stream,
+                            random_w_profile)
 
 
 def test_hardy_holds_on_random_profiles(grid, rng):
