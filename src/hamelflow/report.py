@@ -3,22 +3,29 @@
 Identical inputs must produce byte-identical artifacts, so everything here
 avoids wall-clock fields, hash randomization, and locale-dependent
 formatting: dict keys are emitted sorted, floats carry 17 significant
-digits, strings are escaped ASCII, newlines are '\\n', and non-finite floats
-are written as null.  In report.json that is where a value is undefined:
-the decay slope of an inactive mode, beta0/beta1/beta_sup1 without an
-active mode to take them from, the infinite decay exponent of a constant
-circulation fit, and the shoot residual of a fixed-mu solve.
+digits (``%.17g``), strings are escaped ASCII, newlines are '\\n', and
+non-finite floats are written as null.  Integer-valued floats below 1e16 in
+magnitude are written x.0; floats with 1e16 <= |x| < 1e17 (all integers)
+as bare integers, and from 1e17 on in exponent form.  A null in
+report.json marks an undefined value: the decay slope of an inactive mode,
+beta0/beta1/beta_sup1 without an active mode to take them from, the
+infinite decay exponent of a constant circulation fit, and the shoot
+residual of a fixed-mu solve.
 
 Each value of a solve's modes.json, modes.csv and field.csv is formatted
 once: the radii for all three files, the angles for all rows of field.csv,
-and the mode profiles for both mode files (``ModeTable``).
+and the mode profiles for both mode files (``ModeTable``).  One vectorized
+kernel formats these cells (``format_rows``) into NUL-padded byte
+matrices, and the writers lay lines out from them; a cell the kernel
+cannot decide goes through ``fmt_float``, which also writes the scalars.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import itertools
+import functools
 import json
+import math
 import numbers
 
 import numpy as np
@@ -27,10 +34,10 @@ __all__ = ["fmt_float", "format_rows", "dumps", "write_json",
            "solution_payload", "report_payload", "ModeTable",
            "write_modes_csv", "write_field_csv"]
 
-_BLOCK_ROWS = 4096   # field.csv rows formatted and written at a time
+_BLOCK_ROWS = 1024   # field.csv rows formatted and written at a time
 _PROFILES = ("gamma", "dgamma", "w", "dw")
-_MODES_HEADER = ("n,r,gamma_re,gamma_im,dgamma_re,dgamma_im,w_re,w_im,"
-                 "dw_re,dw_im\n")
+_MODES_HEADER = (b"n,r,gamma_re,gamma_im,dgamma_re,dgamma_im,w_re,w_im,"
+                 b"dw_re,dw_im\n")
 
 
 def fmt_float(x: float) -> str:
@@ -40,20 +47,223 @@ def fmt_float(x: float) -> str:
     return f"{x:.1f}" if x == int(x) and abs(x) < 1e16 else f"{x:.17g}"
 
 
-def format_rows(a, sep: str) -> list:
-    """One line per row of a 2-D float array: sep.join(map(fmt_float, row))."""
+def format_rows(a, sep):
+    """One line per row of a 2-D float array: sep.join(map(fmt_float, row)).
+
+    With ``sep`` None, the cells instead: a (rows, columns, ``_CELL``)
+    uint8 array holding each cell's ASCII bytes among NUL padding, which
+    ``_text`` drops.
+    """
     a = np.asarray(a, dtype=float)
-    template = sep.join(["%.17g"] * a.shape[1])
-    # fmt_float writes non-finite values as null and integer-valued ones
-    # as x.0; rows holding one take its path, the rest one template.
-    special = ~np.isfinite(a) | ((a == np.trunc(a)) & (np.abs(a) < 1e16))
-    return [sep.join(map(fmt_float, row)) if odd else template % tuple(row)
-            for row, odd in zip(a.tolist(), special.any(axis=1).tolist())]
+    cells = _format_cells(a.ravel()).reshape(*a.shape, _CELL)
+    if sep is None:
+        return cells
+    sep = sep.encode("ascii")
+    pieces = [p for j in range(a.shape[1]) for p in (sep, cells[:, j])]
+    return _lines(len(a), pieces[1:] + [b"\n"])
 
 
-def _column(x) -> list:
-    """fmt_float of each value of a 1-D float array."""
-    return format_rows(np.reshape(x, (-1, 1)), "")
+def _column(x):
+    """The cells of a 1-D float array, one (``_CELL``,) row per value."""
+    return format_rows(np.reshape(x, (-1, 1)), None)[:, 0]
+
+
+def _text(rows, pieces) -> bytes:
+    """``rows`` lines made of the pieces side by side, NUL padding dropped.
+
+    Each piece is a (rows, width) uint8 array, or bytes that every line
+    carries.
+    """
+    buf = np.concatenate(
+        [p if isinstance(p, np.ndarray) else
+         np.broadcast_to(np.frombuffer(p, np.uint8), (rows, len(p)))
+         for p in pieces], axis=1)
+    return buf[buf != 0].tobytes()
+
+
+def _lines(rows, pieces) -> list:
+    """The '\\n'-terminated items of ``_text(rows, pieces)`` as strings."""
+    return _text(rows, pieces).decode("ascii").split("\n")[:-1]
+
+
+# ---------------------------------------------------------------------------
+# The cell kernel: fmt_float of every value of an array at once.
+#
+# A positive finite x has 17 significant digits N (1e16 <= N < 1e17) in
+# decade E, x ~ N * 10**(E - 16).  With x = f * 2**e (np.frexp), the
+# scaled value s = x * 10**(16 - E) is f times a double-double entry
+# (hi, lo) of 10**(16 - E) / 2**t, by Dekker's split product (exact
+# without FMA), rescaled by 2**(e + t): P + Q with P an integer and the
+# sum within about 2**-47 of s.  The decade is decided on this unrounded
+# value; then N = round-half-even(s), and N = 1e17 carries into E + 1.
+# Within _TIE of 1e16 from below counts as 1e16: only an exact power of
+# ten lands there, and s computed a hair low would otherwise drop its
+# decade.  A cell within _TIE of a rounding tie, or whose decade is not
+# settled by one correction of floor(log10 x), is written by fmt_float.
+
+_CELL = 24          # bytes of the widest cell: -1.2345678901234567e-305
+_TIE = 2.0 ** -30   # distance from a tie or from 1e16 that s must clear
+_KMIN, _KMAX = -300, 350   # 10**k the scaling needs: k = 16 - E, E in
+_EMIN = 16 - _KMAX         # [-324, 308] and a margin either side
+_SPLIT = 134217729.0       # 2**27 + 1, Veltkamp's splitting constant
+
+# Byte columns of the per-cell source row that a layout gathers from
+# (``_layout``); the quads sit at uint32 and the suffix at uint64 offsets.
+_G = 3            # the 17 digits, after the '000' of the leading quad
+_GM = 23          # the same with trailing zeros NUL
+_DOT, _ZERO, _NUL, _DOTX = 40, 41, 42, 43   # '.', '0', NUL, '.' or NUL
+_SUF = 48         # 8 bytes: e+XX / e-XXX, NUL-padded
+_SRC = 56
+
+
+class _Tables:
+    """The kernel's tables, built in integer arithmetic (``_tables``).
+
+    ``hi_hi``, ``hi_lo`` (Veltkamp halves of hi), ``lo`` and ``texp`` (t),
+    indexed by k - _KMIN: (hi + lo) * 2**t = 10**k to about 2**-105.
+    ``quads``: the four ASCII digits of q = 0..9999 as one uint32, then
+    at 10000 + q the same with trailing zeros NUL.  ``suffix``: 'e%+03d' %
+    E as one uint64, indexed by E - _EMIN.  ``layout``: per layout key
+    (E + 4 for the fixed forms, -4 <= E <= 16; 21 for the exponent form),
+    the source column of each byte after the sign.
+    """
+
+    def __init__(self):
+        hi, lo, texp = [], [], []
+        for k in range(_KMIN, _KMAX + 1):
+            n = 10 ** abs(k)
+            bits = n.bit_length()
+            if k >= 0:   # 107-bit mantissa of n, truncated
+                a = n << (107 - bits) if bits <= 107 else n >> (bits - 107)
+                texp.append(bits - 1)
+            else:        # 107-bit mantissa of 1 / n, truncated
+                a = (1 << (106 + bits)) // n
+                texp.append(-bits)
+            h = float(a)
+            hi.append(math.ldexp(h, -106))
+            lo.append(math.ldexp(float(a - int(h)), -106))
+        hi = np.array(hi)
+        c = _SPLIT * hi
+        self.hi_hi = c - (c - hi)
+        self.hi_lo = hi - self.hi_hi
+        self.lo = np.array(lo)
+        self.texp = np.array(texp, np.int32)  # np.ldexp is slow with int64
+        q = np.arange(10000)        # column by column: the temporaries
+        quads = np.empty((2, 10000, 4), np.uint8)   # stay small
+        trailing = np.ones(10000, bool)
+        for j in range(3, -1, -1):
+            digit = q // 10 ** (3 - j) % 10
+            trailing &= digit == 0
+            quads[0, :, j] = digit + ord("0")
+            quads[1, :, j] = np.where(trailing, 0, digit + ord("0"))
+        self.quads = quads.reshape(20000, 4).view(np.uint32)[:, 0]
+        exps = range(_EMIN, 17 - _KMIN)
+        self.suffix = np.array([f"e{e:+03d}" for e in exps],
+                               dtype="S8").view(np.uint64)
+        self.layout = np.full((22, _CELL - 1), _NUL)
+        for e in range(17):              # ddd.ddd, int digits kept; ddd.0
+            cols = list(range(_G, _G + e + 1))
+            if e < 16:
+                cols += [_DOT, _G + e + 1] + list(range(_GM + e + 2, _GM + 17))
+            self.layout[e + 4, :len(cols)] = cols
+        for e in range(-4, 0):           # 0.000ddd
+            cols = [_ZERO, _DOT] + [_ZERO] * (-e - 1) + list(
+                range(_GM, _GM + 17))
+            self.layout[e + 4, :len(cols)] = cols
+        cols = [_G, _DOTX] + list(range(_GM + 1, _GM + 17)) + list(
+            range(_SUF, _SUF + 5))       # d.ddde-XX
+        self.layout[21, :len(cols)] = cols
+        for t in vars(self).values():
+            t.setflags(write=False)
+
+
+_tables = functools.cache(_Tables)   # built on first use, not at import
+
+
+def _scaled(f, e, E):
+    """s = f * 2**e * 10**(16 - E) as the unevaluated sum P + Q."""
+    tab, k = _tables(), 16 - E - _KMIN
+    hh, hl = tab.hi_hi[k], tab.hi_lo[k]
+    c = _SPLIT * f
+    fh = c - (c - f)
+    fl = f - fh
+    p = f * (hh + hl)
+    err = ((fh * hh - p) + fh * hl + fl * hh) + fl * hl
+    t = e + tab.texp[k]
+    return np.ldexp(p, t), np.ldexp(err + f * tab.lo[k], t)
+
+
+def _format_cells(x):
+    """fmt_float of each value of a 1-D float array, as the rows of a
+    (len(x), _CELL) uint8 array padded with NUL."""
+    out = np.zeros((len(x), _CELL), np.uint8)
+    finite = np.isfinite(x)
+    out[~finite, :4] = np.frombuffer(b"null", np.uint8)
+    out[finite & np.signbit(x), 0] = ord("-")
+    v = np.abs(x)
+    out[v == 0, 1:4] = np.frombuffer(b"0.0", np.uint8)
+    regular = np.flatnonzero(finite & (v != 0))
+    N, E, undecided = _decimal(v[regular])
+    body, order = _layout(N, E)
+    out[regular[order], 1:] = body
+    for i in regular[undecided]:
+        text = fmt_float(x[i]).encode("ascii")
+        out[i] = 0
+        out[i, :len(text)] = np.frombuffer(text, np.uint8)
+    return out
+
+
+def _decimal(v):
+    """The 17 digits N and decade E of each positive finite v, and which
+    of them the kernel cannot decide."""
+    f, e = np.frexp(v)
+    E = np.floor(np.log10(v)).astype(np.int64)
+    P, Q = _scaled(f, e, E)
+    shift = ((P - 1e17) + Q >= 0).astype(np.int64) - (
+        (P - 1e16) + Q < -_TIE)
+    moved = np.flatnonzero(shift)
+    E[moved] += shift[moved]
+    P[moved], Q[moved] = _scaled(f[moved], e[moved], E[moved])
+    frac = Q - np.floor(Q)
+    undecided = ((np.abs(frac - 0.5) < _TIE) | ((P - 1e16) + Q < -_TIE)
+                 | ((P - 1e17) + Q >= 0))
+    N = P.astype(np.int64) + np.rint(Q).astype(np.int64)
+    carry = N == 10 ** 17
+    N[carry] = 10 ** 16
+    return N, E + carry, undecided
+
+
+def _layout(N, E):
+    """The bytes after the sign of each cell with digits N in decade E, in
+    the order of the returned indices (each layout a run of rows)."""
+    tab = _tables()
+    key = np.where((E >= -4) & (E <= 16), E + 4, 21).astype(np.uint8)
+    order = np.argsort(key, kind="stable")
+    N, E = N[order], E[order]
+    top, low = np.divmod(N, 10 ** 8)
+    chunk = np.empty((len(N), 5), np.intp)    # 1 + 4 * 4 digits
+    chunk[:, 0], high = np.divmod(top, 10 ** 8)
+    chunk[:, 1], chunk[:, 2] = np.divmod(high, 10 ** 4)
+    chunk[:, 3], chunk[:, 4] = np.divmod(low, 10 ** 4)
+    src = np.zeros((len(N), _SRC), np.uint8)
+    words = src.view(np.uint32)
+    words[:, :5] = tab.quads[chunk]
+    src[:, _DOTX] = np.where(chunk[:, 1:].any(axis=1), ord("."), 0)
+    last = np.ones(len(N), bool)              # no nonzero chunk after j
+    for j in range(4, -1, -1):
+        zero = chunk[:, j] == 0
+        chunk[:, j] += 10000 * last           # its quad, trailing zeros NUL
+        last &= zero
+    words[:, 5:10] = tab.quads[chunk]
+    src[:, _DOT], src[:, _ZERO] = ord("."), ord("0")
+    src.view(np.uint64)[:, _SUF // 8] = tab.suffix[E - _EMIN]
+    out = np.empty((len(N), _CELL - 1), np.uint8)
+    start = 0
+    for k, stop in enumerate(np.cumsum(np.bincount(key, minlength=22))):
+        if stop > start:
+            out[start:stop] = src[start:stop, tab.layout[k]]
+        start = stop
+    return out, order
 
 
 class _Encoded(list):
@@ -111,8 +321,10 @@ def _block(brackets, items, indent):
     if not items:
         return brackets
     pad = " " * indent
-    return (brackets[0] + "\n  " + pad + (",\n  " + pad).join(items) + "\n"
-            + pad + brackets[1])
+    body = (",\n  " + pad).join(items)
+    # one f-string: the body, megabytes for modes.json, is copied once, not
+    # once per concatenation
+    return f"{brackets[0]}\n  {pad}{body}\n{pad}{brackets[1]}"
 
 
 def dumps(obj) -> str:
@@ -121,7 +333,8 @@ def dumps(obj) -> str:
 
 def write_json(path, obj):
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(dumps(obj))
+        fh.write(_encode(obj, 0))   # dumps's text without copying it
+        fh.write("\n")
 
 
 class ModeTable:
@@ -138,7 +351,8 @@ class ModeTable:
 
     def __init__(self, n, r, gamma, dgamma, w, dw):
         self.n = np.asarray(n).tolist()
-        self.r = _Encoded(_column(r))
+        self._r = _column(r)
+        self.r = _Encoded(_lines(len(self._r), [self._r, b"\n"]))
         self._profiles = (gamma, dgamma, w, dw)
         shape = (len(self.n), len(self.r))
         if any(np.shape(z) != shape for z in self._profiles):
@@ -151,29 +365,33 @@ class ModeTable:
         return cls(range(solution.n_max + 1), solution.grid.r,
                    solution.gamma, solution.dgamma, solution.w, solution.dw)
 
-    def _rows(self, i):
-        """Mode i as one line of 8 comma-separated cells per node."""
+    def _cells(self, i):
+        """Mode i as 8 cells (re, im of each profile) per node."""
         z = np.stack([np.asarray(p[i], dtype=complex)
                       for p in self._profiles], axis=-1)
-        return format_rows(z.view(float), ",")
+        return format_rows(z.view(float), None)
 
-    def _csv_text(self, i, rows):
-        label = self.n[i]
-        return "".join([f"{label},{r},{row}\n"
-                        for r, row in zip(self.r, rows)])
+    def _csv_text(self, i, cells) -> bytes:
+        pieces = [f"{self.n[i]},".encode("ascii"), self._r]
+        for k in range(8):
+            pieces += [b",", cells[:, k]]
+        return _text(len(cells), pieces + [b"\n"])
 
     def json_profiles(self, i) -> dict:
         """Mode i's profiles as pre-encoded [re, im] lists, by name."""
-        rows = self._rows(i)
-        self._csv[i] = self._csv_text(i, rows)
-        cells = [row.split(",") for row in rows]
-        return {name: _Encoded([f"[{c[k]}, {c[k + 1]}]" for c in cells])
-                for name, k in zip(_PROFILES, range(0, 8, 2))}
+        cells = self._cells(i)
+        self._csv[i] = self._csv_text(i, cells)
+        pieces = []
+        for k in range(0, 8, 2):
+            pieces += [b"[", cells[:, k], b", ", cells[:, k + 1], b"]\n"]
+        items = _lines(len(cells), pieces)   # node by node, 4 per node
+        return {name: _Encoded(items[k::4])
+                for k, name in enumerate(_PROFILES)}
 
-    def csv_text(self, i) -> str:
+    def csv_text(self, i) -> bytes:
         """Mode i's modes.csv lines."""
         text = self._csv.pop(i, None)
-        return self._csv_text(i, self._rows(i)) if text is None else text
+        return self._csv_text(i, self._cells(i)) if text is None else text
 
 
 def solution_payload(solution, table) -> dict:
@@ -206,7 +424,7 @@ def report_payload(report, extras=None) -> dict:
 
 def write_modes_csv(path, table):
     """modes.csv from a ``ModeTable``, one mode at a time."""
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
+    with open(path, "wb") as fh:
         fh.write(_MODES_HEADER)
         for i in range(len(table.n)):
             fh.write(table.csv_text(i))
@@ -218,13 +436,16 @@ def write_field_csv(path, field, r):
     ``r`` holds the radii formatted (a ``ModeTable``'s), and the angles are
     formatted once here; u_r, u_theta and w are formatted per block of rows.
     """
-    points = itertools.product(r, _column(field.theta))
+    r = np.array(r, dtype=bytes)
+    r = r.view(np.uint8).reshape(len(r), r.itemsize)
+    theta = _column(field.theta)
     values = np.stack([field.ur, field.utheta, field.w], axis=-1)
     values = values.reshape(-1, 3)
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("r,theta,u_r,u_theta,w\n")
+    with open(path, "wb") as fh:
+        fh.write(b"r,theta,u_r,u_theta,w\n")
         for i in range(0, len(values), _BLOCK_ROWS):
-            lines = format_rows(values[i:i + _BLOCK_ROWS], ",")
-            # lines first: zip stops without drawing a point past the block
-            fh.write("".join([f"{a},{b},{line}\n"
-                              for line, (a, b) in zip(lines, points)]))
+            cells = format_rows(values[i:i + _BLOCK_ROWS], None)
+            node, angle = np.divmod(np.arange(i, i + len(cells)), len(theta))
+            fh.write(_text(len(cells), [
+                r[node], b",", theta[angle], b",", cells[:, 0], b",",
+                cells[:, 1], b",", cells[:, 2], b"\n"]))

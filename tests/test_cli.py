@@ -144,6 +144,21 @@ def test_cli_import_leaves_scipy_out(module):
     assert out.strip() == "False"
 
 
+def test_cli_import_leaves_formatter_tables_unbuilt():
+    # The float kernel's tables are built by the first artifact written,
+    # not by every CLI start; the second count shows the probe sees them.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import hamelflow.cli, hamelflow.report as r; "
+            "built = lambda: r._tables.cache_info().currsize; n = built(); "
+            "r.format_rows([[0.5]], ','); print(n, built())")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["0", "1"]
+
+
 def test_invalid_config_exits_1(tmp_path, runner):
     bad = json.loads(json.dumps(SOLVE_CFG))
     bad["flow"]["phi0"] = -1.0

@@ -159,6 +159,87 @@ def test_fmt_float_edge_values():
         == ["null,null,null"]
 
 
+def first_hit(a, m, lo, hi):
+    """Smallest x >= 0 with lo <= a * x % m <= hi (0 <= lo <= hi < m), or
+    None: Euclid's recursion on the moduli."""
+    a %= m
+    if lo == 0:
+        return 0
+    if a == 0:
+        return None
+    x = -(-lo // a)
+    if a * x <= hi:
+        return x
+    y = first_hit(m % a, a, -hi % a, -lo % a)
+    return None if y is None else -(-(lo + m * y) // a)
+
+
+def near_ties(exponents):
+    """For each binary exponent e, the first double m * 2**e (m of 53 bits)
+    whose 17-digit scaled value lies within 2**-52 of a rounding tie,
+    found in exact integer arithmetic; powers of ten inexact in binary
+    make these the cells a 17-digit kernel can misround."""
+    found = []
+    for e in exponents:
+        k = 16 - math.floor(math.log10(1.5 * 2.0 ** 52) + e * math.log10(2))
+        num = 2 ** max(e, 0) * 10 ** max(k, 0)
+        den = 2 ** max(-e, 0) * 10 ** max(-k, 0)
+        g = math.gcd(num, den)
+        p, q = num // g, den // g         # scaled value m * p / q
+        w, b = q >> 52, p * 2 ** 52 % q   # half-width; offset of m = 2**52
+        lo, hi = (q // 2 - w - b) % q, (q // 2 + w - b) % q
+        ranges = [(lo, hi)] if lo <= hi else [(lo, q - 1), (0, hi)]
+        hits = [x for x in (first_hit(p, q, *r) for r in ranges)
+                if x is not None and x < 2 ** 52]
+        m = 2 ** 52 + min(hits, default=2 ** 52)
+        if w and m < 2 ** 53 and 10 ** 16 * q <= m * p < 10 ** 17 * q:
+            found.append(math.ldexp(m, e))
+    return np.array(found)
+
+
+def exact_cases(rng):
+    """Values on which a 17-digit kernel can go wrong, by family."""
+    k = np.arange(-2000, 2000)
+    pow10 = np.array([float(f"1e{e}") for e in range(-323, 309)])
+    signed = {
+        "pow10": np.concatenate([pow10, np.nextafter(pow10, 0),
+                                 np.nextafter(pow10, math.inf)]),
+        # the double nearest 1e-304 lies below it: 9.9999999999999997e-305;
+        # 1e20 and up are exact, a scaled value a hair low must stay 1e16
+        "decade": np.array([1e-304, 1e20, 1e21, 1e22, 9999999999999998.0,
+                            1e16, 5e-324, 1.7976931348623157e308]),
+        "ties": np.concatenate([[1e15 + 0.25], 2.0**52 + k / 4, np.ravel(
+            (2 * k + 1)[:, None] * 2.0 ** -np.arange(1, 64, 4))]),
+        "near ties": near_ties(range(-1074, 971)),
+        "integers": np.concatenate([np.arange(1000.0), rng.integers(
+            0, 2**62, 10000).astype(float)]),
+    }
+    # both signs, every exponent, subnormals, nan and inf patterns
+    bits = rng.integers(0, 2**64, 1_000_000, dtype=np.uint64).view(float)
+    return {"bits": bits, **{name: np.concatenate([x, -x])
+                             for name, x in signed.items()}}
+
+
+def test_kernel_matches_reference_on_every_family(rng):
+    for name, x in exact_cases(rng).items():
+        got = [line for part in np.array_split(x, -(-len(x) // 2**16))
+               for line in format_rows(part[:, None], "")]
+        expected = [ref_fmt(v) for v in x.tolist()]
+        bad = [(v, g, e) for v, g, e in zip(x.tolist(), got, expected)
+               if g != e]
+        assert not bad, (name, len(bad), bad[:5])
+
+
+@pytest.mark.parametrize("sep", [",", ", ", ""])
+def test_kernel_signed_zeros_and_non_finite(sep):
+    a = np.array([[0.0, -0.0, math.nan], [-math.nan, math.inf, -math.inf],
+                  [-0.0, 1e-304, -1e20]])
+    assert format_rows(a, sep) == [sep.join(map(ref_fmt, row))
+                                   for row in a.tolist()]
+    assert format_rows(a, sep)[:2] == [sep.join(["0.0", "-0.0", "null"]),
+                                       sep.join(["null"] * 3)]
+
+
 def test_dumps_long_sequences_match_reference(rng):
     z = rng.standard_normal(20) + 1j * rng.standard_normal(20)
     z[3] = complex(0.0, -0.0)
