@@ -1,8 +1,10 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 invalid input (a flux in the degenerate band around
-2, a grid of fewer than 5 nodes and an export source that is not a
-modes.json included) or failed verification, 2 solver non-convergence.
+Exit codes: 0 success, 1 invalid input (a config that cannot be read, a
+flux in the degenerate band around 2, a grid of fewer than 5 nodes and an
+export source that is not a modes.json included) or failed verification,
+2 solver non-convergence.  The usage errors that click raises itself (an
+unknown command or option, a missing required option) keep click's exit 2.
 Reports are deterministic: rerunning a command with the same config and
 seed reproduces every output byte for byte.
 """
@@ -48,18 +50,16 @@ def _load(config_path, quick, overrides):
 
 
 def _diagnostics(solution):
-    decay = asdict(decay_fit(solution))
-    del decay["modes"]
     return {"ns_residual": ns_residual(solution),
             "circulation_fit": asdict(asymptotic_circulation(solution)),
-            "decay": decay}
+            "decay": asdict(decay_fit(solution))}
 
 
-def _write_solution(outdir, solution, report, cfg, seed, extra=None):
+def _write_solution(outdir, solution, report, cfg, seed):
     """Write a solve's artifacts; returns the diagnostics in report.json."""
     os.makedirs(outdir, exist_ok=True)
     diagnostics = _diagnostics(solution)
-    extras = {"seed": seed, "config": cfg, **diagnostics, **(extra or {})}
+    extras = {"seed": seed, "config": cfg, **diagnostics}
     write_json(os.path.join(outdir, "report.json"),
                report_payload(report, extras))
     # modes.json, modes.csv and field.csv share the formatted radii, and
@@ -71,13 +71,12 @@ def _write_solution(outdir, solution, report, cfg, seed, extra=None):
     out_cfg = cfg.get("output", {})
     if out_cfg.get("write_field", False):
         field = reconstruct(solution, out_cfg.get("theta_points", 128))
-        write_field_csv(os.path.join(outdir, "field.csv"), field, table.r)
+        write_field_csv(os.path.join(outdir, "field.csv"), field, table)
     return diagnostics
 
 
 @main.command()
-@click.option("--config", "config_path", required=True,
-              type=click.Path(exists=True, dir_okay=False))
+@click.option("--config", "config_path", required=True, type=click.Path())
 @click.option("--out", "outdir", default="out", show_default=True,
               type=click.Path(file_okay=False))
 @click.option("--phi0", type=float, default=None, help="Override flow.phi0.")
@@ -104,8 +103,7 @@ def solve(config_path, outdir, phi0, mu0, mu, quick, seed):
 
 
 @main.command()
-@click.option("--config", "config_path", required=True,
-              type=click.Path(exists=True, dir_okay=False))
+@click.option("--config", "config_path", required=True, type=click.Path())
 @click.option("--out", "outdir", default="out", show_default=True,
               type=click.Path(file_okay=False))
 @click.option("--mu", "mu_extra", type=float, multiple=True,
@@ -151,30 +149,6 @@ def branch(config_path, outdir, mu_extra, quick, seed):
 
 
 @main.command()
-@click.option("--config", "config_path", required=True,
-              type=click.Path(exists=True, dir_okay=False))
-@click.option("--out", "outdir", default="out", show_default=True,
-              type=click.Path(file_okay=False))
-@click.option("--quick", is_flag=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-def shoot(config_path, outdir, quick, seed):
-    """Find the circulation closing the mean-mode trace (phi0 <= 2)."""
-    cfg, sc, boundary = _load(config_path, quick, {})
-    if boundary.phi0 > 2.0:
-        raise click.ClickException("shooting applies to phi0 <= 2")
-    try:
-        solution, report = shoot_mu(boundary, sc)
-    except SolverConvergenceError as exc:
-        click.echo(f"shooting failed: {exc}", err=True)
-        sys.exit(CONVERGENCE_EXIT)
-    _write_solution(outdir, solution, report, cfg, seed,
-                    extra={"mu_solved": report.mu})
-    click.echo(f"closed at mu={report.mu:.12g} "
-               f"({len(report.mu_history)} steps); "
-               f"wrote {outdir}/report.json")
-
-
-@main.command()
 @click.option("--out", "outdir", default=None,
               type=click.Path(file_okay=False),
               help="Also write verify_report.json here.")
@@ -198,19 +172,14 @@ def verify(outdir, quick, seed):
 
 
 @main.command()
-@click.option("--solution", "soldir", required=True,
-              type=click.Path(exists=True),
-              help="Directory written by solve/shoot/branch, or a modes.json.")
-@click.option("--format", "fmt", default="csv", show_default=True,
-              help="csv, the one format")
+@click.option("--solution", "soldir", required=True, type=click.Path(),
+              help="Directory written by solve/branch, or a modes.json.")
 @click.option("--out", "outpath", required=True, type=click.Path())
-def export(soldir, fmt, outpath):
+def export(soldir, outpath):
     """Re-emit stored mode profiles as the bytes of a modes.csv."""
-    if fmt != "csv":
-        raise click.ClickException(f"unknown format {fmt!r}: use csv")
     src = soldir if os.path.isfile(soldir) else os.path.join(soldir,
                                                              "modes.json")
-    if not os.path.exists(src):
+    if not os.path.isfile(src):
         raise click.ClickException(f"{soldir} has no modes.json")
     try:
         with open(src, encoding="utf-8") as fh:

@@ -219,7 +219,6 @@ def asymptotic_circulation(solution: SpectralSolution) -> CirculationFit:
 
 @dataclass(frozen=True)
 class DecayProfile:
-    modes: np.ndarray
     gamma_slopes: np.ndarray     # nan where the mode is inactive
     w_slopes: np.ndarray
     gamma_ceilings: np.ndarray
@@ -280,6 +279,6 @@ def decay_fit(solution: SpectralSolution) -> DecayProfile:
     beta1 = float(-g_slopes[1]) if n_all.size > 1 else float("nan")
     sup1 = -g_slopes[2:][~np.isnan(g_slopes[2:])]
     beta_sup1 = float(sup1.min()) if sup1.size else float("nan")
-    return DecayProfile(modes=n_all, gamma_slopes=g_slopes, w_slopes=w_slopes,
+    return DecayProfile(gamma_slopes=g_slopes, w_slopes=w_slopes,
                         gamma_ceilings=g_ceil, w_ceilings=w_ceil,
                         beta0=beta0, beta1=beta1, beta_sup1=beta_sup1)

@@ -342,7 +342,8 @@ class ModeTable:
 
     Built from mode numbers ``n``, nodes ``r`` and the (mode, node)
     profiles gamma, dgamma, w and dw.  The radii are formatted on
-    construction (``r``, which field.csv reuses).  Each mode is formatted
+    construction: their cells ``_r`` serve modes.csv and field.csv, and
+    ``r``, the same text as strings, modes.json.  Each mode is formatted
     when asked for, as one row of 8 cells (re, im of each profile) per
     node; those cells give both its modes.json [re, im] lists and its
     modes.csv lines.  The JSON pass keeps each mode's CSV text until the
@@ -430,14 +431,14 @@ def write_modes_csv(path, table):
             fh.write(table.csv_text(i))
 
 
-def write_field_csv(path, field, r):
+def write_field_csv(path, field, table):
     """field.csv, one row per (radius, angle).
 
-    ``r`` holds the radii formatted (a ``ModeTable``'s), and the angles are
-    formatted once here; u_r, u_theta and w are formatted per block of rows.
+    The radii come formatted from ``table`` (the solution's ``ModeTable``),
+    and the angles are formatted once here; u_r, u_theta and w are
+    formatted per block of rows.
     """
-    r = np.array(r, dtype=bytes)
-    r = r.view(np.uint8).reshape(len(r), r.itemsize)
+    r = table._r
     theta = _column(field.theta)
     values = np.stack([field.ur, field.utheta, field.w], axis=-1)
     values = values.reshape(-1, 3)

@@ -339,8 +339,7 @@ def test_export_reproduces_the_mode_files(tmp_path):
     out = solve(tmp_path, CFG)
     dest = tmp_path / "export.csv"
     res = CliRunner().invoke(hamelflow.cli.main, [
-        "export", "--solution", str(out), "--format", "csv",
-        "--out", str(dest)])
+        "export", "--solution", str(out), "--out", str(dest)])
     assert res.exit_code == 0, res.output
     assert dest.read_bytes() == (out / "modes.csv").read_bytes()
 
