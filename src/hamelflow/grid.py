@@ -18,9 +18,13 @@ in one call.
 
 Per-segment integrals use a local power-law model: on [s_j, s_{j+1}] the
 integrand G is replaced by G_j (s/s_j)^q with q = Log(G_{j+1}/G_j)/h, which
-integrates in closed form and is exact whenever G is a pure power.  Segments
-where the ratio is unusable (zeros, sign flips, wild phase) fall back to
-trapezoid in the log variable.
+integrates in closed form and is exact whenever G is a pure power.  Where the
+fitted exponent drifts between neighbouring segments (high log-curvature),
+the model is blended smoothly into a trapezoid rule in the log variable
+with an Euler-Maclaurin endpoint correction from the neighbouring nodes;
+segments where the ratio is unusable (zeros, sign flips, wild phase) take
+that corrected trapezoid alone.  The blend is formed only on the segments
+where it weighs.
 
 Beyond R_max the integrand is modeled as a power tail r^p with p fitted from
 the last five nodes and clamped to at most ``_TAIL_EXPONENT_FLOOR`` (the
@@ -54,6 +58,10 @@ _TAIL_EXPONENT_FLOOR = -1.1  # shallowest tail decay r^p extrapolated
 _NEGLIGIBLE_TAIL = 1e-300
 _SCAN_BLOCK = 16            # nodes per block of the recurrence scans
 _MIN_NODES = 5              # the tail fit and the 5-point stencils
+# Entry (k, m) of a scan block's Toeplitz matrix is factor^(k - m) below the
+# diagonal and 0 above it: the index of that power, or of a trailing 0.
+_SCAN_LAG = np.subtract.outer(np.arange(_SCAN_BLOCK), np.arange(_SCAN_BLOCK))
+_SCAN_LAG = np.where(_SCAN_LAG >= 0, _SCAN_LAG, _SCAN_BLOCK + 1)
 
 
 class DivergentTailError(ArithmeticError):
@@ -124,12 +132,12 @@ def build_grid(r_max: float = 1e4, nodes_per_decade: int = 64) -> RadialGrid:
     return RadialGrid(r_max=float(r_max), nodes_per_decade=int(nodes_per_decade))
 
 
-def _segment_power_integrals(s_left, a, b, h, a_prev=None, b_next=None):
+def _segment_power_integrals(s_left, a, b, h, neighbours=None):
     """Integral over [s_j, s_j e^h] of a local model through (a_j, b_j).
 
-    a and b are the integrand values at the segment endpoints, referenced so
-    that the integrand in x = log(s) is F(x_j) = s_j a_j and
-    F(x_j + h) = s_j e^h b_j.  Two rules are blended:
+    a and b are (rows, segments) stacks of the integrand values at the
+    segment endpoints, referenced so that the integrand in x = log(s) is
+    F(x_j) = s_j a_j and F(x_j + h) = s_j e^h b_j.  Two rules are blended:
 
     * the power model a_j (s/s_j)^q, exact for single powers and right for
       the steep near-power integrands the kernels produce;
@@ -137,6 +145,9 @@ def _segment_power_integrals(s_left, a, b, h, a_prev=None, b_next=None):
       node to the left, same weight referencing) and b_next (one node to
       the right), whose error coefficients stay smooth through zeros of
       the integrand where the power model breaks down.
+      ``neighbours(i, j)`` returns both for the segments (i, j) named by
+      two index arrays, nan where the node lies off the grid; without it
+      the trapezoid is uncorrected.
 
     The blend weight follows the local log-curvature |d q_eff / dx|
     estimated from the drift of the fitted exponent between adjacent
@@ -146,97 +157,144 @@ def _segment_power_integrals(s_left, a, b, h, a_prev=None, b_next=None):
     leave an h-independent kink in the scanned integral that downstream
     finite differences amplify.  Sign flips and extreme ratios force the
     corrected-trapezoid rule outright.
+
+    Most segments carry weight 0.  There (1 - 0) ipow + 0 ict is ipow bit
+    for bit, as long as ipow has finite nonzero parts and ict is finite,
+    so the blend, and the corrected trapezoid with it, is formed on the
+    other segments only.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    finite, usable, logr = _log_ratios(a, b)
+    finite, usable, logr, ratio, mag = _log_ratios(a, b)
+    every = finite is None
     f0 = a * s_left
 
     # Power model: (e^z - 1)/z with z = (q + 1) h, q = logr / h.
-    z = np.where(usable, logr + h, 1.0)
-    ipow = np.where(usable, f0 * h * _expm1_over(z), 0.0)
+    z = logr + h
+    ipow = f0 * h * _expm1_over(z, ratio, mag)
 
-    # Corrected trapezoid: plain trapezoid plus the Euler-Maclaurin endpoint
-    # term built from central-difference derivatives.
     eh = np.exp(h)
     f1 = b * s_left * eh
     trap = 0.5 * h * (f0 + f1)
-    ict = trap
-    if a_prev is not None and b_next is not None:
-        fm1 = np.asarray(a_prev, dtype=complex) * s_left / eh
-        f2 = np.asarray(b_next, dtype=complex) * s_left * (eh * eh)
-        with np.errstate(all="ignore"):
-            corr = (h / 24.0) * (f2 - f1 - f0 + fm1)
-            good = np.isfinite(corr) & (np.abs(corr) <= 0.5 * np.abs(trap))
-            ict = np.where(good, trap - corr, trap)
 
-    # Blend weight: fraction of the corrected-trapezoid rule.
-    if logr.shape[-1] > 1:
+    # Blend weight: fraction of the corrected-trapezoid rule, nonzero where
+    # the drift exceeds the ramp's foot.
+    n_seg = logr.shape[-1]
+    if n_seg > 1:
         step = np.abs(np.diff(logr, axis=-1))
         drift = np.maximum(np.concatenate([step[..., :1], step], axis=-1),
                            np.concatenate([step, step[..., -1:]], axis=-1))
     else:
         drift = np.zeros(logr.shape)
     lo, hi = _CURVATURE_RAMP
-    ramp = np.clip((drift / (h * h) - lo) / (hi - lo), 0.0, 1.0)
-    wgt = ramp * ramp * (3.0 - 2.0 * ramp)
-    wgt = np.where(usable, wgt, 1.0)
+    curv = drift / (h * h)
+    blend = curv > lo
+    # The weight-0 sum is not ipow itself where ipow has a zero or
+    # non-finite part, or where ict may not be finite: |2 trap| finite
+    # keeps trap - corr finite, as |corr| <= |trap| / 2.
+    t = ipow.real * ipow.imag * np.abs(trap + trap)
+    blend |= ~np.isfinite(t) | (t == 0)
+    if not every:
+        blend |= ~usable
+    k = np.flatnonzero(blend)
+    if not k.size:
+        return ipow
+    # Repeats of the last blended segment fill k up to a whole number of
+    # rows.  Arrays of a new small size in every call would fragment the
+    # heap (and numpy's cache of small blocks) and raise the memory peak.
+    k = np.concatenate([k, np.full(-k.size % n_seg, k[-1])])
 
-    mixed = (1.0 - wgt) * ipow + wgt * ict
-    return np.where(finite, mixed, 0.0)
+    # Corrected trapezoid: plain trapezoid plus the Euler-Maclaurin endpoint
+    # term built from central-difference derivatives.
+    i, j = np.divmod(k, n_seg)
+    ict = trap.take(k)
+    if neighbours is not None:
+        a_prev, b_next = neighbours(i, j)
+        s = s_left[j]
+        fm1 = a_prev * s / eh
+        f2 = b_next * s * (eh * eh)
+        with np.errstate(all="ignore"):
+            corr = (h / 24.0) * (f2 - f1.take(k) - f0.take(k) + fm1)
+            good = np.isfinite(corr) & (np.abs(corr) <= 0.5 * np.abs(ict))
+        ict = np.where(good, ict - corr, ict)
+
+    ramp = np.minimum(np.maximum((curv.take(k) - lo) / (hi - lo), 0.0), 1.0)
+    wgt = ramp * ramp * (3.0 - 2.0 * ramp)
+    model = ipow.take(k)
+    if not every:
+        power = usable.take(k)
+        wgt = np.where(power, wgt, 1.0)
+        model = np.where(power, model, 0.0)
+    mixed = (1.0 - wgt) * model + wgt * ict
+    if not every:
+        mixed = np.where(finite.take(k), mixed, 0.0)
+    ipow.put(k, mixed)
+    return ipow
 
 
 def _log_ratios(a, b):
-    """(finite, usable, Log(b/a)) per segment of the power model.
+    """(finite, usable, Log(b/a), b/a, |b/a|) per segment of the power model.
 
     A segment is usable when both values are finite and nonzero and the log
     ratio stays within the phase and steepness limits; its log ratio is 0
-    where it is not.
+    where it is not.  Only usable segments read the ratio and its modulus.
+    When every segment is usable, ``finite`` is None: a quotient inside
+    both limits is finite and nonzero, which IEEE complex division gives
+    only for finite nonzero operands.
     """
-    finite = np.isfinite(a) & np.isfinite(b)
-    usable = finite & (a != 0) & (b != 0)
     with np.errstate(all="ignore"):
-        ratio = np.where(usable, b, 1.0) / np.where(usable, a, 1.0)
-        logr = _complex_log(ratio)
-    usable &= (np.isfinite(logr)
-               & (np.abs(logr.imag) < _PHASE_JUMP_LIMIT)
-               & (np.abs(logr.real) < _STEEP_SEGMENT_LIMIT))
-    return finite, usable, np.where(usable, logr, 0.0)
+        ratio = b / a
+        mag = np.abs(ratio)
+        logr = _complex_log(ratio, mag)
+    usable = ((np.abs(logr.imag) < _PHASE_JUMP_LIMIT)
+              & (np.abs(logr.real) < _STEEP_SEGMENT_LIMIT))
+    if usable.all():
+        return None, usable, logr, ratio, mag
+    finite = np.isfinite(a) & np.isfinite(b)
+    usable &= finite & (a != 0) & (b != 0)
+    return finite, usable, np.where(usable, logr, 0.0), ratio, mag
 
 
-def _complex_log(z):
+def _complex_log(z, modulus=None):
     """Principal log of a complex array as log|z| + i arg z.
 
     Same values and branch cut (arg of -x - 0i is -pi) as complex ``np.log``
-    to a few ulp, at a fraction of its cost.
+    to a few ulp, at a fraction of its cost.  ``modulus`` is |z| when the
+    caller has it.
     """
     out = np.empty(z.shape, dtype=complex)
-    out.real = np.log(np.abs(z))
+    out.real = np.log(np.abs(z) if modulus is None else modulus)
     out.imag = np.arctan2(z.imag, z.real)
     return out
 
 
-def _complex_expm1(z):
-    """e^z - 1 for a complex array, from real expm1/exp/sin/cos.
+def _phasor_expm1(x, ratio, modulus):
+    """e^z - 1 for z = x + i arg(ratio), with no trig call.
 
-    The real part expm1(x) cos y - 2 sin^2(y/2) keeps full relative accuracy
-    for small |z|.  It is the formula numpy's complex expm1 applies element
-    by element, here in whole-array real operations.
+    cos y and sin y are the parts of the phasor ratio/|ratio| (``modulus``
+    is |ratio|).  The real part expm1(x) cos y - 2 sin^2(y/2) keeps full
+    relative accuracy for small |z|: 2 sin^2(y/2) is sin^2 y / (1 + cos y)
+    where cos y >= 0, and 1 - cos y where that has no cancellation.
     """
-    x, y = z.real, z.imag
-    half = np.sin(0.5 * y)
-    out = np.empty(z.shape, dtype=complex)
-    out.real = np.expm1(x) * np.cos(y) - 2.0 * half * half
-    out.imag = np.exp(x) * np.sin(y)
+    cos_y = ratio.real / modulus
+    sin_y = ratio.imag / modulus
+    half = sin_y * sin_y / (1.0 + cos_y)
+    wide = cos_y < 0.0
+    if wide.any():
+        half[wide] = 1.0 - cos_y[wide]
+    out = np.empty(np.shape(x), dtype=complex)
+    out.real = np.expm1(x) * cos_y - half
+    out.imag = np.exp(x) * sin_y
     return out
 
 
-def _expm1_over(z):
-    """(e^z - 1)/z for a complex array: the quotient, with its cubic series
+def _expm1_over(z, ratio, modulus):
+    """(e^z - 1)/z for a complex array z whose imaginary part is
+    arg(ratio), |ratio| = ``modulus``: the quotient, with its cubic series
     1 + z/2 + z^2/6 + z^3/24 on the elements where |z| < 1e-4 (formed on
     those elements only)."""
     with np.errstate(all="ignore"):
-        out = _complex_expm1(z) / z
+        out = _phasor_expm1(z.real, ratio, modulus) / z
     small = np.abs(z) < 1e-4
     if small.any():
         zs = z[small]
@@ -287,10 +345,12 @@ def _scan_forward(local, factor):
 
     The nodes are cut into blocks of ``_SCAN_BLOCK``.  Inside a block the
     recurrence is a lower-triangular Toeplitz product with the powers
-    factor^0..factor^_SCAN_BLOCK, and a short loop over the blocks carries
-    each block's last value into the next.  No power beyond
-    factor^_SCAN_BLOCK is formed, so nothing underflows or overflows the way
-    a global cumulative product factor^j does for high modes on long grids.
+    factor^0..factor^_SCAN_BLOCK.  A short loop over the blocks carries
+    each block's last value into the next, c_b = last_b + c_{b-1} p, with
+    p = factor^_SCAN_BLOCK, and one broadcast update adds c_{b-1}
+    factor^(k+1) to node k of block b.  No power beyond factor^_SCAN_BLOCK
+    is formed, so nothing underflows or overflows the way a global
+    cumulative product factor^j does for high modes on long grids.
     """
     rows, n = local.shape
     size = _SCAN_BLOCK
@@ -298,13 +358,17 @@ def _scan_forward(local, factor):
     x = np.zeros((rows, n_blocks * size), dtype=complex)
     x[:, :n] = local
     x = x.reshape(rows, n_blocks, size)
-    powers = factor[:, None] ** np.arange(size + 1)
-    lag = np.subtract.outer(np.arange(size), np.arange(size))
-    toeplitz = np.where(lag >= 0, powers[:, np.maximum(lag, 0)], 0.0)
-    scan = x @ toeplitz.transpose(0, 2, 1)
-    carry_in = powers[:, 1:]
-    for b in range(1, n_blocks):
-        scan[:, b] += scan[:, b - 1, -1:] * carry_in
+    powers = np.zeros((rows, size + 2), dtype=complex)
+    powers[:, :-1] = factor[:, None] ** np.arange(size + 1)
+    scan = x @ powers[:, _SCAN_LAG].transpose(0, 2, 1)
+    if n_blocks > 1:
+        carry = scan[:, :, -1].T.copy()
+        top = powers[:, size]
+        prev = carry[0]
+        for last in carry[1:]:
+            last += prev * top
+            prev = last
+        scan[:, 1:] += carry[:-1].T[:, :, None] * powers[:, None, 1:-1]
     return scan.reshape(rows, -1)[:, :n]
 
 
@@ -347,6 +411,15 @@ def _live_rows(kernel, grid: RadialGrid, rows, zeta):
         raise
 
 
+def _nodes_and_ends(r, f2):
+    """r f as the inner columns of a stack that adds a nan node beyond each
+    end: (that stack, r f).  Node j of the grid is column j + 1."""
+    ends = np.full((f2.shape[0], r.size + 2), np.nan, dtype=complex)
+    base = ends[:, 1:-1]
+    np.multiply(r, f2, out=base)
+    return ends, base
+
+
 def integrate_out_all(grid: RadialGrid, f, zeta) -> np.ndarray:
     """out_j = int_{r_j}^inf s f(s) (r_j/s)^zeta ds for every node j.
 
@@ -367,18 +440,17 @@ def _integrate_out(grid: RadialGrid, f2, zeta):
     """``integrate_out_all`` on a (rows, nodes) stack, zeta a (rows, 1) column."""
     r = grid.r
     h = grid.h
-    base = r * f2
+    ends, base = _nodes_and_ends(r, f2)
     # Integrand of segment j referenced to its own left endpoint:
     # value a_j at r_j, value b_j = r_{j+1} f_{j+1} e^{-zeta h} at r_{j+1};
     # the node one to the left carries weight e^{+zeta h}, the node two to
     # the right e^{-2 zeta h}.
     step = np.exp(-zeta * h)
-    a_prev = np.full((base.shape[0], grid.n_nodes - 1), np.nan, dtype=complex)
-    a_prev[:, 1:] = base[:, :-2] / step
-    b_next = np.full_like(a_prev, np.nan)
-    b_next[:, :-1] = base[:, 2:] * (step * step)
-    seg = _segment_power_integrals(r[:-1], base[:, :-1], base[:, 1:] * step,
-                                   h, a_prev, b_next)
+    sq = step * step
+    # nodes j - 1 and j + 2 of segment j sit in columns j and j + 3 of ends
+    seg = _segment_power_integrals(
+        r[:-1], base[:, :-1], base[:, 1:] * step, h,
+        lambda i, j: (ends[i, j] / step[i, 0], ends[i, j + 3] * sq[i, 0]))
 
     g_last5 = base[:, -5:] * (grid.r_max / r[-5:]) ** zeta
     tail = _tail_value(grid, g_last5, r[-5:])
@@ -404,17 +476,16 @@ def _integrate_in(grid: RadialGrid, f2, zeta):
     """``integrate_in_all`` on a (rows, nodes) stack, zeta a (rows, 1) column."""
     r = grid.r
     h = grid.h
-    base = r * f2
+    ends, base = _nodes_and_ends(r, f2)
     # Segment j-1..j referenced to its right endpoint r_j:
     # left value a = r_{j-1} f_{j-1} e^{zeta h}, right value b = r_j f_j;
     # neighbouring nodes carry weights e^{2 zeta h} and e^{-zeta h}.
     step = np.exp(zeta * h)
-    a_prev = np.full((base.shape[0], grid.n_nodes - 1), np.nan, dtype=complex)
-    a_prev[:, 1:] = base[:, :-2] * (step * step)
-    b_next = np.full_like(a_prev, np.nan)
-    b_next[:, :-1] = base[:, 2:] / step
-    seg = _segment_power_integrals(r[:-1], base[:, :-1] * step, base[:, 1:],
-                                   h, a_prev, b_next)
+    sq = step * step
+    # nodes j - 1 and j + 2 of segment j sit in columns j and j + 3 of ends
+    seg = _segment_power_integrals(
+        r[:-1], base[:, :-1] * step, base[:, 1:], h,
+        lambda i, j: (ends[i, j] * sq[i, 0], ends[i, j + 3] / step[i, 0]))
 
     local = np.empty_like(base)
     local[:, 0] = 0.0

@@ -295,12 +295,8 @@ def _encode(obj, indent):
         return f"[{fmt_float(obj.real)}, {fmt_float(obj.imag)}]"
     if isinstance(obj, str):
         return json.dumps(obj)
-    if isinstance(obj, dict):
-        items = [json.dumps(str(k)) + ": " + _encode(obj[k], indent + 2)
-                 for k in sorted(obj)]
-        return _block("{}", items, indent)
-    if isinstance(obj, _Deferred):
-        return _block("[]", [_encode(v, indent + 2) for v in obj], indent)
+    if isinstance(obj, (dict, _Deferred)):
+        return "".join(_pieces(obj, indent))
     if not isinstance(obj, (list, tuple, np.ndarray)):
         raise TypeError(f"cannot serialize {type(obj)!r}")
     # Up to 8 numbers share one line, anything else takes one line per
@@ -314,6 +310,28 @@ def _encode(obj, indent):
         if len(items) <= 8 and all(isinstance(v, numbers.Number) for v in obj):
             return "[" + ", ".join(items) + "]"
     return _block("[]", items, indent)
+
+
+def _pieces(obj, indent):
+    """``_encode(obj, indent)`` in pieces: the items of a dict or of a
+    ``_Deferred`` one by one, each made as the text reaches it, and
+    anything else whole.  Laid out as ``_block`` lays out its items."""
+    if isinstance(obj, dict):
+        items = ((json.dumps(str(k)) + ": ", obj[k]) for k in sorted(obj))
+        brackets = "{}"
+    elif isinstance(obj, _Deferred):
+        items = (("", v) for v in obj)
+        brackets = "[]"
+    else:
+        yield _encode(obj, indent)
+        return
+    pad = " " * indent
+    first = True
+    for key, value in items:
+        yield (f"{brackets[0]}\n  {pad}" if first else f",\n  {pad}") + key
+        yield from _pieces(value, indent + 2)
+        first = False
+    yield brackets if first else f"\n{pad}{brackets[1]}"
 
 
 def _block(brackets, items, indent):
@@ -332,8 +350,10 @@ def dumps(obj) -> str:
 
 
 def write_json(path, obj):
+    """dumps(obj) to ``path``, written piece by piece as it is made: a
+    modes.json holds one mode's text at a time."""
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(_encode(obj, 0))   # dumps's text without copying it
+        fh.writelines(_pieces(obj, 0))
         fh.write("\n")
 
 

@@ -55,13 +55,15 @@ _STACK_ROWS = 50
 
 
 def _bump(u):
-    """C^3 bump (1-u^2)^4 on |u| < 1 with its first two derivatives."""
-    inside = np.abs(u) < 1.0
-    v = np.where(inside, 1.0 - u * u, 0.0)
-    b = v ** 4
-    db = np.where(inside, -8.0 * u * v ** 3, 0.0)
-    d2b = np.where(inside, -8.0 * v ** 3 + 48.0 * u * u * v ** 2, 0.0)
-    return b, db, d2b
+    """C^3 bump (1-u^2)^4 on |u| < 1 with its first two derivatives.
+
+    Built from products of v = max(1 - u^2, 0), so all three vanish
+    outside the support without a select.
+    """
+    v = np.maximum(1.0 - u * u, 0.0)
+    v2 = v * v
+    v3 = v2 * v
+    return v2 * v2, -8.0 * u * v3, -8.0 * v3 + 48.0 * u * u * v2
 
 
 def _bump_profile(grid: RadialGrid, rng, size, rows: tuple, n_bumps: int,
@@ -71,7 +73,8 @@ def _bump_profile(grid: RadialGrid, rng, size, rows: tuple, n_bumps: int,
     x = grid.log_r
     big_l = x[-1]
     shape = (() if size is None else tuple(np.atleast_1d(size).tolist())) + rows
-    phi = dphi_x = d2phi_x = np.zeros(shape + (grid.n_nodes,))
+    phi = np.zeros(shape + (grid.n_nodes,), complex if complex_amp else float)
+    dphi_x, d2phi_x = np.zeros_like(phi), np.zeros_like(phi)
     col = shape + (1,)
     for _ in range(n_bumps):
         c = rng.uniform(0.2 * big_l, 0.8 * big_l, col)
@@ -81,9 +84,9 @@ def _bump_profile(grid: RadialGrid, rng, size, rows: tuple, n_bumps: int,
         amp = rng.normal(size=col) + (1j * rng.normal(size=col)
                                       if complex_amp else 0.0)
         b, db, d2b = _bump((x - c) / width)
-        phi = phi + amp * b
-        dphi_x = dphi_x + amp * db / width
-        d2phi_x = d2phi_x + amp * d2b / width ** 2
+        phi += amp * b
+        dphi_x += (amp / width) * db
+        d2phi_x += (amp / (width * width)) * d2b
     r = grid.r
     return phi, dphi_x / r, (d2phi_x - dphi_x) / (r * r)
 

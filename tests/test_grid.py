@@ -10,11 +10,10 @@ from hamelflow import (BoundarySpectrum, DivergentTailError, FluxMismatchError,
                        RadialGrid, build_grid, grid as grid_module,
                        integrate_in_all, integrate_out_all, project_boundary,
                        synthesize_boundary)
-from hamelflow.grid import (_CURVATURE_RAMP, _PHASE_JUMP_LIMIT,
-                            _STEEP_SEGMENT_LIMIT, _complex_expm1,
-                            _complex_log, _expm1_over, _log_ratios,
-                            _scan_backward, _scan_forward,
-                            _segment_power_integrals)
+from hamelflow.grid import (_CURVATURE_RAMP, _PHASE_JUMP_LIMIT, _SCAN_BLOCK,
+                            _STEEP_SEGMENT_LIMIT, _complex_log, _expm1_over,
+                            _log_ratios, _phasor_expm1, _scan_backward,
+                            _scan_forward, _segment_power_integrals)
 
 
 def test_grid_construction():
@@ -270,18 +269,21 @@ def complex_segment_power_integrals(s_left, a, b, h, a_prev=None,
 
 
 def out_segments(g, rows, zeta):
-    """Arguments of the segment rule as integrate_out_all forms them."""
+    """Arguments of the segment rule as integrate_out_all forms them: the
+    whole stacks of neighbours, nan off the grid, for the reference rules,
+    and the kernel's arguments, which look them up per segment."""
     base = g.r * rows
     step = np.exp(-zeta[:, None] * g.h)
     a_prev = np.full((len(rows), g.n_nodes - 1), np.nan, dtype=complex)
     a_prev[:, 1:] = base[:, :-2] / step
     b_next = np.full_like(a_prev, np.nan)
     b_next[:, :-1] = base[:, 2:] * (step * step)
-    return g.r[:-1], base[:, :-1], base[:, 1:] * step, g.h, a_prev, b_next
+    whole = (g.r[:-1], base[:, :-1], base[:, 1:] * step, g.h, a_prev, b_next)
+    return whole, whole[:4] + (lambda i, j: (a_prev[i, j], b_next[i, j]),)
 
 
-def test_real_arithmetic_kernel_matches_the_complex_one():
-    g = build_grid(1e4, 96)
+def kernel_rows(g):
+    """Rows taking every branch of the segment rule, and their zeta."""
     x = np.log(g.r)
     flip = g.r ** -4.0 * np.sign(np.cos(2.0 * x))
     holes = g.r ** -4.0
@@ -311,15 +313,22 @@ def test_real_arithmetic_kernel_matches_the_complex_one():
                      broken], dtype=complex)               # nan and inf
     zeta = np.array([1.0 + 0.5j, 0.0, 0.0, 0.7 - 0.3j, 2.0, 0.0, 1.0, 0.0,
                      0.0, *near, 0.0])
+    return rows, zeta
+
+
+def test_real_arithmetic_kernel_matches_the_complex_one():
+    g = build_grid(1e4, 96)
+    rows, zeta = kernel_rows(g)
     with np.errstate(all="ignore"):
-        args = out_segments(g, rows, zeta)
-    for kernel_args in (args, args[:4]):    # with and without neighbours
+        whole, args = out_segments(g, rows, zeta)
+    for ref_args, kernel_args in ((whole, args), (whole[:4], args[:4])):
+        # with and without neighbours
         with np.errstate(all="ignore"):
-            ref, ref_usable = complex_segment_power_integrals(*kernel_args)
+            ref, ref_usable = complex_segment_power_integrals(*ref_args)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = _segment_power_integrals(*kernel_args)
-            finite, usable, _ = _log_ratios(*kernel_args[1:3])
+            finite, usable, *_ = _log_ratios(*kernel_args[1:3])
         assert np.array_equal(usable, ref_usable)
         assert np.sum(~finite) == 4         # the segments touching nan, inf
         scale = np.abs(ref).max(axis=1, keepdims=True)
@@ -329,6 +338,69 @@ def test_real_arithmetic_kernel_matches_the_complex_one():
     assert np.all(usable[[0, 9, 10]]) and not np.any(usable[6])
     for sweeping in usable[7], usable[8]:
         assert sweeping.any() and not sweeping.all()
+
+
+def whole_array_segment_rule(s_left, a, b, h, a_prev=None, b_next=None):
+    """Reference: the segment rule with every rule and the blend formed on
+    every segment, from the module's log ratios and (e^z - 1)/z."""
+    finite = np.isfinite(a) & np.isfinite(b)
+    _, usable, logr, ratio, mag = _log_ratios(a, b)
+    f0 = a * s_left
+    z = np.where(usable, logr + h, 1.0)
+    with np.errstate(all="ignore"):
+        ipow = np.where(usable, f0 * h * _expm1_over(z, ratio, mag), 0.0)
+    eh = np.exp(h)
+    f1 = b * s_left * eh
+    trap = 0.5 * h * (f0 + f1)
+    ict = trap
+    if a_prev is not None and b_next is not None:
+        fm1 = a_prev * s_left / eh
+        f2 = b_next * s_left * (eh * eh)
+        with np.errstate(all="ignore"):
+            corr = (h / 24.0) * (f2 - f1 - f0 + fm1)
+            good = np.isfinite(corr) & (np.abs(corr) <= 0.5 * np.abs(trap))
+            ict = np.where(good, trap - corr, trap)
+    if logr.shape[-1] > 1:
+        step = np.abs(np.diff(logr, axis=-1))
+        drift = np.maximum(np.concatenate([step[..., :1], step], axis=-1),
+                           np.concatenate([step, step[..., -1:]], axis=-1))
+    else:
+        drift = np.zeros(logr.shape)
+    lo, hi = _CURVATURE_RAMP
+    ramp = np.clip((drift / (h * h) - lo) / (hi - lo), 0.0, 1.0)
+    wgt = ramp * ramp * (3.0 - 2.0 * ramp)
+    wgt = np.where(usable, wgt, 1.0)
+    mixed = (1.0 - wgt) * ipow + wgt * ict
+    return np.where(finite, mixed, 0.0)
+
+
+@pytest.mark.parametrize("npd", [96, 8])
+def test_blend_on_weighted_segments_is_bitwise_the_whole_array_blend(npd):
+    # The stack leaves the all-usable fast path, each all-usable row alone
+    # takes it; real rows put ipow's zero imaginary parts through the blend.
+    g = build_grid(1e4, npd)
+    rows, zeta = kernel_rows(g) if npd == 96 else batch_rows(g)
+    with np.errstate(all="ignore"):
+        whole, args = out_segments(g, rows, zeta)
+    fast = 0
+    for ref_args, kernel_args in ((whole, args), (whole[:4], args[:4])):
+        with np.errstate(all="ignore"):
+            ref = whole_array_segment_rule(*ref_args)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _segment_power_integrals(*kernel_args)
+        assert got.tobytes() == ref.tobytes()
+        for row in range(len(rows)):
+            one_args = [v[row:row + 1] if np.ndim(v) == 2 else v
+                        for v in ref_args]
+            if len(one_args) > 4:
+                a_prev, b_next = one_args[4:]
+                one_args[4:] = [lambda i, j: (a_prev[i, j], b_next[i, j])]
+            with np.errstate(all="ignore"):
+                one = _segment_power_integrals(*one_args)
+                fast += _log_ratios(*one_args[1:3])[0] is None
+            assert one.tobytes() == ref[row:row + 1].tobytes()
+    assert fast >= 2          # an all-usable row alone, per neighbour case
 
 
 def special_values():
@@ -374,7 +446,77 @@ def test_real_arithmetic_log_matches_numpy():
                              np.log(special_values()))
 
 
+def test_weight_zero_segments_keep_the_blend_signed_zeros_and_nans():
+    # Usable weight-0 segments where (1 - 0) ipow + 0 ict is not ipow: a
+    # -0 real part next to a corrected trapezoid with a positive one, and
+    # values so large that the trapezoid overflows.
+    n = 40
+    s_left = np.exp(0.05 * np.arange(n))
+    a = np.empty((3, n), dtype=complex)
+    a[0] = complex(-0.0, 0.93)
+    a[1] = complex(-1.5e308, 0.7)
+    a[2] = complex(1e-200, -1.45e308)
+    b = a * np.array([[1.0], [0.97], [1.0]])
+    a_prev = np.full(a.shape, -1.2 + 0.0j)
+    b_next = a_prev.copy()
+    a_prev[:, 0] = b_next[:, -1] = np.nan
+    with np.errstate(all="ignore"):
+        for with_neighbours in (True, False):
+            extra = (a_prev, b_next) if with_neighbours else ()
+            ref = whole_array_segment_rule(s_left, a, b, 0.05, *extra)
+            lookup = ((lambda i, j: (a_prev[i, j], b_next[i, j])),) \
+                if with_neighbours else ()
+            got = _segment_power_integrals(s_left, a, b, 0.05, *lookup)
+            assert got.tobytes() == ref.tobytes()
+            assert np.all(got[0].real == 0) and np.isnan(got[1:]).all()
+
+
+def whole_array_integrals(g, rows, zeta, out):
+    """integrate_out_all (out) or integrate_in_all as the whole-array rule
+    gives them, with the neighbours as whole stacks, nan off the grid."""
+    base = g.r * rows
+    step = np.exp((-1.0 if out else 1.0) * zeta[:, None] * g.h)
+    a_prev = np.full((len(rows), g.n_nodes - 1), np.nan, dtype=complex)
+    b_next = np.full_like(a_prev, np.nan)
+    if out:
+        a_prev[:, 1:] = base[:, :-2] / step
+        b_next[:, :-1] = base[:, 2:] * (step * step)
+        seg = whole_array_segment_rule(g.r[:-1], base[:, :-1],
+                                       base[:, 1:] * step, g.h, a_prev, b_next)
+        tail = grid_module._tail_value(
+            g, base[:, -5:] * (g.r_max / g.r[-5:]) ** zeta[:, None], g.r[-5:])
+        return _scan_backward(np.column_stack([seg, tail]), step[:, 0])
+    a_prev[:, 1:] = base[:, :-2] * (step * step)
+    b_next[:, :-1] = base[:, 2:] / step
+    seg = whole_array_segment_rule(g.r[:-1], base[:, :-1] * step, base[:, 1:],
+                                   g.h, a_prev, b_next)
+    return _scan_forward(np.column_stack([np.zeros(len(rows)), seg]),
+                         step[:, 0])
+
+
+@pytest.mark.parametrize("npd", [48, 8])
+def test_integrators_are_bitwise_the_whole_array_rule(npd):
+    g = build_grid(1e4, npd)
+    rows, zeta = batch_rows(g)
+    assert (integrate_out_all(g, rows, zeta).tobytes()
+            == whole_array_integrals(g, rows, zeta, out=True).tobytes())
+    assert (integrate_in_all(g, rows, -zeta).tobytes()
+            == whole_array_integrals(g, rows, -zeta, out=False).tobytes())
+
+
+def test_inner_integrals_of_every_branch_are_bitwise_the_whole_array_rule():
+    g = build_grid(1e4, 96)
+    rows, zeta = kernel_rows(g)
+    live = np.any(rows != 0, axis=1)    # a zero row skips the quadrature
+    with np.errstate(all="ignore"):
+        got = integrate_in_all(g, rows[live], -zeta[live])
+        ref = whole_array_integrals(g, rows[live], -zeta[live], out=False)
+    assert got.tobytes() == ref.tobytes()
+
+
 def test_real_arithmetic_expm1_matches_numpy():
+    # e^z - 1 on the kernel's domain: z = x + i arg(ratio) for a finite
+    # nonzero ratio of any modulus with |arg| < _PHASE_JUMP_LIMIT
     rng = np.random.default_rng(29)
     eps = np.finfo(float).eps
     n = 4000
@@ -386,15 +528,22 @@ def test_real_arithmetic_expm1_matches_numpy():
     cut = -10.0 ** rng.uniform(-3, 1, 2 * n) + 0j
     cut.imag[n:] = -0.0
     z = np.concatenate([wide, small, axis, cut])
+    z = z[np.abs(z.imag) < _PHASE_JUMP_LIMIT]
+    modulus = 10.0 ** rng.uniform(-3, 3, z.size)
+    ratio = np.empty(z.shape, dtype=complex)
+    ratio.real = modulus * np.cos(z.imag)
+    ratio.imag = modulus * np.sin(z.imag)
+    x = z.real
+    z = x + 1j * np.arctan2(ratio.imag, ratio.real)   # the kernel's z
+    z.imag[-n:] = -0.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got, ref = _complex_expm1(z), np.expm1(z)
+        got = _phasor_expm1(x, ratio, np.abs(ratio))
+    ref = np.expm1(z)
     # relative to |e^z - 1|: (e^z - 1)/z needs it for small |z|
     assert np.all(np.abs(got - ref) <= 4 * eps * np.abs(ref))
     assert np.array_equal(np.signbit(got.imag), np.signbit(ref.imag))
-    with np.errstate(all="ignore"):
-        assert_same_specials(_complex_expm1(special_values()),
-                             np.expm1(special_values()))
+    assert np.all(np.signbit(got.imag[-n:]))
 
 
 def sequential_scan(local, factor):
@@ -406,13 +555,13 @@ def sequential_scan(local, factor):
     return np.array(out)
 
 
-def where_expm1_over(z):
+def where_expm1_over(z, ratio, modulus):
     """(e^z - 1)/z with the series and the quotient both formed on every
     element and selected by |z| < 1e-4."""
     with np.errstate(all="ignore"):
         return np.where(np.abs(z) < 1e-4,
                         1.0 + z / 2.0 + z * z / 6.0 + z * z * z / 24.0,
-                        _complex_expm1(z) / z)
+                        _phasor_expm1(z.real, ratio, modulus) / z)
 
 
 def test_series_on_small_z_only_is_bitwise_the_whole_array_select():
@@ -423,9 +572,12 @@ def test_series_on_small_z_only_is_bitwise_the_whole_array_select():
     moduli = 10.0 ** rng.uniform(-9, 1, 212)
     z = np.concatenate([edge, moduli * phases])
     z = z[rng.permutation(z.size)].reshape(15, -1)   # a stack, edges anywhere
-    assert _expm1_over(z).tobytes() == where_expm1_over(z).tobytes()
-    assert _expm1_over(np.ones((2, 3), complex)).tobytes() == \
-        where_expm1_over(np.ones((2, 3), complex)).tobytes()   # none small
+    ratio = 10.0 ** rng.uniform(-1, 1, z.shape) * np.exp(1j * z.imag)
+    args = (z, ratio, np.abs(ratio))
+    assert _expm1_over(*args).tobytes() == where_expm1_over(*args).tobytes()
+    ones = (np.ones((2, 3), complex),) * 2 + (np.ones((2, 3)),)
+    assert _expm1_over(*ones).tobytes() == \
+        where_expm1_over(*ones).tobytes()   # none small
 
 
 def test_segment_rule_is_bitwise_the_whole_array_select(monkeypatch):
@@ -437,10 +589,35 @@ def test_segment_rule_is_bitwise_the_whole_array_select(monkeypatch):
     a = rng.standard_normal((4, g.n_nodes - 1)) + 1j
     z = rng.choice([0.0, 9e-5, -9e-5j, 1.1e-4, 0.3 - 0.2j], a.shape)
     b = a * np.exp(z - g.h)
-    args = (g.r[:-1], a, b, g.h, np.roll(a, 1, axis=1), np.roll(b, -1, axis=1))
+    a_prev, b_next = np.roll(a, 1, axis=1), np.roll(b, -1, axis=1)
+    args = (g.r[:-1], a, b, g.h, lambda i, j: (a_prev[i, j], b_next[i, j]))
     got = _segment_power_integrals(*args)
-    monkeypatch.setattr(grid_module, "_expm1_over", where_expm1_over)
+    calls = []
+    monkeypatch.setattr(grid_module, "_expm1_over",
+                        lambda *zs: calls.append(zs) or where_expm1_over(*zs))
     assert got.tobytes() == _segment_power_integrals(*args).tobytes()
+    assert len(calls) == 1 and calls[0][0].shape == a.shape
+
+
+def test_usable_segments_have_finite_nonzero_ends():
+    # An all-usable stack skips the finite and nonzero tests: a quotient
+    # inside both limits comes only from finite nonzero values.
+    values = np.concatenate([special_values(), [1e-320, 1e308, -1e308j,
+                                                3.0 - 4.0j, 1e-300 + 1e300j]])
+    a, b = (v.ravel() for v in np.meshgrid(values, values))
+    with np.errstate(all="ignore"):
+        logr = np.log(b / a)
+    expected = (np.isfinite(a) & np.isfinite(b) & (a != 0) & (b != 0)
+                & (np.abs(logr.imag) < _PHASE_JUMP_LIMIT)
+                & (np.abs(logr.real) < _STEEP_SEGMENT_LIMIT))
+    assert expected.any() and not expected.all()
+    finite, usable, *_ = _log_ratios(a[None], b[None])
+    assert np.array_equal(usable[0], expected)
+    assert np.array_equal(finite[0], np.isfinite(a) & np.isfinite(b))
+    for k in range(a.size):
+        finite, usable, *_ = _log_ratios(a[None, k:k + 1], b[None, k:k + 1])
+        assert usable[0, 0] == expected[k]
+        assert (finite is None) == expected[k]
 
 
 @pytest.mark.parametrize("r_max, npd", [(1e4, 64), (1e6, 64), (1e3, 8)])
@@ -459,6 +636,38 @@ def test_block_scan_matches_sequential_recurrence(r_max, npd):
         assert np.abs(forward[i] - ref).max() <= 1e-12 * np.abs(ref).max()
         ref = sequential_scan(local[i, ::-1], factor[i])[::-1]
         assert np.abs(backward[i] - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def block_loop_scan(local, factor):
+    """The block scan with its carry loop over whole blocks: each block is
+    updated from the finished last value of the block before."""
+    rows, n = local.shape
+    size = _SCAN_BLOCK
+    n_blocks = -(-n // size)
+    x = np.zeros((rows, n_blocks * size), dtype=complex)
+    x[:, :n] = local
+    x = x.reshape(rows, n_blocks, size)
+    powers = factor[:, None] ** np.arange(size + 1)
+    lag = np.subtract.outer(np.arange(size), np.arange(size))
+    toeplitz = np.where(lag >= 0, powers[:, np.maximum(lag, 0)], 0.0)
+    scan = x @ toeplitz.transpose(0, 2, 1)
+    carry_in = powers[:, 1:]
+    for b in range(1, n_blocks):
+        scan[:, b] += scan[:, b - 1, -1:] * carry_in
+    return scan.reshape(rows, -1)[:, :n]
+
+
+@pytest.mark.parametrize("n", [1, 5, 16, 17, 33, 97, 385])
+def test_carry_vector_scan_is_bitwise_the_block_loop(n):
+    rng = np.random.default_rng(n)
+    zeta = np.array([0.0, 1.0 + 0.3j, 64.0 + 2.0j, -3.5, -1.5 + 0.5j])
+    factor = np.exp(-zeta * 0.036)
+    local = (rng.standard_normal((zeta.size, n))
+             + 1j * rng.standard_normal((zeta.size, n)))
+    assert (_scan_forward(local, factor).tobytes()
+            == block_loop_scan(local, factor).tobytes())
+    assert (_scan_backward(local, factor).tobytes()
+            == block_loop_scan(local[:, ::-1], factor)[:, ::-1].tobytes())
 
 
 def test_high_modes_stay_finite_on_long_grids():

@@ -335,6 +335,30 @@ def test_artifacts_match_reference_encoder(tmp_path, monkeypatch, solver,
         assert (out / name).read_bytes() == text.encode("ascii"), name
 
 
+def test_modes_json_is_written_one_mode_at_a_time(tmp_path, monkeypatch):
+    solutions = []
+    real = hamelflow.cli.solution_payload
+    monkeypatch.setattr(hamelflow.cli, "solution_payload",
+                        lambda s, table: solutions.append(s) or real(s, table))
+    out = solve(tmp_path, CFG)
+    solution, = solutions
+    table = hamelflow.report.ModeTable.of(solution)
+    text = dumps(hamelflow.report.solution_payload(solution, table))
+    assert (out / "modes.json").read_bytes() == text.encode("ascii")
+
+    # Mode n is made only once the text of modes 0..n-1 is out, and no
+    # piece of the text holds more than one mode.
+    made = table.json_profiles
+    pieces, in_order = [], []
+    monkeypatch.setattr(table, "json_profiles", lambda n: in_order.append(
+        "".join(pieces).count('"w_bar"') == n) or made(n))
+    pieces.extend(hamelflow.report._pieces(
+        hamelflow.report.solution_payload(solution, table), 0))
+    assert in_order == [True] * len(solution.gamma)
+    assert "".join(pieces) + "\n" == text
+    assert max(map(len, pieces)) < len(text) / len(solution.gamma)
+
+
 def test_export_reproduces_the_mode_files(tmp_path):
     out = solve(tmp_path, CFG)
     dest = tmp_path / "export.csv"
