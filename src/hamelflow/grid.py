@@ -27,9 +27,10 @@ that corrected trapezoid alone.  The blend is formed only on the segments
 where it weighs.
 
 Beyond R_max the integrand is modeled as a power tail r^p with p fitted from
-the last five nodes and clamped to at most ``_TAIL_EXPONENT_FLOOR`` (the
-shallowest decay the extrapolation will accept); a fitted p >= -1 with a
-non-negligible magnitude at R_max raises ``DivergentTailError``.
+the power model's log ratios on the last four segments and clamped to at
+most ``_TAIL_EXPONENT_FLOOR`` (the shallowest decay the extrapolation will
+accept); a fitted p >= -1 with a non-negligible magnitude at R_max raises
+``DivergentTailError``.
 """
 
 from __future__ import annotations
@@ -132,7 +133,7 @@ def build_grid(r_max: float = 1e4, nodes_per_decade: int = 64) -> RadialGrid:
     return RadialGrid(r_max=float(r_max), nodes_per_decade=int(nodes_per_decade))
 
 
-def _segment_power_integrals(s_left, a, b, h, neighbours=None):
+def _segment_power_integrals(s_left, a, b, h, neighbours):
     """Integral over [s_j, s_j e^h] of a local model through (a_j, b_j).
 
     a and b are (rows, segments) stacks of the integrand values at the
@@ -146,8 +147,8 @@ def _segment_power_integrals(s_left, a, b, h, neighbours=None):
       the right), whose error coefficients stay smooth through zeros of
       the integrand where the power model breaks down.
       ``neighbours(i, j)`` returns both for the segments (i, j) named by
-      two index arrays, nan where the node lies off the grid; without it
-      the trapezoid is uncorrected.
+      two index arrays, nan where the node lies off the grid (the
+      correction is then dropped).
 
     The blend weight follows the local log-curvature |d q_eff / dx|
     estimated from the drift of the fitted exponent between adjacent
@@ -155,27 +156,20 @@ def _segment_power_integrals(s_left, a, b, h, neighbours=None):
     crossover happens at a fixed physical location and the quadrature
     error stays a smooth function of position; a hard rule switch would
     leave an h-independent kink in the scanned integral that downstream
-    finite differences amplify.  Sign flips and extreme ratios force the
-    corrected-trapezoid rule outright.
+    finite differences amplify.  Unusable segments (sign flips, extreme
+    ratios, zeros, non-finite values) take the corrected trapezoid
+    outright, and 0 where an endpoint is not finite.
 
-    Most segments carry weight 0.  There (1 - 0) ipow + 0 ict is ipow bit
-    for bit, as long as ipow has finite nonzero parts and ict is finite,
-    so the blend, and the corrected trapezoid with it, is formed on the
-    other segments only.
+    Most segments carry weight 0 and return the power model itself; the
+    corrected trapezoid and the blend are formed only on the segments in
+    the curvature band and the unusable ones.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    finite, usable, logr, ratio, mag = _log_ratios(a, b)
-    every = finite is None
-    f0 = a * s_left
+    usable, logr, ratio, mag = _log_ratios(a, b)
 
     # Power model: (e^z - 1)/z with z = (q + 1) h, q = logr / h.
-    z = logr + h
-    ipow = f0 * h * _expm1_over(z, ratio, mag)
-
-    eh = np.exp(h)
-    f1 = b * s_left * eh
-    trap = 0.5 * h * (f0 + f1)
+    ipow = a * s_left * h * _expm1_over(logr + h, ratio, mag)
 
     # Blend weight: fraction of the corrected-trapezoid rule, nonzero where
     # the drift exceeds the ramp's foot.
@@ -188,15 +182,7 @@ def _segment_power_integrals(s_left, a, b, h, neighbours=None):
         drift = np.zeros(logr.shape)
     lo, hi = _CURVATURE_RAMP
     curv = drift / (h * h)
-    blend = curv > lo
-    # The weight-0 sum is not ipow itself where ipow has a zero or
-    # non-finite part, or where ict may not be finite: |2 trap| finite
-    # keeps trap - corr finite, as |corr| <= |trap| / 2.
-    t = ipow.real * ipow.imag * np.abs(trap + trap)
-    blend |= ~np.isfinite(t) | (t == 0)
-    if not every:
-        blend |= ~usable
-    k = np.flatnonzero(blend)
+    k = np.flatnonzero((curv > lo) | ~usable)
     if not k.size:
         return ipow
     # Repeats of the last blended segment fill k up to a whole number of
@@ -207,40 +193,36 @@ def _segment_power_integrals(s_left, a, b, h, neighbours=None):
     # Corrected trapezoid: plain trapezoid plus the Euler-Maclaurin endpoint
     # term built from central-difference derivatives.
     i, j = np.divmod(k, n_seg)
-    ict = trap.take(k)
-    if neighbours is not None:
-        a_prev, b_next = neighbours(i, j)
-        s = s_left[j]
-        fm1 = a_prev * s / eh
-        f2 = b_next * s * (eh * eh)
-        with np.errstate(all="ignore"):
-            corr = (h / 24.0) * (f2 - f1.take(k) - f0.take(k) + fm1)
-            good = np.isfinite(corr) & (np.abs(corr) <= 0.5 * np.abs(ict))
-        ict = np.where(good, ict - corr, ict)
+    s = s_left[j]
+    a_k = a.take(k)
+    b_k = b.take(k)
+    a_prev, b_next = neighbours(i, j)
+    eh = np.exp(h)
+    f0 = a_k * s
+    f1 = b_k * s * eh
+    with np.errstate(all="ignore"):
+        trap = 0.5 * h * (f0 + f1)
+        corr = (h / 24.0) * (b_next * s * (eh * eh) - f1 - f0
+                             + a_prev * s / eh)
+        good = np.isfinite(corr) & (np.abs(corr) <= 0.5 * np.abs(trap))
+    ict = np.where(good, trap - corr, trap)
 
     ramp = np.minimum(np.maximum((curv.take(k) - lo) / (hi - lo), 0.0), 1.0)
-    wgt = ramp * ramp * (3.0 - 2.0 * ramp)
-    model = ipow.take(k)
-    if not every:
-        power = usable.take(k)
-        wgt = np.where(power, wgt, 1.0)
-        model = np.where(power, model, 0.0)
-    mixed = (1.0 - wgt) * model + wgt * ict
-    if not every:
-        mixed = np.where(finite.take(k), mixed, 0.0)
-    ipow.put(k, mixed)
+    power = usable.take(k)
+    wgt = np.where(power, ramp * ramp * (3.0 - 2.0 * ramp), 1.0)
+    mixed = (1.0 - wgt) * np.where(power, ipow.take(k), 0.0) + wgt * ict
+    ipow.put(k, np.where(np.isfinite(a_k) & np.isfinite(b_k), mixed, 0.0))
     return ipow
 
 
 def _log_ratios(a, b):
-    """(finite, usable, Log(b/a), b/a, |b/a|) per segment of the power model.
+    """(usable, Log(b/a), b/a, |b/a|) per segment of the power model.
 
-    A segment is usable when both values are finite and nonzero and the log
-    ratio stays within the phase and steepness limits; its log ratio is 0
-    where it is not.  Only usable segments read the ratio and its modulus.
-    When every segment is usable, ``finite`` is None: a quotient inside
-    both limits is finite and nonzero, which IEEE complex division gives
-    only for finite nonzero operands.
+    A segment is usable when its log ratio stays within the phase and
+    steepness limits; a quotient inside both limits is finite and nonzero,
+    which IEEE complex division gives only for finite nonzero operands.
+    The log ratio is 0 on the other segments.  Only usable segments read
+    the ratio and its modulus.
     """
     with np.errstate(all="ignore"):
         ratio = b / a
@@ -248,11 +230,8 @@ def _log_ratios(a, b):
         logr = _complex_log(ratio, mag)
     usable = ((np.abs(logr.imag) < _PHASE_JUMP_LIMIT)
               & (np.abs(logr.real) < _STEEP_SEGMENT_LIMIT))
-    if usable.all():
-        return None, usable, logr, ratio, mag
-    finite = np.isfinite(a) & np.isfinite(b)
-    usable &= finite & (a != 0) & (b != 0)
-    return finite, usable, np.where(usable, logr, 0.0), ratio, mag
+    logr.put(np.flatnonzero(~usable), 0.0)
+    return usable, logr, ratio, mag
 
 
 def _complex_log(z, modulus=None):
@@ -302,41 +281,37 @@ def _expm1_over(z, ratio, modulus):
     return out
 
 
-def _tail_value(grid: RadialGrid, g_last5, r_last5):
-    """Extrapolated int_{R_max}^inf of integrands sampled at the last 5 nodes.
+def _tail_value(grid: RadialGrid, base5, step):
+    """Extrapolated int_{R_max}^inf s f(s) (R_max/s)^zeta ds, one per row.
 
-    ``g_last5`` holds one integrand per row.  The local exponent is fitted
-    as a complex number from consecutive log ratios so oscillatory power
-    tails (complex weight exponents) extrapolate exactly; sign-changing or
-    noisy samples fall back to a fit of the magnitudes alone.  Raises
-    ``DivergentTailError`` if any row diverges.
+    ``base5`` holds r f at the last five nodes, one row per integrand, and
+    ``step`` the row's segment weight e^{-zeta h}.  The integrand's exponent
+    p is fitted from the power model's log ratios of the last four
+    segments: their mean when all four are usable, so oscillatory power
+    tails (complex p) extrapolate exactly, and the mean of their log moduli
+    otherwise.  It is clamped to at most ``_TAIL_EXPONENT_FLOOR``; rows
+    with a zero sample take the floor.  Raises ``DivergentTailError`` if
+    any row diverges.
     """
-    g = np.asarray(g_last5, dtype=complex)
-    mags = np.abs(g)
-    g_end = g[:, -1]
+    usable, logr, _, mag = _log_ratios(base5[:, :-1], base5[:, 1:] * step)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = np.where(usable.all(axis=1), logr.mean(axis=1),
+                     np.log(mag).mean(axis=1)) / grid.h
+    g_end = base5[:, -1]
+    mags = np.abs(base5) / np.abs(step) ** np.arange(4, -1, -1)
     negligible = np.abs(g_end) <= np.fmax(_NEGLIGIBLE_TAIL,
                                           1e-14 * mags.max(axis=1))
-    p = np.full(g_end.shape, complex(_TAIL_EXPONENT_FLOOR))
-    fit = ~negligible & ~np.any(mags <= 0.0, axis=1)
-    if np.any(fit):
-        with np.errstate(all="ignore"):
-            logs = np.log(g[fit, 1:] / g[fit, :-1])
-            phased = (np.all(np.isfinite(logs), axis=1)
-                      & (np.abs(logs.imag).max(axis=1) < _PHASE_JUMP_LIMIT))
-            p_fit = logs.mean(axis=1) / grid.h
-        if not np.all(phased):
-            p_fit[~phased] = np.polyfit(np.log(r_last5),
-                                        np.log(mags[fit][~phased]).T, 1)[0]
-        diverging = p_fit.real >= -1.0 + _DIVERGENCE_TOL
-        if np.any(diverging):
-            i = np.flatnonzero(diverging)[np.argmax(p_fit.real[diverging])]
-            worst = float(p_fit.real[i])
-            raise DivergentTailError(
-                f"integrand tail fitted as r^{worst:.3g} at "
-                f"r_max={grid.r_max:g}; the weighted integral does not "
-                "converge", exponent=worst, row=int(np.flatnonzero(fit)[i]))
-        p[fit] = p_fit
-    p = np.where(p.real > _TAIL_EXPONENT_FLOOR, _TAIL_EXPONENT_FLOOR, p)
+    fit = ~negligible & ~np.any(base5 == 0, axis=1)
+    diverging = fit & (p.real >= -1.0 + _DIVERGENCE_TOL)
+    if np.any(diverging):
+        i = np.flatnonzero(diverging)[np.argmax(p.real[diverging])]
+        worst = float(p.real[i])
+        raise DivergentTailError(
+            f"integrand tail fitted as r^{worst:.3g} at "
+            f"r_max={grid.r_max:g}; the weighted integral does not "
+            "converge", exponent=worst, row=int(i))
+    p = np.where(~fit | (p.real > _TAIL_EXPONENT_FLOOR),
+                 _TAIL_EXPONENT_FLOOR, p)
     return np.where(negligible, 0.0 + 0.0j, g_end * grid.r_max / (-(p + 1.0)))
 
 
@@ -452,8 +427,7 @@ def _integrate_out(grid: RadialGrid, f2, zeta):
         r[:-1], base[:, :-1], base[:, 1:] * step, h,
         lambda i, j: (ends[i, j] / step[i, 0], ends[i, j + 3] * sq[i, 0]))
 
-    g_last5 = base[:, -5:] * (grid.r_max / r[-5:]) ** zeta
-    tail = _tail_value(grid, g_last5, r[-5:])
+    tail = _tail_value(grid, base[:, -5:], step)
 
     local = np.empty_like(base)
     local[:, :-1] = seg

@@ -268,6 +268,13 @@ def complex_segment_power_integrals(s_left, a, b, h, a_prev=None,
     return out, usable
 
 
+def off_grid(i, j):
+    """Neighbour lookup with every node off the grid: the trapezoid is left
+    uncorrected."""
+    nan = np.full(np.shape(i), np.nan, dtype=complex)
+    return nan, nan
+
+
 def out_segments(g, rows, zeta):
     """Arguments of the segment rule as integrate_out_all forms them: the
     whole stacks of neighbours, nan off the grid, for the reference rules,
@@ -321,15 +328,18 @@ def test_real_arithmetic_kernel_matches_the_complex_one():
     rows, zeta = kernel_rows(g)
     with np.errstate(all="ignore"):
         whole, args = out_segments(g, rows, zeta)
-    for ref_args, kernel_args in ((whole, args), (whole[:4], args[:4])):
+    for ref_args, kernel_args in ((whole, args),
+                                  (whole[:4], args[:4] + (off_grid,))):
         # with and without neighbours
         with np.errstate(all="ignore"):
             ref, ref_usable = complex_segment_power_integrals(*ref_args)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = _segment_power_integrals(*kernel_args)
-            finite, usable, *_ = _log_ratios(*kernel_args[1:3])
+            usable, *_ = _log_ratios(*kernel_args[1:3])
         assert np.array_equal(usable, ref_usable)
+        a, b = kernel_args[1:3]
+        finite = np.isfinite(a) & np.isfinite(b)
         assert np.sum(~finite) == 4         # the segments touching nan, inf
         scale = np.abs(ref).max(axis=1, keepdims=True)
         assert np.all(np.abs(got - ref) <= 1e-14 * scale)
@@ -342,9 +352,10 @@ def test_real_arithmetic_kernel_matches_the_complex_one():
 
 def whole_array_segment_rule(s_left, a, b, h, a_prev=None, b_next=None):
     """Reference: the segment rule with every rule and the blend formed on
-    every segment, from the module's log ratios and (e^z - 1)/z."""
+    every segment, from the module's log ratios and (e^z - 1)/z; weight-0
+    segments take the power model itself."""
     finite = np.isfinite(a) & np.isfinite(b)
-    _, usable, logr, ratio, mag = _log_ratios(a, b)
+    usable, logr, ratio, mag = _log_ratios(a, b)
     f0 = a * s_left
     z = np.where(usable, logr + h, 1.0)
     with np.errstate(all="ignore"):
@@ -371,19 +382,20 @@ def whole_array_segment_rule(s_left, a, b, h, a_prev=None, b_next=None):
     wgt = ramp * ramp * (3.0 - 2.0 * ramp)
     wgt = np.where(usable, wgt, 1.0)
     mixed = (1.0 - wgt) * ipow + wgt * ict
-    return np.where(finite, mixed, 0.0)
+    return np.where(finite, np.where(wgt == 0, ipow, mixed), 0.0)
 
 
 @pytest.mark.parametrize("npd", [96, 8])
 def test_blend_on_weighted_segments_is_bitwise_the_whole_array_blend(npd):
-    # The stack leaves the all-usable fast path, each all-usable row alone
-    # takes it; real rows put ipow's zero imaginary parts through the blend.
+    # The stack holds unusable segments, some rows alone are all usable;
+    # real rows put ipow's zero imaginary parts through the blend.
     g = build_grid(1e4, npd)
     rows, zeta = kernel_rows(g) if npd == 96 else batch_rows(g)
     with np.errstate(all="ignore"):
         whole, args = out_segments(g, rows, zeta)
-    fast = 0
-    for ref_args, kernel_args in ((whole, args), (whole[:4], args[:4])):
+    all_usable = 0
+    for ref_args, kernel_args in ((whole, args),
+                                  (whole[:4], args[:4] + (off_grid,))):
         with np.errstate(all="ignore"):
             ref = whole_array_segment_rule(*ref_args)
         with warnings.catch_warnings():
@@ -396,11 +408,13 @@ def test_blend_on_weighted_segments_is_bitwise_the_whole_array_blend(npd):
             if len(one_args) > 4:
                 a_prev, b_next = one_args[4:]
                 one_args[4:] = [lambda i, j: (a_prev[i, j], b_next[i, j])]
+            else:
+                one_args.append(off_grid)
             with np.errstate(all="ignore"):
                 one = _segment_power_integrals(*one_args)
-                fast += _log_ratios(*one_args[1:3])[0] is None
+                all_usable += _log_ratios(*one_args[1:3])[0].all()
             assert one.tobytes() == ref[row:row + 1].tobytes()
-    assert fast >= 2          # an all-usable row alone, per neighbour case
+    assert all_usable >= 2    # an all-usable row alone, per neighbour case
 
 
 def special_values():
@@ -446,10 +460,10 @@ def test_real_arithmetic_log_matches_numpy():
                              np.log(special_values()))
 
 
-def test_weight_zero_segments_keep_the_blend_signed_zeros_and_nans():
-    # Usable weight-0 segments where (1 - 0) ipow + 0 ict is not ipow: a
-    # -0 real part next to a corrected trapezoid with a positive one, and
-    # values so large that the trapezoid overflows.
+def test_weight_zero_segments_return_the_power_model_bitwise():
+    # Usable weight-0 segments where (1 - 0) ipow + 0 ict would not be
+    # ipow: a -0 real part next to a corrected trapezoid with a positive
+    # one, and values so large that the trapezoid overflows.
     n = 40
     s_left = np.exp(0.05 * np.arange(n))
     a = np.empty((3, n), dtype=complex)
@@ -461,14 +475,21 @@ def test_weight_zero_segments_keep_the_blend_signed_zeros_and_nans():
     b_next = a_prev.copy()
     a_prev[:, 0] = b_next[:, -1] = np.nan
     with np.errstate(all="ignore"):
+        usable, logr, ratio, mag = _log_ratios(a, b)
+        ipow = a * s_left * 0.05 * _expm1_over(logr + 0.05, ratio, mag)
+        trap = 0.025 * (a * s_left + b * s_left * np.exp(0.05))
         for with_neighbours in (True, False):
             extra = (a_prev, b_next) if with_neighbours else ()
             ref = whole_array_segment_rule(s_left, a, b, 0.05, *extra)
-            lookup = ((lambda i, j: (a_prev[i, j], b_next[i, j])),) \
-                if with_neighbours else ()
-            got = _segment_power_integrals(s_left, a, b, 0.05, *lookup)
+            lookup = ((lambda i, j: (a_prev[i, j], b_next[i, j]))
+                      if with_neighbours else off_grid)
+            got = _segment_power_integrals(s_left, a, b, 0.05, lookup)
             assert got.tobytes() == ref.tobytes()
-            assert np.all(got[0].real == 0) and np.isnan(got[1:]).all()
+            assert usable.all() and got.tobytes() == ipow.tobytes()
+            assert np.all(np.signbit(got[0].real) & (got[0].real == 0))
+            # finite wherever the model is, also where the trapezoid is not
+            assert np.array_equal(np.isfinite(got), np.isfinite(ipow))
+            assert np.any(np.isfinite(got[1:]) & ~np.isfinite(trap[1:]))
 
 
 def whole_array_integrals(g, rows, zeta, out):
@@ -483,8 +504,7 @@ def whole_array_integrals(g, rows, zeta, out):
         b_next[:, :-1] = base[:, 2:] * (step * step)
         seg = whole_array_segment_rule(g.r[:-1], base[:, :-1],
                                        base[:, 1:] * step, g.h, a_prev, b_next)
-        tail = grid_module._tail_value(
-            g, base[:, -5:] * (g.r_max / g.r[-5:]) ** zeta[:, None], g.r[-5:])
+        tail = grid_module._tail_value(g, base[:, -5:], step)
         return _scan_backward(np.column_stack([seg, tail]), step[:, 0])
     a_prev[:, 1:] = base[:, :-2] * (step * step)
     b_next[:, :-1] = base[:, 2:] / step
@@ -600,8 +620,8 @@ def test_segment_rule_is_bitwise_the_whole_array_select(monkeypatch):
 
 
 def test_usable_segments_have_finite_nonzero_ends():
-    # An all-usable stack skips the finite and nonzero tests: a quotient
-    # inside both limits comes only from finite nonzero values.
+    # The usability test has no finite or nonzero mask: a quotient inside
+    # both limits comes only from finite nonzero values.
     values = np.concatenate([special_values(), [1e-320, 1e308, -1e308j,
                                                 3.0 - 4.0j, 1e-300 + 1e300j]])
     a, b = (v.ravel() for v in np.meshgrid(values, values))
@@ -611,13 +631,11 @@ def test_usable_segments_have_finite_nonzero_ends():
                 & (np.abs(logr.imag) < _PHASE_JUMP_LIMIT)
                 & (np.abs(logr.real) < _STEEP_SEGMENT_LIMIT))
     assert expected.any() and not expected.all()
-    finite, usable, *_ = _log_ratios(a[None], b[None])
+    usable, *_ = _log_ratios(a[None], b[None])
     assert np.array_equal(usable[0], expected)
-    assert np.array_equal(finite[0], np.isfinite(a) & np.isfinite(b))
     for k in range(a.size):
-        finite, usable, *_ = _log_ratios(a[None, k:k + 1], b[None, k:k + 1])
+        usable, *_ = _log_ratios(a[None, k:k + 1], b[None, k:k + 1])
         assert usable[0, 0] == expected[k]
-        assert (finite is None) == expected[k]
 
 
 @pytest.mark.parametrize("r_max, npd", [(1e4, 64), (1e6, 64), (1e3, 8)])
