@@ -29,8 +29,8 @@ where it weighs.
 Beyond R_max the integrand is modeled as a power tail r^p with p fitted from
 the power model's log ratios on the last four segments and clamped to at
 most ``_TAIL_EXPONENT_FLOOR`` (the shallowest decay the extrapolation will
-accept); a fitted p >= -1 with a non-negligible magnitude at R_max raises
-``DivergentTailError``.
+accept); a fitted p >= -1 raises ``DivergentTailError`` unless the tail
+is negligible against its whole row (below one ulp of its largest value).
 """
 
 from __future__ import annotations
@@ -281,26 +281,33 @@ def _expm1_over(z, ratio, modulus):
     return out
 
 
-def _tail_value(grid: RadialGrid, base5, step):
-    """Extrapolated int_{R_max}^inf s f(s) (R_max/s)^zeta ds, one per row.
+def _tail_value(grid: RadialGrid, base5, step, scale):
+    """Extrapolated int_{R_max}^inf g(s) ds, g(s) = s f(s) (R_max/s)^zeta,
+    one per row.
 
-    ``base5`` holds r f at the last five nodes, one row per integrand, and
-    ``step`` the row's segment weight e^{-zeta h}.  The integrand's exponent
-    p is fitted from the power model's log ratios of the last four
-    segments: their mean when all four are usable, so oscillatory power
-    tails (complex p) extrapolate exactly, and the mean of their log moduli
-    otherwise.  It is clamped to at most ``_TAIL_EXPONENT_FLOOR``; rows
-    with a zero sample take the floor.  Raises ``DivergentTailError`` if
-    any row diverges.
+    ``base5`` holds r f at the last five nodes, one row per integrand,
+    ``step`` the row's segment weight e^{-zeta h} and ``scale`` the row's
+    largest |r f| on the grid.  The exponent p of g is fitted from the
+    power model's log ratios of the last four segments: their mean when
+    all four are usable, so oscillatory power tails (complex p) extrapolate
+    exactly, and the mean of their log moduli otherwise.  It is clamped to
+    at most ``_TAIL_EXPONENT_FLOOR``; rows with a zero sample take the
+    floor.
+
+    A tail is negligible, and taken as 0, when the most it adds at any
+    node, |g(R_max)| max(1, R_max^-Re zeta), is at most 1e-17 of
+    ``scale``: below one ulp of the row, where the last samples may be
+    rounding noise that fits as any power.  Raises ``DivergentTailError``
+    if any other row diverges.
     """
     usable, logr, _, mag = _log_ratios(base5[:, :-1], base5[:, 1:] * step)
     with np.errstate(divide="ignore", invalid="ignore"):
         p = np.where(usable.all(axis=1), logr.mean(axis=1),
                      np.log(mag).mean(axis=1)) / grid.h
     g_end = base5[:, -1]
-    mags = np.abs(base5) / np.abs(step) ** np.arange(4, -1, -1)
-    negligible = np.abs(g_end) <= np.fmax(_NEGLIGIBLE_TAIL,
-                                          1e-14 * mags.max(axis=1))
+    reach = np.fmax(1.0, np.abs(step[:, 0]) ** (grid.n_nodes - 1))
+    negligible = np.abs(g_end) * reach <= np.fmax(_NEGLIGIBLE_TAIL,
+                                                  1e-17 * scale)
     fit = ~negligible & ~np.any(base5 == 0, axis=1)
     diverging = fit & (p.real >= -1.0 + _DIVERGENCE_TOL)
     if np.any(diverging):
@@ -427,7 +434,7 @@ def _integrate_out(grid: RadialGrid, f2, zeta):
         r[:-1], base[:, :-1], base[:, 1:] * step, h,
         lambda i, j: (ends[i, j] / step[i, 0], ends[i, j + 3] * sq[i, 0]))
 
-    tail = _tail_value(grid, base[:, -5:], step)
+    tail = _tail_value(grid, base[:, -5:], step, np.abs(base).max(axis=1))
 
     local = np.empty_like(base)
     local[:, :-1] = seg

@@ -87,9 +87,11 @@ def test_solve_nonconvergence_exits_2(tmp_path, runner):
     assert "did not converge" in res.output
 
 
-def test_divergent_tail_exits_2_in_one_line(tmp_path, runner):
-    # A weak-flux trace on which the quadrature's tail fit reads the
-    # integrand as divergent: a typed solver failure, not a traceback.
+def test_divergent_tail_exits_2_in_one_line(tmp_path, runner,
+                                            divergent_sources):
+    # A weak-flux trace whose sources give a divergent quadrature tail
+    # (the runner calls solve in this process, so the patch reaches it):
+    # a typed solver failure, not a traceback.
     cfg = json.loads(json.dumps(SOLVE_CFG))
     cfg["flow"] = {"phi0": 1.8, "mu0": 0.5}
     cfg["solver"] = {"n_modes": 16}

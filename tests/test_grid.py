@@ -85,6 +85,12 @@ def test_tail_divergence_is_reported():
     out = integrate_out_all(g, g.r ** -2.05, 0.0)
     clamped = g.r_max ** -1.05 * g.r_max / 0.1
     assert out[-1].real == pytest.approx(clamped, rel=1e-10)
+    # A zero among the last five samples leaves no exponent to fit (its
+    # log ratios are -inf and inf): the tail takes the floor too.
+    f = g.r ** -4.0
+    f[-3] = 0.0
+    out = integrate_out_all(g, f, 0.0)
+    assert out[-1].real == pytest.approx(g.r_max ** -2.0 / 0.1, rel=1e-10)
 
 
 def test_negligible_tails_are_dropped():
@@ -504,7 +510,8 @@ def whole_array_integrals(g, rows, zeta, out):
         b_next[:, :-1] = base[:, 2:] * (step * step)
         seg = whole_array_segment_rule(g.r[:-1], base[:, :-1],
                                        base[:, 1:] * step, g.h, a_prev, b_next)
-        tail = grid_module._tail_value(g, base[:, -5:], step)
+        tail = grid_module._tail_value(g, base[:, -5:], step,
+                                       np.abs(base).max(axis=1))
         return _scan_backward(np.column_stack([seg, tail]), step[:, 0])
     a_prev[:, 1:] = base[:, :-2] * (step * step)
     b_next[:, :-1] = base[:, 2:] / step

@@ -1,10 +1,17 @@
 """Picard iteration, circulation shooting, and branch sweeps."""
 
+import json
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
+import hamelflow.cli
 import hamelflow.solve
+from hamelflow.field import ns_residual
 from hamelflow import (BoundarySpectrum, DivergentTailError, ReferenceFlow,
                        SolverConfig,
                        SolverConvergenceError, branch_sweep,
@@ -60,9 +67,9 @@ def test_divergence_raises_with_report():
     assert err.value.report.iterations == 2
 
 
-def test_quadrature_failure_is_a_typed_convergence_error():
-    # The tail fit reads one iterate's integrand as divergent; picard_solve
-    # reports that as a convergence failure with its partial report.
+def test_quadrature_failure_is_a_typed_convergence_error(divergent_sources):
+    # One iterate's integrand has a divergent tail; picard_solve reports
+    # that as a convergence failure with its partial report.
     b = bdry(16, 1.8, 0.5, 0.5, 0.01)
     with pytest.raises(SolverConvergenceError) as err:
         picard_solve(ReferenceFlow(1.8, 0.5), b, SolverConfig(n_modes=16))
@@ -79,6 +86,68 @@ def test_quadrature_failure_is_a_typed_convergence_error():
     assert exc.zeta == pytest.approx(
         mode_exponents(ReferenceFlow(1.8, 0.5), 1).zeta_plus, rel=1e-12)
     assert "kernel row 0, zeta=0.4579" in str(exc)
+
+
+def test_weak_flux_reproducer_converges():
+    # The weak-flux trace whose vorticity tail was rounding noise beyond
+    # one ulp of its row, once fitted as a diverging power r^-0.43.
+    for n_max, cfg in ((12, SolverConfig(n_modes=12, nodes_per_decade=96)),
+                       (16, SolverConfig(n_modes=16))):
+        sol, rep = shoot_mu(bdry(n_max, 1.8, 0.5, 0.5, 0.01), cfg)
+        assert rep.converged
+        assert ns_residual(sol) < 1e-6
+    _, rep = picard_solve(ReferenceFlow(1.8, 0.5), bdry(16, 1.8, 0.5, 0.5, 0.01),
+                          SolverConfig(n_modes=16))
+    assert rep.converged
+
+
+# Traces 0, 1 and 231 of the shoot_weak benchmark's weak-flux bank
+# (bench/workloads.py): phi0, mu0 and modes 1-3 of vr and vtheta.
+BANK_TRACES = {
+    0: (1.0828535303206555, 5.786074411431745,
+        [-0.00010224381274634149 - 0.004640475288867j,
+         -0.005860290451238035 - 0.004830987724543659j,
+         0.005875245874871167 + 0.003783620721277821j],
+        [-0.004191597997772347 - 0.0017414523462295133j,
+         0.0013477996534527656 + 0.0037965890631777204j,
+         -0.004577256093130149 + 0.0014833322809472103j]),
+    1: (0.7692458169890319, 7.368863392513104,
+        [-0.009225848177473666 - 0.011397539280039596j,
+         -0.008275196773349792 + 0.007424708791362085j,
+         0.001643307512060801 - 0.011161342423381524j],
+        [0.0036598105467545742 - 0.01024248363469079j,
+         0.007916845634741572 - 0.008896325565114464j,
+         0.0071339846688731065 - 0.010170772475405496j]),
+    231: (1.145170841299466, 4.446753385003399,
+          [-0.009030902363199185 - 0.0007773653632641313j,
+           -0.008479331514709119 - 0.007138755128231947j,
+           -0.003262609901836001 - 0.009252503693435329j],
+          [0.01224477599407832 - 0.010083228274503715j,
+           -0.006512034120261861 - 0.013016821949708863j,
+           -0.011971997170976035 - 0.005714993142601975j]),
+}
+
+
+@pytest.mark.parametrize("trace", sorted(BANK_TRACES))
+def test_bank_traces_converge_under_refinement(trace):
+    # Refining the grid must not turn rounding noise in a tail into a
+    # divergence; mu then settles at the rule's order and the residual
+    # falls with every doubling.
+    phi0, mu0, vr, vt = BANK_TRACES[trace]
+    n_max = 12
+    r = np.zeros(n_max + 1, complex)
+    t = np.zeros(n_max + 1, complex)
+    r[1:4], t[1:4] = vr, vt
+    spec = BoundarySpectrum(n_max, r, t, phi0, mu0, mu0)
+    mus, residuals = [], []
+    for npd in (96, 192, 384):
+        sol, rep = shoot_mu(spec, SolverConfig(n_modes=n_max,
+                                               nodes_per_decade=npd))
+        assert rep.converged
+        mus.append(rep.mu)
+        residuals.append(ns_residual(sol))
+    assert abs(mus[2] - mus[1]) <= abs(mus[1] - mus[0]) / 2
+    assert residuals[0] > residuals[1] > residuals[2]
 
 
 def test_shooting_closes_mean_trace():
@@ -238,6 +307,45 @@ def test_weak_flux_shooting_converges_or_fails_typed(phi0, offset, vr, vt):
         assert exc.report is not None and not exc.report.converged
         return
     assert rep.shoot_residual <= cfg.tol_mu * max(1.0, abs(rep.mu))
+
+
+_mode = st.tuples(st.floats(0.0, 0.01), st.floats(0.0, 1.0))   # |c|, turns
+
+
+@settings(max_examples=25, deadline=None)
+@given(phi0=st.floats(2.05, 4.0), mu=st.floats(-2.0, 2.0),
+       vr=st.lists(_mode, min_size=3, max_size=3),
+       vt=st.lists(_mode, min_size=3, max_size=3))
+def test_strong_flux_solve_converges_or_fails_typed(phi0, mu, vr, vt):
+    # phi0 > 2: picard_solve at the prescribed mu converges or raises
+    # SolverConvergenceError with its report, and `hamelflow solve` on the
+    # same config says which in one line (exit 0 or 2).
+    n_max = 8
+    rows = {k: [m * np.exp(2j * np.pi * turns) for m, turns in v]
+            for k, v in (("vr", vr), ("vtheta", vt))}
+    r = np.zeros(n_max + 1, complex)
+    t = np.zeros(n_max + 1, complex)
+    r[1:4], t[1:4] = rows["vr"], rows["vtheta"]
+    cfg = SolverConfig(n_modes=n_max, nodes_per_decade=48)
+    try:
+        _, rep = picard_solve(ReferenceFlow(phi0, mu),
+                              BoundarySpectrum(n_max, r, t, phi0, mu, mu), cfg)
+        converged = rep.converged
+    except SolverConvergenceError as exc:
+        assert exc.report is not None and not exc.report.converged
+        converged = False
+    config = {"flow": {"phi0": phi0, "mu0": mu, "mu": mu},
+              "boundary": {"modes": {
+                  k: [[c.real, c.imag] for c in v] for k, v in rows.items()}},
+              "solver": {"n_modes": n_max, "nodes_per_decade": 48}}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "run.json")
+        with open(path, "w") as fh:
+            json.dump(config, fh)
+        res = CliRunner().invoke(hamelflow.cli.main, [
+            "solve", "--config", path, "--out", os.path.join(tmp, "o")])
+    assert res.exit_code == (0 if converged else 2), res.output
+    assert res.output.count("\n") == 1
 
 
 def test_branch_sweep_orders_members():
