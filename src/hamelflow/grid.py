@@ -298,7 +298,7 @@ def _tail_value(grid: RadialGrid, base5, step, scale):
     node, |g(R_max)| max(1, R_max^-Re zeta), is at most 1e-17 of
     ``scale``: below one ulp of the row, where the last samples may be
     rounding noise that fits as any power.  Raises ``DivergentTailError``
-    if any other row diverges.
+    if a row that is not negligible diverges.
     """
     usable, logr, _, mag = _log_ratios(base5[:, :-1], base5[:, 1:] * step)
     with np.errstate(divide="ignore", invalid="ignore"):

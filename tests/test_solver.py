@@ -11,13 +11,13 @@ from hypothesis import given, settings, strategies as st
 
 import hamelflow.cli
 import hamelflow.solve
-from hamelflow.field import ns_residual
 from hamelflow import (BoundarySpectrum, DivergentTailError, ReferenceFlow,
                        SolverConfig,
                        SolverConvergenceError, branch_sweep,
                        circulation_threshold, fixed_point_residual,
                        mode_exponents, picard_norm, picard_solve, shoot_mu,
                        solve_linear)
+from hamelflow.field import ns_residual
 
 
 def bdry(n_max, phi0, mu0, mu, eps):
@@ -89,15 +89,15 @@ def test_quadrature_failure_is_a_typed_convergence_error(divergent_sources):
 
 
 def test_weak_flux_reproducer_converges():
-    # The weak-flux trace whose vorticity tail was rounding noise beyond
-    # one ulp of its row, once fitted as a diverging power r^-0.43.
+    # A weak-flux trace whose vorticity tail falls below one ulp of its
+    # row: that rounding noise must not be read as a diverging power.
     for n_max, cfg in ((12, SolverConfig(n_modes=12, nodes_per_decade=96)),
                        (16, SolverConfig(n_modes=16))):
         sol, rep = shoot_mu(bdry(n_max, 1.8, 0.5, 0.5, 0.01), cfg)
         assert rep.converged
         assert ns_residual(sol) < 1e-6
-    _, rep = picard_solve(ReferenceFlow(1.8, 0.5), bdry(16, 1.8, 0.5, 0.5, 0.01),
-                          SolverConfig(n_modes=16))
+    _, rep = picard_solve(ReferenceFlow(1.8, 0.5),
+                          bdry(16, 1.8, 0.5, 0.5, 0.01), SolverConfig(n_modes=16))
     assert rep.converged
 
 
