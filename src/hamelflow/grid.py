@@ -5,9 +5,7 @@ r_0 = 1 and r_J = R_max exactly.  The solver needs two families of weighted
 cumulative integrals,
 
     out_j = int_{r_j}^{inf} s f(s) (r_j / s)^zeta ds        (Re zeta >= 0),
-    in_j  = int_{1}^{r_j}   s f(s) (s / r_j)^zeta ds        (Re zeta <= 0
-                                                             after the sign
-                                                             flip below),
+    in_j  = int_{1}^{r_j}   s f(s) (r_j / s)^zeta ds        (Re zeta <= 0),
 
 evaluated at every node.  Both satisfy one-step recurrences along the grid
 whose multipliers have modulus <= 1 for every exponent the solver uses, so
@@ -16,25 +14,26 @@ summation.  Every routine takes either one profile or a stack of rows
 (one exponent zeta per row), so all modes of a kernel family are integrated
 in one call.
 
-Per-segment integrals use a local power-law model: on [s_j, s_{j+1}] the
-integrand G is replaced by G_j (s/s_j)^q with q = Log(G_{j+1}/G_j)/h, which
-integrates in closed form and is exact whenever G is a pure power.  Where the
-fitted exponent drifts between neighbouring segments (high log-curvature),
-the model is blended smoothly into a trapezoid rule in the log variable
-with an Euler-Maclaurin endpoint correction from the neighbouring nodes;
-segments where the ratio is unusable (zeros, sign flips, wild phase) take
-that corrected trapezoid alone.  The blend is formed only on the segments
-where it weighs.
+The segment integrals are product integration in x = log s (Filon's idea):
+on [x_j, x_j + h] the integrand is D(x) e^{-zeta (x - x_j)}, D = s (s f),
+and the kernel factor is integrated exactly against the cubic that
+interpolates D through nodes j-1..j+2 (the first four nodes on the first
+segment, the last four on the last).  Segment j is then
+h sum_k W_k(zeta h) D_{j+k}: one linear rule whose four weights per
+stencil depend on (zeta, h) only, never on the data.  It is exact for
+cubics in log r, not for pure powers of r, and converges at fourth order.
+The in integrals take the same rule on the reversed row.
 
 Beyond R_max the integrand is modeled as a power tail r^p with p fitted from
-the power model's log ratios on the last four segments and clamped to at
-most ``_TAIL_EXPONENT_FLOOR`` (the shallowest decay the extrapolation will
+the log ratios of the last five samples and clamped to at most
+``_TAIL_EXPONENT_FLOOR`` (the shallowest decay the extrapolation will
 accept); a fitted p >= -1 raises ``DivergentTailError`` unless the tail
 is negligible against its whole row (below one ulp of its largest value).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,9 +50,8 @@ __all__ = [
     "synthesize_boundary",
 ]
 
-_PHASE_JUMP_LIMIT = 2.5     # |Im log ratio| beyond this -> fallback rule
-_STEEP_SEGMENT_LIMIT = 2.5  # |Re log ratio| beyond this -> fallback rule
-_CURVATURE_RAMP = (10.0, 50.0)  # log-curvature band blending the two rules
+_PHASE_JUMP_LIMIT = 2.5     # tail |Im log ratio| beyond this -> modulus fit
+_STEEP_SEGMENT_LIMIT = 2.5  # tail |Re log ratio| beyond this -> modulus fit
 _DIVERGENCE_TOL = 1e-6      # fitted p >= -1 + this counts as divergent
 _TAIL_EXPONENT_FLOOR = -1.1  # shallowest tail decay r^p extrapolated
 _NEGLIGIBLE_TAIL = 1e-300
@@ -133,152 +131,74 @@ def build_grid(r_max: float = 1e4, nodes_per_decade: int = 64) -> RadialGrid:
     return RadialGrid(r_max=float(r_max), nodes_per_decade=int(nodes_per_decade))
 
 
-def _segment_power_integrals(s_left, a, b, h, neighbours):
-    """Integral over [s_j, s_j e^h] of a local model through (a_j, b_j).
+# The four weights of the cubic through a segment's stencil, as combinations
+# of the moments M_0..M_3: row m holds the coefficients of u^m in the
+# Lagrange basis polynomials of the first stencil (nodes 0..3, u = 0..3),
+# the inner one (nodes j-1..j+2, u = -1..2) and the last one (nodes
+# J-3..J, u = -2..1), four columns each.
+_CUBIC_BASIS = np.array([
+    [1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0],
+    [-11 / 6, 3.0, -1.5, 1 / 3, -1 / 3, -0.5, 1.0, -1 / 6,
+     1 / 6, -1.0, 0.5, 1 / 3],
+    [1.0, -2.5, 2.0, -0.5, 0.5, -1.0, 0.5, 0.0, 0.0, 0.5, -1.0, 0.5],
+    [-1 / 6, 0.5, -0.5, 1 / 6, -1 / 6, 0.5, -0.5, 1 / 6,
+     -1 / 6, 0.5, -0.5, 1 / 6],
+])
+# Taylor coefficients of M_m(z) = sum_k (-z)^k / (k! (m + k + 1)), m = 0..3,
+# highest power first; 18 terms reach rounding for |z| < 1.
+_MOMENT_SERIES = [np.array([(-1.0) ** k / (math.factorial(k) * (m + k + 1))
+                            for m in range(4)]) for k in range(17, -1, -1)]
 
-    a and b are (rows, segments) stacks of the integrand values at the
-    segment endpoints, referenced so that the integrand in x = log(s) is
-    F(x_j) = s_j a_j and F(x_j + h) = s_j e^h b_j.  Two rules are blended:
 
-    * the power model a_j (s/s_j)^q, exact for single powers and right for
-      the steep near-power integrands the kernels produce;
-    * a trapezoid rule corrected with the neighbouring values a_prev (one
-      node to the left, same weight referencing) and b_next (one node to
-      the right), whose error coefficients stay smooth through zeros of
-      the integrand where the power model breaks down.
-      ``neighbours(i, j)`` returns both for the segments (i, j) named by
-      two index arrays, nan where the node lies off the grid (the
-      correction is then dropped).
+def _cubic_weights(z):
+    """Weights of the three cubic stencils, (rows, 12), for a (rows, 1)
+    column z: column 4 s + k is int_0^1 L_k(u) e^{-z u} du for basis
+    polynomial k of stencil s (first, inner, last).
 
-    The blend weight follows the local log-curvature |d q_eff / dx|
-    estimated from the drift of the fitted exponent between adjacent
-    segments.  That estimate is h-independent for a fixed feature, so the
-    crossover happens at a fixed physical location and the quadrature
-    error stays a smooth function of position; a hard rule switch would
-    leave an h-independent kink in the scanned integral that downstream
-    finite differences amplify.  Unusable segments (sign flips, extreme
-    ratios, zeros, non-finite values) take the corrected trapezoid
-    outright, and 0 where an endpoint is not finite.
-
-    Most segments carry weight 0 and return the power model itself; the
-    corrected trapezoid and the blend are formed only on the segments in
-    the curvature band and the unusable ones.
+    They combine the moments M_m = int_0^1 u^m e^{-z u} du, summed from
+    their Taylor series where |z| < 1 and by the upward recurrence
+    M_m = (m M_{m-1} - e^{-z}) / z elsewhere.  Every operation is
+    elementwise in the rows, so a row's weights do not depend on its stack.
     """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    usable, logr, ratio, mag = _log_ratios(a, b)
-
-    # Power model: (e^z - 1)/z with z = (q + 1) h, q = logr / h.
-    ipow = a * s_left * h * _expm1_over(logr + h, ratio, mag)
-
-    # Blend weight: fraction of the corrected-trapezoid rule, nonzero where
-    # the drift exceeds the ramp's foot.
-    n_seg = logr.shape[-1]
-    if n_seg > 1:
-        step = np.abs(np.diff(logr, axis=-1))
-        drift = np.maximum(np.concatenate([step[..., :1], step], axis=-1),
-                           np.concatenate([step, step[..., -1:]], axis=-1))
-    else:
-        drift = np.zeros(logr.shape)
-    lo, hi = _CURVATURE_RAMP
-    curv = drift / (h * h)
-    k = np.flatnonzero((curv > lo) | ~usable)
-    if not k.size:
-        return ipow
-    # Repeats of the last blended segment fill k up to a whole number of
-    # rows.  Arrays of a new small size in every call would fragment the
-    # heap (and numpy's cache of small blocks) and raise the memory peak.
-    k = np.concatenate([k, np.full(-k.size % n_seg, k[-1])])
-
-    # Corrected trapezoid: plain trapezoid plus the Euler-Maclaurin endpoint
-    # term built from central-difference derivatives.
-    i, j = np.divmod(k, n_seg)
-    s = s_left[j]
-    a_k = a.take(k)
-    b_k = b.take(k)
-    a_prev, b_next = neighbours(i, j)
-    eh = np.exp(h)
-    f0 = a_k * s
-    f1 = b_k * s * eh
-    with np.errstate(all="ignore"):
-        trap = 0.5 * h * (f0 + f1)
-        corr = (h / 24.0) * (b_next * s * (eh * eh) - f1 - f0
-                             + a_prev * s / eh)
-        good = np.isfinite(corr) & (np.abs(corr) <= 0.5 * np.abs(trap))
-    ict = np.where(good, trap - corr, trap)
-
-    ramp = np.minimum(np.maximum((curv.take(k) - lo) / (hi - lo), 0.0), 1.0)
-    power = usable.take(k)
-    wgt = np.where(power, ramp * ramp * (3.0 - 2.0 * ramp), 1.0)
-    mixed = (1.0 - wgt) * np.where(power, ipow.take(k), 0.0) + wgt * ict
-    ipow.put(k, np.where(np.isfinite(a_k) & np.isfinite(b_k), mixed, 0.0))
-    return ipow
+    small = np.abs(z) < 1.0
+    moments = np.zeros((len(z), 4), dtype=complex)
+    for coef in _MOMENT_SERIES:
+        moments *= z
+        moments += coef
+    if not small.all():
+        zr = np.where(small, 1.0, z)
+        decay = np.exp(-zr)
+        rec = np.empty_like(moments)
+        rec[:, :1] = (1.0 - decay) / zr
+        for m in range(1, 4):
+            rec[:, m:m + 1] = (m * rec[:, m - 1:m] - decay) / zr
+        moments = np.where(small, moments, rec)
+    weights = moments[:, :1] * _CUBIC_BASIS[0]
+    for m in range(1, 4):
+        weights += moments[:, m:m + 1] * _CUBIC_BASIS[m]
+    return weights
 
 
-def _log_ratios(a, b):
-    """(usable, Log(b/a), b/a, |b/a|) per segment of the power model.
+def _segment_integrals(d, z, h):
+    """h int_0^1 P_j(u) e^{-z u} du on every segment j of each row of ``d``.
 
-    A segment is usable when its log ratio stays within the phase and
-    steepness limits; a quotient inside both limits is finite and nonzero,
-    which IEEE complex division gives only for finite nonzero operands.
-    The log ratio is 0 on the other segments.  Only usable segments read
-    the ratio and its modulus.
+    ``d`` is a (rows, nodes) stack of samples on a uniform grid of step h
+    and z a (rows, 1) column; P_j is the cubic through nodes j-1..j+2 in
+    u = (x - x_j)/h, through nodes 0..3 on the first segment and the last
+    four nodes on the last.  The rule is linear in ``d`` with weights fixed
+    by (z, h), exact for cubics in x, and of fourth order.  Returns
+    (rows, nodes - 1).
     """
-    with np.errstate(all="ignore"):
-        ratio = b / a
-        mag = np.abs(ratio)
-        logr = _complex_log(ratio, mag)
-    usable = ((np.abs(logr.imag) < _PHASE_JUMP_LIMIT)
-              & (np.abs(logr.real) < _STEEP_SEGMENT_LIMIT))
-    logr.put(np.flatnonzero(~usable), 0.0)
-    return usable, logr, ratio, mag
-
-
-def _complex_log(z, modulus=None):
-    """Principal log of a complex array as log|z| + i arg z.
-
-    Same values and branch cut (arg of -x - 0i is -pi) as complex ``np.log``
-    to a few ulp, at a fraction of its cost.  ``modulus`` is |z| when the
-    caller has it.
-    """
-    out = np.empty(z.shape, dtype=complex)
-    out.real = np.log(np.abs(z) if modulus is None else modulus)
-    out.imag = np.arctan2(z.imag, z.real)
-    return out
-
-
-def _phasor_expm1(x, ratio, modulus):
-    """e^z - 1 for z = x + i arg(ratio), with no trig call.
-
-    cos y and sin y are the parts of the phasor ratio/|ratio| (``modulus``
-    is |ratio|).  The real part expm1(x) cos y - 2 sin^2(y/2) keeps full
-    relative accuracy for small |z|: 2 sin^2(y/2) is sin^2 y / (1 + cos y)
-    where cos y >= 0, and 1 - cos y where that has no cancellation.
-    """
-    cos_y = ratio.real / modulus
-    sin_y = ratio.imag / modulus
-    half = sin_y * sin_y / (1.0 + cos_y)
-    wide = cos_y < 0.0
-    if wide.any():
-        half[wide] = 1.0 - cos_y[wide]
-    out = np.empty(np.shape(x), dtype=complex)
-    out.real = np.expm1(x) * cos_y - half
-    out.imag = np.exp(x) * sin_y
-    return out
-
-
-def _expm1_over(z, ratio, modulus):
-    """(e^z - 1)/z for a complex array z whose imaginary part is
-    arg(ratio), |ratio| = ``modulus``: the quotient, with its cubic series
-    1 + z/2 + z^2/6 + z^3/24 on the elements where |z| < 1e-4 (formed on
-    those elements only)."""
-    with np.errstate(all="ignore"):
-        out = _phasor_expm1(z.real, ratio, modulus) / z
-    small = np.abs(z) < 1e-4
-    if small.any():
-        zs = z[small]
-        out[small] = 1.0 + zs / 2.0 + zs * zs / 6.0 + zs * zs * zs / 24.0
-    return out
+    w = _cubic_weights(z) * h
+    n = d.shape[1]
+    seg = np.empty((d.shape[0], n - 1), dtype=complex)
+    for out, col, first in ((seg[:, :1], 0, 0), (seg[:, 1:-1], 4, 0),
+                            (seg[:, -1:], 8, n - 4)):
+        width = out.shape[1]
+        np.multiply(w[:, col:col + 1], d[:, first:first + width], out=out)
+        for k in range(1, 4):
+            out += w[:, col + k:col + k + 1] * d[:, first + k:first + k + width]
+    return seg
 
 
 def _tail_value(grid: RadialGrid, base5, step, scale):
@@ -287,12 +207,12 @@ def _tail_value(grid: RadialGrid, base5, step, scale):
 
     ``base5`` holds r f at the last five nodes, one row per integrand,
     ``step`` the row's segment weight e^{-zeta h} and ``scale`` the row's
-    largest |r f| on the grid.  The exponent p of g is fitted from the
-    power model's log ratios of the last four segments: their mean when
-    all four are usable, so oscillatory power tails (complex p) extrapolate
-    exactly, and the mean of their log moduli otherwise.  It is clamped to
-    at most ``_TAIL_EXPONENT_FLOOR``; rows with a zero sample take the
-    floor.
+    largest |r f| on the grid.  The exponent p of g is fitted from the log
+    ratios of g between the last five nodes: their mean when all four stay
+    within the phase and steepness limits, so oscillatory power tails
+    (complex p) extrapolate exactly, and the mean of their log moduli
+    otherwise.  It is clamped to at most ``_TAIL_EXPONENT_FLOOR``; rows
+    with a zero sample take the floor.
 
     A tail is negligible, and taken as 0, when the most it adds at any
     node, |g(R_max)| max(1, R_max^-Re zeta), is at most 1e-17 of
@@ -300,15 +220,23 @@ def _tail_value(grid: RadialGrid, base5, step, scale):
     rounding noise that fits as any power.  Raises ``DivergentTailError``
     if a row that is not negligible diverges.
     """
-    usable, logr, _, mag = _log_ratios(base5[:, :-1], base5[:, 1:] * step)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p = np.where(usable.all(axis=1), logr.mean(axis=1),
-                     np.log(mag).mean(axis=1)) / grid.h
+    # Log ratios as log|ratio| + i arg(ratio), in real arithmetic: complex
+    # np.log costs several times as much on these small arrays.
+    with np.errstate(all="ignore"):
+        ratio = base5[:, 1:] * step / base5[:, :-1]
+        log_mod = np.log(np.abs(ratio))
+        phase = np.arctan2(ratio.imag, ratio.real)
+        usable = ((np.abs(log_mod).max(axis=1) < _STEEP_SEGMENT_LIMIT)
+                  & (np.abs(phase).max(axis=1) < _PHASE_JUMP_LIMIT))
+        p = np.empty(len(base5), dtype=complex)
+        p.real = log_mod.sum(axis=1)
+        p.imag = np.where(usable, phase.sum(axis=1), 0.0)
+        p /= 4.0 * grid.h
     g_end = base5[:, -1]
     reach = np.fmax(1.0, np.abs(step[:, 0]) ** (grid.n_nodes - 1))
     negligible = np.abs(g_end) * reach <= np.fmax(_NEGLIGIBLE_TAIL,
                                                   1e-17 * scale)
-    fit = ~negligible & ~np.any(base5 == 0, axis=1)
+    fit = ~negligible & np.all(base5, axis=1)    # no zero sample
     diverging = fit & (p.real >= -1.0 + _DIVERGENCE_TOL)
     if np.any(diverging):
         i = np.flatnonzero(diverging)[np.argmax(p.real[diverging])]
@@ -393,15 +321,6 @@ def _live_rows(kernel, grid: RadialGrid, rows, zeta):
         raise
 
 
-def _nodes_and_ends(r, f2):
-    """r f as the inner columns of a stack that adds a nan node beyond each
-    end: (that stack, r f).  Node j of the grid is column j + 1."""
-    ends = np.full((f2.shape[0], r.size + 2), np.nan, dtype=complex)
-    base = ends[:, 1:-1]
-    np.multiply(r, f2, out=base)
-    return ends, base
-
-
 def integrate_out_all(grid: RadialGrid, f, zeta) -> np.ndarray:
     """out_j = int_{r_j}^inf s f(s) (r_j/s)^zeta ds for every node j.
 
@@ -420,25 +339,15 @@ def integrate_out_all(grid: RadialGrid, f, zeta) -> np.ndarray:
 
 def _integrate_out(grid: RadialGrid, f2, zeta):
     """``integrate_out_all`` on a (rows, nodes) stack, zeta a (rows, 1) column."""
-    r = grid.r
     h = grid.h
-    ends, base = _nodes_and_ends(r, f2)
-    # Integrand of segment j referenced to its own left endpoint:
-    # value a_j at r_j, value b_j = r_{j+1} f_{j+1} e^{-zeta h} at r_{j+1};
-    # the node one to the left carries weight e^{+zeta h}, the node two to
-    # the right e^{-2 zeta h}.
+    base = grid.r * f2
+    # In x = log s the integrand of segment j is D e^{-zeta (x - x_j)},
+    # D = s (s f), referenced to its left node.
     step = np.exp(-zeta * h)
-    sq = step * step
-    # nodes j - 1 and j + 2 of segment j sit in columns j and j + 3 of ends
-    seg = _segment_power_integrals(
-        r[:-1], base[:, :-1], base[:, 1:] * step, h,
-        lambda i, j: (ends[i, j] / step[i, 0], ends[i, j + 3] * sq[i, 0]))
-
-    tail = _tail_value(grid, base[:, -5:], step, np.abs(base).max(axis=1))
-
     local = np.empty_like(base)
-    local[:, :-1] = seg
-    local[:, -1] = tail
+    local[:, :-1] = _segment_integrals(grid.r * base, zeta * h, h)
+    local[:, -1] = _tail_value(grid, base[:, -5:], step,
+                               np.abs(base).max(axis=1))
     return _scan_backward(local, step[:, 0])
 
 
@@ -455,23 +364,14 @@ def integrate_in_all(grid: RadialGrid, f, zeta) -> np.ndarray:
 
 def _integrate_in(grid: RadialGrid, f2, zeta):
     """``integrate_in_all`` on a (rows, nodes) stack, zeta a (rows, 1) column."""
-    r = grid.r
     h = grid.h
-    ends, base = _nodes_and_ends(r, f2)
-    # Segment j-1..j referenced to its right endpoint r_j:
-    # left value a = r_{j-1} f_{j-1} e^{zeta h}, right value b = r_j f_j;
-    # neighbouring nodes carry weights e^{2 zeta h} and e^{-zeta h}.
-    step = np.exp(zeta * h)
-    sq = step * step
-    # nodes j - 1 and j + 2 of segment j sit in columns j and j + 3 of ends
-    seg = _segment_power_integrals(
-        r[:-1], base[:, :-1] * step, base[:, 1:], h,
-        lambda i, j: (ends[i, j] * sq[i, 0], ends[i, j + 3] / step[i, 0]))
-
-    local = np.empty_like(base)
+    # Segment j-1..j referenced to its right node is the out rule's segment
+    # on the reversed row, D e^{zeta (x_j - x)}, with z = -zeta h.
+    d = (grid.r * (grid.r * f2))[:, ::-1]
+    local = np.empty(f2.shape, dtype=complex)
     local[:, 0] = 0.0
-    local[:, 1:] = seg
-    return _scan_forward(local, step[:, 0])
+    local[:, 1:] = _segment_integrals(d, -zeta * h, h)[:, ::-1]
+    return _scan_forward(local, np.exp(zeta[:, 0] * h))
 
 
 # ---------------------------------------------------------------------------

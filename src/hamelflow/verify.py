@@ -104,7 +104,7 @@ def manufactured_vorticity_error(grid, n, phi0, mu, a):
 
 
 def check_manufactured_modes(quick: bool):
-    grid = build_grid(1e4, 48 if quick else 64)
+    grid = build_grid(1e4, 128)
     worst = max(manufactured_vorticity_error(grid, *case)
                 for case in MANUFACTURED_CASES)
     return _check("manufactured_mode_response", worst < 1e-6, worst, 1e-6,
@@ -113,7 +113,7 @@ def check_manufactured_modes(quick: bool):
 
 
 def check_manufactured_zero_mode(quick: bool):
-    grid = build_grid(1e4, 48 if quick else 64)
+    grid = build_grid(1e4, 128)
     phi0, b = 2.5, 5.0
     f0 = grid.r ** (-b)
     w, dw = solve_w_zero(grid, phi0, f0)

@@ -124,20 +124,20 @@ def _zero_mode_errors(grid):
 def test_criterion_03_manufactured_kernel_responses_converge():
     t0 = time.perf_counter()
     errs = {}
-    for npd in (48, 96):
+    for npd in (128, 256):
         grid = build_grid(1e4, npd)
         per_case = [manufactured_vorticity_error(grid, *case)
                     for case in MANUFACTURED_CASES]
         per_case.append(_zero_mode_errors(grid))
         errs[npd] = per_case
     elapsed = time.perf_counter() - t0
-    for npd in (48, 96):
+    for npd in (128, 256):
         assert max(errs[npd]) < 1e-6
-    for coarse, fine in zip(errs[48], errs[96]):
-        assert fine <= max(coarse / 3.5, 1e-12)
+    for coarse, fine in zip(errs[128], errs[256]):
+        assert fine <= max(coarse / 2 ** 3.5, 1e-12)
     assert elapsed < 30.0
-    print(f"criterion 3: worst manufactured error {max(errs[48]):.2e} "
-          f"(coarse) / {max(errs[96]):.2e} (fine), {elapsed:.2f}s")
+    print(f"criterion 3: worst manufactured error {max(errs[128]):.2e} "
+          f"(coarse) / {max(errs[256]):.2e} (fine), {elapsed:.2f}s")
 
 
 def test_criterion_04_fd_residuals_on_the_linear_verify_cases():

@@ -31,25 +31,37 @@ def steep_sources(grid, n_max, amp=0.01):
     return SourceSpectrum(n_max, F)
 
 
+def observed_order(coarse, fine):
+    """Order of convergence per doubling of the nodes per decade."""
+    return np.log2(np.asarray(coarse) / np.asarray(fine))
+
+
 @pytest.mark.parametrize("n, phi0, mu, a", [
     (1, 2.5, 0.3, 2.5),
     (2, 2.5, 0.0, 3.0),
     (3, 3.0, 1.0, 4.0),
 ])
-def test_vorticity_kernel_matches_closed_form(grid, n, phi0, mu, a):
+def test_vorticity_kernel_matches_closed_form(n, phi0, mu, a):
     # The source C r^(-(a+2)) with C = a^2 - a phi0 - (i n mu + n^2) has the
     # exact response -r^(-a) plus a homogeneous multiple of r^(zeta-).
     flow = ReferenceFlow(phi0, mu)
     me = mode_exponents(flow, n)
     c = a * a - a * phi0 - (1j * n * mu + n * n)
-    f = c * grid.r ** (-(a + 2.0))
-    w, dw = solve_w_particular(grid, flow, n, f)
-    exact = (-grid.r ** (-a) + (c / me.sqrt_disc)
-             * grid.r ** me.zeta_minus / (a + me.zeta_minus))
-    assert np.abs(w - exact).max() / np.abs(exact).max() < 1e-8
-    dexact = (a * grid.r ** (-a - 1.0) + (c / me.sqrt_disc) * me.zeta_minus
-              * grid.r ** (me.zeta_minus - 1.0) / (a + me.zeta_minus))
-    assert np.abs(dw - dexact).max() / np.abs(dexact).max() < 1e-8
+
+    def errors(grid):
+        f = c * grid.r ** (-(a + 2.0))
+        w, dw = solve_w_particular(grid, flow, n, f)
+        exact = (-grid.r ** (-a) + (c / me.sqrt_disc)
+                 * grid.r ** me.zeta_minus / (a + me.zeta_minus))
+        dexact = (a * grid.r ** (-a - 1.0) + (c / me.sqrt_disc)
+                  * me.zeta_minus * grid.r ** (me.zeta_minus - 1.0)
+                  / (a + me.zeta_minus))
+        return (np.abs(w - exact).max() / np.abs(exact).max(),
+                np.abs(dw - dexact).max() / np.abs(dexact).max())
+
+    coarse, fine = errors(build_grid(1e4, 48)), errors(build_grid(1e4, 96))
+    assert max(fine) < 2e-6                       # 1.8e-6 at worst
+    assert observed_order(coarse, fine).min() >= 3.5
 
 
 def test_kernel_error_drops_with_refinement():
@@ -61,27 +73,38 @@ def test_kernel_error_drops_with_refinement():
     assert errs[64] <= max(errs[32] / 3.5, 1e-12)
 
 
-def test_stream_kernel_inverts_mode_laplacian(grid):
+def test_stream_kernel_inverts_mode_laplacian():
     # For w = r^-4 and n = 2 the two weighted integrals evaluate in closed
     # form: out = r^-2/4, in = r^-2 log r, so the particular stream is
     # r^-2 (1/16 + log(r)/4); its mode Laplacian is -w via the identity
     # Delta_n[log(r) r^-n] = -2 n r^(-n-2).
-    w = grid.r ** -4.0 + 0j
-    (g,), (dg,) = _gamma_response(grid, w[None], [2.0])
-    exact_g = grid.r ** -2.0 * (1.0 / 16.0 + np.log(grid.r) / 4.0)
-    exact_dg = grid.r ** -3.0 * (1.0 / 8.0 - np.log(grid.r) / 2.0)
-    assert np.abs(g - exact_g).max() < 1e-13
-    assert np.abs(dg - exact_dg).max() < 1e-13
+    def errors(grid):
+        w = grid.r ** -4.0 + 0j
+        (g,), (dg,) = _gamma_response(grid, w[None], [2.0])
+        exact_g = grid.r ** -2.0 * (1.0 / 16.0 + np.log(grid.r) / 4.0)
+        exact_dg = grid.r ** -3.0 * (1.0 / 8.0 - np.log(grid.r) / 2.0)
+        return np.abs(g - exact_g).max(), np.abs(dg - exact_dg).max()
+
+    coarse, fine = errors(build_grid(1e4, 48)), errors(build_grid(1e4, 96))
+    assert fine[0] < 1e-8 and fine[1] < 2e-8      # 5.4e-9 and 1.1e-8
+    assert observed_order(coarse, fine).min() >= 3.5
 
 
-def test_zero_mode_kernels_match_closed_forms(grid):
+def test_zero_mode_kernels_match_closed_forms():
     phi0, b = 2.5, 5.0
-    w, dw = solve_w_zero(grid, phi0, grid.r ** (-b) + 0j)
-    exact = grid.r ** (2.0 - b) / ((b - 2.0) * (b - phi0 - 2.0))
-    assert np.abs(w - exact).max() / np.abs(exact).max() < 1e-9
-    g, dg = solve_gamma_zero(grid, grid.r ** (-3.0) + 0j)
-    assert np.abs(g - grid.r ** (-1.0)).max() < 1e-9
-    assert np.abs(dg + grid.r ** (-2.0)).max() < 1e-9
+
+    def errors(grid):
+        w, dw = solve_w_zero(grid, phi0, grid.r ** (-b) + 0j)
+        exact = grid.r ** (2.0 - b) / ((b - 2.0) * (b - phi0 - 2.0))
+        g, dg = solve_gamma_zero(grid, grid.r ** (-3.0) + 0j)
+        return (np.abs(w - exact).max() / np.abs(exact).max(),
+                np.abs(g - grid.r ** (-1.0)).max(),
+                np.abs(dg + grid.r ** (-2.0)).max())
+
+    coarse, fine = errors(build_grid(1e4, 48)), errors(build_grid(1e4, 96))
+    assert fine[0] < 2e-6                         # 1.6e-6 at 96 nodes/decade
+    assert fine[1] < 2e-8 and fine[2] < 1e-8      # 9.9e-9 and 4.8e-9
+    assert observed_order(coarse, fine).min() >= 3.5
 
 
 def test_supercritical_flux_worked_example():
@@ -167,6 +190,28 @@ def test_linearity_in_boundary_and_sources(grid):
     assert np.abs(sol.gamma - sol1.gamma - sol2.gamma).max() < 1e-12 * scale
     wscale = np.abs(sol.w).max()
     assert np.abs(sol.w - sol1.w - sol2.w).max() < 1e-12 * wscale
+
+
+def test_solve_linear_is_linear():
+    # Two unrelated oscillating complex-power sources: the quadrature is a
+    # fixed-weight linear rule, so superposition holds to the tail fit's
+    # rounding, not only for proportional sources.
+    n_max = 8
+    grid = build_grid(1e4, 64)
+    flow = ReferenceFlow(2.5, 0.2)
+    boundary = mode_boundary(n_max, 2.5, mu0=0.2, mu=0.2)
+    n = np.arange(n_max + 1)[:, None]
+    f1 = (1.0 + 0.5j) * grid.r ** (-6.0 - 0.1 * n + 1.0j)
+    f2 = (0.3 - 1.0j) * grid.r ** (-6.5 - 0.2 * n - 0.5j)
+
+    def solve(F):
+        return solve_linear(flow, grid, boundary, SourceSpectrum(n_max, F))
+
+    both, one, two = solve(f1 + f2), solve(f1), solve(f2)
+    for key in ("gamma", "w"):
+        total = getattr(both, key)
+        diff = total - getattr(one, key) - getattr(two, key)
+        assert np.abs(diff).max() <= 1e-7 * np.abs(total).max()
 
 
 def test_conjugate_boundary_gives_conjugate_solution(grid):
