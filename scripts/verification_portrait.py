@@ -22,8 +22,7 @@ import sys
 import numpy as np
 
 from hamelflow import (BoundarySpectrum, ReferenceFlow, build_grid, decay_fit,
-                       mode_exponents, re_zeta_minus_closed_form,
-                       solve_linear)
+                       re_zeta_minus_closed_form, solve_linear, zeta_pair)
 from hamelflow.uniq import (hardy_check, hardy_sharpness, positivity_roots,
                             probe_q1_negativity, q_form, random_stream,
                             random_w_profile)
@@ -55,9 +54,9 @@ def decay_panel(phi0, mu):
     print(f"{'n':>3} {'stream fit':>11} {'stream pred':>12} "
           f"{'vort fit':>11} {'vort pred':>11}")
     rows = []
+    zm = zeta_pair(phi0, mu, np.arange(n_max + 1))[1]
     for n in range(1, n_max + 1):
-        zeta = mode_exponents(flow, n).zeta_minus
-        g_pred = max(-float(n), zeta.real + 2.0)
+        g_pred = max(-float(n), float(zm[n].real) + 2.0)
         w_pred = re_zeta_minus_closed_form(phi0, mu, n)
         print(f"{n:3d} {profile.gamma_slopes[n]:11.4f} {g_pred:12.4f} "
               f"{profile.w_slopes[n]:11.4f} {w_pred:11.4f}")

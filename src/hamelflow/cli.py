@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 invalid input (a config that cannot be read, a
-flux in the degenerate band around 2, a grid of fewer than 5 nodes and an
-export source that is not a modes.json included) or failed verification,
+flux in the degenerate band around 2, phi0 = mu = 0, a grid of fewer than
+5 nodes and an export source that is not a modes.json included) or failed
+verification,
 2 solver non-convergence.  The usage errors that click raises itself (an
 unknown command or option, a missing required option) keep click's exit 2.
 Reports are deterministic: rerunning a command with the same config and

@@ -8,7 +8,7 @@ import math
 import numpy as np
 
 from .grid import BoundarySpectrum, project_boundary
-from .linear import DegenerateFluxError, _check_flux_band
+from .linear import DegenerateFluxError, _check_degenerate
 from .solve import SolverConfig
 
 __all__ = ["ConfigError", "CONFIG_SCHEMA", "load_config", "solver_config",
@@ -245,12 +245,12 @@ def solver_config(cfg: dict, quick: bool = False) -> SolverConfig:
 def build_boundary(cfg: dict, config: SolverConfig) -> BoundarySpectrum:
     """Boundary spectrum from either sample or mode form of the config.
 
-    After the trace's own checks, a flux in the degenerate band around 2
-    is rejected here, before any solving starts.
+    After the trace's own checks, a flux in the degenerate band around 2,
+    or phi0 = mu = 0, is rejected here, before any solving starts.
     """
     spectrum = _spectrum(cfg, config)
     try:
-        _check_flux_band(spectrum.phi0)
+        _check_degenerate(spectrum)
     except DegenerateFluxError as exc:
         raise ConfigError(str(exc)) from exc
     return spectrum

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flows import alpha_window, mode_exponents
+from .flows import alpha_window, zeta_pair
 from .linear import SpectralSolution, SourceSpectrum
 from .nonlin import compute_sources
 
@@ -251,23 +251,17 @@ def decay_fit(solution: SpectralSolution) -> DecayProfile:
     n_all = np.arange(solution.n_max + 1)
     g_slopes = np.full(n_all.size, np.nan)
     w_slopes = np.full(n_all.size, np.nan)
-    g_ceil = np.full(n_all.size, np.nan)
-    w_ceil = np.full(n_all.size, np.nan)
+    # the mean mode carries its homogeneous exponent zeta_0^- = -phi0 only
+    # when phi0 > 2, and no -|n| stream decay
+    zm = zeta_pair(flow.phi0, flow.mu, n_all)[1].real
+    homogeneous = (n_all > 0) | (flow.phi0 > 2.0)
+    g_ceil = np.maximum(np.where(homogeneous, zm + 2.0, -np.inf), -2.0 * alpha)
+    g_ceil[1:] = np.maximum(g_ceil[1:], -n_all[1:])
+    w_ceil = np.maximum(np.where(homogeneous, zm, -np.inf), -2.0 - 2.0 * alpha)
 
     g_scale = np.abs(solution.gamma).max(initial=0.0)
     w_scale = np.abs(solution.w).max(initial=0.0)
     for n in n_all:
-        if n == 0:
-            if flow.phi0 > 2.0:
-                g_ceil[0] = max(2.0 - flow.phi0, -2.0 * alpha)
-                w_ceil[0] = max(-flow.phi0, -2.0 - 2.0 * alpha)
-            else:
-                g_ceil[0] = -2.0 * alpha
-                w_ceil[0] = -2.0 - 2.0 * alpha
-        else:
-            zm = mode_exponents(flow, int(n)).zeta_minus
-            g_ceil[n] = max(-float(n), zm.real + 2.0, -2.0 * alpha)
-            w_ceil[n] = max(zm.real, -2.0 - 2.0 * alpha)
         if g_scale > 0 and np.abs(solution.gamma[n]).max() > 1e-13 * g_scale:
             g_slopes[n] = _fit_slope(grid.r, solution.gamma[n], lo)
         if w_scale > 0 and np.abs(solution.w[n]).max() > 1e-13 * w_scale:

@@ -25,11 +25,9 @@ import numpy as np
 
 __all__ = [
     "ReferenceFlow",
-    "ModeExponents",
     "hamel_velocity",
     "ref_velocity",
     "zeta_pair",
-    "mode_exponents",
     "re_zeta_minus_closed_form",
     "rho_decay",
     "alpha_window",
@@ -50,16 +48,6 @@ class ReferenceFlow:
             raise ValueError(f"flux phi0 must be nonnegative, got {self.phi0}")
         if not (np.isfinite(self.phi0) and np.isfinite(self.mu)):
             raise ValueError("flow parameters must be finite")
-
-
-@dataclass(frozen=True)
-class ModeExponents:
-    """Characteristic exponents of the mode-n vorticity operator."""
-
-    n: int
-    zeta_plus: complex
-    zeta_minus: complex
-    sqrt_disc: complex  # zeta_plus - zeta_minus, never zero for n != 0
 
 
 def hamel_velocity(phi: float, lam: float, mu: float, r):
@@ -95,12 +83,6 @@ def zeta_pair(phi0, mu, n):
     zp = -phi0 / 2.0 + root / 2.0
     zm = -phi0 / 2.0 - root / 2.0
     return zp, zm
-
-
-def mode_exponents(flow: ReferenceFlow, n: int) -> ModeExponents:
-    zp, zm = zeta_pair(flow.phi0, flow.mu, int(n))
-    return ModeExponents(n=int(n), zeta_plus=complex(zp), zeta_minus=complex(zm),
-                         sqrt_disc=complex(zp - zm))
 
 
 def re_zeta_minus_closed_form(phi0, mu, n):

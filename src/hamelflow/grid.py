@@ -29,6 +29,10 @@ the log ratios of the last five samples and clamped to at most
 ``_TAIL_EXPONENT_FLOOR`` (the shallowest decay the extrapolation will
 accept); a fitted p >= -1 raises ``DivergentTailError`` unless the tail
 is negligible against its whole row (below one ulp of its largest value).
+A ratio beyond the phase or steepness limit makes the fit use the log
+moduli only.  That fallback keeps the tails of real rows real: a zero
+crossing among the last five samples is a ratio of phase pi, which as a
+complex exponent would give a real integral an imaginary part.
 """
 
 from __future__ import annotations

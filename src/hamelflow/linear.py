@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .flows import ReferenceFlow, mode_exponents, zeta_pair
+from .flows import ReferenceFlow, zeta_pair
 from .grid import BoundarySpectrum, RadialGrid, integrate_in_all, integrate_out_all
 
 __all__ = [
@@ -47,7 +47,8 @@ __all__ = [
 
 
 class DegenerateFluxError(ValueError):
-    """phi0 is inside the numerically degenerate band around 2."""
+    """No mode solve exists: phi0 is inside the numerically degenerate band
+    around 2, or phi0 = mu = 0."""
 
 
 _PHI_BAND = 1e-6
@@ -128,8 +129,7 @@ def solve_w_particular(grid: RadialGrid, flow: ReferenceFlow, n: int, f_n):
     """
     if n == 0:
         raise ValueError("mode 0 uses solve_w_zero")
-    me = mode_exponents(flow, n)
-    return _w_response(grid, f_n, me.zeta_plus, me.zeta_minus)
+    return _w_response(grid, f_n, *zeta_pair(flow.phi0, flow.mu, n))
 
 
 def solve_w_zero(grid: RadialGrid, phi0: float, f_0):
@@ -231,12 +231,21 @@ def _assemble_nonzero(grid: RadialGrid, n, zm, boundary: BoundarySpectrum,
     return gamma, dgamma, w, dw, gamma_bar, w_bar, resonant
 
 
-def _check_flux_band(phi0: float):
+def _check_degenerate(flow):
+    """Reject the fluxes ``solve_linear`` cannot solve at; ``flow`` is a
+    ReferenceFlow or a BoundarySpectrum."""
+    phi0 = flow.phi0
     if abs(phi0 - 2.0) < _PHI_BAND and phi0 != 2.0:
         raise DegenerateFluxError(
             f"phi0={phi0!r} is inside the degenerate band around 2; the "
             "homogeneous mean mode r^(2-phi0) is numerically indistinct "
             "from the log pair there")
+    if phi0 == 0.0 and flow.mu == 0.0:
+        # zeta_1^- + 2 = 1: the stream response to r^(zeta_1^-) resonates
+        # with the growing r^1 (the Stokes paradox)
+        raise DegenerateFluxError(
+            "phi0=0 with mu=0 has no decaying mode-1 response "
+            "(zeta_1^- = -1, Stokes paradox)")
 
 
 def _assemble_zero(grid: RadialGrid, phi0: float, circ_deficit: complex,
@@ -293,8 +302,8 @@ def solve_linear(flow: ReferenceFlow, grid: RadialGrid,
     w_bar = np.zeros(n_max + 1, dtype=complex)
     resonant = np.zeros(n_max + 1, dtype=bool)
 
+    _check_degenerate(flow)
     phi0 = flow.phi0
-    _check_flux_band(phi0)
     F, r = sources.F, grid.r
     n = np.arange(1, n_max + 1)
     k = n.astype(float)

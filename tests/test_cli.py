@@ -106,18 +106,23 @@ def test_divergent_tail_exits_2_in_one_line(tmp_path, runner,
                      res.output.strip())
 
 
-@pytest.mark.parametrize("base, phi0", [
-    (SOLVE_CFG, 2.0000001), (SHOOT_CFG, 1.9999999)], ids=["solve", "shoot"])
-def test_degenerate_flux_exits_1_in_one_line(tmp_path, runner, base, phi0):
+# phi0 = mu = 0 (stokes): zeta_1^- = -1 and mode 1 has no decaying response
+@pytest.mark.parametrize("base, flow, message", [
+    (SOLVE_CFG, {"phi0": 2.0000001}, "degenerate band"),
+    (SHOOT_CFG, {"phi0": 1.9999999}, "degenerate band"),
+    (SHOOT_CFG, {"phi0": 0.0, "mu0": 0.0}, "phi0=0 with mu=0")],
+    ids=["solve", "shoot", "stokes"])
+def test_degenerate_flux_exits_1_in_one_line(tmp_path, runner, base, flow,
+                                             message):
     cfg = json.loads(json.dumps(base))
-    cfg["flow"]["phi0"] = phi0
+    cfg["flow"].update(flow)
     res = runner.invoke(main, ["solve", "--config", write_cfg(tmp_path, cfg),
                                "--out", str(tmp_path / "o")])
     assert res.exit_code == 1
     assert isinstance(res.exception, SystemExit)   # handled, no traceback
     assert "Traceback" not in res.output
     assert res.output.count("\n") == 1
-    assert "degenerate band" in res.output
+    assert message in res.output
 
 
 def test_branch_degenerate_flux_exits_1_in_one_line(tmp_path, runner):

@@ -7,9 +7,9 @@ import numpy as np
 from hamelflow import (BoundarySpectrum, ReferenceFlow, SolverConfig,
                        asymptotic_circulation, build_grid, compute_sources,
                        decay_fit, derivative_consistency, interior,
-                       log_derivatives, mode_exponents, mode_ode_residuals,
+                       log_derivatives, mode_ode_residuals,
                        ns_residual, picard_solve, reconstruct, shoot_mu,
-                       solve_linear)
+                       solve_linear, zeta_pair)
 from hamelflow.field import _fd_radial
 
 FLOW = ReferenceFlow(2.5, 0.2)
@@ -158,14 +158,13 @@ def test_decay_fit_on_vorticity_branch():
     # streams decay like r^{Re zeta^- + 2} and vorticity like r^{Re zeta^-}.
     grid = build_grid(1e4, 48)
     vr = {n: 0.01 for n in (1, 2, 3)}
-    vt = {n: 1j * (2.0 + mode_exponents(FLOW, n).zeta_minus) * 0.01 / n
-          for n in (1, 2, 3)}
+    zm = zeta_pair(FLOW.phi0, FLOW.mu, np.arange(4))[1]
+    vt = {n: 1j * (2.0 + zm[n]) * 0.01 / n for n in (1, 2, 3)}
     sol = solve_linear(FLOW, grid, bdry(4, vr=vr, vt=vt))
     prof = decay_fit(sol)
     for n in (1, 2, 3):
-        zm = mode_exponents(FLOW, n).zeta_minus
-        assert abs(prof.gamma_slopes[n] - (zm.real + 2.0)) < 1e-2
-        assert abs(prof.w_slopes[n] - zm.real) < 1e-2
+        assert abs(prof.gamma_slopes[n] - (zm[n].real + 2.0)) < 1e-2
+        assert abs(prof.w_slopes[n] - zm[n].real) < 1e-2
         assert prof.gamma_slopes[n] <= prof.gamma_ceilings[n] + 0.05
         assert prof.w_slopes[n] <= prof.w_ceilings[n] + 0.05
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from hamelflow import (BoundarySpectrum, ReferenceFlow, alpha_window,
                        build_grid, circulation_threshold, existence_condition,
-                       hamel_velocity, mode_exponents, project_boundary,
+                       hamel_velocity, project_boundary,
                        re_zeta_minus_closed_form, ref_velocity, rho_decay,
                        solve_linear, zeta_pair)
 
@@ -182,10 +182,3 @@ def test_resonance_closed_form_flux():
         assert np.flatnonzero(resonant(phi0)).tolist() == [n]
         assert not resonant(phi0 + 1e-6).any()
 
-
-def test_mode_exponents_carries_discriminant():
-    flow = ReferenceFlow(2.5, 0.3)
-    me = mode_exponents(flow, 2)
-    assert me.n == 2
-    assert me.sqrt_disc == pytest.approx(me.zeta_plus - me.zeta_minus,
-                                         rel=1e-14)

@@ -152,14 +152,36 @@ def test_negligible_tails_are_dropped():
 def test_oscillatory_integrands_take_fallback():
     g = build_grid(1e4, 48)
     f = np.sin(np.log(g.r)) * g.r ** -4.0
-    # sign changes take the same segment rule as any other integrand; the
-    # tail, whose log ratios change sign, falls back to the modulus fit.
+    # sign changes take the same segment rule as any other integrand.  The
+    # last five samples keep one sign (log r_max = 9.21 < 3 pi), so the
+    # tail is the plain power fit: the modulus-only fallback is tested by
+    # test_sign_changing_tails_stay_real.
     got = integrate_out_all(g, f, 0.0)
     assert np.all(np.isfinite(got))
     # int_r^inf s^-3 sin(log s) ds = r^-2 (2 sin(log r) + cos(log r)) / 5
     exact = g.r ** -2.0 * (2.0 * np.sin(np.log(g.r))
                            + np.cos(np.log(g.r))) / 5.0
     assert np.max(np.abs(got - exact)) < 1e-5 * np.abs(exact).max()
+
+
+def test_sign_changing_tails_stay_real():
+    # A real row whose zero crossing lies among the last five samples has a
+    # log ratio of phase pi; fitted as a complex exponent it would give the
+    # tail of a real integral an imaginary part (3.9e-7 of the row with the
+    # crossing 1.5 spacings before r_max).  The modulus-only fallback keeps
+    # it real wherever the tail converges.
+    g = build_grid(1e4, 64)
+    x_end = np.log(g.r_max)
+    converged = 0
+    for t in np.linspace(0.0, 4.0, 17):    # crossing t spacings before r_max
+        f = np.sin(np.log(g.r) - (x_end - t * g.h)) * g.r ** -3.0
+        try:
+            out = integrate_out_all(g, f, 0.0)
+        except DivergentTailError:   # the modulus fit reads some as growing
+            continue
+        converged += 1
+        assert np.all(out.imag == 0.0), t
+    assert converged >= 11
 
 
 def batch_rows(g):

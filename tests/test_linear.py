@@ -5,9 +5,9 @@ import pytest
 
 from hamelflow import (BoundarySpectrum, DegenerateFluxError,
                        DivergentTailError, ReferenceFlow, SourceSpectrum,
-                       build_grid, linear as linear_module, mode_exponents,
+                       build_grid, linear as linear_module,
                        solve_gamma_zero, solve_linear, solve_w_particular,
-                       solve_w_zero)
+                       solve_w_zero, zeta_pair)
 from hamelflow.linear import (_assemble_zero, _gamma_response,
                               _trace_amplitudes)
 
@@ -45,17 +45,16 @@ def test_vorticity_kernel_matches_closed_form(n, phi0, mu, a):
     # The source C r^(-(a+2)) with C = a^2 - a phi0 - (i n mu + n^2) has the
     # exact response -r^(-a) plus a homogeneous multiple of r^(zeta-).
     flow = ReferenceFlow(phi0, mu)
-    me = mode_exponents(flow, n)
+    zp, zm = zeta_pair(phi0, mu, n)
     c = a * a - a * phi0 - (1j * n * mu + n * n)
 
     def errors(grid):
         f = c * grid.r ** (-(a + 2.0))
         w, dw = solve_w_particular(grid, flow, n, f)
-        exact = (-grid.r ** (-a) + (c / me.sqrt_disc)
-                 * grid.r ** me.zeta_minus / (a + me.zeta_minus))
-        dexact = (a * grid.r ** (-a - 1.0) + (c / me.sqrt_disc)
-                  * me.zeta_minus * grid.r ** (me.zeta_minus - 1.0)
-                  / (a + me.zeta_minus))
+        exact = (-grid.r ** (-a)
+                 + (c / (zp - zm)) * grid.r ** zm / (a + zm))
+        dexact = (a * grid.r ** (-a - 1.0)
+                  + (c / (zp - zm)) * zm * grid.r ** (zm - 1.0) / (a + zm))
         return (np.abs(w - exact).max() / np.abs(exact).max(),
                 np.abs(dw - dexact).max() / np.abs(dexact).max())
 
@@ -158,7 +157,7 @@ def test_batched_modes_match_one_mode_kernels(grid, phi0, mu):
     sol = solve_linear(flow, grid, boundary, sources)
     close = lambda a, b: np.abs(a - b).max() <= 1e-14 * np.abs(b).max()
     for n in range(1, 5):
-        zm = mode_exponents(flow, n).zeta_minus
+        zm = zeta_pair(phi0, mu, n)[1]
         w_part, dw_part = solve_w_particular(grid, flow, n, sources.F[n])
         g_part, dg_part = _gamma_response(grid, w_part[None], [float(n)])
         (gamma_bar,), (w_bar,), (resonant,) = _trace_amplitudes(
@@ -234,6 +233,10 @@ def test_degenerate_flux_band(grid):
     boundary = mode_boundary(1, 2.0 + 1e-7, mu0=0.3, mu=0.2)
     with pytest.raises(DegenerateFluxError):
         solve_linear(ReferenceFlow(2.0 + 1e-7, 0.2), grid, boundary)
+    # phi0 = mu = 0 would divide by (zeta_1^- + 2)^2 - 1 = 0
+    with pytest.raises(DegenerateFluxError, match="phi0=0 with mu=0"):
+        solve_linear(ReferenceFlow(0.0, 0.0), grid,
+                     mode_boundary(1, 0.0, mu0=0.0, mu=0.0, vr={1: 0.01}))
     # exactly 2 is fine: the mean vorticity response is dropped and the
     # stream correction comes from the direct integral form
     boundary2 = mode_boundary(1, 2.0, mu0=0.2, mu=0.2)

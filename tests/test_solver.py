@@ -15,8 +15,8 @@ from hamelflow import (BoundarySpectrum, DivergentTailError, ReferenceFlow,
                        SolverConfig,
                        SolverConvergenceError, branch_sweep,
                        circulation_threshold, fixed_point_residual,
-                       mode_exponents, picard_norm, picard_solve, shoot_mu,
-                       solve_linear)
+                       picard_norm, picard_solve, shoot_mu,
+                       solve_linear, zeta_pair)
 from hamelflow.field import ns_residual
 
 
@@ -84,7 +84,7 @@ def test_quadrature_failure_is_a_typed_convergence_error(divergent_sources):
     assert exc.row == exc.__cause__.row == 0
     assert exc.zeta == exc.__cause__.zeta
     assert exc.zeta == pytest.approx(
-        mode_exponents(ReferenceFlow(1.8, 0.5), 1).zeta_plus, rel=1e-12)
+        zeta_pair(1.8, 0.5, 1)[0], rel=1e-12)
     assert "kernel row 0, zeta=0.4579" in str(exc)
 
 
