@@ -191,7 +191,12 @@ def asymptotic_circulation(solution: SpectralSolution) -> CirculationFit:
 
     y is the circulation carried at radius r; for phi0 > 2 it tends to a
     limit generally different from both mu and mu0.  Constant samples are
-    returned exactly without invoking the fit.
+    returned exactly without invoking the fit.  Each step of the search
+    over q fits y ~ a + b x, x = r^{-q}, in closed form: x is divided by
+    its largest value, so that no r_max underflows its sums, and centred,
+    b = sum dx dy / sum dx^2 and a = mean y - b mean x.  The residual sum
+    of squares is summed from the residuals: sum dy^2 - b sum dx dy would
+    cancel to the rounding of sum dy^2 on a close fit.
     """
     grid = solution.grid
     mask = grid.r >= grid.r_max / 100.0
@@ -203,17 +208,22 @@ def asymptotic_circulation(solution: SpectralSolution) -> CirculationFit:
         return CirculationFit(mu_effective=mean, decay_exponent=float("inf"),
                               amplitude=0.0, rms=0.0)
 
+    rel = r / r[0]          # x / max x = rel^{-q}
+    dy = y - mean
+
     def residual(q):
-        basis = r ** (-q)
-        a = np.stack([np.ones_like(r), basis], axis=1)
-        coef, *_ = np.linalg.lstsq(a, y, rcond=None)
-        return float(np.sum((a @ coef - y) ** 2)), coef
+        x = rel ** (-q)
+        x_mean = np.mean(x)
+        dx = x - x_mean
+        slope = float(np.dot(dx, dy)) / float(np.dot(dx, dx))
+        res = dy - slope * dx
+        return float(np.dot(res, res)), mean - slope * x_mean, slope
 
     q = _golden_min(lambda q: residual(q)[0], 0.05, 8.0)
-    rss, coef = residual(q)
-    return CirculationFit(mu_effective=float(coef[0]),
+    rss, a, slope = residual(q)
+    return CirculationFit(mu_effective=float(a),
                           decay_exponent=q,
-                          amplitude=float(coef[1]),
+                          amplitude=float(slope * r[0] ** q),
                           rms=float(np.sqrt(rss / r.size)))
 
 
@@ -228,11 +238,19 @@ class DecayProfile:
     beta_sup1: float             # slowest stream decay rate over n >= 2
 
 
-def _fit_slope(r, vals, lo):
-    mask = (r >= lo) & (np.abs(vals) > 0.0)
-    if mask.sum() < 5:
-        return float("nan")
-    return float(np.polyfit(np.log(r[mask]), np.log(np.abs(vals[mask])), 1)[0])
+def _fit_slopes(r, mags):
+    """Least-squares slope of log mags against log r, one per row of the
+    (rows, len(r)) magnitudes, over each row's nonzero samples: nan for a
+    row with fewer than 5 of them."""
+    usable = mags > 0.0
+    count = usable.sum(axis=1)
+    x = np.where(usable, np.log(r), 0.0)
+    y = np.log(np.where(usable, mags, 1.0))
+    with np.errstate(invalid="ignore"):    # rows without a sample
+        dx = np.where(usable, x - (x.sum(axis=1) / count)[:, None], 0.0)
+        dy = y - (y.sum(axis=1) / count)[:, None]
+        slopes = (dx * dy).sum(axis=1) / (dx * dx).sum(axis=1)
+    return np.where(count >= 5, slopes, np.nan)
 
 
 def decay_fit(solution: SpectralSolution) -> DecayProfile:
@@ -249,8 +267,6 @@ def decay_fit(solution: SpectralSolution) -> DecayProfile:
     alpha, _ = alpha_window(flow.phi0, flow.mu)
     lo = grid.r_max / 100.0
     n_all = np.arange(solution.n_max + 1)
-    g_slopes = np.full(n_all.size, np.nan)
-    w_slopes = np.full(n_all.size, np.nan)
     # the mean mode carries its homogeneous exponent zeta_0^- = -phi0 only
     # when phi0 > 2, and no -|n| stream decay
     zm = zeta_pair(flow.phi0, flow.mu, n_all)[1].real
@@ -259,13 +275,15 @@ def decay_fit(solution: SpectralSolution) -> DecayProfile:
     g_ceil[1:] = np.maximum(g_ceil[1:], -n_all[1:])
     w_ceil = np.maximum(np.where(homogeneous, zm, -np.inf), -2.0 - 2.0 * alpha)
 
-    g_scale = np.abs(solution.gamma).max(initial=0.0)
-    w_scale = np.abs(solution.w).max(initial=0.0)
-    for n in n_all:
-        if g_scale > 0 and np.abs(solution.gamma[n]).max() > 1e-13 * g_scale:
-            g_slopes[n] = _fit_slope(grid.r, solution.gamma[n], lo)
-        if w_scale > 0 and np.abs(solution.w[n]).max() > 1e-13 * w_scale:
-            w_slopes[n] = _fit_slope(grid.r, solution.w[n], lo)
+    # one fit over the last two decades of every active mode of both fields
+    mags = np.abs(np.concatenate([solution.gamma, solution.w]))
+    mags = mags.reshape(2, n_all.size, -1)
+    peak = mags.max(axis=2)
+    live = peak > 1e-13 * peak.max(axis=1, keepdims=True)
+    tail = grid.r >= lo
+    slopes = np.full(peak.shape, np.nan)
+    slopes[live] = _fit_slopes(grid.r[tail], mags[:, :, tail][live])
+    g_slopes, w_slopes = slopes
 
     active = ~np.isnan(g_slopes[1:])
     betas = -g_slopes[1:][active]

@@ -41,6 +41,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 __all__ = [
     "DivergentTailError",
@@ -148,10 +149,10 @@ _CUBIC_BASIS = np.array([
     [-1 / 6, 0.5, -0.5, 1 / 6, -1 / 6, 0.5, -0.5, 1 / 6,
      -1 / 6, 0.5, -0.5, 1 / 6],
 ])
-# Taylor coefficients of M_m(z) = sum_k (-z)^k / (k! (m + k + 1)), m = 0..3,
-# highest power first; 18 terms reach rounding for |z| < 1.
-_MOMENT_SERIES = [np.array([(-1.0) ** k / (math.factorial(k) * (m + k + 1))
-                            for m in range(4)]) for k in range(17, -1, -1)]
+# Taylor coefficients of M_m(z) = sum_k (-z)^k / (k! (m + k + 1)), m = 0..3:
+# row k multiplies (-z)^k; 18 terms reach rounding for |z| < 1.
+_MOMENT_SERIES = np.array([[1.0 / (math.factorial(k) * (m + k + 1))
+                            for m in range(4)] for k in range(18)])
 
 
 def _cubic_weights(z):
@@ -161,26 +162,27 @@ def _cubic_weights(z):
 
     They combine the moments M_m = int_0^1 u^m e^{-z u} du, summed from
     their Taylor series where |z| < 1 and by the upward recurrence
-    M_m = (m M_{m-1} - e^{-z}) / z elsewhere.  Every operation is
-    elementwise in the rows, so a row's weights do not depend on its stack.
+    M_m = (m M_{m-1} - e^{-z}) / z elsewhere.  The series is one product
+    per row of the powers (-z)^0..(-z)^17, formed by a cumulative product
+    of z where |z| < 1 and of 0 elsewhere, so no power overflows; a second
+    product per row combines the moments.  No product runs across the
+    rows, so a row's weights do not depend on its stack.
     """
     small = np.abs(z) < 1.0
-    moments = np.zeros((len(z), 4), dtype=complex)
-    for coef in _MOMENT_SERIES:
-        moments *= z
-        moments += coef
+    powers = np.empty((len(z), 1, len(_MOMENT_SERIES)), dtype=complex)
+    powers[:, 0, 0] = 1.0
+    powers[:, 0, 1:] = -np.where(small, z, 0.0)
+    np.cumprod(powers, axis=2, out=powers)
+    moments = powers @ _MOMENT_SERIES
     if not small.all():
         zr = np.where(small, 1.0, z)
         decay = np.exp(-zr)
-        rec = np.empty_like(moments)
+        rec = np.empty_like(moments[:, 0])
         rec[:, :1] = (1.0 - decay) / zr
         for m in range(1, 4):
             rec[:, m:m + 1] = (m * rec[:, m - 1:m] - decay) / zr
-        moments = np.where(small, moments, rec)
-    weights = moments[:, :1] * _CUBIC_BASIS[0]
-    for m in range(1, 4):
-        weights += moments[:, m:m + 1] * _CUBIC_BASIS[m]
-    return weights
+        moments[:, 0] = np.where(small, moments[:, 0], rec)
+    return (moments @ _CUBIC_BASIS)[:, 0]
 
 
 def _segment_integrals(d, z, h):
@@ -190,19 +192,20 @@ def _segment_integrals(d, z, h):
     and z a (rows, 1) column; P_j is the cubic through nodes j-1..j+2 in
     u = (x - x_j)/h, through nodes 0..3 on the first segment and the last
     four nodes on the last.  The rule is linear in ``d`` with weights fixed
-    by (z, h), exact for cubics in x, and of fourth order.  Returns
-    (rows, nodes - 1).
+    by (z, h), exact for cubics in x, and of fourth order.  Each row is the
+    product of its (nodes - 3, 4) window of four-node stencils with its
+    own four weights (the first and last segments take the first and last
+    window), so no product runs across the rows.  Returns (rows, nodes - 1).
     """
-    w = _cubic_weights(z) * h
-    n = d.shape[1]
-    seg = np.empty((d.shape[0], n - 1), dtype=complex)
-    for out, col, first in ((seg[:, :1], 0, 0), (seg[:, 1:-1], 4, 0),
-                            (seg[:, -1:], 8, n - 4)):
-        width = out.shape[1]
-        np.multiply(w[:, col:col + 1], d[:, first:first + width], out=out)
-        for k in range(1, 4):
-            out += w[:, col + k:col + k + 1] * d[:, first + k:first + k + width]
-    return seg
+    rows, n = d.shape
+    w = (_cubic_weights(z) * h).reshape(rows, 3, 4, 1)
+    window = as_strided(d, (rows, n - 3, 4), d.strides + d.strides[1:],
+                        writeable=False)
+    seg = np.empty((rows, n - 1, 1), dtype=complex)
+    np.matmul(window, w[:, 1], out=seg[:, 1:-1])
+    np.matmul(window[:, :1], w[:, 0], out=seg[:, :1])
+    np.matmul(window[:, -1:], w[:, 2], out=seg[:, -1:])
+    return seg[:, :, 0]
 
 
 def _tail_value(grid: RadialGrid, base5, step, scale):

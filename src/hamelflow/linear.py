@@ -204,10 +204,11 @@ def _assemble_nonzero(grid: RadialGrid, n, zm, boundary: BoundarySpectrum,
         dg_part[:, 0])
 
     r = grid.r
+    log_r = np.log(r)
     col = lambda a: a[:, None]
     pk = r ** col(-k)
     big_d = col((zm + 2.0) ** 2 - n * n)
-    rzm = r ** col(zm)
+    rzm = np.exp(col(zm) * log_r)   # complex r ** zm costs twice as much
     with np.errstate(all="ignore"):   # resonant rows are replaced below
         w_hom = col(w_bar) * rzm
         dw_hom = col(w_bar) * col(zm) * rzm / r
@@ -218,7 +219,6 @@ def _assemble_nonzero(grid: RadialGrid, n, zm, boundary: BoundarySpectrum,
     if np.any(resonant):
         # exact integer pair keeps Delta gamma = -w to rounding
         i = resonant
-        log_r = np.log(r)
         kk, wb, gb, pki = col(k[i]), col(w_bar[i]), col(gamma_bar[i]), pk[i]
         w_hom[i] = wb * pki / (r * r)
         dw_hom[i] = -(kk + 2.0) * wb * pki / (r ** 3)

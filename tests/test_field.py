@@ -3,6 +3,7 @@
 import dataclasses
 
 import numpy as np
+import pytest
 
 from hamelflow import (BoundarySpectrum, ReferenceFlow, SolverConfig,
                        asymptotic_circulation, build_grid, compute_sources,
@@ -138,6 +139,38 @@ def test_asymptotic_circulation_fit():
     assert exact.rms == 0.0
 
 
+@pytest.mark.parametrize("r_max", [1e4, 1e6, 1e25])
+@pytest.mark.parametrize("q", [0.05, 1.0, 4.0, 8.0])
+def test_circulation_fit_matches_least_squares(q, r_max):
+    # y = a + b r^-q + 1e-9 noise.  At r_max = 1e25 the unscaled sum of
+    # (r^-8)^2 underflows to 0: the fit divides r^-q by its largest value.
+    grid = build_grid(r_max, 16)
+    sol = solve_linear(FLOW, grid, bdry(1))
+    r = grid.r
+    r0 = r[r >= r_max / 100.0][0]
+    a, b = 0.3, 0.05 * r0 ** q
+    noise = 1e-9 * np.random.default_rng(7).standard_normal(r.size)
+    y = a + b * r ** -q + noise
+    dg = sol.dgamma.copy()
+    dg[0] = (FLOW.mu - y) / r
+    fit = asymptotic_circulation(dataclasses.replace(sol, dgamma=dg))
+
+    # lstsq on the same basis at the fitted q, r^-q scaled to at most 1
+    tail = r >= r_max / 100.0
+    basis = np.stack([np.ones(tail.sum()),
+                      (r[tail] / r0) ** -fit.decay_exponent], axis=1)
+    coef, *_ = np.linalg.lstsq(basis, y[tail], rcond=None)
+    rss = np.sum((basis @ coef - y[tail]) ** 2)
+    # worst over the twelve cases: 5.0e-16, 1.8e-14 and 2.0e-8
+    assert abs(fit.mu_effective - coef[0]) <= 1e-14
+    assert abs(fit.amplitude - coef[1] * r0 ** fit.decay_exponent) \
+        <= 1e-12 * abs(b)
+    assert abs(fit.rms ** 2 * tail.sum() - rss) <= 1e-6 * rss
+    # and the search finds the planted power (3.6e-7 and 3.7e-9 at worst)
+    assert abs(fit.decay_exponent - q) < 1e-5
+    assert abs(fit.mu_effective - a) < 1e-8
+
+
 def test_decay_fit_on_boundary_branch():
     # v*_theta,n = -i v*_r,n kills the vorticity amplitude: each stream mode
     # is a pure r^{-n} harmonic and the vorticity rows vanish.
@@ -167,6 +200,47 @@ def test_decay_fit_on_vorticity_branch():
         assert abs(prof.w_slopes[n] - zm[n].real) < 1e-2
         assert prof.gamma_slopes[n] <= prof.gamma_ceilings[n] + 0.05
         assert prof.w_slopes[n] <= prof.w_ceilings[n] + 0.05
+
+
+def polyfit_slopes(solution):
+    """decay_fit's slopes as np.polyfit fits, one mode at a time."""
+    grid = solution.grid
+    tail = grid.r >= grid.r_max / 100.0
+    out = []
+    for rows in (solution.gamma, solution.w):
+        scale = np.abs(rows).max()
+        slopes = np.full(len(rows), np.nan)
+        for n, row in enumerate(rows):
+            mask = tail & (np.abs(row) > 0.0)
+            if np.abs(row).max() > 1e-13 * scale and mask.sum() >= 5:
+                slopes[n] = np.polyfit(np.log(grid.r[mask]),
+                                       np.log(np.abs(row[mask])), 1)[0]
+        out.append(slopes)
+    return out
+
+
+def test_decay_slopes_match_polyfit():
+    sol = solved()
+    shot = shoot_mu(BoundarySpectrum(
+        8, np.eye(9, dtype=complex)[2] * 0.01,
+        np.eye(9, dtype=complex)[1] * 0.01, 1.5, 1.0, 1.0),
+        SolverConfig(n_modes=8, nodes_per_decade=48))[0]
+    # zero samples are left out of a row's fit, and a row with fewer than
+    # five usable samples in the last two decades has no slope
+    gamma = sol.gamma.copy()
+    gamma[3, -40::2] = 0.0
+    gamma[4, -100:-4] = 0.0
+    holes = dataclasses.replace(sol, gamma=gamma)
+    for s in (sol, shot, holes):
+        prof = decay_fit(s)
+        for got, ref in zip((prof.gamma_slopes, prof.w_slopes),
+                            polyfit_slopes(s)):
+            assert np.array_equal(np.isnan(got), np.isnan(ref))
+            live = ~np.isnan(ref)
+            assert np.all(np.abs(got[live] - ref[live])
+                          <= 1e-12 * np.abs(ref[live]))
+    assert np.isnan(decay_fit(holes).gamma_slopes[4])
+    assert not np.isnan(decay_fit(holes).gamma_slopes[3])
 
 
 def test_reconstructed_field_is_real_and_background_dominated():

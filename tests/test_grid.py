@@ -102,21 +102,39 @@ def test_mixture_error_is_fourth_order():
     assert observed_order(s32, s64) >= 3.5
 
 
+def graded_gauss(z, points=100):
+    """Gauss-Legendre nodes and weights on [0, 1], ``points`` on each panel
+    of a mesh graded to e^{-z u}: [0, 1] for |z| <= 1, else panels ending
+    at 2^i / |z| and at 1."""
+    x, wq = np.polynomial.legendre.leggauss(points)
+    scale = max(abs(z), 1.0)
+    ends = [0.0] + [2.0 ** i / scale for i in range(int(np.log2(scale)) + 1)]
+    ends = np.unique(np.minimum(ends + [1.0], 1.0))
+    lo, hi = ends[:-1, None], ends[1:, None]
+    return ((lo + hi + (hi - lo) * x) / 2.0).ravel(), \
+        ((hi - lo) / 2.0 * wq).ravel()
+
+
 def test_cubic_weights_match_direct_quadrature():
     # Weight k of a stencil is int_0^1 L_k(u) e^{-z u} du for the Lagrange
-    # basis on its nodes: compare with 100-point Gauss-Legendre on both
-    # sides of the switch from the moments' series to their recurrence.
+    # basis on its nodes: compare with Gauss-Legendre on both sides of the
+    # switch from the moments' series to their recurrence, and for the
+    # large |z| (Re z >= 0) of high modes, where the series' powers of z
+    # would overflow if they were formed (tier-1 fails on the warning).
     z = np.array([0.0, 1e-3, 0.3 - 0.2j, -0.999, 0.999j, 1.0, -1.001,
-                  1.5 + 2.0j, -1.4, 18.0, 2.3 + 0.1j])[:, None]
-    x, wq = np.polynomial.legendre.leggauss(100)
-    u, wq = 0.5 * (x + 1.0), 0.5 * wq
+                  1.5 + 2.0j, -1.4, 18.0, 2.3 + 0.1j, 20.0, 1e3,
+                  1e3 + 50j, 1e20])[:, None]
     ref = []
-    for nodes in ([0, 1, 2, 3], [-1, 0, 1, 2], [-2, -1, 0, 1]):
-        for k in nodes:
-            basis = np.prod([(u - m) / (k - m) for m in nodes if m != k],
-                            axis=0)
-            ref.append(np.sum(wq * basis * np.exp(-z * u), axis=1))
-    ref = np.array(ref).T
+    for zi in z[:, 0]:
+        u, wq = graded_gauss(zi)
+        row = []
+        for nodes in ([0, 1, 2, 3], [-1, 0, 1, 2], [-2, -1, 0, 1]):
+            for k in nodes:
+                basis = np.prod([(u - m) / (k - m) for m in nodes if m != k],
+                                axis=0)
+                row.append(np.sum(wq * basis * np.exp(-zi * u)))
+        ref.append(row)
+    ref = np.array(ref)
     got = _cubic_weights(z)
     assert got.shape == ref.shape
     scale = np.abs(ref).max(axis=1, keepdims=True)
@@ -197,18 +215,33 @@ def batch_rows(g):
     return rows, zeta
 
 
-def test_row_stacks_match_single_rows():
-    g = build_grid(1e4, 48)
+def stacked_rows(g, size):
+    """``size`` rows cycling through ``batch_rows``, each scaled and with its
+    exponent moved along the real axis, so no two rows are alike."""
     rows, zeta = batch_rows(g)
-    for integrate, sign in ((integrate_out_all, 1.0), (integrate_in_all, -1.0)):
-        batch = integrate(g, rows, sign * zeta)
-        assert batch.shape == rows.shape
-        for f, z, got in zip(rows, sign * zeta, batch):
-            one = integrate(g, f, z)
-            scale = np.abs(one).max()
-            assert np.abs(got - one).max() <= 1e-14 * scale
+    i = np.arange(size)
+    return (rows[i % len(rows)] * (1.0 + 0.1 * i)[:, None],
+            zeta[i % len(zeta)] + 0.25 * (i // len(zeta)))
+
+
+def test_row_stacks_match_single_rows():
+    # A row integrates to the same bits alone or in any stack: every
+    # product in the kernels is taken per row, none across the rows.
+    g = build_grid(1e4, 48)
+    for size in (1, 2, 4, 13, 17, 33):
+        rows, zeta = stacked_rows(g, size)
+        for integrate, sign in ((integrate_out_all, 1.0),
+                                (integrate_in_all, -1.0)):
+            batch = integrate(g, rows, sign * zeta)
+            assert batch.shape == rows.shape
+            for f, z, got in zip(rows, sign * zeta, batch):
+                assert got.tobytes() == integrate(g, f, z).tobytes(), size
+        z = np.concatenate([zeta * g.h, 0.3 * zeta])[:, None]  # |z| < 1, > 1
+        weights = _cubic_weights(z)
+        for i, got in enumerate(weights):
+            assert got.tobytes() == _cubic_weights(z[i:i + 1])[0].tobytes()
     with pytest.raises(ValueError):
-        integrate_out_all(g, rows, zeta[:2])
+        integrate_out_all(g, rows, zeta[:-1])
 
 
 def test_one_divergent_row_fails_the_stack():
