@@ -43,22 +43,16 @@ class PhysicalField:
 
 
 def log_derivatives(grid, rows):
-    """Fourth-order (d_x, d_xx) of mode rows on the log grid, full width.
+    """Fourth-order (d_x, d_xx) of mode rows on the log grid.
 
-    Only the interior slice (see ``interior``) is stencil-accurate; the two
-    nodes at each end are filled with one-sided second-order values so the
-    arrays keep the grid's shape.
+    Both arrays cover the interior nodes only (see ``interior``), where the
+    5-point stencils are centered.
     """
     a = np.atleast_2d(np.asarray(rows))
     h = grid.h
-    d1 = np.gradient(a, grid.log_r, axis=-1)
-    d2 = np.gradient(d1, grid.log_r, axis=-1)
-    c = slice(2, -2)
-    d1c = (-a[:, 4:] + 8.0 * a[:, 3:-1] - 8.0 * a[:, 1:-3] + a[:, :-4]) / (12.0 * h)
-    d2c = (-a[:, 4:] + 16.0 * a[:, 3:-1] - 30.0 * a[:, 2:-2]
-           + 16.0 * a[:, 1:-3] - a[:, :-4]) / (12.0 * h * h)
-    d1[:, c] = d1c
-    d2[:, c] = d2c
+    d1 = (-a[:, 4:] + 8.0 * a[:, 3:-1] - 8.0 * a[:, 1:-3] + a[:, :-4]) / (12.0 * h)
+    d2 = (-a[:, 4:] + 16.0 * a[:, 3:-1] - 30.0 * a[:, 2:-2]
+          + 16.0 * a[:, 1:-3] - a[:, :-4]) / (12.0 * h * h)
     return d1, d2
 
 
@@ -68,9 +62,9 @@ def interior(grid) -> slice:
 
 
 def _fd_radial(grid, rows):
-    """(d_r, d_rr) from values alone, fourth order on the interior."""
+    """(d_r, d_rr) from values alone, fourth order, on the interior."""
     d1x, d2x = log_derivatives(grid, rows)
-    r = grid.r
+    r = grid.r[interior(grid)]
     return d1x / r, (d2x - d1x) / (r * r)
 
 
@@ -85,7 +79,7 @@ def derivative_consistency(solution: SpectralSolution) -> float:
         scale = np.abs(ders[:, c]).max()
         if scale == 0.0:
             continue
-        worst = max(worst, float(np.abs(fd1[:, c] - ders[:, c]).max() / scale))
+        worst = max(worst, float(np.abs(fd1 - ders[:, c]).max() / scale))
     return worst
 
 
@@ -116,9 +110,8 @@ def mode_ode_residuals(solution: SpectralSolution,
     n = np.arange(solution.n_max + 1)[:, None]
     lam = 1j * n * flow.mu + n * n
     gamma, w = solution.gamma[:, c], solution.w[:, c]
-    terms_g = (g2[:, c], g1[:, c] / r, -(n * n) * gamma / r**2, w)
-    terms_w = (w2[:, c], (flow.phi0 + 1.0) * w1[:, c] / r, -lam * w / r**2,
-               -F[:, c])
+    terms_g = (g2, g1 / r, -(n * n) * gamma / r**2, w)
+    terms_w = (w2, (flow.phi0 + 1.0) * w1 / r, -lam * w / r**2, -F[:, c])
     res_g = float(np.abs(sum(terms_g)).max())
     res_w = float(np.abs(sum(terms_w)).max())
     scale_g = max(float(np.abs(t).max()) for t in terms_g)

@@ -10,8 +10,8 @@ with alpha inside the window (0, min(rho - 2, 1)) fixed by the flow.  For
 phi0 <= 2 the mean mode carries no usable homogeneous solution, so the
 circulation of the reference flow is itself an unknown closing
 g(mu) = mu0 + d_r gamma_{mu,0}(1) - mu = 0.  It joins X in one fixed point:
-each Picard step sets mu <- mu0 + d_r gamma_0(1) of the current iterate (a
-secant step on g once g stops contracting) before applying the linear map.
+each Picard step sets mu <- mu0 + d_r gamma_0(1) of the current iterate
+before applying the linear map.
 For phi0 > 2 every mu near mu0 is admissible and sweeping mu against one
 physical trace exhibits the non-uniqueness branch.
 """
@@ -40,26 +40,21 @@ __all__ = [
 ]
 
 MODE_WEIGHT_EXP = 4.0  # kappa in the contraction norm
-_SECANT = "shooting switched to secant updates"
 
 
 class SolverConvergenceError(RuntimeError):
     """Iteration failed; carries the partial report for diagnosis.
 
     When a quadrature failure stopped the iteration, ``iteration`` is the
-    Picard step it happened in (0 for the initial linear solve); a
-    divergent tail also gives the fitted ``exponent``, the diverging kernel
-    ``row`` and its exponent ``zeta`` (see ``DivergentTailError``).
+    Picard step it happened in (0 for the initial linear solve) and the
+    failure itself is ``__cause__`` (a ``DivergentTailError`` names the
+    fitted exponent and the diverging kernel row).
     """
 
-    def __init__(self, message, report=None, iteration=None, exponent=None,
-                 row=None, zeta=None):
+    def __init__(self, message, report=None, iteration=None):
         super().__init__(message)
         self.report = report
         self.iteration = iteration
-        self.exponent = exponent
-        self.row = row
-        self.zeta = zeta
 
 
 @dataclass(frozen=True)
@@ -74,6 +69,10 @@ class SolverConfig:
     def __post_init__(self):
         if self.n_modes < 1:
             raise ValueError("need at least one nonzero mode")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be at least 1")
+        if not (self.tol_fp > 0.0 and self.tol_mu > 0.0):
+            raise ValueError("tol_fp and tol_mu must be positive")
         self.make_grid()   # rejects grids too short to solve on
 
     def make_grid(self) -> RadialGrid:
@@ -119,12 +118,12 @@ def _fixed_point(flow: ReferenceFlow, boundary: BoundarySpectrum,
     Step 0 solves the linear problem without sources; every later step
     applies one linear solve to the sources of the current iterate.  With
     ``shoot`` each step first sets mu <- mu0 + Re dgamma_0(1) of the
-    current iterate (a secant step on g(mu) once g stops contracting) and
-    rebudgets the trace against it; otherwise mu stays at ``flow.mu``.
+    current iterate, i.e. mu + g, and rebudgets the trace against it;
+    otherwise mu stays at ``flow.mu``.
     """
     grid = config.make_grid()
     spec, g = boundary, 0.0
-    increments, mu_history, g_history, notes = [], [], [], []
+    increments, mu_history = [], []
 
     def report(converged):
         alpha, feasible = alpha_window(flow.phi0, flow.mu)
@@ -138,13 +137,13 @@ def _fixed_point(flow: ReferenceFlow, boundary: BoundarySpectrum,
             alpha_feasible=feasible, mu=flow.mu, mu0=boundary.mu0,
             phi0=flow.phi0, mu_history=list(mu_history),
             shoot_residual=abs(g) if shoot else float("nan"),
-            warnings=warnings + notes)
+            warnings=warnings)
 
     x = None
     for iterations in range(config.max_iter + 1):
         if shoot:
             if x is not None:
-                flow = ReferenceFlow(flow.phi0, _next_mu(g_history, notes))
+                flow = ReferenceFlow(flow.phi0, flow.mu + g)
             spec = boundary.with_mu(flow.mu)
             mu_history.append(flow.mu)
         try:
@@ -153,17 +152,13 @@ def _fixed_point(flow: ReferenceFlow, boundary: BoundarySpectrum,
         except ArithmeticError as exc:
             raise SolverConvergenceError(
                 f"quadrature failed in Picard iteration {iterations}: {exc}",
-                report(False), iteration=iterations,
-                exponent=getattr(exc, "exponent", None),
-                row=getattr(exc, "row", None),
-                zeta=getattr(exc, "zeta", None)) from exc
+                report(False), iteration=iterations) from exc
         if x is not None:
             alpha, _ = alpha_window(flow.phi0, flow.mu)
             increments.append(picard_norm(grid, y.gamma - x.gamma, alpha))
         x = y
         if shoot:
             g = boundary.mu0 + float(np.real(x.dgamma[0, 0])) - flow.mu
-            g_history.append((flow.mu, g))
         if not np.isfinite([g] + increments[-1:]).all():
             raise SolverConvergenceError(
                 "Picard iterate lost finiteness; data too large for the "
@@ -180,23 +175,6 @@ def _fixed_point(flow: ReferenceFlow, boundary: BoundarySpectrum,
         f"{config.max_iter} iterations (last increment "
         f"{increments[-1]:.3e}, contraction ratio "
         f"{rep.contraction_ratio:.3f}){closure}", rep)
-
-
-def _next_mu(g_history, notes):
-    """mu0 + Re dgamma_0(1) of the last iterate, i.e. mu + g; a secant step
-    on g(mu) once |g| has twice in a row fallen by less than half over the
-    steps with sources (the switch is noted once in the warnings)."""
-    m2, g2 = g_history[-1]
-    gs = [abs(g) for _, g in g_history[1:]]
-    if (_SECANT not in notes and len(gs) >= 3 and gs[-1] >= 0.5 * gs[-2]
-            and gs[-2] >= 0.5 * gs[-3]):
-        notes.append(_SECANT)
-    if _SECANT in notes:
-        m1, g1 = g_history[-2]
-        step = m2 - g2 * (m2 - m1) / (g2 - g1) if g2 != g1 else np.nan
-        if np.isfinite(step) and m2 != m1:
-            return step
-    return m2 + g2
 
 
 def picard_solve(flow: ReferenceFlow, boundary: BoundarySpectrum,
