@@ -15,8 +15,8 @@ from .flows import (ReferenceFlow, hamel_velocity, ref_velocity, zeta_pair,
                     re_zeta_minus_closed_form, rho_decay, alpha_window,
                     circulation_threshold, existence_condition)
 from .grid import (RadialGrid, build_grid, integrate_out_all, integrate_in_all,
-                   BoundarySpectrum, project_boundary, synthesize_boundary,
-                   DivergentTailError, FluxMismatchError)
+                   integrate_out_in, BoundarySpectrum, project_boundary,
+                   synthesize_boundary, DivergentTailError, FluxMismatchError)
 from .linear import (SourceSpectrum, SpectralSolution, solve_linear,
                      solve_w_particular, solve_w_zero, solve_gamma_zero,
                      DegenerateFluxError)

@@ -22,7 +22,9 @@ segment, the last four on the last).  Segment j is then
 h sum_k W_k(zeta h) D_{j+k}: one linear rule whose four weights per
 stencil depend on (zeta, h) only, never on the data.  It is exact for
 cubics in log r, not for pure powers of r, and converges at fourth order.
-The in integrals take the same rule on the reversed row.
+The in integrals take the same rule on the reversed row with z = -zeta h,
+after which out and in rows share one forward scan: ``integrate_out_in``
+integrates a family's out and in stacks in one kernel call.
 
 Beyond R_max the integrand is modeled as a power tail r^p with p fitted from
 the log ratios of the last five samples and clamped to at most
@@ -50,6 +52,7 @@ __all__ = [
     "build_grid",
     "integrate_out_all",
     "integrate_in_all",
+    "integrate_out_in",
     "BoundarySpectrum",
     "project_boundary",
     "synthesize_boundary",
@@ -71,8 +74,9 @@ _SCAN_LAG = np.where(_SCAN_LAG >= 0, _SCAN_LAG, _SCAN_BLOCK + 1)
 class DivergentTailError(ArithmeticError):
     """Tail extrapolation would diverge: fitted exponent >= -1.
 
-    ``row`` is the index of the diverging row in the stack passed to
-    ``integrate_out_all`` (0 for a single profile) and ``zeta`` its kernel
+    ``row`` is the index of the diverging row in the out stack passed to
+    ``integrate_out_all`` or ``integrate_out_in`` (0 for a single profile;
+    in rows have no tail) and ``zeta`` its kernel
     exponent, which names the kernel family: k for the stream modes,
     zeta_n^+ for vorticity, -(phi0+1) and 0 for the mean mode.
     """
@@ -289,11 +293,6 @@ def _scan_forward(local, factor):
     return scan.reshape(rows, -1)[:, :n]
 
 
-def _scan_backward(local, factor):
-    """d_j = local_j + factor * d_{j+1}, d_J = seed folded into local[-1]."""
-    return _scan_forward(local[:, ::-1], factor)[:, ::-1]
-
-
 def _rows(grid: RadialGrid, f, zeta):
     """Samples as (rows, nodes) and exponents as a (rows, 1) column."""
     f = np.asarray(f, dtype=complex)
@@ -306,26 +305,76 @@ def _rows(grid: RadialGrid, f, zeta):
     return rows, zeta[:, None]
 
 
-def _live_rows(kernel, grid: RadialGrid, rows, zeta):
-    """``kernel`` on the rows holding a nonzero sample, scattered back.
+def _live(rows):
+    """Index of the rows holding a nonzero sample: all of them as a slice."""
+    live = rows.any(axis=1)
+    return slice(None) if live.all() else live
 
-    An all-zero row integrates to exactly +0 with no quadrature, tail fit or
-    scan; the kernel on it would return the same +0.
+
+def _scatter(values, live, shape):
+    """The live rows' ``values`` in a stack of ``shape``, the rest +0."""
+    if isinstance(live, slice):
+        return values
+    out = np.zeros(shape, dtype=complex)
+    out[live] = values
+    return out
+
+
+def integrate_out_in(grid: RadialGrid, f_out, zeta_out, f_in, zeta_in):
+    """(``integrate_out_all(grid, f_out, zeta_out)``,
+    ``integrate_in_all(grid, f_in, zeta_in)``) from one kernel call.
+
+    Each side is one profile with a scalar exponent or a (rows, nodes)
+    stack with one exponent per row, and its result has the shape of its
+    samples.  Segment j of an out row is, in x = log s, D e^{-zeta (x - x_j)}
+    with D = s (s f), referenced to its left node; segment j-1..j of an in
+    row, referenced to its right node, is the same rule on the reversed row
+    with z = -zeta h.  So both sides are one stack of segment integrals and
+    one forward scan, with factor e^{-z}, of [tail or 0, reversed segment
+    integrals]; the out rows are read back reversed.  Rows that are
+    identically zero return +0 at no cost, and a call whose rows are all
+    zero makes no kernel work at all.  A diverging out row raises
+    ``DivergentTailError`` naming its index in ``f_out``.
     """
-    live = np.any(rows != 0, axis=1)
+    fo, zo = _rows(grid, f_out, zeta_out)
+    fi, zi = _rows(grid, f_in, zeta_in)
+    live_o, live_i = _live(fo), _live(fi)
     try:
-        if live.all():
-            return kernel(grid, rows, zeta)
-        out = np.zeros(rows.shape, dtype=complex)
-        if live.any():
-            out[live] = kernel(grid, rows[live], zeta[live])
-        return out
+        out, inn = _integrate(grid, fo[live_o], zo[live_o],
+                              fi[live_i], zi[live_i])
     except DivergentTailError as exc:
         # the kernel saw the live rows only: name the row of the caller's
         # stack and its exponent
-        exc.row = int(np.flatnonzero(live)[exc.row])
-        exc.zeta = complex(zeta[exc.row, 0])
+        exc.row = int(np.arange(len(fo))[live_o][exc.row])
+        exc.zeta = complex(zo[exc.row, 0])
         raise
+    out = _scatter(out, live_o, fo.shape)
+    inn = _scatter(inn, live_i, fi.shape)
+    return (out if np.ndim(f_out) == 2 else out[0],
+            inn if np.ndim(f_in) == 2 else inn[0])
+
+
+def _integrate(grid: RadialGrid, f_out, zeta_out, f_in, zeta_in):
+    """``integrate_out_in`` on (rows, nodes) stacks of live rows and their
+    (rows, 1) exponent columns."""
+    n_out = len(f_out)
+    if n_out + len(f_in) == 0:
+        return f_out, f_in
+    h = grid.h
+    base = grid.r * f_out
+    d = np.empty((n_out + len(f_in), grid.n_nodes), dtype=complex)
+    np.multiply(grid.r, base, out=d[:n_out])
+    d[n_out:] = (grid.r * (grid.r * f_in))[:, ::-1]
+    z = np.concatenate([zeta_out, -zeta_in]) * h
+    step = np.exp(-z)
+    local = np.empty_like(d)
+    local[:, 1:] = _segment_integrals(d, z, h)[:, ::-1]
+    if n_out:
+        local[:n_out, 0] = _tail_value(grid, base[:, -5:], step[:n_out],
+                                       np.abs(base).max(axis=1))
+    local[n_out:, 0] = 0.0
+    scan = _scan_forward(local, step[:, 0])
+    return scan[:n_out, ::-1], scan[n_out:]
 
 
 def integrate_out_all(grid: RadialGrid, f, zeta) -> np.ndarray:
@@ -337,48 +386,23 @@ def integrate_out_all(grid: RadialGrid, f, zeta) -> np.ndarray:
     <= 1 for Re zeta >= 0, which covers every solver use except the
     sink-weighted inner integral (zeta = -(phi0+1)); its growth is matched
     by the decay of the values it multiplies, keeping the relative error at
-    O(J eps).  Rows that are identically zero return +0 at no cost.
+    O(J eps).  Rows that are identically zero return +0 at no cost.  The
+    out side of ``integrate_out_in``.
     """
-    f2, zeta = _rows(grid, f, zeta)
-    out = _live_rows(_integrate_out, grid, f2, zeta)
-    return out if np.ndim(f) == 2 else out[0]
-
-
-def _integrate_out(grid: RadialGrid, f2, zeta):
-    """``integrate_out_all`` on a (rows, nodes) stack, zeta a (rows, 1) column."""
-    h = grid.h
-    base = grid.r * f2
-    # In x = log s the integrand of segment j is D e^{-zeta (x - x_j)},
-    # D = s (s f), referenced to its left node.
-    step = np.exp(-zeta * h)
-    local = np.empty_like(base)
-    local[:, :-1] = _segment_integrals(grid.r * base, zeta * h, h)
-    local[:, -1] = _tail_value(grid, base[:, -5:], step,
-                               np.abs(base).max(axis=1))
-    return _scan_backward(local, step[:, 0])
+    return integrate_out_in(grid, f, zeta, _no_rows(grid), ())[0]
 
 
 def integrate_in_all(grid: RadialGrid, f, zeta) -> np.ndarray:
     """in_j = int_1^{r_j} s f(s) (r_j/s)^zeta ds for every node j.
 
     Same shapes as ``integrate_out_all``.  Stable for Re zeta <= 0 (scan
-    multiplier e^{zeta h}).
+    multiplier e^{zeta h}).  The in side of ``integrate_out_in``.
     """
-    f2, zeta = _rows(grid, f, zeta)
-    out = _live_rows(_integrate_in, grid, f2, zeta)
-    return out if np.ndim(f) == 2 else out[0]
+    return integrate_out_in(grid, _no_rows(grid), (), f, zeta)[1]
 
 
-def _integrate_in(grid: RadialGrid, f2, zeta):
-    """``integrate_in_all`` on a (rows, nodes) stack, zeta a (rows, 1) column."""
-    h = grid.h
-    # Segment j-1..j referenced to its right node is the out rule's segment
-    # on the reversed row, D e^{zeta (x_j - x)}, with z = -zeta h.
-    d = (grid.r * (grid.r * f2))[:, ::-1]
-    local = np.empty(f2.shape, dtype=complex)
-    local[:, 0] = 0.0
-    local[:, 1:] = _segment_integrals(d, -zeta * h, h)[:, ::-1]
-    return _scan_forward(local, np.exp(zeta[:, 0] * h))
+def _no_rows(grid: RadialGrid):
+    return np.empty((0, grid.n_nodes), dtype=complex)
 
 
 # ---------------------------------------------------------------------------

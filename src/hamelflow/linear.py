@@ -33,7 +33,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .flows import ReferenceFlow, zeta_pair
-from .grid import BoundarySpectrum, RadialGrid, integrate_in_all, integrate_out_all
+# integrate_in_all is not called here; it stays a name of this module
+# because bench/layers.py wraps it here by name.
+from .grid import (BoundarySpectrum, RadialGrid, integrate_in_all,  # noqa: F401
+                   integrate_out_all, integrate_out_in)
 
 __all__ = [
     "DegenerateFluxError",
@@ -91,14 +94,9 @@ class SpectralSolution:
         return self.gamma.shape[0] - 1
 
 
-def _w_response(grid: RadialGrid, f, zeta_plus, zeta_minus, out=None):
-    """(w, d_r w) with L_w w = -f; rows of f pair with the exponent arrays.
-
-    ``out`` is the rows' out-integral when the caller has formed it.
-    """
-    if out is None:
-        out = integrate_out_all(grid, f, zeta_plus)
-    inn = integrate_in_all(grid, f, zeta_minus)
+def _w_response(grid: RadialGrid, out, inn, zeta_plus, zeta_minus):
+    """(w, d_r w) with L_w w = -f from the out and in integrals of f at
+    zeta_plus and zeta_minus; rows pair with the exponent arrays."""
     zp = np.asarray(zeta_plus)[..., None]
     zm = np.asarray(zeta_minus)[..., None]
     sd = zp - zm
@@ -107,15 +105,10 @@ def _w_response(grid: RadialGrid, f, zeta_plus, zeta_minus, out=None):
     return w, dw
 
 
-def _gamma_response(grid: RadialGrid, w, k, out=None):
-    """(gamma, d_r gamma) with Delta gamma = -w; rows of w pair with k = |n|.
-
-    ``out`` is the rows' out-integral when the caller has formed it.
-    """
+def _gamma_response(grid: RadialGrid, out, inn, k):
+    """(gamma, d_r gamma) with Delta gamma = -w from the out and in
+    integrals of w at k = |n| and -k; rows pair with k."""
     k = np.asarray(k, dtype=float)
-    if out is None:
-        out = integrate_out_all(grid, w, k)
-    inn = integrate_in_all(grid, w, -k)
     g = (out + inn) / (2.0 * k[..., None])
     dg = (out - inn) / (2.0 * grid.r)
     return g, dg
@@ -129,7 +122,8 @@ def solve_w_particular(grid: RadialGrid, flow: ReferenceFlow, n: int, f_n):
     """
     if n == 0:
         raise ValueError("mode 0 uses solve_w_zero")
-    return _w_response(grid, f_n, *zeta_pair(flow.phi0, flow.mu, n))
+    zp, zm = zeta_pair(flow.phi0, flow.mu, n)
+    return _w_response(grid, *integrate_out_in(grid, f_n, zp, f_n, zm), zp, zm)
 
 
 def solve_w_zero(grid: RadialGrid, phi0: float, f_0):
@@ -182,17 +176,6 @@ def _trace_amplitudes(n, zeta_minus, vr, vt, g_part_1, dg_part_1):
                          -big_d * (k * a + b) / denom)
         gamma_bar = np.where(resonant, a, a + w_bar / big_d)
     return gamma_bar, w_bar, resonant
-
-
-def _out_with_row(grid: RadialGrid, f, zeta, row, zeta_row):
-    """``integrate_out_all`` on the stack f with one more row under it.
-
-    Returns (the out-integrals of f, the out-integral of ``row``); a
-    diverging ``row`` is named as row len(f) of the stack.
-    """
-    out = integrate_out_all(grid, np.concatenate([f, row[None]]),
-                            np.append(zeta, zeta_row))
-    return out[:-1], out[-1]
 
 
 def _assemble_nonzero(grid: RadialGrid, n, zm, boundary: BoundarySpectrum,
@@ -271,12 +254,12 @@ def solve_linear(flow: ReferenceFlow, grid: RadialGrid,
     """Solve every mode 0..n_max against the given sources and trace.
 
     Modes 1..n_max are solved together: each kernel family is one
-    quadrature call on the (modes, nodes) stack of its integrands.  The
-    mean mode's first two integrals (``solve_w_zero``) ride as one extra
-    row under the out-stacks: F_0/r at zeta = -(phi0+1) under the
-    vorticity rows, inner/r at zeta = 0 under the stream rows.  A solve
-    thus makes six kernel calls, the last two the nested stream
-    quadratures of the mean mode (``solve_gamma_zero``).  Modes
+    ``integrate_out_in`` call on the (modes, nodes) stacks of its out and
+    in integrands.  The mean mode's first two integrals (``solve_w_zero``)
+    ride as one extra row under the out stacks: F_0/r at zeta = -(phi0+1)
+    under the vorticity rows, inner/r at zeta = 0 under the stream rows.
+    A solve thus makes four kernel calls, the last two the nested one-row
+    stream quadratures of the mean mode (``solve_gamma_zero``).  Modes
     without a source (all of them when ``sources`` is None, and those above
     the reach of the trace's products) cost no quadrature: the integrators
     return their zero rows as exact +0.
@@ -308,10 +291,14 @@ def solve_linear(flow: ReferenceFlow, grid: RadialGrid,
     n = np.arange(1, n_max + 1)
     k = n.astype(float)
     zp, zm = zeta_pair(phi0, flow.mu, n)
-    out_w, inner = _out_with_row(grid, F[1:], zp, F[0] / r, -(phi0 + 1.0))
-    w_part, dw_part = _w_response(grid, F[1:], zp, zm, out_w)
-    out_g, w0 = _out_with_row(grid, w_part, k, inner / r, 0.0)
-    g_part, dg_part = _gamma_response(grid, w_part, k, out_g)
+    out, inn = integrate_out_in(grid, np.vstack([F[1:], F[0] / r]),
+                                np.append(zp, -(phi0 + 1.0)), F[1:], zm)
+    inner = out[-1]
+    w_part, dw_part = _w_response(grid, out[:-1], inn, zp, zm)
+    out, inn = integrate_out_in(grid, np.vstack([w_part, inner / r]),
+                                np.append(k, 0.0), w_part, -k)
+    w0 = out[-1]
+    g_part, dg_part = _gamma_response(grid, out[:-1], inn, k)
 
     gamma[0], dgamma[0], w[0], dw[0], w_bar[0] = _assemble_zero(
         grid, phi0, complex(boundary.vtheta[0]), w0, -inner)

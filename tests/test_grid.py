@@ -6,10 +6,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from hamelflow import (BoundarySpectrum, DivergentTailError, FluxMismatchError,
                        RadialGrid, build_grid, grid as grid_module,
-                       integrate_in_all, integrate_out_all, project_boundary,
-                       synthesize_boundary)
-from hamelflow.grid import (_SCAN_BLOCK, _cubic_weights, _scan_backward,
-                            _scan_forward)
+                       integrate_in_all, integrate_out_all, integrate_out_in,
+                       project_boundary, synthesize_boundary)
+from hamelflow.grid import _SCAN_BLOCK, _cubic_weights, _scan_forward
 
 
 def test_grid_construction():
@@ -322,6 +321,58 @@ def test_divergent_row_among_zero_rows_fails_the_stack():
     assert str(info.value).endswith("(kernel row 2, zeta=0.5-0.25j)")
 
 
+def test_paired_call_is_the_two_one_sided_calls(monkeypatch):
+    # integrate_out_in integrates a family's out and in stacks in one
+    # kernel call.  Its out rows are the bytes of integrate_out_all; its in
+    # rows take the rule on a reversed copy instead of a reversed view, so
+    # they may move in the last bits.
+    g = build_grid(1e4, 48)
+    rows, zeta = live_rows(g, integrate_out_all)
+    in_rows, in_zeta = live_rows(g, integrate_in_all)
+    seen = []
+    kernel = grid_module._segment_integrals
+    monkeypatch.setattr(grid_module, "_segment_integrals",
+                        lambda d, *args: seen.append(len(d))
+                        or kernel(d, *args))
+    out, inn = integrate_out_in(g, rows, zeta, in_rows, in_zeta)
+    assert seen == [len(rows) + len(in_rows)]
+    assert np.array_equal(bits(out), bits(integrate_out_all(g, rows, zeta)))
+    want = integrate_in_all(g, in_rows, in_zeta)
+    scale = np.abs(want).max(axis=1, keepdims=True)
+    assert np.all(np.abs(inn - want) <= 1e-14 * scale)
+
+    # zero rows on either side come back as +0, and sides without a live
+    # row cost no kernel work
+    seen.clear()
+    stack = np.zeros((len(rows) + 2, g.n_nodes), dtype=complex)
+    stack[1:-1] = rows
+    zetas = np.concatenate([[0.5], zeta, [1.5]])
+    out, inn = integrate_out_in(g, stack, zetas, np.zeros((2, g.n_nodes)),
+                                [-1.0, -2.0])
+    assert seen == [len(rows)]
+    assert positive_zero(out[[0, -1]]) and positive_zero(inn)
+    assert np.array_equal(bits(out[1:-1]), bits(integrate_out_all(g, rows,
+                                                                  zeta)))
+    out, inn = integrate_out_in(g, np.zeros(g.n_nodes), 1.0, in_rows[0],
+                                in_zeta[0])
+    assert out.shape == inn.shape == (g.n_nodes,) and positive_zero(out)
+    assert np.abs(inn - want[0]).max() <= 1e-14 * scale[0, 0]
+    seen.clear()
+    out, inn = integrate_out_in(g, np.zeros((3, g.n_nodes)), np.ones(3),
+                                np.zeros((1, g.n_nodes)), [-1.0])
+    assert seen == [] and positive_zero(out) and positive_zero(inn)
+
+    # a diverging out row behind zero rows is named in the caller's out
+    # stack, whatever the in stack holds
+    stack = np.zeros((3, g.n_nodes), dtype=complex)
+    stack[2] = g.r ** -0.5
+    with pytest.raises(DivergentTailError) as info:
+        integrate_out_in(g, stack, [0.0, 0.5, 0.25 + 0.5j], in_rows, in_zeta)
+    assert (info.value.row, info.value.zeta) == (2, 0.25 + 0.5j)
+    # s f(s) (r_max/s)^zeta = s^0.5 s^-(0.25 + 0.5j)
+    assert info.value.exponent == pytest.approx(0.25, abs=1e-9)
+
+
 def sequential_scan(local, factor):
     out = []
     acc = 0.0
@@ -340,7 +391,8 @@ def test_block_scan_matches_sequential_recurrence(r_max, npd):
     local = (rng.standard_normal((zeta.size, g.n_nodes))
              + 1j * rng.standard_normal((zeta.size, g.n_nodes)))
     forward = _scan_forward(local, factor)
-    backward = _scan_backward(local, factor)
+    # the out integrals scan the reversed row and read it back reversed
+    backward = _scan_forward(local[:, ::-1], factor)[:, ::-1]
     assert np.all(np.isfinite(forward)) and np.all(np.isfinite(backward))
     for i in range(zeta.size):
         ref = sequential_scan(local[i], factor[i])
@@ -377,7 +429,7 @@ def test_carry_vector_scan_is_bitwise_the_block_loop(n):
              + 1j * rng.standard_normal((zeta.size, n)))
     assert (_scan_forward(local, factor).tobytes()
             == block_loop_scan(local, factor).tobytes())
-    assert (_scan_backward(local, factor).tobytes()
+    assert (_scan_forward(local[:, ::-1], factor)[:, ::-1].tobytes()
             == block_loop_scan(local[:, ::-1], factor)[:, ::-1].tobytes())
 
 

@@ -8,6 +8,7 @@ from hamelflow import (BoundarySpectrum, DegenerateFluxError,
                        build_grid, linear as linear_module,
                        solve_gamma_zero, solve_linear, solve_w_particular,
                        solve_w_zero, zeta_pair)
+from hamelflow.grid import integrate_out_in
 from hamelflow.linear import (_assemble_zero, _gamma_response,
                               _trace_amplitudes)
 
@@ -29,6 +30,12 @@ def steep_sources(grid, n_max, amp=0.01):
     for n in range(n_max + 1):
         F[n] = (amp + 0.2j * amp * n) * grid.r ** (-5.5 - 0.3 * n)
     return SourceSpectrum(n_max, F)
+
+
+def stream_response(grid, w, k):
+    """The particular stream pair of one mode row of w, k = |n|."""
+    out, inn = integrate_out_in(grid, w[None], [k], w[None], [-k])
+    return _gamma_response(grid, out, inn, np.array([k]))
 
 
 def observed_order(coarse, fine):
@@ -79,7 +86,7 @@ def test_stream_kernel_inverts_mode_laplacian():
     # Delta_n[log(r) r^-n] = -2 n r^(-n-2).
     def errors(grid):
         w = grid.r ** -4.0 + 0j
-        (g,), (dg,) = _gamma_response(grid, w[None], [2.0])
+        (g,), (dg,) = stream_response(grid, w, 2.0)
         exact_g = grid.r ** -2.0 * (1.0 / 16.0 + np.log(grid.r) / 4.0)
         exact_dg = grid.r ** -3.0 * (1.0 / 8.0 - np.log(grid.r) / 2.0)
         return np.abs(g - exact_g).max(), np.abs(dg - exact_dg).max()
@@ -159,7 +166,7 @@ def test_batched_modes_match_one_mode_kernels(grid, phi0, mu):
     for n in range(1, 5):
         zm = zeta_pair(phi0, mu, n)[1]
         w_part, dw_part = solve_w_particular(grid, flow, n, sources.F[n])
-        g_part, dg_part = _gamma_response(grid, w_part[None], [float(n)])
+        g_part, dg_part = stream_response(grid, w_part, float(n))
         (gamma_bar,), (w_bar,), (resonant,) = _trace_amplitudes(
             np.array([n]), np.array([zm]), boundary.vr[n:n + 1],
             boundary.vtheta[n:n + 1], g_part[:, 0], dg_part[:, 0])
@@ -256,19 +263,20 @@ def test_solver_checks_parameter_consistency(grid):
 def test_mean_mode_rows_are_bitwise_the_one_row_chain(grid, phi0, mu,
                                                       monkeypatch):
     # solve_linear integrates the mean mode's first two kernels as extra
-    # rows of the vorticity and stream stacks; its mean-mode rows must be
-    # the bytes of the one-row solve_w_zero -> solve_gamma_zero chain.
+    # rows of the vorticity and stream out stacks, each family's out and in
+    # stacks in one call; its mean-mode rows must be the bytes of the
+    # one-row solve_w_zero -> solve_gamma_zero chain.
     boundary = mode_boundary(4, phi0, mu0=mu + 0.1, mu=mu, vr={1: 0.02},
                              vtheta={2: -0.01j, 3: 0.004})
     sources = steep_sources(grid, 4)
     sources.F[0] *= 1.0 + 0.3j * np.cos(2.0 * np.log(grid.r))
     calls = []
-    for name in ("integrate_out_all", "integrate_in_all"):
+    for name in ("integrate_out_all", "integrate_in_all", "integrate_out_in"):
         real = getattr(linear_module, name)
         monkeypatch.setattr(linear_module, name,
                             lambda *a, _real=real: calls.append(1) or _real(*a))
     sol = solve_linear(ReferenceFlow(phi0, mu), grid, boundary, sources)
-    assert len(calls) == 6
+    assert len(calls) == 4
     w, dw = solve_w_zero(grid, phi0, sources.F[0])
     want = _assemble_zero(grid, phi0, boundary.vtheta[0], w, dw)
     got = (sol.gamma[0], sol.dgamma[0], sol.w[0], sol.dw[0], sol.w_bar[0])

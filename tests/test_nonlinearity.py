@@ -140,13 +140,17 @@ _SMALL_GRID = build_grid(1e2, 8)
 @st.composite
 def mode_stacks(draw):
     """Four (n_max + 1, nodes) complex stacks with exact zeros, -0.0 parts
-    and whole zero or -0.0 rows."""
+    and whole zero or -0.0 rows.  The rows of (gamma, dgamma) above a drawn
+    reach, and independently those of (w, dw), are zero or -0.0 blocks, so
+    the highest nonzero row of a pair ranges over -1 (all zero)..n_max."""
     n_max = draw(st.integers(0, 8))
     shape = (n_max + 1, _SMALL_GRID.n_nodes)
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
     stacks = []
-    for _ in range(4):
+    for i in range(4):
+        if i % 2 == 0:
+            reach = draw(st.integers(-1, n_max))
         scale = 10.0 ** rng.integers(-30, 3, (n_max + 1, 1))
         a = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * scale
         a[rng.random(shape) < 0.3] = 0.0
@@ -155,6 +159,7 @@ def mode_stacks(draw):
         kind = draw(st.sampled_from(["none", "zero", "negzero"]))
         if kind != "none":
             a[draw(st.integers(0, n_max))] = 0.0 if kind == "zero" else -0.0
+        a[reach + 1:] = draw(st.sampled_from([0.0, complex(-0.0, -0.0)]))
         stacks.append(a)
     return stacks
 
@@ -165,6 +170,10 @@ def test_slice_accumulation_is_bitwise_the_per_n_sum(stacks):
     got = convolution_sources(_SMALL_GRID, *stacks).F
     want = per_n_sources(_SMALL_GRID, *stacks)
     assert got.tobytes() == want.tobytes()
+    if not (np.any(stacks[:2]) and np.any(stacks[2:])):
+        # no pair of reached modes: +0 everywhere
+        assert not np.any(got)
+        assert not np.any(np.signbit(got.real) | np.signbit(got.imag))
 
 
 def test_slice_accumulation_keeps_zero_signs_of_the_per_n_sum():
