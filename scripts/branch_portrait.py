@@ -33,16 +33,6 @@ def field_row(solution, radius):
     return np.concatenate([full.ur[j], full.utheta[j], full.w[j]])
 
 
-def make_boundary(args):
-    vr = np.zeros(args.n_modes + 1, dtype=complex)
-    vt = np.zeros(args.n_modes + 1, dtype=complex)
-    vr[2] = args.eps
-    vt[1] = args.eps
-    vt[0] = args.mu0 - args.mu_values[0]
-    return BoundarySpectrum(args.n_modes, vr, vt, args.phi0, args.mu0,
-                            args.mu_values[0])
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--phi0", type=float, default=2.5,
@@ -68,7 +58,9 @@ def main(argv=None):
 
     config = SolverConfig(n_modes=args.n_modes,
                           nodes_per_decade=args.nodes_per_decade)
-    boundary = make_boundary(args)
+    boundary = BoundarySpectrum.from_modes(
+        args.n_modes, args.phi0, args.mu0, args.mu_values[0],
+        vr={2: args.eps}, vtheta={1: args.eps})
     members = branch_sweep(boundary, args.mu_values, config)
 
     reference_field = None

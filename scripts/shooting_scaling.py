@@ -22,14 +22,6 @@ import numpy as np
 from hamelflow import BoundarySpectrum, SolverConfig, ns_residual, shoot_mu
 
 
-def make_boundary(n_modes, phi0, mu0, eps):
-    vr = np.zeros(n_modes + 1, dtype=complex)
-    vt = np.zeros(n_modes + 1, dtype=complex)
-    vr[2] = eps
-    vt[1] = eps
-    return BoundarySpectrum(n_modes, vr, vt, phi0, mu0, mu0)
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--phi0", type=float, default=1.0,
@@ -57,7 +49,9 @@ def main(argv=None):
           f"{'iters':>5} {'residual':>10}")
     previous_shift = None
     for eps in args.eps:
-        boundary = make_boundary(args.n_modes, args.phi0, args.mu0, eps)
+        boundary = BoundarySpectrum.from_modes(
+            args.n_modes, args.phi0, args.mu0, args.mu0, vr={2: eps},
+            vtheta={1: eps})
         solution, report = shoot_mu(boundary, config)
         shift = abs(report.mu - args.mu0)
         ratio = (previous_shift / shift) if previous_shift else float("nan")

@@ -44,11 +44,9 @@ def decay_panel(phi0, mu):
     flow = ReferenceFlow(phi0, mu)
     grid = build_grid(1e6, 24)
     n_max = 4
-    vr = np.zeros(n_max + 1, dtype=complex)
-    vt = np.zeros(n_max + 1, dtype=complex)
-    vr[1:] = [0.01, 0.008, 0.006, 0.004]
-    vt[1:] = [0.005, 0.004j, 0.003, 0.002]
-    boundary = BoundarySpectrum(n_max, vr, vt, phi0, mu, mu)
+    boundary = BoundarySpectrum.from_modes(
+        n_max, phi0, mu, mu, vr={1: 0.01, 2: 0.008, 3: 0.006, 4: 0.004},
+        vtheta={1: 0.005, 2: 0.004j, 3: 0.003, 4: 0.002})
     profile = decay_fit(solve_linear(flow, grid, boundary))
     print(f"\n== decay rates at phi0={phi0}, mu={mu} ==")
     print(f"{'n':>3} {'stream fit':>11} {'stream pred':>12} "

@@ -11,9 +11,9 @@ import: solving does not load them.
 
 __version__ = "0.1.0"
 
-from .flows import (ReferenceFlow, hamel_velocity, ref_velocity, zeta_pair,
-                    re_zeta_minus_closed_form, rho_decay, alpha_window,
-                    circulation_threshold, existence_condition)
+from .flows import (ReferenceFlow, zeta_pair, re_zeta_minus_closed_form,
+                    rho_decay, alpha_window, circulation_threshold,
+                    existence_condition)
 from .grid import (RadialGrid, build_grid, integrate_out_all, integrate_in_all,
                    integrate_out_in, BoundarySpectrum, project_boundary,
                    synthesize_boundary, DivergentTailError, FluxMismatchError)

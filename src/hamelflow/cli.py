@@ -24,7 +24,6 @@ from . import __version__
 from .config import ConfigError, build_boundary, load_config, solver_config
 from .field import (asymptotic_circulation, decay_fit, ns_residual,
                     reconstruct)
-from .flows import ReferenceFlow
 from .grid import synthesize_boundary
 from .report import (ModeTable, report_payload, solution_payload,
                      write_field_csv, write_json, write_modes_csv)
@@ -93,8 +92,7 @@ def solve(config_path, outdir, phi0, mu0, mu, quick, seed):
         if boundary.phi0 <= 2.0:
             solution, report = shoot_mu(boundary, sc)
         else:
-            flow = ReferenceFlow(boundary.phi0, boundary.mu)
-            solution, report = picard_solve(flow, boundary, sc)
+            solution, report = picard_solve(boundary, sc)
     except SolverConvergenceError as exc:
         click.echo(f"solver did not converge: {exc}", err=True)
         sys.exit(CONVERGENCE_EXIT)

@@ -292,15 +292,11 @@ def _spectrum(cfg: dict, config: SolverConfig) -> BoundarySpectrum:
         raise ConfigError(
             f"boundary prescribes mode {max(len(vr_rows), len(vt_rows))} "
             f"but n_modes={config.n_modes}")
-    vr = np.zeros(config.n_modes + 1, dtype=complex)
-    vt = np.zeros(config.n_modes + 1, dtype=complex)
-    for i, (re, im) in enumerate(vr_rows):
-        vr[i + 1] = re + 1j * im
-    for i, (re, im) in enumerate(vt_rows):
-        vt[i + 1] = re + 1j * im
-    vt[0] = mu0 - mu
-    return BoundarySpectrum(n_max=config.n_modes, vr=vr, vtheta=vt,
-                            phi0=phi0, mu0=mu0, mu=mu)
+    coefficients = lambda rows: {n: re + 1j * im
+                                 for n, (re, im) in enumerate(rows, 1)}
+    return BoundarySpectrum.from_modes(config.n_modes, phi0, mu0, mu,
+                                       coefficients(vr_rows),
+                                       coefficients(vt_rows))
 
 
 def _prescribed(rows):

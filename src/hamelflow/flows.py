@@ -25,8 +25,6 @@ import numpy as np
 
 __all__ = [
     "ReferenceFlow",
-    "hamel_velocity",
-    "ref_velocity",
     "zeta_pair",
     "re_zeta_minus_closed_form",
     "rho_decay",
@@ -48,26 +46,6 @@ class ReferenceFlow:
             raise ValueError(f"flux phi0 must be nonnegative, got {self.phi0}")
         if not (np.isfinite(self.phi0) and np.isfinite(self.mu)):
             raise ValueError("flow parameters must be finite")
-
-
-def hamel_velocity(phi: float, lam: float, mu: float, r):
-    """Velocity of the general Hamel member (v_r, v_theta).
-
-    v_r = -phi / r, v_theta = lam * r^(1-phi) + mu / r.  The swirl decays at
-    infinity iff lam == 0 or phi > 1; callers probing that boundary do so
-    through this single evaluation point.
-    """
-    r = np.asarray(r, dtype=float)
-    if np.any(r <= 0):
-        raise ValueError("radius must be positive")
-    vr = -phi / r
-    vtheta = lam * r ** (1.0 - phi) + mu / r
-    return vr, vtheta
-
-
-def ref_velocity(flow: ReferenceFlow, r):
-    """Velocity (u_r, u_theta) of the decaying reference flow."""
-    return hamel_velocity(flow.phi0, 0.0, flow.mu, r)
 
 
 def zeta_pair(phi0, mu, n):

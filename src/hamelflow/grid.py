@@ -35,12 +35,18 @@ A ratio beyond the phase or steepness limit makes the fit use the log
 moduli only.  That fallback keeps the tails of real rows real: a zero
 crossing among the last five samples is a ratio of phase pi, which as a
 complex exponent would give a real integral an imaginary part.
+
+A boundary trace is a ``BoundarySpectrum``: modes 0..n_max of
+(u_r* + phi0, u_theta* - mu) with the flux phi0, the trace's mean swirl mu0
+and the circulation mu it is budgeted against.  Its mean row follows from
+those three numbers, so the spectrum derives it rather than storing a
+second copy that could disagree.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -415,7 +421,9 @@ class BoundarySpectrum:
 
     vr[n] and vtheta[n] for n = 0..n_max are coefficients of
     (u_r* + phi0) and (u_theta* - mu); negative modes follow by conjugation.
-    vr[0] vanishes by flux matching and vtheta[0] = mu0 - mu.
+    The mean row is not data: the spectrum keeps complex copies of ``vr``
+    and ``vtheta`` with vr[0] = 0 (flux matching) and vtheta[0] = mu0 - mu
+    (the circulation deficit), whatever the caller put at index 0.
     """
 
     n_max: int
@@ -425,13 +433,34 @@ class BoundarySpectrum:
     mu0: float
     mu: float
 
+    def __post_init__(self):
+        for name in ("vr", "vtheta"):
+            row = np.array(getattr(self, name), dtype=complex)
+            if row.shape != (self.n_max + 1,):
+                raise ValueError(f"{name} has shape {row.shape}, need "
+                                 f"({self.n_max + 1},) for n_max={self.n_max}")
+            object.__setattr__(self, name, row)
+        self.vr[0] = 0.0
+        self.vtheta[0] = self.mu0 - self.mu
+
+    @classmethod
+    def from_modes(cls, n_max: int, phi0: float, mu0: float, mu: float,
+                   vr=None, vtheta=None) -> "BoundarySpectrum":
+        """The spectrum whose rows 1..n_max are the ``{mode: coefficient}``
+        maps ``vr`` and ``vtheta``; modes they do not name are 0."""
+        rows = []
+        for name, modes in (("vr", vr), ("vtheta", vtheta)):
+            row = np.zeros(n_max + 1, dtype=complex)
+            for n, value in (modes or {}).items():
+                if not 1 <= n <= n_max:
+                    raise ValueError(f"{name} mode {n} is outside 1..{n_max}")
+                row[n] = value
+            rows.append(row)
+        return cls(n_max, *rows, phi0, mu0, mu)
+
     def with_mu(self, mu: float) -> "BoundarySpectrum":
         """Same physical trace rebudgeted against circulation mu."""
-        vtheta = self.vtheta.copy()
-        vtheta[0] = self.mu0 - mu
-        return BoundarySpectrum(n_max=self.n_max, vr=self.vr.copy(),
-                                vtheta=vtheta, phi0=self.phi0,
-                                mu0=self.mu0, mu=float(mu))
+        return replace(self, mu=float(mu))
 
 
 def project_boundary(ur_samples, utheta_samples, n_max: int, mu: float,
@@ -440,7 +469,8 @@ def project_boundary(ur_samples, utheta_samples, n_max: int, mu: float,
 
     Samples are values at theta_m = 2 pi m / M, M >= 2 n_max + 2.  When
     ``phi0`` is given, the sampled mean radial velocity must reproduce it to
-    1e-10; otherwise phi0 is inferred from the samples.
+    1e-10; otherwise phi0 is inferred from the samples.  mu0 is the sampled
+    mean swirl, and the spectrum derives its mean row from it.
     """
     ur = np.asarray(ur_samples, dtype=float)
     ut = np.asarray(utheta_samples, dtype=float)
@@ -463,8 +493,6 @@ def project_boundary(ur_samples, utheta_samples, n_max: int, mu: float,
 
     vr = np.fft.fft(ur + phi0)[: n_max + 1] / m
     vtheta = np.fft.fft(ut - mu)[: n_max + 1] / m
-    vr[0] = 0.0                # exact by construction of phi0
-    vtheta[0] = mu0 - mu       # exact zeroth coefficient
     return BoundarySpectrum(n_max=int(n_max), vr=vr, vtheta=vtheta,
                             phi0=float(phi0), mu0=mu0, mu=float(mu))
 

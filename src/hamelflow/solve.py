@@ -14,6 +14,10 @@ each Picard step sets mu <- mu0 + d_r gamma_0(1) of the current iterate
 before applying the linear map.
 For phi0 > 2 every mu near mu0 is admissible and sweeping mu against one
 physical trace exhibits the non-uniqueness branch.
+
+Every entry point takes the boundary spectrum and a ``SolverConfig``; the
+reference flow (phi0, mu) is the spectrum's own, and ``config.n_modes``
+must equal its ``n_max``.
 """
 
 from __future__ import annotations
@@ -110,23 +114,30 @@ def _contraction_ratio(increments) -> float:
     return float(np.median([b / a for a, b in pairs]))
 
 
-def _fixed_point(flow: ReferenceFlow, boundary: BoundarySpectrum,
-                 config: SolverConfig, shoot: bool):
+def _check_modes(boundary: BoundarySpectrum, config: SolverConfig):
+    if config.n_modes != boundary.n_max:
+        raise ValueError(f"config.n_modes={config.n_modes} but the boundary "
+                         f"spectrum has n_max={boundary.n_max}")
+
+
+def _fixed_point(boundary: BoundarySpectrum, config: SolverConfig,
+                 shoot: bool):
     """The Picard loop over (X, mu) shared by picard_solve and shoot_mu,
-    on the grid of ``config``.
+    on the grid of ``config``, around the spectrum's flow (phi0, mu).
 
     Step 0 solves the linear problem without sources; every later step
     applies one linear solve to the sources of the current iterate.  With
     ``shoot`` each step first sets mu <- mu0 + Re dgamma_0(1) of the
     current iterate, i.e. mu + g, and rebudgets the trace against it;
-    otherwise mu stays at ``flow.mu``.
+    otherwise mu stays at ``boundary.mu``.
     """
+    _check_modes(boundary, config)
     grid = config.make_grid()
     spec, g = boundary, 0.0
     increments, mu_history = [], []
 
     def report(converged):
-        alpha, feasible = alpha_window(flow.phi0, flow.mu)
+        alpha, feasible = alpha_window(spec.phi0, spec.mu)
         warnings = [] if feasible else [
             "decay rate rho <= 2: contraction window is empty, using "
             f"alpha={alpha:g} as a diagnostic weight only"]
@@ -134,8 +145,8 @@ def _fixed_point(flow: ReferenceFlow, boundary: BoundarySpectrum,
             converged=converged, iterations=iterations,
             increments=list(increments),
             contraction_ratio=_contraction_ratio(increments), alpha=alpha,
-            alpha_feasible=feasible, mu=flow.mu, mu0=boundary.mu0,
-            phi0=flow.phi0, mu_history=list(mu_history),
+            alpha_feasible=feasible, mu=spec.mu, mu0=spec.mu0,
+            phi0=spec.phi0, mu_history=list(mu_history),
             shoot_residual=abs(g) if shoot else float("nan"),
             warnings=warnings)
 
@@ -143,9 +154,9 @@ def _fixed_point(flow: ReferenceFlow, boundary: BoundarySpectrum,
     for iterations in range(config.max_iter + 1):
         if shoot:
             if x is not None:
-                flow = ReferenceFlow(flow.phi0, flow.mu + g)
-            spec = boundary.with_mu(flow.mu)
-            mu_history.append(flow.mu)
+                spec = spec.with_mu(spec.mu + g)
+            mu_history.append(spec.mu)
+        flow = ReferenceFlow(spec.phi0, spec.mu)
         try:
             y = solve_linear(flow, grid, spec,
                              None if x is None else compute_sources(x))
@@ -158,13 +169,13 @@ def _fixed_point(flow: ReferenceFlow, boundary: BoundarySpectrum,
             increments.append(picard_norm(grid, y.gamma - x.gamma, alpha))
         x = y
         if shoot:
-            g = boundary.mu0 + float(np.real(x.dgamma[0, 0])) - flow.mu
+            g = spec.mu0 + float(np.real(x.dgamma[0, 0])) - spec.mu
         if not np.isfinite([g] + increments[-1:]).all():
             raise SolverConvergenceError(
                 "Picard iterate lost finiteness; data too large for the "
                 "contraction regime", report(False))
         if (increments and increments[-1] < config.tol_fp
-                and abs(g) <= config.tol_mu * max(1.0, abs(flow.mu))):
+                and abs(g) <= config.tol_mu * max(1.0, abs(spec.mu))):
             return x, report(True)
 
     rep = report(False)
@@ -177,15 +188,17 @@ def _fixed_point(flow: ReferenceFlow, boundary: BoundarySpectrum,
         f"{rep.contraction_ratio:.3f}){closure}", rep)
 
 
-def picard_solve(flow: ReferenceFlow, boundary: BoundarySpectrum,
+def picard_solve(boundary: BoundarySpectrum,
                  config: SolverConfig | None = None):
-    """Iterate the source-to-solution map to its fixed point at fixed mu.
+    """Iterate the source-to-solution map to its fixed point at the
+    spectrum's own circulation ``boundary.mu``.
 
     Returns (solution, report); raises SolverConvergenceError (with the
     report attached) when max_iter is exhausted, the iterate degenerates or
-    the quadrature fails.
+    the quadrature fails, and ValueError when ``config.n_modes`` is not
+    ``boundary.n_max``.
     """
-    return _fixed_point(flow, boundary, config or SolverConfig(), shoot=False)
+    return _fixed_point(boundary, config or SolverConfig(), shoot=False)
 
 
 def fixed_point_residual(solution: SpectralSolution) -> float:
@@ -207,8 +220,7 @@ def shoot_mu(boundary: BoundarySpectrum, config: SolverConfig | None = None):
     if boundary.phi0 > 2.0:
         raise ValueError("shooting applies to phi0 <= 2; use branch_sweep or "
                          "picard_solve directly for phi0 > 2")
-    return _fixed_point(ReferenceFlow(boundary.phi0, boundary.mu), boundary,
-                        config, shoot=True)
+    return _fixed_point(boundary, config, shoot=True)
 
 
 @dataclass
@@ -225,17 +237,18 @@ def branch_sweep(boundary: BoundarySpectrum, mu_values,
 
     Requires phi0 > 2 (elsewhere mu is determined, not free).  Failures are
     recorded per member; the sweep continues.  Members come back in the
-    order of mu_values.  A flux in the degenerate band around 2 is an input
-    error shared by every member: ``DegenerateFluxError`` propagates.
+    order of mu_values.  Input errors shared by every member propagate: a
+    flux in the degenerate band around 2 (``DegenerateFluxError``) and a
+    ``config.n_modes`` other than ``boundary.n_max`` (``ValueError``).
     """
     config = config or SolverConfig()
     if boundary.phi0 <= 2.0:
         raise ValueError("branch sweeps need phi0 > 2")
+    _check_modes(boundary, config)
 
     def run(mu: float) -> BranchMember:
         try:
-            flow = ReferenceFlow(boundary.phi0, float(mu))
-            sol, rep = picard_solve(flow, boundary.with_mu(float(mu)), config)
+            sol, rep = picard_solve(boundary.with_mu(mu), config)
             return BranchMember(mu=float(mu), solution=sol, report=rep)
         except DegenerateFluxError:
             raise

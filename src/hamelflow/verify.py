@@ -5,6 +5,8 @@ kernels, trace exactness, finite-difference ODE residuals, randomized
 inequality suites, and a small end-to-end fixed point.  Checks are
 deterministic for a given seed and report margins, not just booleans, so a
 regression shows up as a shrinking margin before it becomes a failure.
+The checks build their traces with ``BoundarySpectrum.from_modes``, so each
+mean row is the spectrum's derived mu0 - mu.
 """
 
 from __future__ import annotations
@@ -29,16 +31,6 @@ __all__ = ["run_battery"]
 def _check(name, passed, metric, threshold, detail=""):
     return {"name": name, "passed": bool(passed), "metric": float(metric),
             "threshold": float(threshold), "detail": detail}
-
-
-def _mode_boundary(n_max, phi0, mu0, mu, vr, vtheta):
-    vr_arr = np.zeros(n_max + 1, dtype=complex)
-    vt_arr = np.zeros(n_max + 1, dtype=complex)
-    vt_arr[0] = mu0 - mu
-    vr_arr[list(vr)] = list(vr.values())
-    vt_arr[list(vtheta)] = list(vtheta.values())
-    return BoundarySpectrum(n_max=n_max, vr=vr_arr, vtheta=vt_arr,
-                            phi0=phi0, mu0=mu0, mu=mu)
 
 
 def check_exponent_identities(quick: bool):
@@ -149,7 +141,7 @@ def check_trace_exactness(quick: bool):
     details = []
     for phi0, mu in ((2.5, 0.2), (3.2, 0.0)):
         flow = ReferenceFlow(phi0, mu)
-        boundary = _mode_boundary(
+        boundary = BoundarySpectrum.from_modes(
             n_max, phi0, mu0=mu + 0.1, mu=mu,
             vr={1: 0.02 + 0.01j, 2: 0.01, 3: 0.005 - 0.002j},
             vtheta={1: 0.01, 2: -0.01j, 3: 0.004, 4: 0.002})
@@ -169,9 +161,9 @@ def check_ode_residuals(quick: bool):
     n_max = 4
     phi0, mu = 2.5, 0.2
     flow = ReferenceFlow(phi0, mu)
-    boundary = _mode_boundary(n_max, phi0, mu0=0.3, mu=mu,
-                              vr={1: 0.02, 2: 0.01j},
-                              vtheta={1: 0.01, 3: 0.004})
+    boundary = BoundarySpectrum.from_modes(n_max, phi0, mu0=0.3, mu=mu,
+                                           vr={1: 0.02, 2: 0.01j},
+                                           vtheta={1: 0.01, 3: 0.004})
     n = np.arange(n_max + 1)[:, None]
     F = (0.01 + 0.001j * n) * grid.r ** (-5.5 - 0.2 * n)
     sources = SourceSpectrum(n_max, F)
@@ -188,11 +180,10 @@ def check_picard_fixed_point(quick: bool):
     # the shallower one.
     config = SolverConfig(n_modes=8 if quick else 16,
                           nodes_per_decade=48 if quick else 64, r_max=1e6)
-    phi0, mu = 2.5, 0.2
-    flow = ReferenceFlow(phi0, mu)
-    boundary = _mode_boundary(config.n_modes, phi0, mu0=0.2, mu=mu,
-                              vr={2: 0.01}, vtheta={1: 0.01})
-    sol, rep = picard_solve(flow, boundary, config)
+    boundary = BoundarySpectrum.from_modes(config.n_modes, 2.5, mu0=0.2,
+                                           mu=0.2, vr={2: 0.01},
+                                           vtheta={1: 0.01})
+    sol, rep = picard_solve(boundary, config)
     fp = fixed_point_residual(sol)
     ns = ns_residual(sol)
     prof = decay_fit(sol)
@@ -211,8 +202,9 @@ def check_shooting(quick: bool):
     config = SolverConfig(n_modes=8 if quick else 12,
                           nodes_per_decade=48 if quick else 64)
     phi0, mu0 = 1.0, 5.0
-    boundary = _mode_boundary(config.n_modes, phi0, mu0=mu0, mu=mu0,
-                              vr={1: 0.01}, vtheta={1: 0.01j})
+    boundary = BoundarySpectrum.from_modes(config.n_modes, phi0, mu0=mu0,
+                                           mu=mu0, vr={1: 0.01},
+                                           vtheta={1: 0.01j})
     sol, rep = shoot_mu(boundary, config)
     shift = abs(rep.mu - mu0)
     ok = rep.shoot_residual < config.tol_mu * max(1.0, abs(rep.mu))

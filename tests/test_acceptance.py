@@ -25,17 +25,6 @@ from hamelflow.verify import (MANUFACTURED_CASES, check_ode_residuals,
 MODULE_T0 = time.perf_counter()
 
 
-def mode_boundary(n_max, phi0, mu0, mu, vr=None, vtheta=None):
-    vr_a = np.zeros(n_max + 1, complex)
-    vt_a = np.zeros(n_max + 1, complex)
-    for n, v in (vr or {}).items():
-        vr_a[n] = v
-    for n, v in (vtheta or {}).items():
-        vt_a[n] = v
-    vt_a[0] = mu0 - mu
-    return BoundarySpectrum(n_max, vr_a, vt_a, phi0, mu0, mu)
-
-
 def field_row(solution, radius):
     """(u_r, u_theta, w) on 256 angles at the node nearest ``radius``."""
     full = reconstruct(solution, 256)
@@ -45,7 +34,8 @@ def field_row(solution, radius):
 
 @pytest.fixture(scope="module")
 def branch_members():
-    boundary = mode_boundary(8, 2.5, 0.2, 0.2, vr={2: 0.01}, vtheta={1: 0.01})
+    boundary = BoundarySpectrum.from_modes(8, 2.5, 0.2, 0.2, vr={2: 0.01},
+                                           vtheta={1: 0.01})
     cfg = SolverConfig(n_modes=8, nodes_per_decade=48)
     t0 = time.perf_counter()
     members = branch_sweep(boundary, [0.15, 0.2, 0.25], cfg)
@@ -58,8 +48,8 @@ def shooting_runs():
     runs = {}
     t0 = time.perf_counter()
     for eps in (1e-2, 5e-3):
-        boundary = mode_boundary(8, 1.0, 5.0, 5.0, vr={2: eps},
-                                 vtheta={1: eps})
+        boundary = BoundarySpectrum.from_modes(8, 1.0, 5.0, 5.0, vr={2: eps},
+                                               vtheta={1: eps})
         sol, rep = shoot_mu(boundary, cfg)
         runs[eps] = (sol, rep)
     return runs, time.perf_counter() - t0
@@ -201,9 +191,9 @@ def test_criterion_07_decay_rates_match_the_exponents(branch_members):
     t0 = time.perf_counter()
     flow = ReferenceFlow(2.5, 0.2)
     grid = build_grid(1e6, 24)
-    boundary = mode_boundary(4, 2.5, 0.2, 0.2,
-                             vr={1: 0.01, 2: 0.008, 3: 0.006, 4: 0.004},
-                             vtheta={1: 0.005, 2: 0.004j, 3: 0.003, 4: 0.002})
+    boundary = BoundarySpectrum.from_modes(
+        4, 2.5, 0.2, 0.2, vr={1: 0.01, 2: 0.008, 3: 0.006, 4: 0.004},
+        vtheta={1: 0.005, 2: 0.004j, 3: 0.003, 4: 0.002})
     prof = decay_fit(solve_linear(flow, grid, boundary))
     worst = 0.0
     for n in range(1, 5):
@@ -279,12 +269,12 @@ def test_criterion_10_residuals_small_and_refining(branch_members,
     residuals = [ns_residual(s) for s in solves]
     assert max(residuals) < 1e-4
 
-    boundary = mode_boundary(8, 2.5, 0.2, 0.2, vr={2: 0.01}, vtheta={1: 0.01})
-    flow = ReferenceFlow(2.5, 0.2)
+    boundary = BoundarySpectrum.from_modes(8, 2.5, 0.2, 0.2, vr={2: 0.01},
+                                           vtheta={1: 0.01})
     series = {}
     for npd in (48, 96):
         cfg = SolverConfig(n_modes=8, nodes_per_decade=npd)
-        sol, rep = picard_solve(flow, boundary, cfg)
+        sol, rep = picard_solve(boundary, cfg)
         assert rep.converged
         series[npd] = ns_residual(sol)
     ratio = series[48] / series[96]

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from hamelflow import BoundarySpectrum
 from hamelflow.cli import main
 from hamelflow.config import (ConfigError, build_boundary, load_config,
                               solver_config)
@@ -499,6 +500,24 @@ def test_mode_boundary_rejects_excess_rows():
            "solver": {"n_modes": 3}}
     with pytest.raises(ConfigError, match="n_modes"):
         build_boundary(cfg, solver_config(cfg))
+
+
+def test_mode_boundary_is_from_modes():
+    # The config's mode form is BoundarySpectrum.from_modes on the same
+    # rows, to the byte; zero rows above the last prescribed one count for
+    # nothing.
+    cfg = {"flow": {"phi0": 2.5, "mu0": 0.3, "mu": 0.2},
+           "boundary": {"modes": {
+               "vr": [[0.0, 0.0], [0.01, -0.02], [0.0, 0.0]],
+               "vtheta": [[0.01, 0.0], [0.0, 0.0], [-0.003, 0.004]]}},
+           "solver": {"n_modes": 4}}
+    got = build_boundary(cfg, solver_config(cfg))
+    want = BoundarySpectrum.from_modes(4, 2.5, 0.3, 0.2,
+                                       vr={2: 0.01 - 0.02j},
+                                       vtheta={1: 0.01, 3: -0.003 + 0.004j})
+    assert (got.n_max, got.phi0, got.mu0, got.mu) == (4, 2.5, 0.3, 0.2)
+    assert got.vr.tobytes() == want.vr.tobytes()
+    assert got.vtheta.tobytes() == want.vtheta.tobytes()
 
 
 def test_quick_mode_caps_resolution():

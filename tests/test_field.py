@@ -1,6 +1,7 @@
 """Physical-space diagnostics: FD stencils, residuals, fits."""
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -16,22 +17,14 @@ from hamelflow.field import _fd_radial
 FLOW = ReferenceFlow(2.5, 0.2)
 
 
-def bdry(n_max, vr=None, vt=None):
-    vr_a = np.zeros(n_max + 1, complex)
-    vt_a = np.zeros(n_max + 1, complex)
-    if vr:
-        for n, v in vr.items():
-            vr_a[n] = v
-    if vt:
-        for n, v in vt.items():
-            vt_a[n] = v
-    return BoundarySpectrum(n_max, vr_a, vt_a, FLOW.phi0, FLOW.mu, FLOW.mu)
+bdry = functools.partial(BoundarySpectrum.from_modes, phi0=FLOW.phi0,
+                         mu0=FLOW.mu, mu=FLOW.mu)
 
 
 def solved(eps=0.01):
     cfg = SolverConfig(n_modes=8, nodes_per_decade=48)
-    b = bdry(8, vr={2: eps}, vt={1: eps})
-    sol, rep = picard_solve(FLOW, b, cfg)
+    b = bdry(8, vr={2: eps}, vtheta={1: eps})
+    sol, rep = picard_solve(b, cfg)
     assert rep.converged
     return sol
 
@@ -89,7 +82,7 @@ def test_stacked_residuals_are_bitwise_the_mode_loop():
         8, np.eye(9, dtype=complex)[2] * 0.01,
         np.eye(9, dtype=complex)[1] * 0.01, phi0, mu, mu)
     sols = [solved(),
-            picard_solve(ReferenceFlow(2.5, -0.3), spec(2.5, -0.3), cfg)[0],
+            picard_solve(spec(2.5, -0.3), cfg)[0],
             shoot_mu(spec(1.5, 1.0), cfg)[0]]
     for sol in sols:
         sources = compute_sources(sol)
@@ -179,7 +172,7 @@ def test_decay_fit_on_boundary_branch():
     grid = build_grid(1e4, 48)
     sol = solve_linear(FLOW, grid, bdry(
         4, vr={1: 0.01, 2: 0.01, 3: 0.01},
-        vt={1: -0.01j, 2: -0.01j, 3: -0.01j}))
+        vtheta={1: -0.01j, 2: -0.01j, 3: -0.01j}))
     prof = decay_fit(sol)
     for n in (1, 2, 3):
         assert abs(prof.gamma_slopes[n] + n) < 1e-2
@@ -195,7 +188,7 @@ def test_decay_fit_on_vorticity_branch():
     vr = {n: 0.01 for n in (1, 2, 3)}
     zm = zeta_pair(FLOW.phi0, FLOW.mu, np.arange(4))[1]
     vt = {n: 1j * (2.0 + zm[n]) * 0.01 / n for n in (1, 2, 3)}
-    sol = solve_linear(FLOW, grid, bdry(4, vr=vr, vt=vt))
+    sol = solve_linear(FLOW, grid, bdry(4, vr=vr, vtheta=vt))
     prof = decay_fit(sol)
     for n in (1, 2, 3):
         assert abs(prof.gamma_slopes[n] - (zm[n].real + 2.0)) < 1e-2

@@ -8,8 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from hamelflow import (BoundarySpectrum, ReferenceFlow, alpha_window,
                        build_grid, circulation_threshold, existence_condition,
-                       hamel_velocity, project_boundary,
-                       re_zeta_minus_closed_form, ref_velocity, rho_decay,
+                       project_boundary, re_zeta_minus_closed_form, rho_decay,
                        solve_linear, zeta_pair)
 
 finite_phi0 = st.floats(min_value=0.0, max_value=6.0)
@@ -130,29 +129,6 @@ def test_alpha_window_values():
     assert feasible and alpha == pytest.approx(0.5)
 
 
-def test_hamel_velocity_solves_momentum_balance():
-    # For the spiral profile the vorticity is lam (2 - phi) r^(-phi) and
-    # radial advection equals diffusion exactly; check with finite
-    # differences so the test does not reuse the implementation's algebra.
-    phi, lam, mu = 2.3, 0.7, -0.4
-    r = np.exp(np.linspace(0.0, 3.0, 4001))
-    vr, vt = hamel_velocity(phi, lam, mu, r)
-    assert np.allclose(vr, -phi / r)
-    w = np.gradient(r * vt, r) / r
-    advection = vr * np.gradient(w, r)
-    lap = np.gradient(r * np.gradient(w, r), r) / r
-    inner = slice(200, -200)
-    assert np.max(np.abs(advection - lap)[inner]) < 1e-6 * np.max(np.abs(lap))
-
-
-def test_ref_velocity_is_circulation_flux_pair():
-    flow = ReferenceFlow(2.5, 0.3)
-    r = np.array([1.0, 2.0, 10.0])
-    vr, vt = ref_velocity(flow, r)
-    assert np.allclose(vr, -2.5 / r)
-    assert np.allclose(vt, 0.3 / r)
-
-
 def test_flux_circulation_recovers_means():
     # project_boundary infers the flux and circulation from the sample means.
     theta = np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
@@ -171,9 +147,7 @@ def test_resonance_closed_form_flux():
     grid = build_grid(1e3, 16)
 
     def resonant(phi0):
-        spec = BoundarySpectrum(n_max=6, vr=np.zeros(7, complex),
-                                vtheta=np.zeros(7, complex), phi0=phi0,
-                                mu0=0.0, mu=0.0)
+        spec = BoundarySpectrum.from_modes(6, phi0, 0.0, 0.0)
         return solve_linear(ReferenceFlow(phi0, 0.0), grid, spec).resonant
 
     for n in range(1, 7):

@@ -462,10 +462,8 @@ def test_projection_round_trip(rng):
     n_max = 6
     vr = (rng.standard_normal(n_max + 1)
           + 1j * rng.standard_normal(n_max + 1)) * 0.01
-    vr[0] = 0.0
     vt = (rng.standard_normal(n_max + 1)
           + 1j * rng.standard_normal(n_max + 1)) * 0.01
-    vt[0] = 0.05
     spec = BoundarySpectrum(n_max=n_max, vr=vr, vtheta=vt, phi0=2.5,
                             mu0=0.35, mu=0.3)
     ur, ut = synthesize_boundary(spec, 64)
@@ -473,9 +471,8 @@ def test_projection_round_trip(rng):
     back = project_boundary(ur.real, ut.real, n_max, mu=0.3)
     assert back.phi0 == pytest.approx(2.5, abs=1e-12)
     assert back.mu0 == pytest.approx(0.35, abs=1e-12)
-    assert np.allclose(back.vr, vr, atol=1e-12)
-    assert np.allclose(back.vtheta[1:], vt[1:], atol=1e-12)
-    assert back.vtheta[0] == pytest.approx(0.35 - 0.3, abs=1e-12)
+    assert np.allclose(back.vr, spec.vr, atol=1e-12)
+    assert np.allclose(back.vtheta, spec.vtheta, atol=1e-12)
 
 
 def test_projection_flux_cross_check():
@@ -500,3 +497,17 @@ def test_with_mu_only_moves_mean_trace():
     assert np.array_equal(moved.vr, spec.vr)
     assert np.array_equal(moved.vtheta[1:], spec.vtheta[1:])
 
+
+def test_spectrum_owns_its_rows():
+    vr = np.array([0.0, 0.01, 0.0], complex)
+    spec = BoundarySpectrum(2, vr, [0.1, 0.0, 0.02j], 2.5, 0.3, 0.2)
+    vr[1] = 1.0
+    assert spec.vr[1] == 0.01
+    assert spec.vtheta.dtype == complex
+    with pytest.raises(ValueError, match="shape"):
+        BoundarySpectrum(2, np.zeros(4, complex), np.zeros(3, complex),
+                         2.5, 0.3, 0.2)
+    # index 0 is derived, and modes beyond n_max have no row
+    for modes in ({0: 0.1}, {3: 0.01}):
+        with pytest.raises(ValueError, match="outside 1..2"):
+            BoundarySpectrum.from_modes(2, 2.5, 0.3, 0.2, vtheta=modes)

@@ -13,18 +13,6 @@ from hamelflow.linear import (_assemble_zero, _gamma_response,
                               _trace_amplitudes)
 
 
-def mode_boundary(n_max, phi0, mu0, mu, vr=None, vtheta=None):
-    vr_arr = np.zeros(n_max + 1, dtype=complex)
-    vt_arr = np.zeros(n_max + 1, dtype=complex)
-    for n, val in (vr or {}).items():
-        vr_arr[n] = val
-    for n, val in (vtheta or {}).items():
-        vt_arr[n] = val
-    vt_arr[0] = mu0 - mu
-    return BoundarySpectrum(n_max=n_max, vr=vr_arr, vtheta=vt_arr, phi0=phi0,
-                            mu0=mu0, mu=mu)
-
-
 def steep_sources(grid, n_max, amp=0.01):
     F = np.zeros((n_max + 1, grid.n_nodes), dtype=complex)
     for n in range(n_max + 1):
@@ -117,7 +105,7 @@ def test_supercritical_flux_worked_example():
     # phi0 = 2.5, mean swirl mismatch 0.1, no sources: the mean-mode pair is
     # exactly gamma0 = 0.2 r^-0.5, w0 = -0.05 r^-2.5.
     grid = build_grid(1e4, 48)
-    boundary = mode_boundary(2, 2.5, mu0=0.3, mu=0.2)
+    boundary = BoundarySpectrum.from_modes(2, 2.5, mu0=0.3, mu=0.2)
     sol = solve_linear(ReferenceFlow(2.5, 0.2), grid, boundary)
     assert np.abs(sol.gamma[0] - 0.2 * grid.r ** -0.5).max() < 1e-12
     assert np.abs(sol.w[0] + 0.05 * grid.r ** -2.5).max() < 1e-12
@@ -128,9 +116,10 @@ def test_supercritical_flux_worked_example():
 
 def test_boundary_traces_exact_generic(grid):
     flow = ReferenceFlow(2.5, 0.2)
-    boundary = mode_boundary(4, 2.5, mu0=0.3, mu=0.2,
-                             vr={1: 0.02 + 0.01j, 2: 0.01, 3: 0.005 - 0.002j},
-                             vtheta={1: 0.01, 2: -0.01j, 3: 0.004, 4: 0.002})
+    boundary = BoundarySpectrum.from_modes(
+        4, 2.5, mu0=0.3, mu=0.2,
+        vr={1: 0.02 + 0.01j, 2: 0.01, 3: 0.005 - 0.002j},
+        vtheta={1: 0.01, 2: -0.01j, 3: 0.004, 4: 0.002})
     sol = solve_linear(flow, grid, boundary, steep_sources(grid, 4))
     for n in range(1, 5):
         assert abs(1j * n * sol.gamma[n, 0] - boundary.vr[n]) < 1e-8
@@ -143,8 +132,9 @@ def test_boundary_traces_exact_resonant(grid):
     # phi0 = 3.2 with zero circulation puts mode 3 exactly on the
     # logarithmic resonance; traces must still be met.
     flow = ReferenceFlow(3.2, 0.0)
-    boundary = mode_boundary(4, 3.2, mu0=0.1, mu=0.0,
-                             vr={3: 0.01 + 0.004j}, vtheta={3: -0.002j})
+    boundary = BoundarySpectrum.from_modes(4, 3.2, mu0=0.1, mu=0.0,
+                                           vr={3: 0.01 + 0.004j},
+                                           vtheta={3: -0.002j})
     sol = solve_linear(flow, grid, boundary, steep_sources(grid, 4))
     assert sol.resonant[3]
     assert abs(1j * 3 * sol.gamma[3, 0] - boundary.vr[3]) < 1e-8
@@ -157,9 +147,9 @@ def test_batched_modes_match_one_mode_kernels(grid, phi0, mu):
     # must agree with the kernels applied to its row alone (phi0 = 3.2,
     # mu = 0 makes mode 3 resonant).
     flow = ReferenceFlow(phi0, mu)
-    boundary = mode_boundary(4, phi0, mu0=mu + 0.1, mu=mu,
-                             vr={1: 0.02 + 0.01j, 3: 0.01 + 0.004j},
-                             vtheta={2: -0.01j, 3: -0.002j, 4: 0.002})
+    boundary = BoundarySpectrum.from_modes(
+        4, phi0, mu0=mu + 0.1, mu=mu, vr={1: 0.02 + 0.01j, 3: 0.01 + 0.004j},
+        vtheta={2: -0.01j, 3: -0.002j, 4: 0.002})
     sources = steep_sources(grid, 4)
     sol = solve_linear(flow, grid, boundary, sources)
     close = lambda a, b: np.abs(a - b).max() <= 1e-14 * np.abs(b).max()
@@ -179,10 +169,11 @@ def test_batched_modes_match_one_mode_kernels(grid, phi0, mu):
 
 def test_linearity_in_boundary_and_sources(grid):
     flow = ReferenceFlow(2.5, 0.2)
-    b1 = mode_boundary(3, 2.5, mu0=0.26, mu=0.2, vr={1: 0.01},
-                       vtheta={2: 0.02j})
-    b2 = mode_boundary(3, 2.5, mu0=0.34, mu=0.2, vr={2: -0.005j},
-                       vtheta={1: 0.01, 3: 0.003})
+    b1 = BoundarySpectrum.from_modes(3, 2.5, mu0=0.26, mu=0.2, vr={1: 0.01},
+                                     vtheta={2: 0.02j})
+    b2 = BoundarySpectrum.from_modes(3, 2.5, mu0=0.34, mu=0.2,
+                                     vr={2: -0.005j},
+                                     vtheta={1: 0.01, 3: 0.003})
     s1 = steep_sources(grid, 3, amp=0.01)
     s2 = steep_sources(grid, 3, amp=-0.004)
     both = BoundarySpectrum(n_max=3, vr=b1.vr + b2.vr,
@@ -205,7 +196,7 @@ def test_solve_linear_is_linear():
     n_max = 8
     grid = build_grid(1e4, 64)
     flow = ReferenceFlow(2.5, 0.2)
-    boundary = mode_boundary(n_max, 2.5, mu0=0.2, mu=0.2)
+    boundary = BoundarySpectrum.from_modes(n_max, 2.5, mu0=0.2, mu=0.2)
     n = np.arange(n_max + 1)[:, None]
     f1 = (1.0 + 0.5j) * grid.r ** (-6.0 - 0.1 * n + 1.0j)
     f2 = (0.3 - 1.0j) * grid.r ** (-6.5 - 0.2 * n - 0.5j)
@@ -226,8 +217,9 @@ def test_conjugate_boundary_gives_conjugate_solution(grid):
     # trace, vtheta -> conj vtheta) must conjugate the whole solution.
     # With mu != 0 conjugation swaps n and -n instead.
     flow = ReferenceFlow(2.5, 0.0)
-    b = mode_boundary(2, 2.5, mu0=0.1, mu=0.0, vr={1: 0.01 + 0.02j},
-                      vtheta={2: 0.05 - 0.01j})
+    b = BoundarySpectrum.from_modes(2, 2.5, mu0=0.1, mu=0.0,
+                                    vr={1: 0.01 + 0.02j},
+                                    vtheta={2: 0.05 - 0.01j})
     refl = BoundarySpectrum(n_max=2, vr=-np.conj(b.vr),
                             vtheta=np.conj(b.vtheta), phi0=2.5, mu0=0.1,
                             mu=0.0)
@@ -237,22 +229,23 @@ def test_conjugate_boundary_gives_conjugate_solution(grid):
 
 
 def test_degenerate_flux_band(grid):
-    boundary = mode_boundary(1, 2.0 + 1e-7, mu0=0.3, mu=0.2)
+    boundary = BoundarySpectrum.from_modes(1, 2.0 + 1e-7, mu0=0.3, mu=0.2)
     with pytest.raises(DegenerateFluxError):
         solve_linear(ReferenceFlow(2.0 + 1e-7, 0.2), grid, boundary)
     # phi0 = mu = 0 would divide by (zeta_1^- + 2)^2 - 1 = 0
     with pytest.raises(DegenerateFluxError, match="phi0=0 with mu=0"):
         solve_linear(ReferenceFlow(0.0, 0.0), grid,
-                     mode_boundary(1, 0.0, mu0=0.0, mu=0.0, vr={1: 0.01}))
+                     BoundarySpectrum.from_modes(1, 0.0, mu0=0.0, mu=0.0,
+                                                 vr={1: 0.01}))
     # exactly 2 is fine: the mean vorticity response is dropped and the
     # stream correction comes from the direct integral form
-    boundary2 = mode_boundary(1, 2.0, mu0=0.2, mu=0.2)
+    boundary2 = BoundarySpectrum.from_modes(1, 2.0, mu0=0.2, mu=0.2)
     sol = solve_linear(ReferenceFlow(2.0, 0.2), grid, boundary2)
     assert np.all(np.isfinite(sol.gamma))
 
 
 def test_solver_checks_parameter_consistency(grid):
-    boundary = mode_boundary(1, 2.5, mu0=0.3, mu=0.25)
+    boundary = BoundarySpectrum.from_modes(1, 2.5, mu0=0.3, mu=0.25)
     with pytest.raises(ValueError):
         solve_linear(ReferenceFlow(2.5, 0.2), grid, boundary)
     with pytest.raises(ValueError):
@@ -266,8 +259,9 @@ def test_mean_mode_rows_are_bitwise_the_one_row_chain(grid, phi0, mu,
     # rows of the vorticity and stream out stacks, each family's out and in
     # stacks in one call; its mean-mode rows must be the bytes of the
     # one-row solve_w_zero -> solve_gamma_zero chain.
-    boundary = mode_boundary(4, phi0, mu0=mu + 0.1, mu=mu, vr={1: 0.02},
-                             vtheta={2: -0.01j, 3: 0.004})
+    boundary = BoundarySpectrum.from_modes(4, phi0, mu0=mu + 0.1, mu=mu,
+                                           vr={1: 0.02},
+                                           vtheta={2: -0.01j, 3: 0.004})
     sources = steep_sources(grid, 4)
     sources.F[0] *= 1.0 + 0.3j * np.cos(2.0 * np.log(grid.r))
     calls = []
@@ -293,7 +287,8 @@ def test_diverging_mean_mode_row_is_named_in_its_stack(grid):
     phi0, n_max = 1.5, 4
     sources = steep_sources(grid, n_max)
     sources.F[0] = 0.01 * grid.r ** -(phi0 + 1.5)
-    boundary = mode_boundary(n_max, phi0, mu0=1.0, mu=1.0, vr={1: 0.01})
+    boundary = BoundarySpectrum.from_modes(n_max, phi0, mu0=1.0, mu=1.0,
+                                           vr={1: 0.01})
     with pytest.raises(DivergentTailError) as info:
         solve_linear(ReferenceFlow(phi0, 1.0), grid, boundary, sources)
     exc = info.value

@@ -104,12 +104,8 @@ def test_real_fields_give_real_mean_source(grid, rng):
 
 def test_compute_sources_wraps_solution(grid):
     flow = ReferenceFlow(2.5, 0.2)
-    vr = np.zeros(3, complex)
-    vt = np.zeros(3, complex)
-    vr[2] = 0.01
-    vt[1] = 0.01
-    vt[0] = 0.1
-    boundary = BoundarySpectrum(2, vr, vt, 2.5, 0.3, 0.2)
+    boundary = BoundarySpectrum.from_modes(2, 2.5, 0.3, 0.2, vr={2: 0.01},
+                                           vtheta={1: 0.01})
     sol = solve_linear(flow, grid, boundary)
     src = compute_sources(sol)
     direct = convolution_sources(grid, sol.gamma, sol.dgamma, sol.w, sol.dw)

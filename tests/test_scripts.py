@@ -1,5 +1,7 @@
-"""The experiment scripts import the package and parse their options."""
+"""The experiment scripts import the package, parse their options and run
+end to end on small settings."""
 
+import json
 import os
 import subprocess
 import sys
@@ -15,12 +17,42 @@ def test_scripts_are_found():
     assert len(SCRIPTS) >= 3
 
 
-@pytest.mark.parametrize("script", SCRIPTS, ids=lambda p: p.stem)
-def test_script_help_exits_0(script):
+def run_script(script, *args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    res = subprocess.run([sys.executable, str(script), "--help"], env=env,
-                         capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, str(script), *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("script", SCRIPTS, ids=lambda p: p.stem)
+def test_script_help_exits_0(script):
+    res = run_script(script, "--help")
     assert res.returncode == 0, res.stderr
     assert "usage:" in res.stdout
+
+
+def test_branch_portrait_runs(tmp_path):
+    res = run_script(ROOT / "scripts" / "branch_portrait.py", "--n-modes",
+                     "4", "--nodes-per-decade", "24", "--mu-values", "0.15",
+                     "0.2", "--out", str(tmp_path))
+    assert res.returncode == 0, res.stderr
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    members = summary["members"]
+    assert [m["mu"] for m in members] == [0.15, 0.2]
+    assert all(m["converged"] for m in members)
+    # one trace, two flows
+    assert members[1]["trace_gap_to_first"] < 1e-12
+    assert members[1]["field_gap_to_first"] > 1e-4
+
+
+def test_verification_portrait_runs(tmp_path):
+    out = tmp_path / "portrait.json"
+    res = run_script(ROOT / "scripts" / "verification_portrait.py",
+                     "--quick", "--hardy-samples", "20", "--stream-samples",
+                     "10", "--out", str(out))
+    assert res.returncode == 0, res.stderr
+    portrait = json.loads(out.read_text())
+    assert portrait["battery"]["all_passed"]
+    assert [row["n"] for row in portrait["decay"]] == [1, 2, 3, 4]
+    assert portrait["inequalities"]["hardy_violations"] == 0

@@ -11,30 +11,25 @@ from hypothesis import given, settings, strategies as st
 
 import hamelflow.cli
 import hamelflow.solve
-from hamelflow import (BoundarySpectrum, DivergentTailError, ReferenceFlow,
-                       SolverConfig,
+from hamelflow import (BoundarySpectrum, DivergentTailError, SolverConfig,
                        SolverConvergenceError, branch_sweep,
                        circulation_threshold, fixed_point_residual,
                        picard_norm, picard_solve, shoot_mu,
-                       solve_linear, zeta_pair)
+                       solve_linear, synthesize_boundary, zeta_pair)
 from hamelflow.field import ns_residual
 
 
 def bdry(n_max, phi0, mu0, mu, eps):
-    vr = np.zeros(n_max + 1, complex)
-    vt = np.zeros(n_max + 1, complex)
-    vr[2] = eps
-    vt[1] = eps
-    vt[0] = mu0 - mu
-    return BoundarySpectrum(n_max, vr, vt, phi0, mu0, mu)
+    """The trace with vr[2] = vtheta[1] = eps."""
+    return BoundarySpectrum.from_modes(n_max, phi0, mu0, mu, vr={2: eps},
+                                       vtheta={1: eps})
 
 
 CFG = SolverConfig(n_modes=8, nodes_per_decade=48)
 
 
 def test_picard_converges_to_fixed_point():
-    flow = ReferenceFlow(2.5, 0.2)
-    sol, rep = picard_solve(flow, bdry(8, 2.5, 0.2, 0.2, 0.01), CFG)
+    sol, rep = picard_solve(bdry(8, 2.5, 0.2, 0.2, 0.01), CFG)
     assert rep.converged
     assert rep.iterations <= 10
     assert rep.contraction_ratio < 0.1
@@ -42,26 +37,53 @@ def test_picard_converges_to_fixed_point():
     assert rep.alpha_feasible
 
 
+def test_mean_row_is_derived_from_mu0_and_mu():
+    # Whatever a caller puts at index 0, the spectrum carries vr[0] = 0 and
+    # vtheta[0] = mu0 - mu: a stray mean row solves to the same bytes as
+    # the consistent one, and the trace's means are (-phi0, mu0).
+    consistent = bdry(8, 2.5, 0.3, 0.2, 0.01)
+    vr, vt = consistent.vr.copy(), consistent.vtheta.copy()
+    vr[0], vt[0] = 0.05, 0.0
+    stray = BoundarySpectrum(8, vr, vt, 2.5, 0.3, 0.2)
+    sol, _ = picard_solve(consistent, CFG)
+    sol_s, rep = picard_solve(stray, CFG)
+    for key in ("gamma", "dgamma", "w", "dw"):
+        assert getattr(sol_s, key).tobytes() == getattr(sol, key).tobytes()
+    assert rep.mu0 == 0.3
+    assert rep.mu - sol_s.dgamma[0, 0].real == pytest.approx(0.3, abs=1e-12)
+    ur, ut = synthesize_boundary(stray, 64)
+    assert np.mean(ur) == pytest.approx(-2.5, abs=1e-14)
+    assert np.mean(ut) == pytest.approx(0.3, abs=1e-14)
+
+
+def test_solves_reject_a_mode_count_other_than_the_spectrum():
+    cfg = SolverConfig(n_modes=6, nodes_per_decade=48)
+    strong, weak = bdry(8, 2.5, 0.2, 0.2, 0.01), bdry(8, 1.0, 5.0, 5.0, 0.01)
+    for run in (lambda: picard_solve(strong, cfg),
+                lambda: shoot_mu(weak, cfg),
+                lambda: branch_sweep(strong, [0.15, 0.2], cfg)):
+        with pytest.raises(ValueError, match="n_modes=6 .* n_max=8"):
+            run()
+
+
 def test_nonlinear_correction_is_quadratic_in_data():
     # The distance between the fixed point and the first Picard iterate
     # scales like the square of the boundary amplitude; the prefactor is
     # stable across a dyadic sweep.
-    flow = ReferenceFlow(2.5, 0.2)
     ratios = []
     for eps in (1e-2, 5e-3, 2.5e-3):
         b = bdry(8, 2.5, 0.2, 0.2, eps)
-        sol, rep = picard_solve(flow, b, CFG)
-        lin = solve_linear(flow, sol.grid, b)
+        sol, rep = picard_solve(b, CFG)
+        lin = solve_linear(sol.flow, sol.grid, b)
         d = picard_norm(sol.grid, sol.gamma - lin.gamma, rep.alpha)
         ratios.append(d / eps ** 2)
     assert max(ratios) / min(ratios) < 1.05
 
 
 def test_divergence_raises_with_report():
-    flow = ReferenceFlow(2.5, 0.2)
     cfg = SolverConfig(n_modes=8, nodes_per_decade=48, max_iter=2)
     with pytest.raises(SolverConvergenceError) as err:
-        picard_solve(flow, bdry(8, 2.5, 0.2, 0.2, 0.01), cfg)
+        picard_solve(bdry(8, 2.5, 0.2, 0.2, 0.01), cfg)
     assert err.value.report is not None
     assert not err.value.report.converged
     assert err.value.report.iterations == 2
@@ -72,7 +94,7 @@ def test_quadrature_failure_is_a_typed_convergence_error(divergent_sources):
     # that as a convergence failure with its partial report.
     b = bdry(16, 1.8, 0.5, 0.5, 0.01)
     with pytest.raises(SolverConvergenceError) as err:
-        picard_solve(ReferenceFlow(1.8, 0.5), b, SolverConfig(n_modes=16))
+        picard_solve(b, SolverConfig(n_modes=16))
     exc = err.value
     assert isinstance(exc.__cause__, DivergentTailError)
     assert exc.iteration >= 1
@@ -95,8 +117,8 @@ def test_weak_flux_reproducer_converges():
         sol, rep = shoot_mu(bdry(n_max, 1.8, 0.5, 0.5, 0.01), cfg)
         assert rep.converged
         assert ns_residual(sol) < 1e-6
-    _, rep = picard_solve(ReferenceFlow(1.8, 0.5),
-                          bdry(16, 1.8, 0.5, 0.5, 0.01), SolverConfig(n_modes=16))
+    _, rep = picard_solve(bdry(16, 1.8, 0.5, 0.5, 0.01),
+                          SolverConfig(n_modes=16))
     assert rep.converged
 
 
@@ -180,8 +202,7 @@ def nested_shoot_mu(boundary, config, max_shoot=40):
     g_history = []
     secant = False
     for _ in range(max_shoot):
-        flow = ReferenceFlow(boundary.phi0, mu)
-        solution, report = picard_solve(flow, boundary.with_mu(mu), config)
+        solution, report = picard_solve(boundary.with_mu(mu), config)
         dg0 = float(np.real(solution.dgamma[0, 0]))
         g = boundary.mu0 + dg0 - mu
         g_history.append((mu, g))
@@ -215,11 +236,8 @@ def count_linear_solves(monkeypatch):
 
 def check_shooting_trace(n_max):
     # The trace of verify.check_shooting (quick settings).
-    vr = np.zeros(n_max + 1, complex)
-    vt = np.zeros(n_max + 1, complex)
-    vr[1] = 0.01
-    vt[1] = 0.01j
-    return BoundarySpectrum(n_max, vr, vt, 1.0, 5.0, 5.0)
+    return BoundarySpectrum.from_modes(n_max, 1.0, 5.0, 5.0, vr={1: 0.01},
+                                       vtheta={1: 0.01j})
 
 
 @pytest.mark.parametrize("boundary", [bdry(8, 1.0, 5.0, 5.0, 0.01),
@@ -346,8 +364,8 @@ def test_strong_flux_solve_converges_or_fails_typed(phi0, mu, vr, vt):
     r[1:4], t[1:4] = rows["vr"], rows["vtheta"]
     cfg = SolverConfig(n_modes=n_max, nodes_per_decade=48)
     try:
-        _, rep = picard_solve(ReferenceFlow(phi0, mu),
-                              BoundarySpectrum(n_max, r, t, phi0, mu, mu), cfg)
+        _, rep = picard_solve(BoundarySpectrum(n_max, r, t, phi0, mu, mu),
+                              cfg)
         converged = rep.converged
     except SolverConvergenceError as exc:
         assert exc.report is not None and not exc.report.converged
