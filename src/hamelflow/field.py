@@ -33,7 +33,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhysicalField:
     r: np.ndarray
     theta: np.ndarray
@@ -244,7 +244,7 @@ def asymptotic_circulation(solution: SpectralSolution) -> CirculationFit:
                           rms=float(np.sqrt(rss / r.size)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecayProfile:
     gamma_slopes: np.ndarray     # nan where the mode is inactive
     w_slopes: np.ndarray

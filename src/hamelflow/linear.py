@@ -58,7 +58,7 @@ _PHI_BAND = 1e-6
 _RESONANCE_TOL = 1e-8   # |zeta_n^- + 2 + |n|| below this: log-resonant pair
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SourceSpectrum:
     """Right-hand sides F_n, n = 0..n_max, sampled on the grid rows."""
 
@@ -74,7 +74,7 @@ class SourceSpectrum:
         return cls(n_max=n_max, F=np.zeros((n_max + 1, grid.n_nodes), dtype=complex))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralSolution:
     """Stacked mode solutions for n = 0..n_max (negative n by conjugation)."""
 
@@ -187,11 +187,10 @@ def _assemble_nonzero(grid: RadialGrid, n, zm, boundary: BoundarySpectrum,
         dg_part[:, 0])
 
     r = grid.r
-    log_r = np.log(r)
     col = lambda a: a[:, None]
-    pk = r ** col(-k)
+    pk = grid.powers(-k)
     big_d = col((zm + 2.0) ** 2 - n * n)
-    rzm = np.exp(col(zm) * log_r)   # complex r ** zm costs twice as much
+    rzm = grid.powers(zm)
     with np.errstate(all="ignore"):   # resonant rows are replaced below
         w_hom = col(w_bar) * rzm
         dw_hom = col(w_bar) * col(zm) * rzm / r
@@ -202,6 +201,7 @@ def _assemble_nonzero(grid: RadialGrid, n, zm, boundary: BoundarySpectrum,
     if np.any(resonant):
         # exact integer pair keeps Delta gamma = -w to rounding
         i = resonant
+        log_r = np.log(r)
         kk, wb, gb, pki = col(k[i]), col(w_bar[i]), col(gamma_bar[i]), pk[i]
         w_hom[i] = wb * pki / (r * r)
         dw_hom[i] = -(kk + 2.0) * wb * pki / (r ** 3)

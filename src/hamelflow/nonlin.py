@@ -54,19 +54,28 @@ def convolution_sources(grid: RadialGrid, gamma, dgamma, w, dw) -> SourceSpectru
 
     # Mode l of gamma meets modes k = n - l, |k| <= b, of w in the
     # contiguous rows n = max(0, l - b)..min(n_max, l + b), so each l adds
-    # one slice; l + b >= 0 keeps that range nonempty.  Each row sums its
-    # terms from +0 in increasing l, as numpy sums a stack of them.  The
-    # running sum is never -0, so the skipped +-0 terms would not change it.
+    # one slice; l + b >= 0 keeps that range nonempty.  The integer weights
+    # are applied once, as l gamma_l and k w_k, so a term is
+    # (l gamma_l) d_r w_k - d_r gamma_l (k w_k), formed in two reused
+    # buffers.  Each row sums its terms from +0 in increasing l, as numpy
+    # sums a stack of them.  The running sum is never -0, so the skipped
+    # +-0 terms would not change it.
     F = np.zeros((n_max + 1, grid.n_nodes), dtype=complex)
     if a >= 0 and b >= 0:
-        g_all, dg_all = extend(gamma, a), extend(dgamma, a)
-        w_all, dw_all = extend(w, b), extend(dw, b)
+        lg_all = np.arange(-a, a + 1)[:, None] * extend(gamma, a)
+        dg_all = extend(dgamma, a)
+        kw_all = np.arange(-b, b + 1)[:, None] * extend(w, b)
+        dw_all = extend(dw, b)
+        term = np.empty((min(n_max, 2 * b) + 1, grid.n_nodes), dtype=complex)
+        other = np.empty_like(term)
         for l in range(-min(a, b), a + 1):
             lo, hi = max(0, l - b), min(n_max, l + b)
-            ks = np.arange(lo - l, hi - l + 1)
             rows = slice(lo - l + b, hi - l + b + 1)
-            F[lo:hi + 1] += (l * g_all[l + a] * dw_all[rows]
-                             - ks[:, None] * dg_all[l + a] * w_all[rows])
+            t, u = term[:hi - lo + 1], other[:hi - lo + 1]
+            np.multiply(lg_all[l + a], dw_all[rows], out=t)
+            np.multiply(dg_all[l + a], kw_all[rows], out=u)
+            np.subtract(t, u, out=t)
+            F[lo:hi + 1] += t
     np.multiply(1j / grid.r, F, out=F)
     return SourceSpectrum(n_max=n_max, F=F)
 

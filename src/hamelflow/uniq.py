@@ -97,7 +97,7 @@ def _stacks(n_samples: int, per_sample: int = 1):
     return [min(step, n_samples - i) for i in range(0, n_samples, step)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TestStream:
     """Stream modes phi_k (k >= 1 rows) with analytic radial derivatives."""
 

@@ -278,3 +278,20 @@ def test_reconstruct_matches_the_mode_loop():
                              looped_reconstruct(sol, n_theta)):
             tol = 4 * sol.n_max * np.finfo(float).eps * np.abs(want).max()
             assert np.abs(got - want).max() <= tol
+
+
+def test_array_dataclasses_compare_by_identity():
+    # Frozen dataclasses that hold arrays compare by identity and hash by
+    # it: a field-wise == would ask numpy for the truth of an array.
+    from hamelflow.uniq import random_stream
+    sol = solved()
+    spec = sol.boundary
+    objects = [sol.grid, spec, compute_sources(sol), sol, reconstruct(sol, 16),
+               decay_fit(sol),
+               random_stream(sol.grid, np.random.default_rng(0))]
+    assert len({id(type(obj)) for obj in objects}) == len(objects)
+    for obj in objects:
+        assert obj == obj and hash(obj) == hash(obj)
+        assert obj != dataclasses.replace(obj)
+    assert spec != spec.with_mu(spec.mu)
+    assert len(set(objects)) == len(objects)

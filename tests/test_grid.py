@@ -7,8 +7,8 @@ from hypothesis import assume, given, settings, strategies as st
 from hamelflow import (BoundarySpectrum, DivergentTailError, FluxMismatchError,
                        RadialGrid, build_grid, grid as grid_module,
                        integrate_in_all, integrate_out_all, integrate_out_in,
-                       project_boundary, synthesize_boundary)
-from hamelflow.grid import _SCAN_BLOCK, _cubic_weights, _scan_forward
+                       project_boundary, synthesize_boundary, zeta_pair)
+from hamelflow.grid import _cubic_weights, _scan_forward
 
 
 def test_grid_construction():
@@ -382,6 +382,19 @@ def sequential_scan(local, factor):
     return np.array(out)
 
 
+def assert_scans_match_sequential(local, factor):
+    """The block scan of each row, forward and reversed (as the out
+    integrals scan), within 1e-13 of the row's largest value."""
+    forward = _scan_forward(local, factor)
+    backward = _scan_forward(local[:, ::-1], factor)[:, ::-1]
+    assert np.all(np.isfinite(forward)) and np.all(np.isfinite(backward))
+    for i in range(len(local)):
+        ref = sequential_scan(local[i], factor[i])
+        assert np.abs(forward[i] - ref).max() <= 1e-13 * np.abs(ref).max()
+        ref = sequential_scan(local[i, ::-1], factor[i])[::-1]
+        assert np.abs(backward[i] - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
 @pytest.mark.parametrize("r_max, npd", [(1e4, 64), (1e6, 64), (1e3, 8)])
 def test_block_scan_matches_sequential_recurrence(r_max, npd):
     g = build_grid(r_max, npd)
@@ -390,47 +403,20 @@ def test_block_scan_matches_sequential_recurrence(r_max, npd):
     factor = np.exp(-zeta * g.h)          # |factor| < 1, = 1 and > 1
     local = (rng.standard_normal((zeta.size, g.n_nodes))
              + 1j * rng.standard_normal((zeta.size, g.n_nodes)))
-    forward = _scan_forward(local, factor)
-    # the out integrals scan the reversed row and read it back reversed
-    backward = _scan_forward(local[:, ::-1], factor)[:, ::-1]
-    assert np.all(np.isfinite(forward)) and np.all(np.isfinite(backward))
-    for i in range(zeta.size):
-        ref = sequential_scan(local[i], factor[i])
-        assert np.abs(forward[i] - ref).max() <= 1e-12 * np.abs(ref).max()
-        ref = sequential_scan(local[i, ::-1], factor[i])[::-1]
-        assert np.abs(backward[i] - ref).max() <= 1e-12 * np.abs(ref).max()
-
-
-def block_loop_scan(local, factor):
-    """The block scan with its carry loop over whole blocks: each block is
-    updated from the finished last value of the block before."""
-    rows, n = local.shape
-    size = _SCAN_BLOCK
-    n_blocks = -(-n // size)
-    x = np.zeros((rows, n_blocks * size), dtype=complex)
-    x[:, :n] = local
-    x = x.reshape(rows, n_blocks, size)
-    powers = factor[:, None] ** np.arange(size + 1)
-    lag = np.subtract.outer(np.arange(size), np.arange(size))
-    toeplitz = np.where(lag >= 0, powers[:, np.maximum(lag, 0)], 0.0)
-    scan = x @ toeplitz.transpose(0, 2, 1)
-    carry_in = powers[:, 1:]
-    for b in range(1, n_blocks):
-        scan[:, b] += scan[:, b - 1, -1:] * carry_in
-    return scan.reshape(rows, -1)[:, :n]
+    assert_scans_match_sequential(local, factor)
 
 
 @pytest.mark.parametrize("n", [1, 5, 16, 17, 33, 97, 385])
-def test_carry_vector_scan_is_bitwise_the_block_loop(n):
+def test_carry_product_scan_matches_sequential_recurrence(n):
+    # Lengths from one partial block to 25 blocks, with factors of modulus
+    # < 1, = 1 and > 1: the carries from one Toeplitz product keep every
+    # node within the bound (about 5e-15 of the row here).
     rng = np.random.default_rng(n)
     zeta = np.array([0.0, 1.0 + 0.3j, 64.0 + 2.0j, -3.5, -1.5 + 0.5j])
     factor = np.exp(-zeta * 0.036)
     local = (rng.standard_normal((zeta.size, n))
              + 1j * rng.standard_normal((zeta.size, n)))
-    assert (_scan_forward(local, factor).tobytes()
-            == block_loop_scan(local, factor).tobytes())
-    assert (_scan_forward(local[:, ::-1], factor)[:, ::-1].tobytes()
-            == block_loop_scan(local[:, ::-1], factor)[:, ::-1].tobytes())
+    assert_scans_match_sequential(local, factor)
 
 
 def test_high_modes_stay_finite_on_long_grids():
@@ -448,6 +434,22 @@ def test_high_modes_stay_finite_on_long_grids():
         errs.append(np.abs(out - exact).max() / np.abs(exact).max())
     assert errs[1] < 3e-9                         # 1.5e-9 at 128 nodes/decade
     assert observed_order(*errs) >= 3.5
+
+
+def test_block_powers_match_node_powers():
+    # r_j^z from a (rows, blocks) and a (rows, 16) table agrees with the
+    # per-node power to the rounding of the exponent z log r: both sides
+    # round it, and at |z log r| = 450 that alone is a few 1e-14 each
+    # (1.0e-13 apart at most here).  Rows keep their bits in any stack.
+    g = build_grid(1e6, 128)
+    n = np.arange(1, 33)
+    for z in (zeta_pair(1.5, 1.0, n)[1], -n.astype(float)):
+        got = g.powers(z)
+        want = g.r ** z[:, None]
+        assert got.dtype == want.dtype
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 2e-13
+        for i in (0, 13, 31):
+            assert got[i].tobytes() == g.powers(z[i:i + 1])[0].tobytes()
 
 
 def test_domain_doubling_leaves_head_unchanged():

@@ -125,7 +125,7 @@ def per_n_sources(grid, gamma, dgamma, w, dw):
         li = ls + n_max
         ki = (n - ls) + n_max
         terms = (ls[:, None] * g_all[li] * dw_all[ki]
-                 - (n - ls)[:, None] * dg_all[li] * w_all[ki])
+                 - dg_all[li] * ((n - ls)[:, None] * w_all[ki]))
         F[n] = (1j / grid.r) * terms.sum(axis=0)
     return F
 
