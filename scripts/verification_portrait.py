@@ -3,8 +3,9 @@
 
 Three panels, all printed as plain tables:
 
-1. the built-in check battery (manufactured solutions, exact kernel
-   responses, finite-difference residuals, trace reproduction);
+1. the built-in check battery (a manufactured solution of the whole
+   linear problem through solve_linear, finite-difference residuals, the
+   fixed point, shooting and the inequality checks);
 2. fitted large-radius decay rates of a generic linear solve against the
    closed-form mode exponents;
 3. the uniqueness-window inequalities: randomized Hardy checks with the

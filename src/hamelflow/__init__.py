@@ -18,7 +18,6 @@ from .grid import (RadialGrid, build_grid, integrate_out_all, integrate_in_all,
                    integrate_out_in, BoundarySpectrum, project_boundary,
                    synthesize_boundary, DivergentTailError, FluxMismatchError)
 from .linear import (SourceSpectrum, SpectralSolution, solve_linear,
-                     solve_w_particular, solve_w_zero, solve_gamma_zero,
                      DegenerateFluxError)
 from .nonlin import convolution_sources, compute_sources
 from .solve import (SolverConfig, SolveReport, SolverConvergenceError,

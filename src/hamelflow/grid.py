@@ -74,6 +74,7 @@ _TAIL_EXPONENT_FLOOR = -1.1  # shallowest tail decay r^p extrapolated
 _NEGLIGIBLE_TAIL = 1e-300
 _SCAN_BLOCK = 16            # nodes per block of the recurrence scans
 _MIN_NODES = 5              # the tail fit and the 5-point stencils
+_LOG_DOUBLE_MAX = math.log(np.finfo(float).max)
 # Entry (k, m) of a scan block's Toeplitz matrix is factor^(k - m) below the
 # diagonal and 0 above it: the index of that power, or of a trailing 0.
 _SCAN_LAG = np.subtract.outer(np.arange(_SCAN_BLOCK), np.arange(_SCAN_BLOCK))
@@ -354,6 +355,21 @@ def _scatter(values, live, shape):
     return out
 
 
+def _check_growth(grid: RadialGrid, side, zeta, live):
+    """Raise ``OverflowError`` if a live row's scan factor, e^{-zeta h} on
+    the out side and e^{zeta h} on the in side, grows beyond the double
+    range over the grid: its scan would return NaN."""
+    rate = zeta[live, 0].real * (-1.0 if side == "out" else 1.0)
+    growth = rate.max(initial=0.0) * grid.h * (grid.n_nodes - 1)
+    if growth > _LOG_DOUBLE_MAX:
+        row = int(np.arange(len(zeta))[live][np.argmax(rate)])
+        z = complex(zeta[row, 0])
+        raise OverflowError(
+            f"{side} integral grows by e^{growth:.4g} over the grid, beyond "
+            f"the double range ({side} kernel row {row}, "
+            f"zeta={z.real:.6g}{z.imag:+.6g}j)")
+
+
 def integrate_out_in(grid: RadialGrid, f_out, zeta_out, f_in, zeta_in):
     """(``integrate_out_all(grid, f_out, zeta_out)``,
     ``integrate_in_all(grid, f_in, zeta_in)``) from one kernel call.
@@ -368,11 +384,15 @@ def integrate_out_in(grid: RadialGrid, f_out, zeta_out, f_in, zeta_in):
     integrals]; the out rows are read back reversed.  Rows that are
     identically zero return +0 at no cost, and a call whose rows are all
     zero makes no kernel work at all.  A diverging out row raises
-    ``DivergentTailError`` naming its index in ``f_out``.
+    ``DivergentTailError`` naming its index in ``f_out``; a row whose scan
+    factor grows beyond the double range over the grid raises
+    ``OverflowError`` naming its index and zeta.
     """
     fo, zo = _rows(grid, f_out, zeta_out)
     fi, zi = _rows(grid, f_in, zeta_in)
     live_o, live_i = _live(fo), _live(fi)
+    _check_growth(grid, "out", zo, live_o)
+    _check_growth(grid, "in", zi, live_i)
     try:
         out, inn = _integrate(grid, fo[live_o], zo[live_o],
                               fi[live_i], zi[live_i])

@@ -23,7 +23,8 @@ r^{-|n|} log r is used instead.
 
 The n = 0 mode has no radial trace freedom left after flux matching: its
 single constant is pinned by the circulation deficit mu0 - mu when
-phi0 > 2 and must be closed by shooting in mu otherwise.
+phi0 > 2 and must be closed by shooting in mu otherwise.  ``solve_linear``
+solves every mode, the mean mode included; there is no one-mode entry.
 """
 
 from __future__ import annotations
@@ -42,9 +43,6 @@ __all__ = [
     "DegenerateFluxError",
     "SourceSpectrum",
     "SpectralSolution",
-    "solve_w_particular",
-    "solve_w_zero",
-    "solve_gamma_zero",
     "solve_linear",
 ]
 
@@ -112,45 +110,6 @@ def _gamma_response(grid: RadialGrid, out, inn, k):
     g = (out + inn) / (2.0 * k[..., None])
     dg = (out - inn) / (2.0 * grid.r)
     return g, dg
-
-
-def solve_w_particular(grid: RadialGrid, flow: ReferenceFlow, n: int, f_n):
-    """Decaying response (w, d_r w) of the mode-n vorticity operator to f_n.
-
-    Returns the pair with L_w w = -f_n; the assembled mode uses
-    bar w r^{zeta-} minus this response.
-    """
-    if n == 0:
-        raise ValueError("mode 0 uses solve_w_zero")
-    zp, zm = zeta_pair(flow.phi0, flow.mu, n)
-    return _w_response(grid, *integrate_out_in(grid, f_n, zp, f_n, zm), zp, zm)
-
-
-def solve_w_zero(grid: RadialGrid, phi0: float, f_0):
-    """Decaying mean-mode vorticity response: L_w w = +f_0 at n = 0.
-
-        w(r) = int_r^inf int_s^inf (t/s)^{phi0+1} f_0(t) dt ds,
-
-    accumulated from the tail inward; d_r w(r) = -inner(r).
-    """
-    inner = integrate_out_all(grid, np.asarray(f_0, dtype=complex) / grid.r,
-                              -(phi0 + 1.0))
-    w = integrate_out_all(grid, inner / grid.r, 0.0)
-    return w, -inner
-
-
-def solve_gamma_zero(grid: RadialGrid, w):
-    """Nested mean-mode stream quadratures for vorticity profile w.
-
-    Returns (Gamma, dGamma) with Gamma(r) = int_r^inf (1/s) int_s^inf
-    sigma w(sigma) dsigma ds and dGamma = -(1/r) int_r^inf sigma w dsigma.
-    The assembled zero mode is gamma_0 = -(Gamma + homogeneous part): that
-    global sign is applied in solve_linear, where the pair must satisfy
-    Delta gamma_0 = -w_0 together with the circulation trace.
-    """
-    big_h = integrate_out_all(grid, w, 0.0)
-    big_gamma = integrate_out_all(grid, big_h / (grid.r * grid.r), 0.0)
-    return big_gamma, -big_h / grid.r
 
 
 def _trace_amplitudes(n, zeta_minus, vr, vt, g_part_1, dg_part_1):
@@ -233,18 +192,31 @@ def _check_degenerate(flow):
 
 def _assemble_zero(grid: RadialGrid, phi0: float, circ_deficit: complex,
                    w_part, dw_part):
-    """The mean mode from its vorticity response (see ``solve_w_zero``)."""
-    r = grid.r
-    big_gamma, d_big_gamma = solve_gamma_zero(grid, w_part)
-    if phi0 <= 2.0:
-        return -big_gamma, -d_big_gamma, w_part, dw_part, 0.0 + 0.0j
+    """The mean mode from its vorticity response.
 
-    i1 = -d_big_gamma[0]   # int_1^inf s w_part ds, since r[0] == 1
+    ``w_part`` is the decaying response to F_0 (L_w w = +F_0 at n = 0),
+
+        w(r) = int_r^inf int_s^inf (t/s)^{phi0+1} F_0(t) dt ds,
+
+    and ``dw_part`` = -inner(r) its slope.  Its stream is two nested one-row
+    quadratures, Gamma(r) = int_r^inf H(s)/s ds with
+    H(s) = int_s^inf sigma w(sigma) dsigma, and d_r Gamma = -H/r; then
+    gamma_0 = -Gamma solves Delta gamma_0 = -w.  For phi0 > 2 the
+    homogeneous pair w_bar r^-phi0 is fixed by the circulation deficit;
+    for phi0 <= 2 shooting in mu closes the mean trace instead.
+    """
+    r = grid.r
+    big_h = integrate_out_all(grid, w_part, 0.0)
+    big_gamma = integrate_out_all(grid, big_h / (r * r), 0.0)
+    if phi0 <= 2.0:
+        return -big_gamma, big_h / r, w_part, dw_part, 0.0 + 0.0j
+
+    i1 = big_h[0]   # int_1^inf s w_part ds, since r[0] == 1
     w_bar = -(phi0 - 2.0) * (circ_deficit + i1)
     w = w_bar * r ** (-phi0) + w_part
     dw = -phi0 * w_bar * r ** (-phi0 - 1.0) + dw_part
     gamma = -(w_bar * r ** (2.0 - phi0) / (phi0 - 2.0) ** 2 + big_gamma)
-    dgamma = w_bar * r ** (1.0 - phi0) / (phi0 - 2.0) - d_big_gamma
+    dgamma = w_bar * r ** (1.0 - phi0) / (phi0 - 2.0) + big_h / r
     return gamma, dgamma, w, dw, w_bar
 
 
@@ -255,11 +227,13 @@ def solve_linear(flow: ReferenceFlow, grid: RadialGrid,
 
     Modes 1..n_max are solved together: each kernel family is one
     ``integrate_out_in`` call on the (modes, nodes) stacks of its out and
-    in integrands.  The mean mode's first two integrals (``solve_w_zero``)
-    ride as one extra row under the out stacks: F_0/r at zeta = -(phi0+1)
-    under the vorticity rows, inner/r at zeta = 0 under the stream rows.
-    A solve thus makes four kernel calls, the last two the nested one-row
-    stream quadratures of the mean mode (``solve_gamma_zero``).  Modes
+    in integrands.  The mean mode's first two integrals ride as one extra
+    row under the out stacks: F_0/r at zeta = -(phi0+1) under the vorticity
+    rows, inner/r at zeta = 0 under the stream rows.  A solve thus makes
+    four kernel calls, the last two the nested one-row stream quadratures
+    of the mean mode (``_assemble_zero``).  This is the one linear solve:
+    ``hamelflow.verify``'s manufactured solution checks it against a closed
+    form of every mode at once.  Modes
     without a source (all of them when ``sources`` is None, and those above
     the reach of the trace's products) cost no quadrature: the integrators
     return their zero rows as exact +0.

@@ -1,8 +1,9 @@
 """Self-contained verification battery behind ``hamelflow verify``.
 
-Every check is an independent oracle: closed-form responses for the mode
-kernels, trace exactness, finite-difference ODE residuals, randomized
-inequality suites, and a small end-to-end fixed point.  Checks are
+Every check is an independent oracle: a manufactured solution of the whole
+linear problem, run through ``solve_linear`` (every mode's profiles and
+its trace against a closed form), finite-difference ODE residuals,
+randomized inequality suites, and a small end-to-end fixed point.  Checks are
 deterministic for a given seed and report margins, not just booleans, so a
 regression shows up as a shrinking margin before it becomes a failure.
 The checks build their traces with ``BoundarySpectrum.from_modes``, so each
@@ -17,9 +18,9 @@ from .field import decay_fit, mode_ode_residuals, ns_residual
 from .flows import (ReferenceFlow, existence_condition,
                     re_zeta_minus_closed_form, rho_decay, zeta_pair)
 from .grid import BoundarySpectrum, build_grid
-from .linear import (SourceSpectrum, solve_gamma_zero, solve_linear,
-                     solve_w_particular, solve_w_zero)
-from .solve import (SolverConfig, fixed_point_residual, picard_solve, shoot_mu)
+from .linear import SourceSpectrum, solve_linear
+from .solve import (SolverConfig, SolverConvergenceError,
+                    fixed_point_residual, picard_solve, shoot_mu)
 from .uniq import (_stacks, hardy_check, hardy_sharpness,
                    poincare_wirtinger_check, positivity_roots,
                    probe_q1_negativity, q_form, random_stream,
@@ -28,8 +29,8 @@ from .uniq import (_stacks, hardy_check, hardy_sharpness,
 __all__ = ["run_battery"]
 
 
-def _check(name, passed, metric, threshold, detail=""):
-    return {"name": name, "passed": bool(passed), "metric": float(metric),
+def _check(passed, metric, threshold, detail=""):
+    return {"passed": bool(passed), "metric": float(metric),
             "threshold": float(threshold), "detail": detail}
 
 
@@ -51,7 +52,7 @@ def check_exponent_identities(quick: bool):
         worst_re = max(worst_re, float(np.abs(
             zm.real - re_zeta_minus_closed_form(phi0, mu, ns)).max()))
     metric = max(worst_sum, worst_prod, worst_re)
-    return _check("exponent_identities", metric < 1e-12, metric, 1e-12,
+    return _check(metric < 1e-12, metric, 1e-12,
                   f"sum {worst_sum:.2e}, product {worst_prod:.2e}, "
                   f"closed-form Re {worst_re:.2e}")
 
@@ -68,92 +69,84 @@ def check_existence_threshold():
     err = abs(hi - target)
     rho_err = abs(rho_decay(0.0, target) - 2.0)
     metric = max(err, rho_err)
-    return _check("existence_threshold", err < 1e-9 and rho_err < 1e-12,
-                  metric, 1e-9,
+    return _check(err < 1e-9 and rho_err < 1e-12, metric, 1e-9,
                   f"bisected {hi:.12f} vs 4*sqrt(3)={target:.12f}; "
                   f"rho at threshold off by {rho_err:.2e}")
 
 
-MANUFACTURED_CASES = ((1, 2.5, 0.3, 2.5), (2, 2.5, 0.0, 3.0), (3, 3.0, 1.0, 4.0))
+def manufactured_solution(grid, phi0, mu, n_max, powers):
+    """Trace, sources and exact solution of a manufactured linear problem.
+
+    Mode n of ``powers`` = {n: p} solves exactly as
+    w_n = r^-p, gamma_n = -r^(2-p) / ((2-p)^2 - n^2): its source is
+    F_n = (p^2 - p phi0 - (i n mu + n^2)) r^-(p+2), its trace
+    vr_n = i n gamma_n(1), vtheta_n = -d_r gamma_n(1), and the mean mode's
+    swirl mu0 = mu - d_r gamma_0(1).  Every other mode has zero source and
+    zero trace, so it solves as exactly 0.  The closed form needs p > 2,
+    (2-p)^2 != n^2, and for n = 0 also p > phi0; rows are built for the
+    listed modes only.  Returns (boundary, sources, exact), ``exact`` a
+    dict of the (n_max + 1, nodes) profiles gamma, dgamma, w and dw.
+    """
+    r = grid.r
+    shape = (n_max + 1, grid.n_nodes)
+    exact = {key: np.zeros(shape, dtype=complex)
+             for key in ("gamma", "dgamma", "w", "dw")}
+    F = np.zeros(shape, dtype=complex)
+    for n, p in powers.items():
+        F[n] = (p * p - p * phi0 - (1j * n * mu + n * n)) * r ** (-(p + 2.0))
+        c = -1.0 / ((2.0 - p) ** 2 - n * n)
+        exact["w"][n] = r ** -p
+        exact["dw"][n] = -p * r ** (-p - 1.0)
+        exact["gamma"][n] = c * r ** (2.0 - p)
+        exact["dgamma"][n] = c * (2.0 - p) * r ** (1.0 - p)
+    vr = 1j * np.arange(n_max + 1) * exact["gamma"][:, 0]
+    vtheta = -exact["dgamma"][:, 0]
+    boundary = BoundarySpectrum(n_max, vr, vtheta, phi0,
+                                mu0=mu + vtheta[0].real, mu=mu)
+    return boundary, SourceSpectrum(n_max, F), exact
 
 
-def manufactured_vorticity_error(grid, n, phi0, mu, a):
-    """Relative sup error of the kernel response to C r^{-(a+2)}."""
-    flow = ReferenceFlow(phi0, mu)
-    # as Python complex: numpy's complex division rounds differently
-    zp, zm = map(complex, zeta_pair(phi0, mu, n))
-    c = a * a - a * phi0 - (1j * n * mu + n * n)
-    f = c * grid.r ** (-(a + 2.0))
-    w, dw = solve_w_particular(grid, flow, n, f)
-    exact = -grid.r ** (-a) + (c / (zp - zm)) * grid.r ** zm / (a + zm)
-    dexact = (a * grid.r ** (-a - 1.0)
-              + (c / (zp - zm)) * zm * grid.r ** (zm - 1.0) / (a + zm))
-    scale = np.abs(exact).max()
-    err_w = np.abs(w - exact).max() / scale
-    err_dw = np.abs(dw - dexact).max() / (np.abs(dexact).max())
-    return max(float(err_w), float(err_dw))
+# (phi0, mu, {mode: power}) at n_max = 3; at (3.2, 0) mode 3 is resonant.
+_MODE_POWERS = {1: 2.5, 2: 3.0, 3: 4.0}
+_MANUFACTURED_FLOWS = ((2.5, 0.3, {0: 3.0, **_MODE_POWERS}),
+                       (2.5, 0.0, {0: 3.0, **_MODE_POWERS}),
+                       (3.0, 1.0, _MODE_POWERS), (3.2, 0.0, _MODE_POWERS))
 
 
-def check_manufactured_modes():
+def _manufactured_errors(grid, phi0, mu, powers):
+    """``solve_linear`` on ``manufactured_solution`` at n_max = 3: the gated
+    error (relative sup error of w and dw of the listed modes and of
+    gamma_0 and dgamma_0), the trace defect at r = 1 (mean swirl included),
+    the count of nonzero values in absent modes, {n: stream error} of the
+    listed n >= 1 (not gated), and the count of resonant modes."""
+    boundary, sources, exact = manufactured_solution(grid, phi0, mu, 3,
+                                                     powers)
+    sol = solve_linear(ReferenceFlow(phi0, mu), grid, boundary, sources)
+    err = {(key, n): float(np.abs(getattr(sol, key)[n] - v[n]).max()
+                           / np.abs(v[n]).max())
+           for key, v in exact.items() for n in powers}
+    absent = [n for n in range(4) if n not in powers]
+    return (max(e for (key, n), e in err.items()
+                if n == 0 or key in ("w", "dw")),
+            float(np.abs([1j * np.arange(4) * sol.gamma[:, 0] - boundary.vr,
+                          -sol.dgamma[:, 0] - boundary.vtheta]).max()),
+            sum(int(np.count_nonzero(getattr(sol, key)[absent]))
+                for key in exact),
+            {n: max(err["gamma", n], err["dgamma", n]) for n in powers if n},
+            int(sol.resonant.sum()))
+
+
+def check_manufactured_solution():
     grid = build_grid(1e4, 128)
-    worst = max(manufactured_vorticity_error(grid, *case)
-                for case in MANUFACTURED_CASES)
-    return _check("manufactured_mode_response", worst < 1e-6, worst, 1e-6,
-                  f"{len(MANUFACTURED_CASES)} closed-form cases, worst "
-                  f"relative error {worst:.2e}")
-
-
-def check_manufactured_zero_mode():
-    grid = build_grid(1e4, 128)
-    phi0, b = 2.5, 5.0
-    f0 = grid.r ** (-b)
-    w, dw = solve_w_zero(grid, phi0, f0)
-    exact_w = grid.r ** (2.0 - b) / ((b - 2.0) * (b - phi0 - 2.0))
-    err_w = float(np.abs(w - exact_w).max() / np.abs(exact_w).max())
-    exact_dw = (2.0 - b) * grid.r ** (1.0 - b) / ((b - 2.0) * (b - phi0 - 2.0))
-    err_dw = float(np.abs(dw - exact_dw).max() / np.abs(exact_dw).max())
-    g, dg = solve_gamma_zero(grid, grid.r ** (-3.0))
-    err_g = float(np.abs(g - grid.r ** (-1.0)).max())
-    err_dg = float(np.abs(dg + grid.r ** (-2.0)).max())
-    metric = max(err_w, err_dw, err_g, err_dg)
-    return _check("manufactured_zero_mode", metric < 1e-6, metric, 1e-6,
-                  f"vorticity {err_w:.2e}, slope {err_dw:.2e}, "
-                  f"stream {err_g:.2e}/{err_dg:.2e}")
-
-
-def _trace_errors(solution):
-    b = solution.boundary
-    n = np.arange(1, solution.n_max + 1)
-    scale = np.maximum(1.0, np.maximum(np.abs(b.vr[n]), np.abs(b.vtheta[n])))
-    err = np.abs([1j * n * solution.gamma[n, 0] - b.vr[n],
-                  -solution.dgamma[n, 0] - b.vtheta[n]])
-    worst = np.max(err / scale, initial=0.0)
-    if solution.flow.phi0 > 2.0:
-        worst = max(worst, abs(-solution.dgamma[0, 0].real - b.vtheta[0].real)
-                    / max(1.0, abs(b.vtheta[0])))
-    return float(worst)
-
-
-def check_trace_exactness(quick: bool):
-    grid = build_grid(1e4, 48 if quick else 64)
-    n_max = 4
-    worst = 0.0
-    details = []
-    for phi0, mu in ((2.5, 0.2), (3.2, 0.0)):
-        flow = ReferenceFlow(phi0, mu)
-        boundary = BoundarySpectrum.from_modes(
-            n_max, phi0, mu0=mu + 0.1, mu=mu,
-            vr={1: 0.02 + 0.01j, 2: 0.01, 3: 0.005 - 0.002j},
-            vtheta={1: 0.01, 2: -0.01j, 3: 0.004, 4: 0.002})
-        n = np.arange(n_max + 1)[:, None]
-        F = (0.01 + 0.002j * n) * grid.r ** (-5.5 - 0.3 * n)
-        sol = solve_linear(flow, grid, boundary, SourceSpectrum(n_max, F))
-        err = _trace_errors(sol)
-        worst = max(worst, err)
-        res3 = bool(sol.resonant[3])
-        details.append(f"phi0={phi0}: {err:.2e} (mode-3 resonant: {res3})")
-    return _check("trace_exactness", worst < 1e-8, worst, 1e-8,
-                  "; ".join(details))
+    runs = [_manufactured_errors(grid, *flow) for flow in _MANUFACTURED_FLOWS]
+    gated, trace, nonzero = (max(column) for column in list(zip(*runs))[:3])
+    stream = ", ".join(f"mode {n} {max(run[3][n] for run in runs):.1e}"
+                       for n in (1, 2, 3))
+    return _check(gated < 1e-6 and trace < 1e-8 and nonzero == 0, gated, 1e-6,
+                  f"{len(runs)} flows through solve_linear, "
+                  f"{sum(run[4] for run in runs)} resonant mode: w, dw, "
+                  f"gamma_0 {gated:.2e}, trace {trace:.1e}, {nonzero} nonzero "
+                  f"in absent modes; stream n>=1 (not gated) {stream}")
 
 
 def check_ode_residuals(quick: bool):
@@ -170,7 +163,7 @@ def check_ode_residuals(quick: bool):
     sol = solve_linear(flow, grid, boundary, sources)
     res_g, res_w = mode_ode_residuals(sol, sources)
     metric = max(res_g, res_w)
-    return _check("ode_residuals", metric < 1e-4, metric, 1e-4,
+    return _check(metric < 1e-4, metric, 1e-4,
                   f"stream {res_g:.2e}, vorticity {res_w:.2e}")
 
 
@@ -190,8 +183,7 @@ def check_picard_fixed_point(quick: bool):
     slack = np.nanmax(prof.gamma_slopes - prof.gamma_ceilings)
     ok = (rep.converged and fp < 2.0 * config.tol_fp and ns < 1e-4
           and slack < 0.05)
-    return _check("picard_fixed_point", ok, max(fp / (2 * config.tol_fp),
-                                                ns / 1e-4), 1.0,
+    return _check(ok, max(fp / (2 * config.tol_fp), ns / 1e-4), 1.0,
                   f"{rep.iterations} iterations, contraction "
                   f"{rep.contraction_ratio:.3f}, fp residual {fp:.2e}, "
                   f"transport residual {ns:.2e}, worst slope slack "
@@ -208,7 +200,7 @@ def check_shooting(quick: bool):
     sol, rep = shoot_mu(boundary, config)
     shift = abs(rep.mu - mu0)
     ok = rep.shoot_residual < config.tol_mu * max(1.0, abs(rep.mu))
-    return _check("circulation_shooting", ok, rep.shoot_residual, config.tol_mu,
+    return _check(ok, rep.shoot_residual, config.tol_mu,
                   f"mu = mu0 {rep.mu - mu0:+.3e} after "
                   f"{len(rep.mu_history)} steps; quadratic shift "
                   f"{shift:.3e}")
@@ -229,7 +221,7 @@ def check_hardy(quick: bool, seed: int):
             worst = max(worst, float(res.ratio.max()))
     sharp = hardy_sharpness()
     ok = violations == 0 and sharp.ratio > 0.9
-    return _check("hardy_inequality", ok, sharp.ratio, 0.9,
+    return _check(ok, sharp.ratio, 0.9,
                   f"{n_profiles} profiles x {len(alphas)} weights, "
                   f"{violations} violations, max ratio {worst:.4f}, "
                   f"sharpness {sharp.ratio:.4f}")
@@ -256,7 +248,7 @@ def check_qforms(quick: bool, seed: int):
                            float(poincare_wirtinger_check(stream).min()))
     ok = (worst_q1 >= -1e-8 and worst_gap >= -1e-8 and worst_c >= 0.2
           and worst_pw >= -1e-12)
-    return _check("quadratic_forms", ok, worst_c, 0.2,
+    return _check(ok, worst_c, 0.2,
                   f"min Q1 {worst_q1:.2e}, min gap {worst_gap:.2e}, "
                   f"min c {worst_c:.4f}, min mode margin {worst_pw:.2e}")
 
@@ -267,11 +259,11 @@ def check_positivity_window():
         roots = positivity_roots(phi0)
         expected = (3.0, 2.0 * phi0 - 1.0)
         if len(roots) != 2:
-            return _check("positivity_window", False, float("inf"), 1e-6,
+            return _check(False, float("inf"), 1e-6,
                           f"phi0={phi0}: found {len(roots)} roots")
         worst = max(worst, abs(roots[0] - expected[0]),
                     abs(roots[1] - expected[1]))
-    return _check("positivity_window", worst < 1e-6, worst, 1e-6,
+    return _check(worst < 1e-6, worst, 1e-6,
                   f"roots match (3, 2 phi0 - 1) within {worst:.2e}")
 
 
@@ -279,26 +271,34 @@ def check_q1_probe(quick: bool, seed: int):
     probe = probe_q1_negativity(3.2, n_samples=200 if quick else 1000,
                                 seed=seed + 2)
     ok = not probe.found_negative
-    return _check("q1_negativity_probe", ok, probe.min_value, 0.0,
+    return _check(ok, probe.min_value, 0.0,
                   f"verdict {probe.verdict} after {probe.n_samples} samples, "
                   f"min relative Q1 {probe.min_value:.3e}")
 
 
 def run_battery(quick: bool = False, seed: int = 0) -> dict:
-    checks = [
-        check_exponent_identities(quick),
-        check_existence_threshold(),
-        check_manufactured_modes(),
-        check_manufactured_zero_mode(),
-        check_trace_exactness(quick),
-        check_ode_residuals(quick),
-        check_picard_fixed_point(quick),
-        check_shooting(quick),
-        check_hardy(quick, seed),
-        check_qforms(quick, seed),
-        check_positivity_window(),
-        check_q1_probe(quick, seed),
-    ]
+    """Every check in order, each a record of its name, verdict, metric,
+    threshold and detail.  A check that raises ``SolverConvergenceError``
+    or an ``ArithmeticError`` is recorded as failed with metric inf, and
+    the rest still run; any other exception propagates."""
+    checks = []
+    for name, check, *args in (
+            ("exponent_identities", check_exponent_identities, quick),
+            ("existence_threshold", check_existence_threshold),
+            ("manufactured_solution", check_manufactured_solution),
+            ("ode_residuals", check_ode_residuals, quick),
+            ("picard_fixed_point", check_picard_fixed_point, quick),
+            ("circulation_shooting", check_shooting, quick),
+            ("hardy_inequality", check_hardy, quick, seed),
+            ("quadratic_forms", check_qforms, quick, seed),
+            ("positivity_window", check_positivity_window),
+            ("q1_negativity_probe", check_q1_probe, quick, seed)):
+        try:
+            record = check(*args)
+        except (SolverConvergenceError, ArithmeticError) as exc:
+            record = _check(False, np.inf, np.nan,
+                            f"{type(exc).__name__}: {exc}")
+        checks.append({"name": name, **record})
     return {
         "quick": bool(quick),
         "seed": int(seed),

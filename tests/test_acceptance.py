@@ -13,14 +13,12 @@ from hamelflow import (BoundarySpectrum, ReferenceFlow, SolverConfig,
                        alpha_window, asymptotic_circulation, branch_sweep,
                        build_grid, decay_fit, existence_condition,
                        ns_residual, re_zeta_minus_closed_form, reconstruct,
-                       shoot_mu, solve_gamma_zero, solve_linear, solve_w_zero,
-                       synthesize_boundary, zeta_pair)
+                       shoot_mu, solve_linear, synthesize_boundary, zeta_pair)
 from hamelflow.solve import picard_solve
 from hamelflow.uniq import (hardy_check, hardy_sharpness, positivity_roots,
                             q_form, random_stream, random_w_profile)
-from hamelflow.verify import (MANUFACTURED_CASES, check_ode_residuals,
-                              check_trace_exactness,
-                              manufactured_vorticity_error)
+from hamelflow.verify import (_MANUFACTURED_FLOWS, _manufactured_errors,
+                              check_manufactured_solution, check_ode_residuals)
 
 MODULE_T0 = time.perf_counter()
 
@@ -101,28 +99,19 @@ def test_criterion_02_exponent_identities_across_the_parameter_sweep():
           f"{worst:.2e}, {elapsed:.2f}s")
 
 
-def _zero_mode_errors(grid):
-    phi0, b = 2.5, 5.0
-    w, dw = solve_w_zero(grid, phi0, grid.r ** (-b))
-    exact_w = grid.r ** (2.0 - b) / ((b - 2.0) * (b - phi0 - 2.0))
-    exact_dw = (2.0 - b) * grid.r ** (1.0 - b) / ((b - 2.0) * (b - phi0 - 2.0))
-    g, dg = solve_gamma_zero(grid, grid.r ** (-3.0))
-    return max(
-        float(np.abs(w - exact_w).max() / np.abs(exact_w).max()),
-        float(np.abs(dw - exact_dw).max() / np.abs(exact_dw).max()),
-        float(np.abs(g - grid.r ** (-1.0)).max()),
-        float(np.abs(dg + grid.r ** (-2.0)).max()))
-
-
 def test_criterion_03_manufactured_kernel_responses_converge():
+    # The battery's manufactured flows through solve_linear: per flow, the
+    # gated error (w and dw of every listed mode, gamma_0 and dgamma_0).
     t0 = time.perf_counter()
     errs = {}
     for npd in (128, 256):
         grid = build_grid(1e4, npd)
-        per_case = [manufactured_vorticity_error(grid, *case)
-                    for case in MANUFACTURED_CASES]
-        per_case.append(_zero_mode_errors(grid))
-        errs[npd] = per_case
+        errs[npd] = []
+        for phi0, mu, powers in _MANUFACTURED_FLOWS:
+            gated, trace, nonzero, *_ = _manufactured_errors(grid, phi0, mu,
+                                                             powers)
+            assert trace < 1e-8 and nonzero == 0
+            errs[npd].append(gated)
     elapsed = time.perf_counter() - t0
     for npd in (128, 256):
         assert max(errs[npd]) < 1e-6
@@ -136,14 +125,15 @@ def test_criterion_03_manufactured_kernel_responses_converge():
 def test_criterion_04_fd_residuals_on_the_linear_verify_cases():
     t0 = time.perf_counter()
     residuals = check_ode_residuals(quick=False)
-    traces = check_trace_exactness(quick=False)
+    manufactured = check_manufactured_solution()
     elapsed = time.perf_counter() - t0
     assert residuals["passed"]
     assert residuals["metric"] < 1e-4
-    assert traces["passed"]
+    assert manufactured["passed"]
     assert elapsed < 30.0
     print(f"criterion 4: residual {residuals['metric']:.2e}, "
-          f"trace defect {traces['metric']:.2e}, {elapsed:.2f}s")
+          f"manufactured solution {manufactured['metric']:.2e}, "
+          f"{elapsed:.2f}s")
 
 
 def test_criterion_05_branch_members_share_the_trace_but_not_the_field(

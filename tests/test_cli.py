@@ -107,6 +107,20 @@ def test_divergent_tail_exits_2_in_one_line(tmp_path, runner,
                      res.output.strip())
 
 
+def test_scan_overflow_exits_2_in_one_line(tmp_path, runner):
+    # phi0 = 60 at r_max = 1e6: the mean mode's sink-weighted row grows
+    # beyond the double range over the grid; a typed failure, not a NaN.
+    cfg = json.loads(json.dumps(SOLVE_CFG))
+    cfg["flow"] = {"phi0": 60.0, "mu0": 0.2, "mu": 0.2}
+    cfg["solver"] = {"n_modes": 4, "nodes_per_decade": 32, "r_max": 1e6}
+    res = runner.invoke(main, ["solve", "--config", write_cfg(tmp_path, cfg),
+                               "--out", str(tmp_path / "o")])
+    assert res.exit_code == 2
+    assert res.output.count("\n") == 1
+    assert "quadrature failed in Picard iteration 1" in res.output
+    assert res.output.strip().endswith("(out kernel row 4, zeta=-61+0j)")
+
+
 # phi0 = mu = 0 (stokes): zeta_1^- = -1 and mode 1 has no decaying response
 @pytest.mark.parametrize("base, flow, message", [
     (SOLVE_CFG, {"phi0": 2.0000001}, "degenerate band"),
@@ -392,16 +406,51 @@ def test_branch_needs_mu_values_and_high_phi0(tmp_path, runner):
     assert "phi0 > 2" in res.output
 
 
+BATTERY = ["exponent_identities", "existence_threshold",
+           "manufactured_solution", "ode_residuals", "picard_fixed_point",
+           "circulation_shooting", "hardy_inequality", "quadratic_forms",
+           "positivity_window", "q1_negativity_probe"]
+
+
 def test_verify_quick_prints_every_check(tmp_path, runner):
     out = tmp_path / "v"
     res = runner.invoke(main, ["verify", "--quick", "--out", str(out)])
     assert res.exit_code == 0, res.output
     passes = [ln for ln in res.output.splitlines() if ln.startswith("[PASS]")]
-    assert len(passes) == 12
-    assert "all 12 checks passed" in res.output
+    assert [ln.split(":")[0] for ln in passes] == [f"[PASS] {name}"
+                                                   for name in BATTERY]
+    assert "all 10 checks passed" in res.output
     payload = json.loads((out / "verify_report.json").read_text())
     assert payload["all_passed"] is True
-    assert len(payload["checks"]) == 12
+    assert [c["name"] for c in payload["checks"]] == BATTERY
+
+
+def test_verify_records_a_failing_solve_and_runs_on(tmp_path, runner,
+                                                    monkeypatch):
+    # A check whose solve raises fails with metric inf; the battery prints
+    # every check and exits 1 (the runner calls verify in this process,
+    # so the patch reaches it).
+    import hamelflow.verify
+    from hamelflow import SolverConvergenceError
+
+    def no_contraction(*args):
+        raise SolverConvergenceError("no contraction (patched)")
+
+    monkeypatch.setattr(hamelflow.verify, "shoot_mu", no_contraction)
+    out = tmp_path / "v"
+    res = runner.invoke(main, ["verify", "--quick", "--out", str(out)])
+    assert res.exit_code == 1
+    lines = [ln for ln in res.output.splitlines() if ln.startswith("[")]
+    assert [ln.split(":")[0] for ln in lines] == [
+        f"[{'FAIL' if name == 'circulation_shooting' else 'PASS'}] {name}"
+        for name in BATTERY]
+    assert ("[FAIL] circulation_shooting: SolverConvergenceError: "
+            "no contraction (patched)") in lines
+    (record,) = [c for c in json.loads((out / "verify_report.json")
+                                       .read_text())["checks"]
+                 if not c["passed"]]
+    assert record["name"] == "circulation_shooting"
+    assert record["metric"] is None     # inf, written as null
 
 
 def test_export_formats(tmp_path, runner):

@@ -321,6 +321,25 @@ def test_divergent_row_among_zero_rows_fails_the_stack():
     assert str(info.value).endswith("(kernel row 2, zeta=0.5-0.25j)")
 
 
+def test_scan_growth_beyond_the_double_range_raises():
+    # At r_max = 1e6 an out row at zeta = -61 grows by r_max^61 = 1e366
+    # over the grid, and its scan would return NaN: the call raises and
+    # names the row of the caller's stack.  A zero row costs nothing and
+    # raises nothing, whatever its exponent.
+    g = build_grid(1e6, 64)
+    stack = np.zeros((3, g.n_nodes), dtype=complex)
+    stack[2] = g.r ** -63.0
+    with pytest.raises(OverflowError,
+                       match=r"\(out kernel row 2, zeta=-61\+0j\)$"):
+        integrate_out_all(g, stack, [0.0, -70.0, -61.0])
+    with pytest.raises(OverflowError,
+                       match=r"\(in kernel row 0, zeta=61\+0j\)$"):
+        integrate_in_all(g, g.r ** -63.0, 61.0)
+    assert positive_zero(integrate_out_all(g, stack[:2], [0.0, -70.0]))
+    # e^704 stays in range
+    assert np.isfinite(integrate_out_all(g, g.r ** -60.0, -51.0)).all()
+
+
 def test_paired_call_is_the_two_one_sided_calls(monkeypatch):
     # integrate_out_in integrates a family's out and in stacks in one
     # kernel call.  Its out rows are the bytes of integrate_out_all; its in

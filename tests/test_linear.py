@@ -5,12 +5,12 @@ import pytest
 
 from hamelflow import (BoundarySpectrum, DegenerateFluxError,
                        DivergentTailError, ReferenceFlow, SourceSpectrum,
-                       build_grid, linear as linear_module,
-                       solve_gamma_zero, solve_linear, solve_w_particular,
-                       solve_w_zero, zeta_pair)
-from hamelflow.grid import integrate_out_in
+                       build_grid, linear as linear_module, solve_linear,
+                       zeta_pair)
+from hamelflow.grid import integrate_out_all, integrate_out_in
 from hamelflow.linear import (_assemble_zero, _gamma_response,
-                              _trace_amplitudes)
+                              _trace_amplitudes, _w_response)
+from hamelflow.verify import manufactured_solution
 
 
 def steep_sources(grid, n_max, amp=0.01):
@@ -26,6 +26,22 @@ def stream_response(grid, w, k):
     return _gamma_response(grid, out, inn, np.array([k]))
 
 
+def vorticity_response(grid, f, phi0, mu, n):
+    """The particular vorticity pair (L_w w = -f) of one mode row f, n >= 1."""
+    zp, zm = zeta_pair(phi0, mu, n)
+    return _w_response(grid, *integrate_out_in(grid, f, zp, f, zm), zp, zm)
+
+
+def manufactured_errors(grid, phi0, mu, powers, keys=("w", "dw")):
+    """Relative sup errors of ``solve_linear`` on the manufactured problem,
+    one per listed mode and profile in ``keys``."""
+    boundary, sources, exact = manufactured_solution(grid, phi0, mu, 3,
+                                                     powers)
+    sol = solve_linear(ReferenceFlow(phi0, mu), grid, boundary, sources)
+    return [np.abs(getattr(sol, key)[n] - exact[key][n]).max()
+            / np.abs(exact[key][n]).max() for n in powers for key in keys]
+
+
 def observed_order(coarse, fine):
     """Order of convergence per doubling of the nodes per decade."""
     return np.log2(np.asarray(coarse) / np.asarray(fine))
@@ -37,34 +53,14 @@ def observed_order(coarse, fine):
     (3, 3.0, 1.0, 4.0),
 ])
 def test_vorticity_kernel_matches_closed_form(n, phi0, mu, a):
-    # The source C r^(-(a+2)) with C = a^2 - a phi0 - (i n mu + n^2) has the
-    # exact response -r^(-a) plus a homogeneous multiple of r^(zeta-).
-    flow = ReferenceFlow(phi0, mu)
-    zp, zm = zeta_pair(phi0, mu, n)
-    c = a * a - a * phi0 - (1j * n * mu + n * n)
-
-    def errors(grid):
-        f = c * grid.r ** (-(a + 2.0))
-        w, dw = solve_w_particular(grid, flow, n, f)
-        exact = (-grid.r ** (-a)
-                 + (c / (zp - zm)) * grid.r ** zm / (a + zm))
-        dexact = (a * grid.r ** (-a - 1.0)
-                  + (c / (zp - zm)) * zm * grid.r ** (zm - 1.0) / (a + zm))
-        return (np.abs(w - exact).max() / np.abs(exact).max(),
-                np.abs(dw - dexact).max() / np.abs(dexact).max())
-
-    coarse, fine = errors(build_grid(1e4, 48)), errors(build_grid(1e4, 96))
-    assert max(fine) < 2e-6                       # 1.8e-6 at worst
-    assert observed_order(coarse, fine).min() >= 3.5
-
-
-def test_kernel_error_drops_with_refinement():
-    from hamelflow.verify import manufactured_vorticity_error
-    errs = {npd: max(manufactured_vorticity_error(build_grid(1e4, npd),
-                                                  1, 2.5, 0.3, 2.5),
-                     1e-16)
-            for npd in (32, 64)}
-    assert errs[64] <= max(errs[32] / 3.5, 1e-12)
+    # The manufactured solution w_n = r^-a of the whole linear problem: its
+    # source and trace make solve_linear's kernel response and homogeneous
+    # pair add up to the closed form.
+    errs = {npd: manufactured_errors(build_grid(1e4, npd), phi0, mu, {n: a})
+            for npd in (32, 48, 64, 96)}
+    assert max(errs[96]) < 2e-6                   # 3.7e-7 at worst
+    assert observed_order(errs[48], errs[96]).min() >= 3.5
+    assert observed_order(errs[32], errs[64]).min() >= 3.5
 
 
 def test_stream_kernel_inverts_mode_laplacian():
@@ -85,18 +81,19 @@ def test_stream_kernel_inverts_mode_laplacian():
 
 
 def test_zero_mode_kernels_match_closed_forms():
-    phi0, b = 2.5, 5.0
-
+    # The mean mode's vorticity through solve_linear on the manufactured
+    # w_0 = r^-3 at phi0 = 2.5 (source F_0 = 1.5 r^-5), and its nested
+    # stream chain alone: at phi0 <= 2 _assemble_zero returns that chain's
+    # gamma_0 = -r^-1 for the exact w = r^-3.
     def errors(grid):
-        w, dw = solve_w_zero(grid, phi0, grid.r ** (-b) + 0j)
-        exact = grid.r ** (2.0 - b) / ((b - 2.0) * (b - phi0 - 2.0))
-        g, dg = solve_gamma_zero(grid, grid.r ** (-3.0) + 0j)
-        return (np.abs(w - exact).max() / np.abs(exact).max(),
-                np.abs(g - grid.r ** (-1.0)).max(),
-                np.abs(dg + grid.r ** (-2.0)).max())
+        (err_w,) = manufactured_errors(grid, 2.5, 0.0, {0: 3.0}, keys=("w",))
+        w = grid.r ** -3.0 + 0j
+        g, dg, *_ = _assemble_zero(grid, 1.5, 0j, w, -3.0 * w / grid.r)
+        return (err_w, np.abs(g + grid.r ** -1.0).max(),
+                np.abs(dg - grid.r ** -2.0).max())
 
     coarse, fine = errors(build_grid(1e4, 48)), errors(build_grid(1e4, 96))
-    assert fine[0] < 2e-6                         # 1.6e-6 at 96 nodes/decade
+    assert fine[0] < 2e-6                         # 7.8e-7 at 96 nodes/decade
     assert fine[1] < 2e-8 and fine[2] < 1e-8      # 9.9e-9 and 4.8e-9
     assert observed_order(coarse, fine).min() >= 3.5
 
@@ -155,7 +152,7 @@ def test_batched_modes_match_one_mode_kernels(grid, phi0, mu):
     close = lambda a, b: np.abs(a - b).max() <= 1e-14 * np.abs(b).max()
     for n in range(1, 5):
         zm = zeta_pair(phi0, mu, n)[1]
-        w_part, dw_part = solve_w_particular(grid, flow, n, sources.F[n])
+        w_part, dw_part = vorticity_response(grid, sources.F[n], phi0, mu, n)
         g_part, dg_part = stream_response(grid, w_part, float(n))
         (gamma_bar,), (w_bar,), (resonant,) = _trace_amplitudes(
             np.array([n]), np.array([zm]), boundary.vr[n:n + 1],
@@ -258,7 +255,8 @@ def test_mean_mode_rows_are_bitwise_the_one_row_chain(grid, phi0, mu,
     # solve_linear integrates the mean mode's first two kernels as extra
     # rows of the vorticity and stream out stacks, each family's out and in
     # stacks in one call; its mean-mode rows must be the bytes of the
-    # one-row solve_w_zero -> solve_gamma_zero chain.
+    # one-row chain: two out integrals for the vorticity, then the nested
+    # stream quadratures of _assemble_zero.
     boundary = BoundarySpectrum.from_modes(4, phi0, mu0=mu + 0.1, mu=mu,
                                            vr={1: 0.02},
                                            vtheta={2: -0.01j, 3: 0.004})
@@ -271,8 +269,9 @@ def test_mean_mode_rows_are_bitwise_the_one_row_chain(grid, phi0, mu,
                             lambda *a, _real=real: calls.append(1) or _real(*a))
     sol = solve_linear(ReferenceFlow(phi0, mu), grid, boundary, sources)
     assert len(calls) == 4
-    w, dw = solve_w_zero(grid, phi0, sources.F[0])
-    want = _assemble_zero(grid, phi0, boundary.vtheta[0], w, dw)
+    inner = integrate_out_all(grid, sources.F[0] / grid.r, -(phi0 + 1.0))
+    w = integrate_out_all(grid, inner / grid.r, 0.0)
+    want = _assemble_zero(grid, phi0, boundary.vtheta[0], w, -inner)
     got = (sol.gamma[0], sol.dgamma[0], sol.w[0], sol.dw[0], sol.w_bar[0])
     for a, b in zip(got, want):
         assert np.asarray(a).tobytes() == np.asarray(b, dtype=complex).tobytes()

@@ -80,6 +80,21 @@ def test_nonlinear_correction_is_quadratic_in_data():
     assert max(ratios) / min(ratios) < 1.05
 
 
+def test_scan_overflow_is_a_typed_convergence_error():
+    # At phi0 = 60 and r_max = 1e6 the mean mode's sink-weighted row
+    # (zeta = -61) grows by 1e366 over the grid.  The first solve has no
+    # sources, so that row is zero and costs nothing; iteration 1 raises.
+    b = bdry(4, 60.0, 0.2, 0.2, 0.01)
+    with pytest.raises(SolverConvergenceError) as err:
+        picard_solve(b, SolverConfig(n_modes=4, nodes_per_decade=32,
+                                     r_max=1e6))
+    exc = err.value
+    assert isinstance(exc.__cause__, OverflowError)
+    assert exc.iteration == 1
+    assert str(exc).startswith("quadrature failed in Picard iteration 1: ")
+    assert str(exc).endswith("(out kernel row 4, zeta=-61+0j)")
+
+
 def test_divergence_raises_with_report():
     cfg = SolverConfig(n_modes=8, nodes_per_decade=48, max_iter=2)
     with pytest.raises(SolverConvergenceError) as err:
