@@ -24,6 +24,7 @@ import numpy as np
 from hamelflow import (BoundarySpectrum, SolverConfig, asymptotic_circulation,
                        branch_sweep, decay_fit, ns_residual, reconstruct,
                        synthesize_boundary)
+from hamelflow.flows import circulation_is_free
 
 
 def field_row(solution, radius):
@@ -52,7 +53,7 @@ def main(argv=None):
                         help="directory for summary.json and member CSVs")
     args = parser.parse_args(argv)
 
-    if args.phi0 <= 2.0:
+    if not circulation_is_free(args.phi0):
         parser.error("branch sweeps need phi0 > 2; use shooting_scaling.py "
                      "for the weak-flux regime")
 

@@ -20,6 +20,7 @@ import sys
 import numpy as np
 
 from hamelflow import BoundarySpectrum, SolverConfig, ns_residual, shoot_mu
+from hamelflow.flows import circulation_is_free
 
 
 def main(argv=None):
@@ -37,7 +38,7 @@ def main(argv=None):
                         help="CSV file for the scaling table")
     args = parser.parse_args(argv)
 
-    if args.phi0 > 2.0:
+    if circulation_is_free(args.phi0):
         parser.error("shooting applies for phi0 <= 2; use "
                      "branch_portrait.py for the strong-flux regime")
 

@@ -22,7 +22,7 @@ import sys
 
 import numpy as np
 
-from hamelflow import (BoundarySpectrum, ReferenceFlow, build_grid, decay_fit,
+from hamelflow import (BoundarySpectrum, build_grid, decay_fit,
                        re_zeta_minus_closed_form, solve_linear, zeta_pair)
 from hamelflow.uniq import (hardy_check, hardy_sharpness, positivity_roots,
                             probe_q1_negativity, q_form, random_stream,
@@ -42,13 +42,12 @@ def battery_panel(quick, seed):
 
 
 def decay_panel(phi0, mu):
-    flow = ReferenceFlow(phi0, mu)
     grid = build_grid(1e6, 24)
     n_max = 4
     boundary = BoundarySpectrum.from_modes(
         n_max, phi0, mu, mu, vr={1: 0.01, 2: 0.008, 3: 0.006, 4: 0.004},
         vtheta={1: 0.005, 2: 0.004j, 3: 0.003, 4: 0.002})
-    profile = decay_fit(solve_linear(flow, grid, boundary))
+    profile = decay_fit(solve_linear(boundary.flow, grid, boundary))
     print(f"\n== decay rates at phi0={phi0}, mu={mu} ==")
     print(f"{'n':>3} {'stream fit':>11} {'stream pred':>12} "
           f"{'vort fit':>11} {'vort pred':>11}")

@@ -1,11 +1,11 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 invalid input (a config that cannot be read, a
-flux in the degenerate band around 2, phi0 = mu = 0, a grid of fewer than
-5 nodes and an export source that is not a modes.json included) or failed
-verification,
-2 solver non-convergence.  The usage errors that click raises itself (an
-unknown command or option, a missing required option) keep click's exit 2.
+flux in the degenerate band just above 2, phi0 = mu = 0, a grid of fewer
+than 5 nodes and an export source that is not a modes.json included) or
+failed verification, 2 solver non-convergence.  The usage errors that click
+raises itself (an unknown command or option, a missing required option)
+keep click's exit 2.
 Reports are deterministic: rerunning a command with the same config and
 seed reproduces every output byte for byte.
 """
@@ -24,6 +24,7 @@ from . import __version__
 from .config import ConfigError, build_boundary, load_config, solver_config
 from .field import (asymptotic_circulation, decay_fit, ns_residual,
                     reconstruct)
+from .flows import circulation_is_free
 from .grid import synthesize_boundary
 from .report import (ModeTable, report_payload, solution_payload,
                      write_field_csv, write_json, write_modes_csv)
@@ -89,10 +90,10 @@ def solve(config_path, outdir, phi0, mu0, mu, quick, seed):
     cfg, sc, boundary = _load(config_path, quick,
                               {"phi0": phi0, "mu0": mu0, "mu": mu})
     try:
-        if boundary.phi0 <= 2.0:
-            solution, report = shoot_mu(boundary, sc)
-        else:
+        if circulation_is_free(boundary.phi0):
             solution, report = picard_solve(boundary, sc)
+        else:
+            solution, report = shoot_mu(boundary, sc)
     except SolverConvergenceError as exc:
         click.echo(f"solver did not converge: {exc}", err=True)
         sys.exit(CONVERGENCE_EXIT)
@@ -117,7 +118,7 @@ def branch(config_path, outdir, mu_extra, quick, seed):
     if not mu_values:
         raise click.ClickException("no circulations: give branch.mu_values "
                                    "in the config or --mu")
-    if boundary.phi0 <= 2.0:
+    if not circulation_is_free(boundary.phi0):
         raise click.ClickException("branch sweeps need phi0 > 2")
     members = branch_sweep(boundary, mu_values, sc)
     os.makedirs(outdir, exist_ok=True)

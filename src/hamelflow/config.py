@@ -8,7 +8,6 @@ import math
 import numpy as np
 
 from .grid import BoundarySpectrum, project_boundary
-from .linear import DegenerateFluxError, _check_degenerate
 from .solve import SolverConfig
 
 __all__ = ["ConfigError", "CONFIG_SCHEMA", "load_config", "solver_config",
@@ -245,15 +244,16 @@ def solver_config(cfg: dict, quick: bool = False) -> SolverConfig:
 def build_boundary(cfg: dict, config: SolverConfig) -> BoundarySpectrum:
     """Boundary spectrum from either sample or mode form of the config.
 
-    After the trace's own checks, a flux in the degenerate band around 2,
-    or phi0 = mu = 0, is rejected here, before any solving starts.
+    Any ``ValueError`` from building the spectrum (samples that cannot
+    resolve the modes, a flux the spectrum's flow refuses) becomes
+    ``ConfigError`` here, before any solving starts.
     """
-    spectrum = _spectrum(cfg, config)
     try:
-        _check_degenerate(spectrum)
-    except DegenerateFluxError as exc:
+        return _spectrum(cfg, config)
+    except ConfigError:
+        raise
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return spectrum
 
 
 def _spectrum(cfg: dict, config: SolverConfig) -> BoundarySpectrum:
@@ -264,22 +264,13 @@ def _spectrum(cfg: dict, config: SolverConfig) -> BoundarySpectrum:
     if "theta_samples" in bdry:
         ur = np.asarray(bdry["theta_samples"]["ur"], dtype=float)
         ut = np.asarray(bdry["theta_samples"]["utheta"], dtype=float)
-        if ur.size != ut.size:
-            raise ConfigError("ur and utheta sample counts differ")
-        if ur.size < 2 * config.n_modes + 2:
-            raise ConfigError(
-                f"{ur.size} samples cannot resolve n_modes="
-                f"{config.n_modes}; need at least {2 * config.n_modes + 2}")
         mu0_s = float(np.mean(ut))
         if "mu0" in flow and abs(flow["mu0"] - mu0_s) > 1e-10 * max(1.0, abs(mu0_s)):
             raise ConfigError(
                 f"flow.mu0={flow['mu0']} disagrees with the sampled mean "
                 f"swirl {mu0_s!r}")
         mu = float(flow.get("mu", mu0_s))
-        try:
-            return project_boundary(ur, ut, config.n_modes, mu, phi0=phi0)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return project_boundary(ur, ut, config.n_modes, mu, phi0=phi0)
 
     modes = bdry["modes"]
     if "mu0" not in flow:

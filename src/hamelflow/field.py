@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flows import alpha_window, zeta_pair
+from .flows import alpha_window, circulation_is_free, zeta_pair
 from .linear import SpectralSolution, SourceSpectrum
 from .nonlin import compute_sources
 
@@ -285,9 +285,9 @@ def decay_fit(solution: SpectralSolution) -> DecayProfile:
     lo = grid.r_max / 100.0
     n_all = np.arange(solution.n_max + 1)
     # the mean mode carries its homogeneous exponent zeta_0^- = -phi0 only
-    # when phi0 > 2, and no -|n| stream decay
+    # when the circulation is free, and no -|n| stream decay
     zm = zeta_pair(flow.phi0, flow.mu, n_all)[1].real
-    homogeneous = (n_all > 0) | (flow.phi0 > 2.0)
+    homogeneous = (n_all > 0) | circulation_is_free(flow.phi0)
     g_ceil = np.maximum(np.where(homogeneous, zm + 2.0, -np.inf), -2.0 * alpha)
     g_ceil[1:] = np.maximum(g_ceil[1:], -n_all[1:])
     w_ceil = np.maximum(np.where(homogeneous, zm, -np.inf), -2.0 - 2.0 * alpha)

@@ -14,7 +14,7 @@ are
 with the principal branch of the square root.  Everything downstream (decay
 rates, contraction windows, resonance bookkeeping) is a function of these
 exponents, so they live here together with the solvability threshold for the
-boundary-value problem.
+boundary-value problem, a flow's admission and its regime.
 """
 
 from __future__ import annotations
@@ -24,7 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "DegenerateFluxError",
     "ReferenceFlow",
+    "circulation_is_free",
     "zeta_pair",
     "re_zeta_minus_closed_form",
     "rho_decay",
@@ -34,9 +36,14 @@ __all__ = [
 ]
 
 
+class DegenerateFluxError(ValueError):
+    """No mode solve exists: phi0 is inside the numerically degenerate band
+    just above 2, or phi0 = mu = 0."""
+
+
 @dataclass(frozen=True)
 class ReferenceFlow:
-    """Sink strength and circulation of the background field u_ref."""
+    """Sink strength and circulation of u_ref; constructing one admits it."""
 
     phi0: float  # radial flux through the unit circle, divided by 2*pi
     mu: float    # circulation carried by the reference swirl
@@ -46,6 +53,25 @@ class ReferenceFlow:
             raise ValueError(f"flux phi0 must be nonnegative, got {self.phi0}")
         if not (np.isfinite(self.phi0) and np.isfinite(self.mu)):
             raise ValueError("flow parameters must be finite")
+        if 2.0 < self.phi0 < 2.0 + 1e-6:
+            # the mean mode's homogeneous amplitude divides by phi0 - 2
+            raise DegenerateFluxError(
+                f"phi0={self.phi0!r} is inside the degenerate band 2 < phi0 "
+                "< 2 + 1e-6; the homogeneous mean mode r^(2-phi0) is "
+                "numerically indistinct from the log pair there")
+        if self.phi0 == 0.0 and self.mu == 0.0:
+            # zeta_1^- + 2 = 1: the stream response to r^(zeta_1^-) resonates
+            # with the growing r^1 (the Stokes paradox)
+            raise DegenerateFluxError(
+                "phi0=0 with mu=0 has no decaying mode-1 response "
+                "(zeta_1^- = -1, Stokes paradox)")
+
+
+def circulation_is_free(phi0: float) -> bool:
+    """phi0 > 2: the mean mode carries r^-phi0, whose amplitude the
+    circulation deficit fixes, so every mu near mu0 solves (the branches).
+    Otherwise the trace pins mu and the solver shoots for it."""
+    return phi0 > 2.0
 
 
 def zeta_pair(phi0, mu, n):

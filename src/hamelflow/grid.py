@@ -43,7 +43,7 @@ A boundary trace is a ``BoundarySpectrum``: modes 0..n_max of
 (u_r* + phi0, u_theta* - mu) with the flux phi0, the trace's mean swirl mu0
 and the circulation mu it is budgeted against.  Its mean row follows from
 those three numbers, so the spectrum derives it rather than storing a
-second copy that could disagree.
+second copy that could disagree, and it carries its checked flow.
 """
 
 from __future__ import annotations
@@ -53,6 +53,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
+
+from .flows import ReferenceFlow
 
 __all__ = [
     "DivergentTailError",
@@ -69,7 +71,6 @@ __all__ = [
 
 _PHASE_JUMP_LIMIT = 2.5     # tail |Im log ratio| beyond this -> modulus fit
 _STEEP_SEGMENT_LIMIT = 2.5  # tail |Re log ratio| beyond this -> modulus fit
-_DIVERGENCE_TOL = 1e-6      # fitted p >= -1 + this counts as divergent
 _TAIL_EXPONENT_FLOOR = -1.1  # shallowest tail decay r^p extrapolated
 _NEGLIGIBLE_TAIL = 1e-300
 _SCAN_BLOCK = 16            # nodes per block of the recurrence scans
@@ -275,7 +276,7 @@ def _tail_value(grid: RadialGrid, base5, step, scale):
     negligible = np.abs(g_end) * reach <= np.fmax(_NEGLIGIBLE_TAIL,
                                                   1e-17 * scale)
     fit = ~negligible & np.all(base5, axis=1)    # no zero sample
-    diverging = fit & (p.real >= -1.0 + _DIVERGENCE_TOL)
+    diverging = fit & (p.real >= -1.0)
     if np.any(diverging):
         i = np.flatnonzero(diverging)[np.argmax(p.real[diverging])]
         worst = float(p.real[i])
@@ -480,6 +481,7 @@ class BoundarySpectrum:
     phi0: float
     mu0: float
     mu: float
+    flow: ReferenceFlow = field(init=False, repr=False)  # checked here
 
     def __post_init__(self):
         for name in ("vr", "vtheta"):
@@ -490,6 +492,7 @@ class BoundarySpectrum:
             object.__setattr__(self, name, row)
         self.vr[0] = 0.0
         self.vtheta[0] = self.mu0 - self.mu
+        object.__setattr__(self, "flow", ReferenceFlow(self.phi0, self.mu))
 
     @classmethod
     def from_modes(cls, n_max: int, phi0: float, mu0: float, mu: float,
@@ -507,7 +510,7 @@ class BoundarySpectrum:
         return cls(n_max, *rows, phi0, mu0, mu)
 
     def with_mu(self, mu: float) -> "BoundarySpectrum":
-        """Same physical trace rebudgeted against circulation mu."""
+        """Same physical trace rebudgeted (its flow checked again) at mu."""
         return replace(self, mu=float(mu))
 
 
@@ -518,15 +521,16 @@ def project_boundary(ur_samples, utheta_samples, n_max: int, mu: float,
     Samples are values at theta_m = 2 pi m / M, M >= 2 n_max + 2.  When
     ``phi0`` is given, the sampled mean radial velocity must reproduce it to
     1e-10; otherwise phi0 is inferred from the samples.  mu0 is the sampled
-    mean swirl, and the spectrum derives its mean row from it.
+    mean swirl; the spectrum derives its mean row and checks its flow.
     """
     ur = np.asarray(ur_samples, dtype=float)
     ut = np.asarray(utheta_samples, dtype=float)
     if ur.ndim != 1 or ur.shape != ut.shape:
-        raise ValueError("need matching 1-d sample arrays")
+        raise ValueError("ur and utheta need matching 1-d sample arrays")
     m = ur.size
     if m < 2 * n_max + 2:
-        raise ValueError(f"need at least {2 * n_max + 2} samples for n_max={n_max}")
+        raise ValueError(f"{m} samples cannot resolve n_max={n_max}; need "
+                         f"at least {2 * n_max + 2}")
 
     mean_ur = float(np.mean(ur))
     if phi0 is None:
@@ -535,8 +539,6 @@ def project_boundary(ur_samples, utheta_samples, n_max: int, mu: float,
         raise FluxMismatchError(
             f"mean radial velocity {mean_ur:.3e} inconsistent with flux "
             f"phi0={phi0:g}")
-    if phi0 < 0:
-        raise ValueError("inferred flux phi0 is negative")
     mu0 = float(np.mean(ut))
 
     vr = np.fft.fft(ur + phi0)[: n_max + 1] / m

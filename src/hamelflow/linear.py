@@ -22,9 +22,10 @@ response to r^{zeta-} degenerates and the log-resonant pair
 r^{-|n|} log r is used instead.
 
 The n = 0 mode has no radial trace freedom left after flux matching: its
-single constant is pinned by the circulation deficit mu0 - mu when
-phi0 > 2 and must be closed by shooting in mu otherwise.  ``solve_linear``
-solves every mode, the mean mode included; there is no one-mode entry.
+single constant is pinned by the circulation deficit mu0 - mu when the
+circulation is free (``flows.circulation_is_free``) and must be closed by
+shooting in mu otherwise.  ``solve_linear`` solves every mode, the mean
+mode included, around the spectrum's flow; there is no one-mode entry.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .flows import ReferenceFlow, zeta_pair
+from .flows import (DegenerateFluxError, ReferenceFlow, circulation_is_free,
+                    zeta_pair)
 # integrate_in_all is not called here; it stays a name of this module
 # because bench/layers.py wraps it here by name.
 from .grid import (BoundarySpectrum, RadialGrid, integrate_in_all,  # noqa: F401
@@ -47,12 +49,6 @@ __all__ = [
 ]
 
 
-class DegenerateFluxError(ValueError):
-    """No mode solve exists: phi0 is inside the numerically degenerate band
-    around 2, or phi0 = mu = 0."""
-
-
-_PHI_BAND = 1e-6
 _RESONANCE_TOL = 1e-8   # |zeta_n^- + 2 + |n|| below this: log-resonant pair
 
 
@@ -76,7 +72,6 @@ class SourceSpectrum:
 class SpectralSolution:
     """Stacked mode solutions for n = 0..n_max (negative n by conjugation)."""
 
-    flow: ReferenceFlow
     grid: RadialGrid
     boundary: BoundarySpectrum
     gamma: np.ndarray   # (n_max+1, n_nodes)
@@ -90,6 +85,10 @@ class SpectralSolution:
     @property
     def n_max(self) -> int:
         return self.gamma.shape[0] - 1
+
+    @property
+    def flow(self) -> ReferenceFlow:
+        return self.boundary.flow
 
 
 def _w_response(grid: RadialGrid, out, inn, zeta_plus, zeta_minus):
@@ -173,23 +172,6 @@ def _assemble_nonzero(grid: RadialGrid, n, zm, boundary: BoundarySpectrum,
     return gamma, dgamma, w, dw, gamma_bar, w_bar, resonant
 
 
-def _check_degenerate(flow):
-    """Reject the fluxes ``solve_linear`` cannot solve at; ``flow`` is a
-    ReferenceFlow or a BoundarySpectrum."""
-    phi0 = flow.phi0
-    if abs(phi0 - 2.0) < _PHI_BAND and phi0 != 2.0:
-        raise DegenerateFluxError(
-            f"phi0={phi0!r} is inside the degenerate band around 2; the "
-            "homogeneous mean mode r^(2-phi0) is numerically indistinct "
-            "from the log pair there")
-    if phi0 == 0.0 and flow.mu == 0.0:
-        # zeta_1^- + 2 = 1: the stream response to r^(zeta_1^-) resonates
-        # with the growing r^1 (the Stokes paradox)
-        raise DegenerateFluxError(
-            "phi0=0 with mu=0 has no decaying mode-1 response "
-            "(zeta_1^- = -1, Stokes paradox)")
-
-
 def _assemble_zero(grid: RadialGrid, phi0: float, circ_deficit: complex,
                    w_part, dw_part):
     """The mean mode from its vorticity response.
@@ -201,21 +183,22 @@ def _assemble_zero(grid: RadialGrid, phi0: float, circ_deficit: complex,
     and ``dw_part`` = -inner(r) its slope.  Its stream is two nested one-row
     quadratures, Gamma(r) = int_r^inf H(s)/s ds with
     H(s) = int_s^inf sigma w(sigma) dsigma, and d_r Gamma = -H/r; then
-    gamma_0 = -Gamma solves Delta gamma_0 = -w.  For phi0 > 2 the
-    homogeneous pair w_bar r^-phi0 is fixed by the circulation deficit;
-    for phi0 <= 2 shooting in mu closes the mean trace instead.
+    gamma_0 = -Gamma solves Delta gamma_0 = -w.  When the circulation is
+    free the homogeneous pair w_bar r^-phi0 is fixed by the circulation
+    deficit; otherwise shooting in mu closes the mean trace instead.  A
+    negation is a subtraction from +0, so a zero mean mode comes back +0.
     """
     r = grid.r
     big_h = integrate_out_all(grid, w_part, 0.0)
     big_gamma = integrate_out_all(grid, big_h / (r * r), 0.0)
-    if phi0 <= 2.0:
-        return -big_gamma, big_h / r, w_part, dw_part, 0.0 + 0.0j
+    if not circulation_is_free(phi0):
+        return 0.0 - big_gamma, big_h / r, w_part, dw_part, 0.0 + 0.0j
 
     i1 = big_h[0]   # int_1^inf s w_part ds, since r[0] == 1
-    w_bar = -(phi0 - 2.0) * (circ_deficit + i1)
+    w_bar = 0.0 - (phi0 - 2.0) * (circ_deficit + i1)
     w = w_bar * r ** (-phi0) + w_part
     dw = -phi0 * w_bar * r ** (-phi0 - 1.0) + dw_part
-    gamma = -(w_bar * r ** (2.0 - phi0) / (phi0 - 2.0) ** 2 + big_gamma)
+    gamma = 0.0 - big_gamma - w_bar * r ** (2.0 - phi0) / (phi0 - 2.0) ** 2
     dgamma = w_bar * r ** (1.0 - phi0) / (phi0 - 2.0) + big_h / r
     return gamma, dgamma, w, dw, w_bar
 
@@ -225,18 +208,19 @@ def solve_linear(flow: ReferenceFlow, grid: RadialGrid,
                  sources: SourceSpectrum | None = None) -> SpectralSolution:
     """Solve every mode 0..n_max against the given sources and trace.
 
-    Modes 1..n_max are solved together: each kernel family is one
-    ``integrate_out_in`` call on the (modes, nodes) stacks of its out and
-    in integrands.  The mean mode's first two integrals ride as one extra
-    row under the out stacks: F_0/r at zeta = -(phi0+1) under the vorticity
-    rows, inner/r at zeta = 0 under the stream rows.  A solve thus makes
-    four kernel calls, the last two the nested one-row stream quadratures
-    of the mean mode (``_assemble_zero``).  This is the one linear solve:
+    The flow solved around is ``boundary.flow``, checked when the spectrum
+    was built; ``flow`` must agree with it to 1e-12.  Modes 1..n_max are
+    solved together: each kernel family is one ``integrate_out_in`` call on
+    the (modes, nodes) stacks of its out and in integrands.  The mean
+    mode's first two integrals ride as one extra row under the out stacks:
+    F_0/r at zeta = -(phi0+1) under the vorticity rows, inner/r at zeta = 0
+    under the stream rows.  A solve thus makes four kernel calls, the last
+    two the nested one-row stream quadratures of the mean mode
+    (``_assemble_zero``).  This is the one linear solve:
     ``hamelflow.verify``'s manufactured solution checks it against a closed
-    form of every mode at once.  Modes
-    without a source (all of them when ``sources`` is None, and those above
-    the reach of the trace's products) cost no quadrature: the integrators
-    return their zero rows as exact +0.
+    form of every mode at once.  Modes without a source (all of them when
+    ``sources`` is None, and those above the reach of the trace's products)
+    cost no quadrature: the integrators return their zero rows as +0.
     """
     if sources is None:
         sources = SourceSpectrum.zeros(boundary.n_max, grid)
@@ -259,12 +243,11 @@ def solve_linear(flow: ReferenceFlow, grid: RadialGrid,
     w_bar = np.zeros(n_max + 1, dtype=complex)
     resonant = np.zeros(n_max + 1, dtype=bool)
 
-    _check_degenerate(flow)
-    phi0 = flow.phi0
+    phi0 = boundary.phi0
     F, r = sources.F, grid.r
     n = np.arange(1, n_max + 1)
     k = n.astype(float)
-    zp, zm = zeta_pair(phi0, flow.mu, n)
+    zp, zm = zeta_pair(phi0, boundary.mu, n)
     out, inn = integrate_out_in(grid, np.vstack([F[1:], F[0] / r]),
                                 np.append(zp, -(phi0 + 1.0)), F[1:], zm)
     inner = out[-1]
@@ -275,12 +258,12 @@ def solve_linear(flow: ReferenceFlow, grid: RadialGrid,
     g_part, dg_part = _gamma_response(grid, out[:-1], inn, k)
 
     gamma[0], dgamma[0], w[0], dw[0], w_bar[0] = _assemble_zero(
-        grid, phi0, complex(boundary.vtheta[0]), w0, -inner)
+        grid, phi0, complex(boundary.vtheta[0]), w0, 0.0 - inner)
 
     (gamma[1:], dgamma[1:], w[1:], dw[1:],
      gamma_bar[1:], w_bar[1:], resonant[1:]) = _assemble_nonzero(
         grid, n, zm, boundary, w_part, dw_part, g_part, dg_part)
 
-    return SpectralSolution(flow=flow, grid=grid, boundary=boundary,
-                            gamma=gamma, dgamma=dgamma, w=w, dw=dw,
-                            gamma_bar=gamma_bar, w_bar=w_bar, resonant=resonant)
+    return SpectralSolution(grid=grid, boundary=boundary, gamma=gamma,
+                            dgamma=dgamma, w=w, dw=dw, gamma_bar=gamma_bar,
+                            w_bar=w_bar, resonant=resonant)

@@ -16,8 +16,8 @@ For phi0 > 2 every mu near mu0 is admissible and sweeping mu against one
 physical trace exhibits the non-uniqueness branch.
 
 Every entry point takes the boundary spectrum and a ``SolverConfig``; the
-reference flow (phi0, mu) is the spectrum's own, and ``config.n_modes``
-must equal its ``n_max``.
+reference flow is the spectrum's own, checked when it was built, its regime
+is ``flows.circulation_is_free``, and ``config.n_modes`` is its ``n_max``.
 """
 
 from __future__ import annotations
@@ -26,9 +26,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .flows import ReferenceFlow, alpha_window
+from .flows import alpha_window, circulation_is_free
 from .grid import BoundarySpectrum, RadialGrid, build_grid
-from .linear import DegenerateFluxError, SpectralSolution, solve_linear
+from .linear import SpectralSolution, solve_linear
 from .nonlin import compute_sources
 
 __all__ = [
@@ -156,16 +156,15 @@ def _fixed_point(boundary: BoundarySpectrum, config: SolverConfig,
             if x is not None:
                 spec = spec.with_mu(spec.mu + g)
             mu_history.append(spec.mu)
-        flow = ReferenceFlow(spec.phi0, spec.mu)
         try:
-            y = solve_linear(flow, grid, spec,
+            y = solve_linear(spec.flow, grid, spec,
                              None if x is None else compute_sources(x))
         except ArithmeticError as exc:
             raise SolverConvergenceError(
                 f"quadrature failed in Picard iteration {iterations}: {exc}",
                 report(False), iteration=iterations) from exc
         if x is not None:
-            alpha, _ = alpha_window(flow.phi0, flow.mu)
+            alpha, _ = alpha_window(spec.phi0, spec.mu)
             increments.append(picard_norm(grid, y.gamma - x.gamma, alpha))
         x = y
         if shoot:
@@ -217,7 +216,7 @@ def shoot_mu(boundary: BoundarySpectrum, config: SolverConfig | None = None):
     tolerance.  The report holds one ``mu_history`` entry per step.
     """
     config = config or SolverConfig()
-    if boundary.phi0 > 2.0:
+    if circulation_is_free(boundary.phi0):
         raise ValueError("shooting applies to phi0 <= 2; use branch_sweep or "
                          "picard_solve directly for phi0 > 2")
     return _fixed_point(boundary, config, shoot=True)
@@ -235,14 +234,14 @@ def branch_sweep(boundary: BoundarySpectrum, mu_values,
                  config: SolverConfig | None = None):
     """Solve one physical trace against each circulation in mu_values.
 
-    Requires phi0 > 2 (elsewhere mu is determined, not free).  Failures are
-    recorded per member; the sweep continues.  Members come back in the
-    order of mu_values.  Input errors shared by every member propagate: a
-    flux in the degenerate band around 2 (``DegenerateFluxError``) and a
-    ``config.n_modes`` other than ``boundary.n_max`` (``ValueError``).
+    Requires a free circulation, phi0 > 2 (elsewhere mu is determined).
+    Failures are recorded per member, a mu the flow refuses included; the
+    sweep continues.  Members come back in the order of mu_values.  A
+    ``config.n_modes`` other than ``boundary.n_max`` raises ``ValueError``;
+    the flux was checked when the spectrum was built.
     """
     config = config or SolverConfig()
-    if boundary.phi0 <= 2.0:
+    if not circulation_is_free(boundary.phi0):
         raise ValueError("branch sweeps need phi0 > 2")
     _check_modes(boundary, config)
 
@@ -250,8 +249,6 @@ def branch_sweep(boundary: BoundarySpectrum, mu_values,
         try:
             sol, rep = picard_solve(boundary.with_mu(mu), config)
             return BranchMember(mu=float(mu), solution=sol, report=rep)
-        except DegenerateFluxError:
-            raise
         except (SolverConvergenceError, ValueError, ArithmeticError) as exc:
             rep = getattr(exc, "report", None)
             return BranchMember(mu=float(mu), solution=None, report=rep,

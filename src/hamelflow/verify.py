@@ -15,8 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 from .field import decay_fit, mode_ode_residuals, ns_residual
-from .flows import (ReferenceFlow, existence_condition,
-                    re_zeta_minus_closed_form, rho_decay, zeta_pair)
+from .flows import (existence_condition, re_zeta_minus_closed_form,
+                    rho_decay, zeta_pair)
 from .grid import BoundarySpectrum, build_grid
 from .linear import SourceSpectrum, solve_linear
 from .solve import (SolverConfig, SolverConvergenceError,
@@ -121,7 +121,7 @@ def _manufactured_errors(grid, phi0, mu, powers):
     listed n >= 1 (not gated), and the count of resonant modes."""
     boundary, sources, exact = manufactured_solution(grid, phi0, mu, 3,
                                                      powers)
-    sol = solve_linear(ReferenceFlow(phi0, mu), grid, boundary, sources)
+    sol = solve_linear(boundary.flow, grid, boundary, sources)
     err = {(key, n): float(np.abs(getattr(sol, key)[n] - v[n]).max()
                            / np.abs(v[n]).max())
            for key, v in exact.items() for n in powers}
@@ -153,14 +153,13 @@ def check_ode_residuals(quick: bool):
     grid = build_grid(1e4, 48 if quick else 64)
     n_max = 4
     phi0, mu = 2.5, 0.2
-    flow = ReferenceFlow(phi0, mu)
     boundary = BoundarySpectrum.from_modes(n_max, phi0, mu0=0.3, mu=mu,
                                            vr={1: 0.02, 2: 0.01j},
                                            vtheta={1: 0.01, 3: 0.004})
     n = np.arange(n_max + 1)[:, None]
     F = (0.01 + 0.001j * n) * grid.r ** (-5.5 - 0.2 * n)
     sources = SourceSpectrum(n_max, F)
-    sol = solve_linear(flow, grid, boundary, sources)
+    sol = solve_linear(boundary.flow, grid, boundary, sources)
     res_g, res_w = mode_ode_residuals(sol, sources)
     metric = max(res_g, res_w)
     return _check(metric < 1e-4, metric, 1e-4,

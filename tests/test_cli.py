@@ -11,10 +11,12 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import hamelflow.solve
 from hamelflow import BoundarySpectrum
 from hamelflow.cli import main
 from hamelflow.config import (ConfigError, build_boundary, load_config,
                               solver_config)
+from hamelflow.solve import SolverConvergenceError
 
 SOLVE_CFG = {
     "flow": {"phi0": 2.5, "mu0": 0.2, "mu": 0.2},
@@ -121,10 +123,12 @@ def test_scan_overflow_exits_2_in_one_line(tmp_path, runner):
     assert res.output.strip().endswith("(out kernel row 4, zeta=-61+0j)")
 
 
-# phi0 = mu = 0 (stokes): zeta_1^- = -1 and mode 1 has no decaying response
+# phi0 = mu = 0 (stokes): zeta_1^- = -1 and mode 1 has no decaying response.
+# The band is 2 < phi0 < 2 + 1e-6 only: just below 2 (shoot) the solve
+# never divides by phi0 - 2, and it shoots to the circulation of phi0 = 2.
 @pytest.mark.parametrize("base, flow, message", [
     (SOLVE_CFG, {"phi0": 2.0000001}, "degenerate band"),
-    (SHOOT_CFG, {"phi0": 1.9999999}, "degenerate band"),
+    (SHOOT_CFG, {"phi0": 1.9999999}, None),
     (SHOOT_CFG, {"phi0": 0.0, "mu0": 0.0}, "phi0=0 with mu=0")],
     ids=["solve", "shoot", "stokes"])
 def test_degenerate_flux_exits_1_in_one_line(tmp_path, runner, base, flow,
@@ -133,6 +137,16 @@ def test_degenerate_flux_exits_1_in_one_line(tmp_path, runner, base, flow,
     cfg["flow"].update(flow)
     res = runner.invoke(main, ["solve", "--config", write_cfg(tmp_path, cfg),
                                "--out", str(tmp_path / "o")])
+    if message is None:
+        assert res.exit_code == 0, res.output
+        cfg["flow"]["phi0"] = 2.0
+        at_two = runner.invoke(main, ["solve", "--out", str(tmp_path / "two"),
+                                      "--config", write_cfg(tmp_path, cfg)])
+        assert at_two.exit_code == 0, at_two.output
+        mu = [json.loads((tmp_path / d / "report.json").read_text())["mu"]
+              for d in ("o", "two")]
+        assert abs(mu[0] - mu[1]) < 1e-12
+        return
     assert res.exit_code == 1
     assert isinstance(res.exception, SystemExit)   # handled, no traceback
     assert "Traceback" not in res.output
@@ -392,6 +406,37 @@ def test_branch_sweep_members_and_extras(tmp_path, runner):
     assert all(abs(c[0] - ur0) < 1e-9 for c in checks)
 
 
+def test_branch_records_a_failed_member_and_exits_2(tmp_path, runner,
+                                                  monkeypatch):
+    # One member's solve fails: summary.json records it with its error, the
+    # converged members are written, and the command exits 2 in one line.
+    picard = hamelflow.solve.picard_solve
+
+    def fail_at_02(boundary, config=None):
+        if boundary.mu == 0.2:
+            raise SolverConvergenceError("no contraction (forced)")
+        return picard(boundary, config)
+
+    monkeypatch.setattr(hamelflow.solve, "picard_solve", fail_at_02)
+    payload = json.loads(json.dumps(SOLVE_CFG))
+    payload["branch"] = {"mu_values": [0.15, 0.2, 0.25]}
+    out = tmp_path / "sweep"
+    cfg = write_cfg(tmp_path, payload)
+    res = runner.invoke(main, ["branch", "--config", cfg, "--out", str(out)])
+    assert res.exit_code == 2
+    assert res.output == f"2/3 members converged; wrote {out}/summary.json\n"
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["failed"] == 1
+    failed = summary["members"][1]
+    assert failed == {"mu": 0.2, "converged": False,
+                      "error": "no contraction (forced)"}
+    assert [m["converged"] for m in summary["members"]] == [True, False, True]
+    assert sorted(p.name for p in out.iterdir()) == ["mu_00", "mu_02",
+                                                     "summary.json"]
+    for idx in (0, 2):
+        assert (out / f"mu_{idx:02d}" / "modes.json").exists()
+
+
 def test_branch_needs_mu_values_and_high_phi0(tmp_path, runner):
     cfg = write_cfg(tmp_path, SOLVE_CFG)
     res = runner.invoke(main, ["branch", "--config", cfg,
@@ -534,6 +579,28 @@ def test_sample_boundary_needs_enough_samples():
            "solver": {"n_modes": 8}}
     with pytest.raises(ConfigError, match="resolve"):
         build_boundary(cfg, solver_config(cfg))
+
+
+def test_spectrum_errors_are_config_errors():
+    # build_boundary turns a ValueError from building the spectrum, in
+    # either form, into ConfigError
+    theta = 2.0 * np.pi * np.arange(16) / 16
+    band = {"ur": list(-2.0000001 + 0.01 * np.cos(theta)),
+            "utheta": [0.2] * 16}
+    cases = [
+        ({"phi0": 2.0000001}, {"theta_samples": band}, "degenerate band"),
+        ({"phi0": 2.0000001, "mu0": 0.2}, {"modes": {"vr": [[0.01, 0.0]]}},
+         "degenerate band"),
+        ({"phi0": 1.0}, {"theta_samples": {"ur": [-1.0] * 16,
+                                           "utheta": [1.0] * 15}},
+         "ur and utheta need matching"),
+        ({"phi0": 1.0}, {"theta_samples": {"ur": [-1.0] * 8,
+                                           "utheta": [1.0] * 8}},
+         "8 samples cannot resolve n_max=4; need at least 10")]
+    for flow, boundary, message in cases:
+        cfg = {"flow": flow, "boundary": boundary, "solver": {"n_modes": 4}}
+        with pytest.raises(ConfigError, match=message):
+            build_boundary(cfg, solver_config(cfg))
 
 
 def test_mode_boundary_needs_mu0():

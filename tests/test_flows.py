@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hamelflow import (BoundarySpectrum, ReferenceFlow, alpha_window,
-                       build_grid, circulation_threshold, existence_condition,
-                       project_boundary, re_zeta_minus_closed_form, rho_decay,
-                       solve_linear, zeta_pair)
+from hamelflow import (BoundarySpectrum, DegenerateFluxError, ReferenceFlow,
+                       alpha_window, build_grid, circulation_threshold,
+                       existence_condition, linear, project_boundary,
+                       re_zeta_minus_closed_form, rho_decay, solve_linear,
+                       zeta_pair)
+from hamelflow.flows import circulation_is_free
 
 finite_phi0 = st.floats(min_value=0.0, max_value=6.0)
 finite_mu = st.floats(min_value=-50.0, max_value=50.0)
@@ -23,6 +25,19 @@ def test_flow_validation():
         ReferenceFlow(float("nan"), 0.0)
     flow = ReferenceFlow(2.5, -0.3)
     assert flow.phi0 == 2.5 and flow.mu == -0.3
+    # the degenerate band is the upper side of 2 only: below it the mean
+    # mode never divides by phi0 - 2
+    for phi0, mu in ((2.0 + 1e-7, 0.2), (2.0 + 9.9e-7, 0.0), (0.0, 0.0)):
+        with pytest.raises(DegenerateFluxError):
+            ReferenceFlow(phi0, mu)
+    with pytest.raises(ValueError, match="finite"):
+        ReferenceFlow(2.5, float("inf"))
+    for phi0, mu in ((2.0 - 1e-7, 0.2), (2.0, 0.2), (2.0 + 1e-6, 0.2),
+                     (0.0, 0.1), (0.3, 0.0)):
+        assert ReferenceFlow(phi0, mu).phi0 == phi0
+    assert [circulation_is_free(p) for p in (1.5, 2.0, 2.0 + 1e-6, 2.5)] == [
+        False, False, True, True]
+    assert linear.DegenerateFluxError is DegenerateFluxError
 
 
 def test_zeta_pair_solves_characteristic_quadratic():

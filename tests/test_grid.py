@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from hamelflow import (BoundarySpectrum, DivergentTailError, FluxMismatchError,
-                       RadialGrid, build_grid, grid as grid_module,
+from hamelflow import (BoundarySpectrum, DegenerateFluxError,
+                       DivergentTailError, FluxMismatchError, RadialGrid,
+                       ReferenceFlow, build_grid, grid as grid_module,
                        integrate_in_all, integrate_out_all, integrate_out_in,
                        project_boundary, synthesize_boundary, zeta_pair)
 from hamelflow.grid import _cubic_weights, _scan_forward
@@ -144,6 +145,12 @@ def test_tail_divergence_is_reported():
     g = build_grid(1e4, 32)
     with pytest.raises(DivergentTailError):
         integrate_out_all(g, g.r ** -0.5, 0.0)
+    # Any fitted p >= -1 diverges, the log-divergent r^-1 itself and a tail
+    # within 1e-6 of it included: none is clamped to a convergent floor.
+    g64 = build_grid(1e4, 64)
+    for p in (-2.0, -1.9999995):
+        with pytest.raises(DivergentTailError, match="r\\^-1 at"):
+            integrate_out_all(g64, g64.r ** p, 0.0)
     # A shallow but convergent tail is clamped to the configured floor
     # (conservative truncation) instead of trusting the noisy fit.
     out = integrate_out_all(g, g.r ** -2.05, 0.0)
@@ -532,3 +539,22 @@ def test_spectrum_owns_its_rows():
     for modes in ({0: 0.1}, {3: 0.01}):
         with pytest.raises(ValueError, match="outside 1..2"):
             BoundarySpectrum.from_modes(2, 2.5, 0.3, 0.2, vtheta=modes)
+
+
+def test_spectrum_carries_its_checked_flow():
+    spec = BoundarySpectrum.from_modes(2, 2.5, 0.3, 0.2, vr={1: 0.01})
+    assert spec.flow == ReferenceFlow(2.5, 0.2)
+    assert spec.with_mu(0.25).flow == ReferenceFlow(2.5, 0.25)
+    for args in ((1, 2.0000001, 0.3, 0.2), (1, 0.0, 0.0, 0.0)):
+        with pytest.raises(DegenerateFluxError):
+            BoundarySpectrum.from_modes(*args)
+    # with_mu checks again
+    with pytest.raises(DegenerateFluxError, match="phi0=0 with mu=0"):
+        BoundarySpectrum.from_modes(1, 0.0, 0.0, 0.5).with_mu(0.0)
+    # an inferred flux is checked by the same rule
+    theta = np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)
+    with pytest.raises(ValueError, match="nonnegative"):
+        project_boundary(0.5 + 0.01 * np.cos(theta), np.zeros(8), 2, mu=0.0)
+    with pytest.raises(ValueError, match="8 samples cannot resolve n_max=4; "
+                                         "need at least 10"):
+        project_boundary(-2.5 + 0 * theta, 0 * theta, 4, mu=0.0)

@@ -226,19 +226,33 @@ def test_conjugate_boundary_gives_conjugate_solution(grid):
 
 
 def test_degenerate_flux_band(grid):
-    boundary = BoundarySpectrum.from_modes(1, 2.0 + 1e-7, mu0=0.3, mu=0.2)
-    with pytest.raises(DegenerateFluxError):
-        solve_linear(ReferenceFlow(2.0 + 1e-7, 0.2), grid, boundary)
+    # the spectrum checks its flow when it is built: no solve is reached
+    with pytest.raises(DegenerateFluxError, match="degenerate band"):
+        BoundarySpectrum.from_modes(1, 2.0 + 1e-7, mu0=0.3, mu=0.2)
     # phi0 = mu = 0 would divide by (zeta_1^- + 2)^2 - 1 = 0
     with pytest.raises(DegenerateFluxError, match="phi0=0 with mu=0"):
-        solve_linear(ReferenceFlow(0.0, 0.0), grid,
-                     BoundarySpectrum.from_modes(1, 0.0, mu0=0.0, mu=0.0,
-                                                 vr={1: 0.01}))
+        BoundarySpectrum.from_modes(1, 0.0, mu0=0.0, mu=0.0, vr={1: 0.01})
     # exactly 2 is fine: the mean vorticity response is dropped and the
-    # stream correction comes from the direct integral form
-    boundary2 = BoundarySpectrum.from_modes(1, 2.0, mu0=0.2, mu=0.2)
-    sol = solve_linear(ReferenceFlow(2.0, 0.2), grid, boundary2)
-    assert np.all(np.isfinite(sol.gamma))
+    # stream correction comes from the direct integral form; so is just
+    # below 2, where the solve never divides by phi0 - 2
+    for phi0 in (2.0, 2.0 - 1e-7):
+        boundary = BoundarySpectrum.from_modes(1, phi0, mu0=0.2, mu=0.2)
+        sol = solve_linear(ReferenceFlow(phi0, 0.2), grid, boundary)
+        assert np.all(np.isfinite(sol.gamma))
+        assert sol.flow is boundary.flow
+
+
+def test_sourceless_mean_mode_is_positive_zero(grid):
+    # An absent mean mode (no source, no circulation deficit) comes back
+    # +0, not -0, in both regimes, like every other sourceless mode.
+    for phi0, mu in ((3.0, 1.0), (3.2, 0.0), (1.5, 0.7)):
+        boundary, sources, _ = manufactured_solution(
+            grid, phi0, mu, 3, {1: 2.5, 2: 3.0, 3: 4.0})
+        sol = solve_linear(boundary.flow, grid, boundary, sources)
+        mean = np.concatenate([sol.gamma[0], sol.dgamma[0], sol.w[0],
+                               sol.dw[0], sol.w_bar[:1], sol.gamma_bar[:1]])
+        assert not np.any(mean)
+        assert not np.any(np.signbit(mean.real) | np.signbit(mean.imag))
 
 
 def test_solver_checks_parameter_consistency(grid):

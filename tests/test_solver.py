@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 import hamelflow.cli
 import hamelflow.solve
 from hamelflow import (BoundarySpectrum, DivergentTailError, SolverConfig,
-                       SolverConvergenceError, branch_sweep,
+                       SolverConvergenceError, SourceSpectrum, branch_sweep,
                        circulation_threshold, fixed_point_residual,
                        picard_norm, picard_solve, shoot_mu,
                        solve_linear, synthesize_boundary, zeta_pair)
@@ -93,6 +93,26 @@ def test_scan_overflow_is_a_typed_convergence_error():
     assert exc.iteration == 1
     assert str(exc).startswith("quadrature failed in Picard iteration 1: ")
     assert str(exc).endswith("(out kernel row 4, zeta=-61+0j)")
+
+
+def test_non_finite_iterate_raises_with_report(monkeypatch):
+    # NaN sources make a NaN iterate: a typed failure with its report, not
+    # a NaN solution.  (The quadrature's complex division of the NaN rows
+    # warns; that warning is not what this test is about.)
+    def nan_sources(solution):
+        F = np.full((solution.n_max + 1, solution.grid.n_nodes), np.nan,
+                    dtype=complex)
+        return SourceSpectrum(n_max=solution.n_max, F=F)
+
+    monkeypatch.setattr(hamelflow.solve, "compute_sources", nan_sources)
+    with pytest.raises(SolverConvergenceError,
+                       match="Picard iterate lost finiteness") as err, \
+            np.errstate(invalid="ignore"):
+        picard_solve(bdry(8, 2.5, 0.2, 0.2, 0.01), CFG)
+    report = err.value.report
+    assert report is not None and not report.converged
+    assert report.iterations == 1
+    assert len(report.increments) == 1 and np.isnan(report.increments[0])
 
 
 def test_divergence_raises_with_report():
