@@ -260,7 +260,9 @@ def _tail_value(grid: RadialGrid, base5, step, scale):
     if a row that is not negligible diverges.
     """
     # Log ratios as log|ratio| + i arg(ratio), in real arithmetic: complex
-    # np.log costs several times as much on these small arrays.
+    # np.log costs several times as much on these small arrays.  A row
+    # with a non-finite sample fits and extrapolates to NaN without a
+    # warning, for the caller's finiteness check to report.
     with np.errstate(all="ignore"):
         ratio = base5[:, 1:] * step / base5[:, :-1]
         log_mod = np.log(np.abs(ratio))
@@ -271,22 +273,23 @@ def _tail_value(grid: RadialGrid, base5, step, scale):
         p.real = log_mod.sum(axis=1)
         p.imag = np.where(usable, phase.sum(axis=1), 0.0)
         p /= 4.0 * grid.h
-    g_end = base5[:, -1]
-    reach = np.fmax(1.0, np.abs(step[:, 0]) ** (grid.n_nodes - 1))
-    negligible = np.abs(g_end) * reach <= np.fmax(_NEGLIGIBLE_TAIL,
-                                                  1e-17 * scale)
-    fit = ~negligible & np.all(base5, axis=1)    # no zero sample
-    diverging = fit & (p.real >= -1.0)
-    if np.any(diverging):
-        i = np.flatnonzero(diverging)[np.argmax(p.real[diverging])]
-        worst = float(p.real[i])
-        raise DivergentTailError(
-            f"integrand tail fitted as r^{worst:.3g} at "
-            f"r_max={grid.r_max:g}; the weighted integral does not "
-            "converge", exponent=worst, row=int(i))
-    p = np.where(~fit | (p.real > _TAIL_EXPONENT_FLOOR),
-                 _TAIL_EXPONENT_FLOOR, p)
-    return np.where(negligible, 0.0 + 0.0j, g_end * grid.r_max / (-(p + 1.0)))
+        g_end = base5[:, -1]
+        reach = np.fmax(1.0, np.abs(step[:, 0]) ** (grid.n_nodes - 1))
+        negligible = np.abs(g_end) * reach <= np.fmax(_NEGLIGIBLE_TAIL,
+                                                      1e-17 * scale)
+        fit = ~negligible & np.all(base5, axis=1)    # no zero sample
+        diverging = fit & (p.real >= -1.0)
+        if np.any(diverging):
+            i = np.flatnonzero(diverging)[np.argmax(p.real[diverging])]
+            worst = float(p.real[i])
+            raise DivergentTailError(
+                f"integrand tail fitted as r^{worst:.3g} at "
+                f"r_max={grid.r_max:g}; the weighted integral does not "
+                "converge", exponent=worst, row=int(i))
+        p = np.where(~fit | (p.real > _TAIL_EXPONENT_FLOOR),
+                     _TAIL_EXPONENT_FLOOR, p)
+        return np.where(negligible, 0.0 + 0.0j,
+                        g_end * grid.r_max / (-(p + 1.0)))
 
 
 def _scan_forward(local, factor):

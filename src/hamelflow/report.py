@@ -18,6 +18,15 @@ and the mode profiles for both mode files (``ModeTable``).  One vectorized
 kernel formats these cells (``format_rows``) into NUL-padded byte
 matrices, and the writers lay lines out from them; a cell the kernel
 cannot decide goes through ``fmt_float``, which also writes the scalars.
+
+Every artifact is written into a new file (``_create``): a regular file
+at the path, or a symlink to one or to nothing, is unlinked first, so a
+link there is replaced, not written through, and the old file is never
+truncated, which on some file systems (ext4's ``auto_da_alloc``) flushes
+its blocks to disk before the open returns.  Unlinking needs write
+permission on the directory, not on the file.  A device or pipe at the
+path, or a symlink to one (/dev/stdout), is written to as it is.  Writes
+are not atomic: an interrupted run can leave a partial file.
 """
 
 from __future__ import annotations
@@ -27,6 +36,7 @@ import functools
 import json
 import math
 import numbers
+import os
 
 import numpy as np
 
@@ -349,10 +359,24 @@ def dumps(obj) -> str:
     return _encode(obj, 0) + "\n"
 
 
+def _create(path, mode, **kwargs):
+    """``open(path, mode)`` on a new file: a regular file at ``path``, or a
+    symlink to one or to nothing, is unlinked first.  Anything else there
+    is opened as ``open`` opens it: a device or pipe is written to, not
+    removed."""
+    if os.path.isfile(path) or not os.path.exists(path):
+        try:
+            os.unlink(path)
+        except FileNotFoundError:
+            pass
+    return open(path, mode, **kwargs)
+
+
 def write_json(path, obj):
     """dumps(obj) to ``path``, written piece by piece as it is made: a
-    modes.json holds one mode's text at a time."""
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
+    modes.json holds one mode's text at a time.  A file already at
+    ``path`` is replaced by a new one (``_create``)."""
+    with _create(path, "w", encoding="ascii", newline="\n") as fh:
         fh.writelines(_pieces(obj, 0))
         fh.write("\n")
 
@@ -444,8 +468,9 @@ def report_payload(report, extras=None) -> dict:
 
 
 def write_modes_csv(path, table):
-    """modes.csv from a ``ModeTable``, one mode at a time."""
-    with open(path, "wb") as fh:
+    """modes.csv from a ``ModeTable``, one mode at a time.  A file already
+    at ``path`` is replaced by a new one (``_create``)."""
+    with _create(path, "wb") as fh:
         fh.write(_MODES_HEADER)
         for i in range(len(table.n)):
             fh.write(table.csv_text(i))
@@ -456,13 +481,14 @@ def write_field_csv(path, field, table):
 
     The radii come formatted from ``table`` (the solution's ``ModeTable``),
     and the angles are formatted once here; u_r, u_theta and w are
-    formatted per block of rows.
+    formatted per block of rows.  A file already at ``path`` is replaced
+    by a new one (``_create``).
     """
     r = table._r
     theta = _column(field.theta)
     values = np.stack([field.ur, field.utheta, field.w], axis=-1)
     values = values.reshape(-1, 3)
-    with open(path, "wb") as fh:
+    with _create(path, "wb") as fh:
         fh.write(b"r,theta,u_r,u_theta,w\n")
         for i in range(0, len(values), _BLOCK_ROWS):
             cells = format_rows(values[i:i + _BLOCK_ROWS], None)

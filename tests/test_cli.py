@@ -69,6 +69,38 @@ def test_solve_is_deterministic(tmp_path, runner, base):
     assert report["phi0"] == base["flow"]["phi0"]
 
 
+def test_solve_replaces_existing_outputs(tmp_path, runner):
+    # A re-run into the same --out writes new files: a hard link to an old
+    # artifact and a symlink at an artifact's path, dangling or not, are
+    # replaced, not written through.  The first run differs (another mu),
+    # so writing through would change the linked bytes.
+    cfg = write_cfg(tmp_path, {**SOLVE_CFG, "output": {"write_field": True}})
+    out, fresh = tmp_path / "out", tmp_path / "fresh"
+    solve = ["solve", "--config", cfg, "--out"]
+    res = runner.invoke(main, solve + [str(out), "--mu", "0.25",
+                                       "--mu0", "0.25"])
+    assert res.exit_code == 0, res.output
+    old_modes = read_bytes(out / "modes.csv")
+    link = tmp_path / "modes_link.csv"
+    os.link(out / "modes.csv", link)
+    sentinel = tmp_path / "sentinel"
+    sentinel.write_bytes(b"sentinel\n")
+    (out / "field.csv").unlink()
+    (out / "field.csv").symlink_to(sentinel)
+    (out / "report.json").unlink()
+    (out / "report.json").symlink_to(tmp_path / "missing")
+    for target in (out, fresh):
+        res = runner.invoke(main, solve + [str(target)])
+        assert res.exit_code == 0, res.output
+    for name in ("report.json", "modes.json", "modes.csv", "field.csv"):
+        assert read_bytes(out / name) == read_bytes(fresh / name), name
+    assert not (out / "field.csv").is_symlink()
+    assert not (out / "report.json").is_symlink()
+    assert not (tmp_path / "missing").exists()
+    assert read_bytes(link) == old_modes != read_bytes(out / "modes.csv")
+    assert read_bytes(sentinel) == b"sentinel\n"
+
+
 def test_solve_overrides_change_the_run(tmp_path, runner):
     cfg = write_cfg(tmp_path, SOLVE_CFG)
     out = tmp_path / "o"

@@ -4,6 +4,7 @@ every artifact against a value-by-value reference encoder."""
 import json
 import math
 import os
+import stat
 
 import numpy as np
 import pytest
@@ -357,6 +358,20 @@ def test_modes_json_is_written_one_mode_at_a_time(tmp_path, monkeypatch):
     assert in_order == [True] * len(solution.gamma)
     assert "".join(pieces) + "\n" == text
     assert max(map(len, pieces)) < len(text) / len(solution.gamma)
+
+
+def test_writer_writes_into_a_pipe_at_its_path(tmp_path):
+    # Only a regular file (or a link to one) is replaced: a pipe or device
+    # at an output path, such as /dev/stdout, is written to, not removed.
+    path = tmp_path / "pipe"
+    os.mkfifo(path)
+    reader = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        hamelflow.report.write_json(str(path), {"a": 1})
+        assert os.read(reader, 1 << 16) == dumps({"a": 1}).encode("ascii")
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(os.lstat(path).st_mode)
 
 
 def test_export_reproduces_the_mode_files(tmp_path):

@@ -97,8 +97,7 @@ def test_scan_overflow_is_a_typed_convergence_error():
 
 def test_non_finite_iterate_raises_with_report(monkeypatch):
     # NaN sources make a NaN iterate: a typed failure with its report, not
-    # a NaN solution.  (The quadrature's complex division of the NaN rows
-    # warns; that warning is not what this test is about.)
+    # a NaN solution, and no warning from the quadrature on the way.
     def nan_sources(solution):
         F = np.full((solution.n_max + 1, solution.grid.n_nodes), np.nan,
                     dtype=complex)
@@ -106,8 +105,7 @@ def test_non_finite_iterate_raises_with_report(monkeypatch):
 
     monkeypatch.setattr(hamelflow.solve, "compute_sources", nan_sources)
     with pytest.raises(SolverConvergenceError,
-                       match="Picard iterate lost finiteness") as err, \
-            np.errstate(invalid="ignore"):
+                       match="Picard iterate lost finiteness") as err:
         picard_solve(bdry(8, 2.5, 0.2, 0.2, 0.01), CFG)
     report = err.value.report
     assert report is not None and not report.converged
