@@ -15,9 +15,14 @@ residual of a fixed-mu solve.
 Each value of a solve's modes.json, modes.csv and field.csv is formatted
 once: the radii for all three files, the angles for all rows of field.csv,
 and the mode profiles for both mode files (``ModeTable``).  One vectorized
-kernel formats these cells (``format_rows``) into NUL-padded byte
-matrices, and the writers lay lines out from them; a cell the kernel
-cannot decide goes through ``fmt_float``, which also writes the scalars.
+kernel (``format_rows``) formats these cells into NUL-padded byte rows:
+``_decimal`` finds each value's 17 digits and decade, and ``_layout``
+spells them out, gathering each layout's run of rows from a table of
+digit quads; a cell the kernel cannot decide goes through ``fmt_float``,
+which also writes the scalars.  Lines are laid out from the rows by
+``_text``, one byte buffer per block with NUL padding dropped: the CSV
+lines, and modes.json's radii and [re, im] profile lists (``_Cells``),
+which the encoder places as it would place the numbers themselves.
 
 Every artifact is written into a new file (``_create``): a regular file
 at the path, or a symlink to one or to nothing, is unlinked first, so a
@@ -70,7 +75,8 @@ def format_rows(a, sep):
         return cells
     sep = sep.encode("ascii")
     pieces = [p for j in range(a.shape[1]) for p in (sep, cells[:, j])]
-    return _lines(len(a), pieces[1:] + [b"\n"])
+    text = _text(len(a), pieces[1:] + [b"\n"]).decode("ascii")
+    return text.split("\n")[:-1]
 
 
 def _column(x):
@@ -82,18 +88,17 @@ def _text(rows, pieces) -> bytes:
     """``rows`` lines made of the pieces side by side, NUL padding dropped.
 
     Each piece is a (rows, width) uint8 array, or bytes that every line
-    carries.
+    carries; each is copied once into its columns of one line buffer.
     """
-    buf = np.concatenate(
-        [p if isinstance(p, np.ndarray) else
-         np.broadcast_to(np.frombuffer(p, np.uint8), (rows, len(p)))
-         for p in pieces], axis=1)
+    pieces = [p if isinstance(p, np.ndarray) else np.frombuffer(p, np.uint8)
+              for p in pieces]
+    buf = np.empty((rows, sum(p.shape[-1] for p in pieces)), np.uint8)
+    start = 0
+    for p in pieces:
+        stop = start + p.shape[-1]
+        buf[:, start:stop] = p
+        start = stop
     return buf[buf != 0].tobytes()
-
-
-def _lines(rows, pieces) -> list:
-    """The '\\n'-terminated items of ``_text(rows, pieces)`` as strings."""
-    return _text(rows, pieces).decode("ascii").split("\n")[:-1]
 
 
 # ---------------------------------------------------------------------------
@@ -205,17 +210,30 @@ def _scaled(f, e, E):
 
 def _format_cells(x):
     """fmt_float of each value of a 1-D float array, as the rows of a
-    (len(x), _CELL) uint8 array padded with NUL."""
-    out = np.zeros((len(x), _CELL), np.uint8)
+    (len(x), _CELL) uint8 array padded with NUL.
+
+    The regular cells (finite, nonzero) are laid out by ``_layout`` in the
+    order of their layouts and gathered back into place; when a block
+    holds nan, inf or zero cells, those are written first and the regular
+    rows scattered among them.
+    """
     finite = np.isfinite(x)
-    out[~finite, :4] = np.frombuffer(b"null", np.uint8)
-    out[finite & np.signbit(x), 0] = ord("-")
     v = np.abs(x)
-    out[v == 0, 1:4] = np.frombuffer(b"0.0", np.uint8)
     regular = np.flatnonzero(finite & (v != 0))
-    N, E, undecided = _decimal(v[regular])
+    N, E, undecided = _decimal(v.take(regular))
     body, order = _layout(N, E)
-    out[regular[order], 1:] = body
+    if len(regular) == len(x):
+        out = np.empty((len(x), _CELL), np.uint8)
+        inverse = np.empty_like(order)
+        inverse[order] = np.arange(len(order))
+        out[:, 1:] = body.take(inverse, axis=0)
+        out[:, 0] = np.where(np.signbit(x), ord("-"), 0)
+    else:
+        out = np.zeros((len(x), _CELL), np.uint8)
+        out[~finite, :4] = np.frombuffer(b"null", np.uint8)
+        out[finite & np.signbit(x), 0] = ord("-")
+        out[v == 0, 1:4] = np.frombuffer(b"0.0", np.uint8)
+        out[regular[order], 1:] = body
     for i in regular[undecided]:
         text = fmt_float(x[i]).encode("ascii")
         out[i] = 0
@@ -245,40 +263,74 @@ def _decimal(v):
 
 def _layout(N, E):
     """The bytes after the sign of each cell with digits N in decade E, in
-    the order of the returned indices (each layout a run of rows)."""
+    the order of the returned indices (each layout a run of rows).
+
+    Each cell's source row (``_SRC`` bytes) holds its digits as five
+    quads, once as written and once with trailing zeros NUL, the '.',
+    '0' and NUL bytes, and its exponent suffix; each layout gathers its
+    run of rows from these columns.
+    """
     tab = _tables()
     key = np.where((E >= -4) & (E <= 16), E + 4, 21).astype(np.uint8)
     order = np.argsort(key, kind="stable")
-    N, E = N[order], E[order]
+    N, E = N.take(order), E.take(order)
     top, low = np.divmod(N, 10 ** 8)
+    # The rest of the split runs in floating point, exactly: top < 1e9 and
+    # low < 1e8 are exact doubles, and for an integer x < 1e9, floor(x /
+    # 1e8) and floor(x / 1e4) are exact, since a nonzero remainder puts
+    # the quotient at least 1e-8 from an integer, far beyond the rounding
+    # error of the division; the products and differences are integers
+    # below 2**53.
+    top, low = top.astype(float), low.astype(float)
+    lead = np.floor(top / 1e8)
+    high = top - lead * 1e8
     chunk = np.empty((len(N), 5), np.intp)    # 1 + 4 * 4 digits
-    chunk[:, 0], high = np.divmod(top, 10 ** 8)
-    chunk[:, 1], chunk[:, 2] = np.divmod(high, 10 ** 4)
-    chunk[:, 3], chunk[:, 4] = np.divmod(low, 10 ** 4)
-    src = np.zeros((len(N), _SRC), np.uint8)
+    chunk[:, 0] = lead
+    chunk[:, 1] = q = np.floor(high / 1e4)
+    chunk[:, 2] = high_rest = high - q * 1e4
+    chunk[:, 3] = q = np.floor(low / 1e4)
+    chunk[:, 4] = low_rest = low - q * 1e4
+    src = np.empty((len(N), _SRC), np.uint8)  # bytes 44-47 are never read
     words = src.view(np.uint32)
-    words[:, :5] = tab.quads[chunk]
-    src[:, _DOTX] = np.where(chunk[:, 1:].any(axis=1), ord("."), 0)
-    last = np.ones(len(N), bool)              # no nonzero chunk after j
-    for j in range(4, -1, -1):
-        zero = chunk[:, j] == 0
-        chunk[:, j] += 10000 * last           # its quad, trailing zeros NUL
-        last &= zero
-    words[:, 5:10] = tab.quads[chunk]
-    src[:, _DOT], src[:, _ZERO] = ord("."), ord("0")
-    src.view(np.uint64)[:, _SUF // 8] = tab.suffix[E - _EMIN]
+    words[:, :5] = tab.quads.take(chunk)
+    fraction = (high != 0) | (low != 0)       # a digit after the first
+    src[:, _DOTX] = np.where(fraction, ord("."), 0)
+    # Each quad again, with trailing zeros NUL where no nonzero quad
+    # follows it.
+    low_zero = low == 0
+    chunk[:, 0] += 10000 * ~fraction
+    chunk[:, 1] += 10000 * (low_zero & (high_rest == 0))
+    chunk[:, 2] += 10000 * low_zero
+    chunk[:, 3] += 10000 * (low_rest == 0)
+    chunk[:, 4] += 10000
+    words[:, 5:10] = tab.quads.take(chunk)
+    src[:, _DOT], src[:, _ZERO], src[:, _NUL] = ord("."), ord("0"), 0
+    src.view(np.uint64)[:, _SUF // 8] = tab.suffix.take(E - _EMIN)
     out = np.empty((len(N), _CELL - 1), np.uint8)
     start = 0
     for k, stop in enumerate(np.cumsum(np.bincount(key, minlength=22))):
         if stop > start:
-            out[start:stop] = src[start:stop, tab.layout[k]]
+            src[start:stop].take(tab.layout[k], axis=1,
+                                 out=out[start:stop])
         start = stop
     return out, order
 
 
-class _Encoded(list):
-    """The JSON text of each item of a list of numbers, formatted ahead;
-    laid out as the numbers themselves would be."""
+class _Cells:
+    """A list of numbers formatted ahead: ``rows`` items, each the row's
+    pieces side by side (``_text``).  The encoder lays it out as it would
+    lay out the numbers themselves."""
+
+    def __init__(self, rows, pieces):
+        self.rows, self.pieces = rows, pieces
+
+    def __len__(self):
+        return self.rows
+
+    def text(self, opening, sep, closing):
+        """The items between ``opening`` and ``closing``, ``sep`` apart."""
+        body = _text(self.rows, self.pieces + [sep.encode("ascii")])
+        return f"{opening}{body.decode('ascii')[:-len(sep)]}{closing}"
 
 
 class _Deferred:
@@ -307,25 +359,25 @@ def _encode(obj, indent):
         return json.dumps(obj)
     if isinstance(obj, (dict, _Deferred)):
         return "".join(_pieces(obj, indent))
-    if not isinstance(obj, (list, tuple, np.ndarray)):
+    if not isinstance(obj, (list, tuple, np.ndarray, _Cells)):
         raise TypeError(f"cannot serialize {type(obj)!r}")
     # Up to 8 numbers share one line, anything else takes one line per
-    # item; pre-encoded lists arrive formatted.
-    if isinstance(obj, _Encoded):
-        items = obj
-        if len(items) <= 8:
-            return "[" + ", ".join(items) + "]"
+    # item; preformatted lists hold numbers.
+    if len(obj) <= 8 and (isinstance(obj, _Cells) or all(
+            isinstance(v, numbers.Number) for v in obj)):
+        opening, sep, closing = "[", ", ", "]"
     else:
-        items = [_encode(v, indent + 2) for v in obj]
-        if len(items) <= 8 and all(isinstance(v, numbers.Number) for v in obj):
-            return "[" + ", ".join(items) + "]"
-    return _block("[]", items, indent)
+        opening, sep, closing = _lined("[]", indent)
+    if isinstance(obj, _Cells):
+        return obj.text(opening, sep, closing)
+    body = sep.join([_encode(v, indent + 2) for v in obj])
+    return f"{opening}{body}{closing}"
 
 
 def _pieces(obj, indent):
     """``_encode(obj, indent)`` in pieces: the items of a dict or of a
     ``_Deferred`` one by one, each made as the text reaches it, and
-    anything else whole.  Laid out as ``_block`` lays out its items."""
+    anything else whole."""
     if isinstance(obj, dict):
         items = ((json.dumps(str(k)) + ": ", obj[k]) for k in sorted(obj))
         brackets = "{}"
@@ -335,24 +387,20 @@ def _pieces(obj, indent):
     else:
         yield _encode(obj, indent)
         return
-    pad = " " * indent
+    opening, sep, closing = _lined(brackets, indent)
     first = True
     for key, value in items:
-        yield (f"{brackets[0]}\n  {pad}" if first else f",\n  {pad}") + key
+        yield (opening if first else sep) + key
         yield from _pieces(value, indent + 2)
         first = False
-    yield brackets if first else f"\n{pad}{brackets[1]}"
+    yield brackets if first else closing
 
 
-def _block(brackets, items, indent):
-    """Items one per line, two spaces deeper than the closing bracket."""
-    if not items:
-        return brackets
+def _lined(brackets, indent):
+    """The opening, separator and closing of items one per line, two
+    spaces deeper than the closing bracket."""
     pad = " " * indent
-    body = (",\n  " + pad).join(items)
-    # one f-string: the body, megabytes for modes.json, is copied once, not
-    # once per concatenation
-    return f"{brackets[0]}\n  {pad}{body}\n{pad}{brackets[1]}"
+    return f"{brackets[0]}\n  {pad}", f",\n  {pad}", f"\n{pad}{brackets[1]}"
 
 
 def dumps(obj) -> str:
@@ -397,7 +445,7 @@ class ModeTable:
     def __init__(self, n, r, gamma, dgamma, w, dw):
         self.n = np.asarray(n).tolist()
         self._r = _column(r)
-        self.r = _Encoded(_lines(len(self._r), [self._r, b"\n"]))
+        self.r = _Cells(len(self._r), [self._r])
         self._profiles = (gamma, dgamma, w, dw)
         shape = (len(self.n), len(self.r))
         if any(np.shape(z) != shape for z in self._profiles):
@@ -423,14 +471,11 @@ class ModeTable:
         return _text(len(cells), pieces + [b"\n"])
 
     def json_profiles(self, i) -> dict:
-        """Mode i's profiles as pre-encoded [re, im] lists, by name."""
+        """Mode i's profiles as preformatted [re, im] lists, by name."""
         cells = self._cells(i)
         self._csv[i] = self._csv_text(i, cells)
-        pieces = []
-        for k in range(0, 8, 2):
-            pieces += [b"[", cells[:, k], b", ", cells[:, k + 1], b"]\n"]
-        items = _lines(len(cells), pieces)   # node by node, 4 per node
-        return {name: _Encoded(items[k::4])
+        return {name: _Cells(len(cells), [b"[", cells[:, 2 * k], b", ",
+                                          cells[:, 2 * k + 1], b"]"])
                 for k, name in enumerate(_PROFILES)}
 
     def csv_text(self, i) -> bytes:
@@ -494,5 +539,5 @@ def write_field_csv(path, field, table):
             cells = format_rows(values[i:i + _BLOCK_ROWS], None)
             node, angle = np.divmod(np.arange(i, i + len(cells)), len(theta))
             fh.write(_text(len(cells), [
-                r[node], b",", theta[angle], b",", cells[:, 0], b",",
-                cells[:, 1], b",", cells[:, 2], b"\n"]))
+                r.take(node, axis=0), b",", theta.take(angle, axis=0), b",",
+                cells[:, 0], b",", cells[:, 1], b",", cells[:, 2], b"\n"]))

@@ -12,6 +12,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 import hamelflow.cli
+import hamelflow.field
 import hamelflow.report
 from hamelflow.report import dumps, fmt_float, format_rows
 
@@ -334,6 +335,29 @@ def test_artifacts_match_reference_encoder(tmp_path, monkeypatch, solver,
     assert sorted(expected) == ARTIFACTS
     for name, text in expected.items():
         assert (out / name).read_bytes() == text.encode("ascii"), name
+
+
+def test_field_writer_with_special_cells(tmp_path, monkeypatch, rng):
+    # Blocks of 7 rows over 6 radii and 5 angles: blocks 0 and 3 hold nan,
+    # inf and signed zeros, blocks 1, 2 and the partial block 4 only
+    # finite nonzero values (integer-valued, subnormal and ordinary).
+    monkeypatch.setattr(hamelflow.report, "_BLOCK_ROWS", 7)
+    r = np.array([1.0, 1.25, 2.0, 10.0, 123.456789, 1e4])
+    theta = np.array([0.0, 0.5, 1.0, 2.5e-7, math.pi])
+    scales = 10.0 ** rng.integers(-8, 8, (3, 30))
+    values = rng.standard_normal((3, 30)) * scales
+    values[:, 7:21:3] = [[3.0], [-1e15], [2.0 ** 53]]
+    values[:, 8:28:4] = [[5e-324], [-2.2e-310], [1e-305]]
+    values[:, 0:7:2] = [[math.nan, math.inf, -math.inf, 0.0]] * 3
+    values[:, 21:28:3] = [[-0.0, 0.0, math.nan]] * 3
+    regular = (np.isfinite(values) & (values != 0)).all(axis=0)
+    assert [regular[i:i + 7].all() for i in range(0, 30, 7)] == [
+        False, True, True, False, True]
+    field = hamelflow.field.PhysicalField(r, theta, *values.reshape(3, 6, 5))
+    table = hamelflow.report.ModeTable(range(1), r, *np.zeros((4, 1, 6)))
+    path = tmp_path / "field.csv"
+    hamelflow.report.write_field_csv(str(path), field, table)
+    assert path.read_bytes() == ref_field_csv(field).encode("ascii")
 
 
 def test_modes_json_is_written_one_mode_at_a_time(tmp_path, monkeypatch):
