@@ -231,10 +231,8 @@ def _errors(schema, value, path):
 def solver_config(cfg: dict, quick: bool = False) -> SolverConfig:
     kwargs = dict(cfg.get("solver", {}))
     if quick:
-        kwargs.setdefault("n_modes", 8)
-        kwargs["n_modes"] = min(kwargs["n_modes"], 8)
-        kwargs.setdefault("nodes_per_decade", 64)
-        kwargs["nodes_per_decade"] = min(kwargs["nodes_per_decade"], 48)
+        for key, cap in (("n_modes", 8), ("nodes_per_decade", 48)):
+            kwargs[key] = min(kwargs.get(key, cap), cap)
     try:
         return SolverConfig(**kwargs)
     except (TypeError, ValueError) as exc:

@@ -145,7 +145,7 @@ def ns_residual(solution: SpectralSolution) -> float:
     return _vorticity_residual(solution, compute_sources(solution).F)
 
 
-def reconstruct(solution: SpectralSolution, n_theta: int | None = None) -> PhysicalField:
+def reconstruct(solution: SpectralSolution, n_theta: int) -> PhysicalField:
     """Sample (u_r, u_theta, w) on the polar grid nodes x equispaced angles.
 
     Modes 1..n_max enter each field as one real matrix product: the real
@@ -158,8 +158,6 @@ def reconstruct(solution: SpectralSolution, n_theta: int | None = None) -> Physi
     to wait for a core.
     """
     n_max = solution.n_max
-    if n_theta is None:
-        n_theta = max(64, 4 * n_max)
     theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
     r = solution.grid.r[:, None]
     flow = solution.flow

@@ -14,15 +14,18 @@ residual of a fixed-mu solve.
 
 Each value of a solve's modes.json, modes.csv and field.csv is formatted
 once: the radii for all three files, the angles for all rows of field.csv,
-and the mode profiles for both mode files (``ModeTable``).  One vectorized
-kernel (``format_rows``) formats these cells into NUL-padded byte rows:
-``_decimal`` finds each value's 17 digits and decade, and ``_layout``
-spells them out, gathering each layout's run of rows from a table of
-digit quads; a cell the kernel cannot decide goes through ``fmt_float``,
-which also writes the scalars.  Lines are laid out from the rows by
-``_text``, one byte buffer per block with NUL padding dropped: the CSV
-lines, and modes.json's radii and [re, im] profile lists (``_Cells``),
-which the encoder places as it would place the numbers themselves.
+and the mode profiles for both mode files (``ModeTable``, which formats
+every mode when it is built).  One vectorized kernel (``format_rows``)
+formats these cells into NUL-padded byte rows: ``_decimal`` finds each
+value's 17 digits and decade, and ``_layout`` spells them out, gathering
+each layout's run of rows from a table of digit quads; a cell the kernel
+cannot decide goes through ``fmt_float``, which also writes the scalars.
+Lines are laid out from the rows by ``_text``, one byte buffer per block
+with NUL padding dropped: the CSV lines, and modes.json's radii and
+[re, im] profile lists (``_Cells``), which the encoder (``_pieces``)
+places as it would place the numbers themselves.  The encoder yields the
+text in pieces, which ``write_json`` writes as they come: modes.json one
+mode's text at a time.
 
 Every artifact is written into a new file (``_create``): a regular file
 at the path, or a symlink to one or to nothing, is unlinked first, so a
@@ -333,18 +336,7 @@ class _Cells:
         return f"{opening}{body.decode('ascii')[:-len(sep)]}{closing}"
 
 
-class _Deferred:
-    """A list of containers, each built when the encoder reaches it, so
-    that only one is held at a time."""
-
-    def __init__(self, make, count):
-        self._make, self._count = make, count
-
-    def __iter__(self):
-        return map(self._make, range(self._count))
-
-
-def _encode(obj, indent):
+def _scalar(obj) -> str:
     if obj is None:
         return "null"
     if isinstance(obj, (bool, np.bool_)):
@@ -357,35 +349,31 @@ def _encode(obj, indent):
         return f"[{fmt_float(obj.real)}, {fmt_float(obj.imag)}]"
     if isinstance(obj, str):
         return json.dumps(obj)
-    if isinstance(obj, (dict, _Deferred)):
-        return "".join(_pieces(obj, indent))
-    if not isinstance(obj, (list, tuple, np.ndarray, _Cells)):
-        raise TypeError(f"cannot serialize {type(obj)!r}")
-    # Up to 8 numbers share one line, anything else takes one line per
-    # item; preformatted lists hold numbers.
-    if len(obj) <= 8 and (isinstance(obj, _Cells) or all(
-            isinstance(v, numbers.Number) for v in obj)):
-        opening, sep, closing = "[", ", ", "]"
-    else:
-        opening, sep, closing = _lined("[]", indent)
-    if isinstance(obj, _Cells):
-        return obj.text(opening, sep, closing)
-    body = sep.join([_encode(v, indent + 2) for v in obj])
-    return f"{opening}{body}{closing}"
+    raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
 def _pieces(obj, indent):
-    """``_encode(obj, indent)`` in pieces: the items of a dict or of a
-    ``_Deferred`` one by one, each made as the text reaches it, and
-    anything else whole."""
+    """The JSON text of ``obj`` in pieces: the items of a dict, and of a
+    list laid out one per line, one at a time, and anything else whole."""
     if isinstance(obj, dict):
         items = ((json.dumps(str(k)) + ": ", obj[k]) for k in sorted(obj))
         brackets = "{}"
-    elif isinstance(obj, _Deferred):
+    elif isinstance(obj, (list, tuple, np.ndarray, _Cells)):
+        # Up to 8 numbers share one line, anything else takes one line per
+        # item; preformatted lists hold numbers.
+        one_line = len(obj) <= 8 and (isinstance(obj, _Cells) or all(
+            isinstance(v, numbers.Number) for v in obj))
+        if isinstance(obj, _Cells):
+            yield obj.text(*(("[", ", ", "]") if one_line
+                             else _lined("[]", indent)))
+            return
+        if one_line:
+            yield f"[{', '.join(map(_scalar, obj))}]"
+            return
         items = (("", v) for v in obj)
         brackets = "[]"
     else:
-        yield _encode(obj, indent)
+        yield _scalar(obj)
         return
     opening, sep, closing = _lined(brackets, indent)
     first = True
@@ -404,7 +392,7 @@ def _lined(brackets, indent):
 
 
 def dumps(obj) -> str:
-    return _encode(obj, 0) + "\n"
+    return "".join(_pieces(obj, 0)) + "\n"
 
 
 def _create(path, mode, **kwargs):
@@ -421,89 +409,77 @@ def _create(path, mode, **kwargs):
 
 
 def write_json(path, obj):
-    """dumps(obj) to ``path``, written piece by piece as it is made: a
-    modes.json holds one mode's text at a time.  A file already at
-    ``path`` is replaced by a new one (``_create``)."""
+    """dumps(obj) to ``path``, written piece by piece as it is laid out:
+    a modes.json one mode's text at a time.  A file already at ``path``
+    is replaced by a new one (``_create``)."""
     with _create(path, "w", encoding="ascii", newline="\n") as fh:
         fh.writelines(_pieces(obj, 0))
         fh.write("\n")
 
 
 class ModeTable:
-    """Mode profiles on the radial grid, each value formatted once.
+    """Mode profiles on the radial grid, each value formatted once, when
+    the table is built.
 
     Built from mode numbers ``n``, nodes ``r`` and the (mode, node)
-    profiles gamma, dgamma, w and dw.  The radii are formatted on
-    construction: their cells ``_r`` serve modes.csv and field.csv, and
-    ``r``, the same text as strings, modes.json.  Each mode is formatted
-    when asked for, as one row of 8 cells (re, im of each profile) per
-    node; those cells give both its modes.json [re, im] lists and its
-    modes.csv lines.  The JSON pass keeps each mode's CSV text until the
-    CSV writer takes it.
+    profiles gamma, dgamma, w and dw.  The radii's cells ``_r`` serve
+    modes.csv and field.csv, and ``r``, the same cells as a list,
+    modes.json.  Each mode is formatted as one row of 8 cells (re, im of
+    each profile) per node, one mode at a time; its modes.json [re, im]
+    lists and its modes.csv lines are laid out from slices of these rows.
     """
 
     def __init__(self, n, r, gamma, dgamma, w, dw):
         self.n = np.asarray(n).tolist()
         self._r = _column(r)
         self.r = _Cells(len(self._r), [self._r])
-        self._profiles = (gamma, dgamma, w, dw)
+        profiles = (gamma, dgamma, w, dw)
         shape = (len(self.n), len(self.r))
-        if any(np.shape(z) != shape for z in self._profiles):
+        if any(np.shape(z) != shape for z in profiles):
             raise ValueError(f"profiles must have shape {shape} "
                              "(modes, nodes)")
-        self._csv = {}
+        self._modes = [format_rows(np.stack(
+            [np.asarray(p[i], dtype=complex) for p in profiles],
+            axis=-1).view(float), None) for i in range(len(self.n))]
 
     @classmethod
     def of(cls, solution):
         return cls(range(solution.n_max + 1), solution.grid.r,
                    solution.gamma, solution.dgamma, solution.w, solution.dw)
 
-    def _cells(self, i):
-        """Mode i as 8 cells (re, im of each profile) per node."""
-        z = np.stack([np.asarray(p[i], dtype=complex)
-                      for p in self._profiles], axis=-1)
-        return format_rows(z.view(float), None)
-
-    def _csv_text(self, i, cells) -> bytes:
-        pieces = [f"{self.n[i]},".encode("ascii"), self._r]
-        for k in range(8):
-            pieces += [b",", cells[:, k]]
-        return _text(len(cells), pieces + [b"\n"])
-
     def json_profiles(self, i) -> dict:
         """Mode i's profiles as preformatted [re, im] lists, by name."""
-        cells = self._cells(i)
-        self._csv[i] = self._csv_text(i, cells)
+        cells = self._modes[i]
         return {name: _Cells(len(cells), [b"[", cells[:, 2 * k], b", ",
                                           cells[:, 2 * k + 1], b"]"])
                 for k, name in enumerate(_PROFILES)}
 
     def csv_text(self, i) -> bytes:
         """Mode i's modes.csv lines."""
-        text = self._csv.pop(i, None)
-        return self._csv_text(i, self._cells(i)) if text is None else text
+        cells = self._modes[i]
+        pieces = [f"{self.n[i]},".encode("ascii"), self._r]
+        for k in range(8):
+            pieces += [b",", cells[:, k]]
+        return _text(len(cells), pieces + [b"\n"])
 
 
 def solution_payload(solution, table) -> dict:
     """Mode arrays and grid as plain structures (complex -> [re, im]).
 
     The radii and profiles come formatted from ``table``, the solution's
-    ``ModeTable``; each mode's entry is built as the encoder reaches it.
+    ``ModeTable``, as lists that the encoder lays out.
     """
-
-    def mode(n):
-        return dict(table.json_profiles(n), n=n,
-                    gamma_bar=complex(solution.gamma_bar[n]),
-                    w_bar=complex(solution.w_bar[n]),
-                    resonant=bool(solution.resonant[n]))
-
     return {
         "phi0": solution.flow.phi0,
         "mu": solution.flow.mu,
         "mu0": solution.boundary.mu0,
         "n_max": solution.n_max,
         "r": table.r,
-        "modes": _Deferred(mode, solution.n_max + 1),
+        "modes": [dict(table.json_profiles(n), n=n,
+                       gamma_bar=complex(solution.gamma_bar[n]),
+                       w_bar=complex(solution.w_bar[n]),
+                       resonant=bool(solution.resonant[n]))
+                  for n in range(solution.n_max + 1)],
     }
 
 

@@ -678,6 +678,14 @@ def test_quick_mode_caps_resolution():
     full = solver_config(cfg)
     assert full.n_modes == 32
     assert full.nodes_per_decade == 256
+    # Without a solver block the caps are the settings; values below the
+    # caps stay as they are.
+    bare = {key: cfg[key] for key in ("flow", "boundary")}
+    sc = solver_config(bare, quick=True)
+    assert (sc.n_modes, sc.nodes_per_decade) == (8, 48)
+    low = dict(cfg, solver={"n_modes": 4, "nodes_per_decade": 32})
+    sc = solver_config(low, quick=True)
+    assert (sc.n_modes, sc.nodes_per_decade) == (4, 32)
 
 
 def test_schema_rejects_unknown_keys(tmp_path):

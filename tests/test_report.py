@@ -9,7 +9,7 @@ import stat
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import hamelflow.cli
 import hamelflow.field
@@ -29,6 +29,27 @@ def ref_fmt(x):
     return f"{x:.17g}"
 
 
+def ref_str(s):
+    """A JSON string in ASCII: the two-character escapes, and \\uXXXX (a
+    UTF-16 surrogate pair past U+FFFF) for any other character outside
+    ' '..'~'."""
+    short = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r",
+             "\t": "\\t", "\b": "\\b", "\f": "\\f"}
+    out = []
+    for ch in s:
+        c = ord(ch)
+        if ch in short:
+            out.append(short[ch])
+        elif 0x20 <= c <= 0x7e:
+            out.append(ch)
+        elif c < 0x10000:
+            out.append(f"\\u{c:04x}")
+        else:
+            c -= 0x10000
+            out.append(f"\\u{0xd800 | c >> 10:04x}\\u{0xdc00 | c & 0x3ff:04x}")
+    return '"' + "".join(out) + '"'
+
+
 def ref_encode(obj, out, indent):
     pad = " " * indent
     if obj is None:
@@ -42,7 +63,7 @@ def ref_encode(obj, out, indent):
     elif isinstance(obj, (complex, np.complexfloating)):
         out.append(f"[{ref_fmt(obj.real)}, {ref_fmt(obj.imag)}]")
     elif isinstance(obj, str):
-        out.append('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
+        out.append(ref_str(obj))
     elif isinstance(obj, dict):
         if not obj:
             out.append("{}")
@@ -50,7 +71,7 @@ def ref_encode(obj, out, indent):
         out.append("{\n")
         keys = sorted(obj.keys())
         for i, k in enumerate(keys):
-            out.append(pad + "  " + '"' + str(k) + '": ')
+            out.append(pad + "  " + ref_str(str(k)) + ": ")
             ref_encode(obj[k], out, indent + 2)
             out.append(",\n" if i + 1 < len(keys) else "\n")
         out.append(pad + "}")
@@ -258,6 +279,37 @@ def test_dumps_long_sequences_match_reference(rng):
         assert dumps(obj) == ref_dumps(obj)
 
 
+plain_numbers = st.one_of(
+    values, st.integers(-2 ** 70, 2 ** 70),
+    st.complex_numbers(allow_nan=True, allow_infinity=True),
+    st.sampled_from([complex(0.0, -0.0), complex(-0.0, math.nan)]))
+scalars = st.one_of(st.none(), st.booleans(), plain_numbers,
+                    st.text(max_size=6))
+arrays = st.one_of(*(
+    st.lists(items, max_size=12).map(lambda v, t=dtype: np.array(v, t))
+    for items, dtype in [(values, float), (st.integers(-999, 999), np.int64),
+                         (st.complex_numbers(allow_nan=True), complex),
+                         (st.booleans(), bool)]))
+trees = st.recursive(
+    st.one_of(scalars, arrays, st.lists(plain_numbers, max_size=12)),
+    lambda children: st.one_of(
+        st.lists(children, max_size=10),
+        st.lists(children, max_size=10).map(tuple),
+        st.dictionaries(st.text(max_size=6), children, max_size=5)),
+    max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(trees)
+def test_dumps_and_write_json_match_reference_on_random_trees(tmp_path, obj):
+    text = dumps(obj)
+    assert text == ref_dumps(obj)
+    path = tmp_path / "tree.json"
+    hamelflow.report.write_json(str(path), obj)
+    assert path.read_bytes() == text.encode("ascii")
+
+
 # ---------------------------------------------------------------------------
 # strings and keys
 
@@ -371,15 +423,9 @@ def test_modes_json_is_written_one_mode_at_a_time(tmp_path, monkeypatch):
     text = dumps(hamelflow.report.solution_payload(solution, table))
     assert (out / "modes.json").read_bytes() == text.encode("ascii")
 
-    # Mode n is made only once the text of modes 0..n-1 is out, and no
-    # piece of the text holds more than one mode.
-    made = table.json_profiles
-    pieces, in_order = [], []
-    monkeypatch.setattr(table, "json_profiles", lambda n: in_order.append(
-        "".join(pieces).count('"w_bar"') == n) or made(n))
-    pieces.extend(hamelflow.report._pieces(
+    # No piece of the text that write_json streams holds more than one mode.
+    pieces = list(hamelflow.report._pieces(
         hamelflow.report.solution_payload(solution, table), 0))
-    assert in_order == [True] * len(solution.gamma)
     assert "".join(pieces) + "\n" == text
     assert max(map(len, pieces)) < len(text) / len(solution.gamma)
 
