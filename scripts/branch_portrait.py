@@ -9,13 +9,13 @@ asymptotic circulation, the slowest stream-mode decay rate, the momentum
 residual, and the sup-norm gap (at a probe radius) to the first member —
 showing distinct fields behind identical boundary data.
 
-With --out, writes summary.json plus one CSV per member tabulating the
+With --out, writes summary.json (in the package's JSON format, a value
+without a finite number as null) plus one CSV per member tabulating the
 circulation carried at radius r, y(r) = mu - r * Re d_r gamma_0(r).
 """
 
 import argparse
 import csv
-import json
 import pathlib
 import sys
 
@@ -25,6 +25,7 @@ from hamelflow import (BoundarySpectrum, SolverConfig, asymptotic_circulation,
                        branch_sweep, decay_fit, ns_residual, reconstruct,
                        synthesize_boundary)
 from hamelflow.flows import circulation_is_free
+from hamelflow.report import write_json
 
 
 def field_row(solution, radius):
@@ -101,15 +102,14 @@ def main(argv=None):
         args.out.mkdir(parents=True, exist_ok=True)
         summary = {"phi0": args.phi0, "mu0": args.mu0, "eps": args.eps,
                    "probe_radius": args.probe_radius, "members": rows}
-        (args.out / "summary.json").write_text(
-            json.dumps(summary, indent=2) + "\n")
+        write_json(args.out / "summary.json", summary)
         for member in members:
             if member.solution is None:
                 continue
             sol = member.solution
             y = sol.flow.mu - sol.grid.r * np.real(sol.dgamma[0])
             path = args.out / f"carried_circulation_mu_{member.mu:g}.csv"
-            with path.open("w", newline="") as fh:
+            with path.open("w", newline="", encoding="utf-8") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(["r", "carried_circulation"])
                 writer.writerows(zip(sol.grid.r, y))

@@ -72,7 +72,7 @@ def main(argv=None):
 
     if args.out is not None:
         args.out.parent.mkdir(parents=True, exist_ok=True)
-        with args.out.open("w", newline="") as fh:
+        with args.out.open("w", newline="", encoding="utf-8") as fh:
             writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
             writer.writeheader()
             writer.writerows(rows)

@@ -12,11 +12,12 @@ Three panels, all printed as plain tables:
    sharpness of the constant, the positivity window of the weight factor,
    and the measured constant in the high-mode lower bound.
 
-With --out, the full portrait is also written as JSON.
+With --out, the full portrait is also written as JSON, in the package's
+format (a value without a finite number, such as the metric of a check
+that raised, as null).
 """
 
 import argparse
-import json
 import pathlib
 import sys
 
@@ -27,6 +28,7 @@ from hamelflow import (BoundarySpectrum, build_grid, decay_fit,
 from hamelflow.uniq import (hardy_check, hardy_sharpness, positivity_roots,
                             probe_q1_negativity, q_form, random_stream,
                             random_w_profile)
+from hamelflow.report import write_json
 from hamelflow.verify import run_battery
 
 
@@ -119,7 +121,7 @@ def main(argv=None):
         args.out.parent.mkdir(parents=True, exist_ok=True)
         portrait = {"battery": battery, "decay": decay,
                     "inequalities": inequalities}
-        args.out.write_text(json.dumps(portrait, indent=2) + "\n")
+        write_json(args.out, portrait)
         print(f"\nwrote {args.out}")
 
     return 0 if battery["all_passed"] else 1

@@ -106,7 +106,7 @@ def load_config(path, flow=None) -> dict:
     that the schema admits as integers (``4.0``) come back as ints.
     """
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh, parse_constant=_finite, parse_float=_finite)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc

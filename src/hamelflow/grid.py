@@ -12,7 +12,8 @@ whose multipliers have modulus <= 1 for every exponent the solver uses, so
 they are accumulated by stable linear scans rather than by repeated
 summation; the scans work on blocks of 16 nodes, joined by one product of
 the block carries rather than a loop over the blocks, and the node powers
-r_j^z the solver needs are built from the same blocks (``RadialGrid.powers``).
+r_j^z the solver needs, and (r_j^z - 1)/z, are built from the same blocks
+(``RadialGrid.powers``, ``RadialGrid.expm1_powers``).
 Every routine takes either one profile or a stack of rows
 (one exponent zeta per row), so all modes of a kernel family are integrated
 in one call.
@@ -162,6 +163,26 @@ class RadialGrid:
         outer = np.exp(z * (size * self.h * np.arange(n_blocks)))
         table = outer[:, :, None] * inner[:, None, :]
         return table.reshape(len(z), -1)[:, :self.n_nodes]
+
+    def expm1_powers(self, z) -> np.ndarray:
+        """(r_j^z - 1)/z at every node, one row per exponent of the 1-d
+        ``z``; log r_j where z is exactly 0, and continuous through it.
+
+        The blocks of ``powers``, joined by e(x + y) = e(x) + (1 + z e(x))
+        e(y) for e(x) = expm1(z x)/z: two small expm1 tables, (rows,
+        blocks) and (rows, 16), holding x itself on the rows with z == 0.
+        No difference of powers is taken, so nothing cancels as z nears 0.
+        """
+        z = np.asarray(z)[:, None]
+        zero = z == 0
+        scale = np.where(zero, 1.0, z)
+        size = _SCAN_BLOCK
+        n_blocks = -(-self.n_nodes // size)
+        table = lambda x: np.where(zero, x, np.expm1(z * x) / scale)
+        inner = table(self.h * np.arange(size))[:, None, :]
+        outer = table(size * self.h * np.arange(n_blocks))[:, :, None]
+        joined = outer + (1.0 + z[:, :, None] * outer) * inner
+        return joined.reshape(len(z), -1)[:, :self.n_nodes]
 
 
 def build_grid(r_max: float = 1e4, nodes_per_decade: int = 64) -> RadialGrid:

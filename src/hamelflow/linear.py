@@ -16,10 +16,11 @@ response to a source is the two-sided kernel
 
 which satisfies L_w w_n[F] = -F and carries no incoming homogeneous part.
 The stream response uses the same kernel structure with exponents +-|n|.
-A single homogeneous pair (bar gamma_n r^{-|n|}, bar w_n r^{zeta-}) is then
-fixed by the two trace conditions; when zeta_n^- + 2 hits -|n| the stream
-response to r^{zeta-} degenerates and the log-resonant pair
-r^{-|n|} log r is used instead.
+A single homogeneous pair is then fixed by the two trace conditions: the
+vorticity bar w_n r^{zeta-} and the stream r^{-|n|} (bar gamma_n + c_n phi),
+with phi = (r^delta - 1)/delta and delta = zeta_n^- + 2 + |n|.  One closed
+form serves every mode: at delta = 0, where the stream response to r^{zeta-}
+turns logarithmic, phi is log r, and near it nothing cancels.
 
 The n = 0 mode has no radial trace freedom left after flux matching: its
 single constant is pinned by the circulation deficit mu0 - mu when the
@@ -30,7 +31,7 @@ mode included, around the spectrum's flow; there is no one-mode entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,9 +48,6 @@ __all__ = [
     "SpectralSolution",
     "solve_linear",
 ]
-
-
-_RESONANCE_TOL = 1e-8   # |zeta_n^- + 2 + |n|| below this: log-resonant pair
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,7 +78,6 @@ class SpectralSolution:
     dw: np.ndarray
     gamma_bar: np.ndarray
     w_bar: np.ndarray
-    resonant: np.ndarray = field(repr=False, default=None)
 
     @property
     def n_max(self) -> int:
@@ -111,65 +108,45 @@ def _gamma_response(grid: RadialGrid, out, inn, k):
     return g, dg
 
 
-def _trace_amplitudes(n, zeta_minus, vr, vt, g_part_1, dg_part_1):
-    """Homogeneous amplitudes (bar gamma_n, bar w_n, resonant) from the trace.
-
-    Arrays over nonzero modes n.  g_part_1 and dg_part_1 are the values at
-    r = 1 of the particular stream response and its derivative (the pair
-    that the assembly subtracts).
-    """
-    n = np.asarray(n)
-    k = np.abs(n).astype(float)
-    sgn = np.sign(n)
-    zm = zeta_minus
-    a = -1j * sgn * vr / k + g_part_1
-    b = dg_part_1 - vt
-    denom = 2.0 + zm + k
-    resonant = np.abs(denom) < _RESONANCE_TOL
-    big_d = (zm + 2.0) ** 2 - n * n
-    with np.errstate(all="ignore"):   # resonant rows take the log pair
-        w_bar = np.where(resonant,
-                         2.0 * k * (k * g_part_1 - 1j * sgn * vr
-                                    + dg_part_1 - vt),
-                         -big_d * (k * a + b) / denom)
-        gamma_bar = np.where(resonant, a, a + w_bar / big_d)
-    return gamma_bar, w_bar, resonant
-
-
 def _assemble_nonzero(grid: RadialGrid, n, zm, boundary: BoundarySpectrum,
                       w_part, dw_part, g_part, dg_part):
-    """Modes 1..n_max at once from their particular responses."""
+    """Modes 1..n_max at once from their particular responses.
+
+    Mode n's homogeneous pair is w_bar r^zeta- for the vorticity and
+    r^-k (a + c phi) for the stream, with k = n, delta = zeta_n^- + 2 + k
+    and phi = (r^delta - 1)/delta (log r at delta == 0).  The mode
+    Laplacian of r^-k phi is (delta - 2k) r^zeta-, so w_bar = (2k - delta) c
+    with no division, and phi(1) = 0, phi'(1) = 1 leave the trace to a and
+    c.  ``a`` = gamma_hom(1) is returned as gamma_bar.
+
+    The stream is evaluated as a R + (c - delta a) P, with R = r^(zeta- + 2)
+    (the r^zeta- table times r^2) and P = r^-k phi = (R - r^-k)/delta.  P is
+    taken as s (r^z - 1)/z, s the slower-decaying of R and r^-k and z the
+    exponent step to the other (Re z <= 0): no factor of it overflows and
+    nothing cancels.  Where R is the slower (Re delta >= 0), the stream's
+    tail carries the rounding of the r^zeta- table that w carries, and the
+    mean mode's source, a cancelling sum of products of the two, stays as
+    smooth in mu as they are.
+    """
     k = n.astype(float)
-    gamma_bar, w_bar, resonant = _trace_amplitudes(
-        n, zm, boundary.vr[1:], boundary.vtheta[1:], g_part[:, 0],
-        dg_part[:, 0])
+    a = -1j * boundary.vr[1:] / k + g_part[:, 0]
+    c = k * a + dg_part[:, 0] - boundary.vtheta[1:]
+    delta = zm + 2.0 + k
+    w_bar = (2.0 * k - delta) * c
 
     r = grid.r
-    col = lambda a: a[:, None]
-    pk = grid.powers(-k)
-    big_d = col((zm + 2.0) ** 2 - n * n)
+    col = lambda v: v[:, None]
     rzm = grid.powers(zm)
-    with np.errstate(all="ignore"):   # resonant rows are replaced below
-        w_hom = col(w_bar) * rzm
-        dw_hom = col(w_bar) * col(zm) * rzm / r
-        gamma = (col(gamma_bar) * pk - (col(w_bar) / big_d) * rzm * r * r
-                 - g_part)
-        dgamma = (-col(k) * col(gamma_bar) * pk / r
-                  - (col(w_bar) / big_d) * col(2.0 + zm) * rzm * r - dg_part)
-    if np.any(resonant):
-        # exact integer pair keeps Delta gamma = -w to rounding
-        i = resonant
-        log_r = np.log(r)
-        kk, wb, gb, pki = col(k[i]), col(w_bar[i]), col(gamma_bar[i]), pk[i]
-        w_hom[i] = wb * pki / (r * r)
-        dw_hom[i] = -(kk + 2.0) * wb * pki / (r ** 3)
-        gamma[i] = gb * pki + (wb / (2.0 * kk)) * log_r * pki - g_part[i]
-        dgamma[i] = (-kk * gb * pki / r
-                     + (wb / (2.0 * kk)) * pki / r * (1.0 - kk * log_r)
-                     - dg_part[i])
-    w = w_hom - w_part
-    dw = dw_hom - dw_part
-    return gamma, dgamma, w, dw, gamma_bar, w_bar, resonant
+    big_r = rzm * (r * r)
+    slow = delta.real >= 0.0
+    p = (np.where(col(slow), big_r, grid.powers(-k))
+         * grid.expm1_powers(np.where(slow, -delta, delta)))
+    e = c - delta * a
+    gamma = col(a) * big_r + col(e) * p - g_part
+    dgamma = (col(c - k * a) * big_r - col(k * e) * p) / r - dg_part
+    w = col(w_bar) * rzm - w_part
+    dw = col(w_bar) * col(zm) * rzm / r - dw_part
+    return gamma, dgamma, w, dw, a, w_bar
 
 
 def _assemble_zero(grid: RadialGrid, phi0: float, circ_deficit: complex,
@@ -194,12 +171,13 @@ def _assemble_zero(grid: RadialGrid, phi0: float, circ_deficit: complex,
     if not circulation_is_free(phi0):
         return 0.0 - big_gamma, big_h / r, w_part, dw_part, 0.0 + 0.0j
 
-    i1 = big_h[0]   # int_1^inf s w_part ds, since r[0] == 1
-    w_bar = 0.0 - (phi0 - 2.0) * (circ_deficit + i1)
-    w = w_bar * r ** (-phi0) + w_part
-    dw = -phi0 * w_bar * r ** (-phi0 - 1.0) + dw_part
-    gamma = 0.0 - big_gamma - w_bar * r ** (2.0 - phi0) / (phi0 - 2.0) ** 2
-    dgamma = w_bar * r ** (1.0 - phi0) / (phi0 - 2.0) + big_h / r
+    c0 = circ_deficit + big_h[0]   # big_h[0] = int_1^inf s w_part ds
+    w_bar = 0.0 - (phi0 - 2.0) * c0
+    p = grid.powers([-phi0])[0]
+    w = w_bar * p + w_part
+    dw = -phi0 * w_bar * p / r + dw_part
+    gamma = 0.0 - big_gamma + c0 * (p * r * r) / (phi0 - 2.0)
+    dgamma = big_h / r - c0 * (p * r)
     return gamma, dgamma, w, dw, w_bar
 
 
@@ -241,7 +219,6 @@ def solve_linear(flow: ReferenceFlow, grid: RadialGrid,
     dw = np.zeros(shape, dtype=complex)
     gamma_bar = np.zeros(n_max + 1, dtype=complex)
     w_bar = np.zeros(n_max + 1, dtype=complex)
-    resonant = np.zeros(n_max + 1, dtype=bool)
 
     phi0 = boundary.phi0
     F, r = sources.F, grid.r
@@ -261,9 +238,9 @@ def solve_linear(flow: ReferenceFlow, grid: RadialGrid,
         grid, phi0, complex(boundary.vtheta[0]), w0, 0.0 - inner)
 
     (gamma[1:], dgamma[1:], w[1:], dw[1:],
-     gamma_bar[1:], w_bar[1:], resonant[1:]) = _assemble_nonzero(
+     gamma_bar[1:], w_bar[1:]) = _assemble_nonzero(
         grid, n, zm, boundary, w_part, dw_part, g_part, dg_part)
 
     return SpectralSolution(grid=grid, boundary=boundary, gamma=gamma,
                             dgamma=dgamma, w=w, dw=dw, gamma_bar=gamma_bar,
-                            w_bar=w_bar, resonant=resonant)
+                            w_bar=w_bar)

@@ -477,8 +477,7 @@ def solution_payload(solution, table) -> dict:
         "r": table.r,
         "modes": [dict(table.json_profiles(n), n=n,
                        gamma_bar=complex(solution.gamma_bar[n]),
-                       w_bar=complex(solution.w_bar[n]),
-                       resonant=bool(solution.resonant[n]))
+                       w_bar=complex(solution.w_bar[n]))
                   for n in range(solution.n_max + 1)],
     }
 

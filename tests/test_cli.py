@@ -214,6 +214,28 @@ def test_cli_import_leaves_scipy_out(module):
     assert out.strip() == "False"
 
 
+def test_cli_reads_and_writes_without_the_locale_encoding(tmp_path):
+    # Under -X warn_default_encoding with EncodingWarning an error, every
+    # file the CLI opens must name its encoding: the config it reads, the
+    # artifacts it writes and the modes.json that export reads.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    cfg = write_cfg(tmp_path, SOLVE_CFG)
+    cli = [sys.executable, "-X", "warn_default_encoding",
+           "-W", "error::EncodingWarning", "-m", "hamelflow.cli"]
+    for args in (["solve", "--config", str(cfg), "--out",
+                  str(tmp_path / "run")],
+                 ["export", "--solution", str(tmp_path / "run"), "--out",
+                  str(tmp_path / "export.csv")]):
+        res = subprocess.run(cli + args, env=env, capture_output=True,
+                             text=True)
+        assert res.returncode == 0, res.stderr
+    assert ((tmp_path / "export.csv").read_bytes()
+            == (tmp_path / "run" / "modes.csv").read_bytes())
+
+
 def test_cli_import_leaves_formatter_tables_unbuilt():
     # The float kernel's tables are built by the first artifact written,
     # not by every CLI start; the second count shows the probe sees them.

@@ -478,6 +478,24 @@ def test_block_powers_match_node_powers():
             assert got[i].tobytes() == g.powers(z[i:i + 1])[0].tobytes()
 
 
+def test_block_expm1_powers_match_node_expm1():
+    # (r_j^z - 1)/z from the block tables agrees with expm1 of z log r
+    # over z, is log r to rounding at z == 0 and stays by it for z within
+    # 1e-12 of 0; no row overflows, growing ones (Re z > 0) included.
+    g = build_grid(1e6, 128)
+    z = np.array([0.0, 1e-15, -3e-9 + 1e-12j, 1e-6, 0.9 - 0.7j, -2.5,
+                  -57.0 + 1.0j, 2.0])
+    got = g.expm1_powers(z)
+    log_r = np.log(g.r)
+    want = np.array([np.expm1(v * log_r) / v if v else log_r for v in z])
+    assert np.all(np.isfinite(got))
+    assert np.max(np.abs(got - want) / np.abs(want).max(axis=1)[:, None]
+                  ) <= 1e-13
+    x = g.log_r[1:]
+    assert np.max(np.abs(got[0, 1:] - x) / x) <= 1e-15
+    assert np.max(np.abs(got[1, 1:] - x) / x) <= 1e-13
+
+
 def test_domain_doubling_leaves_head_unchanged():
     f = lambda r: r ** -4.0
     g1, g2 = build_grid(1e4, 32), build_grid(1e8, 32)

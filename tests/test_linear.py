@@ -1,5 +1,7 @@
 """Mode kernels, boundary assembly, and trace exactness of solve_linear."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,7 @@ from hamelflow import (BoundarySpectrum, DegenerateFluxError,
                        build_grid, linear as linear_module, solve_linear,
                        zeta_pair)
 from hamelflow.grid import integrate_out_all, integrate_out_in
-from hamelflow.linear import (_assemble_zero, _gamma_response,
-                              _trace_amplitudes, _w_response)
+from hamelflow.linear import _assemble_zero, _gamma_response, _w_response
 from hamelflow.verify import manufactured_solution
 
 
@@ -122,7 +123,6 @@ def test_boundary_traces_exact_generic(grid):
         assert abs(1j * n * sol.gamma[n, 0] - boundary.vr[n]) < 1e-8
         assert abs(-sol.dgamma[n, 0] - boundary.vtheta[n]) < 1e-8
     assert abs(-sol.dgamma[0, 0].real - (0.3 - 0.2)) < 1e-8
-    assert not sol.resonant.any()
 
 
 def test_boundary_traces_exact_resonant(grid):
@@ -133,16 +133,28 @@ def test_boundary_traces_exact_resonant(grid):
                                            vr={3: 0.01 + 0.004j},
                                            vtheta={3: -0.002j})
     sol = solve_linear(flow, grid, boundary, steep_sources(grid, 4))
-    assert sol.resonant[3]
+    assert abs(zeta_pair(3.2, 0.0, 3)[1] + 2.0 + 3.0) < 1e-12
     assert abs(1j * 3 * sol.gamma[3, 0] - boundary.vr[3]) < 1e-8
     assert abs(-sol.dgamma[3, 0] - boundary.vtheta[3]) < 1e-8
+
+
+def homogeneous_pair(grid, n, zm, vr, vtheta, g_part_1, dg_part_1):
+    """(gamma_bar, w_bar, gamma_hom) of mode n >= 1 from its trace and the
+    particular stream pair at r = 1, with phi by a direct expm1."""
+    a = -1j * vr / n + g_part_1
+    c = n * a + dg_part_1 - vtheta
+    delta = zm + 2.0 + n
+    log_r = np.log(grid.r)
+    phi = np.expm1(delta * log_r) / delta if delta != 0 else log_r
+    return a, (2.0 * n - delta) * c, grid.r ** -float(n) * (a + c * phi)
 
 
 @pytest.mark.parametrize("phi0, mu", [(2.5, 0.2), (3.2, 0.0)])
 def test_batched_modes_match_one_mode_kernels(grid, phi0, mu):
     # solve_linear integrates all nonzero modes in one stack; every mode
-    # must agree with the kernels applied to its row alone (phi0 = 3.2,
-    # mu = 0 makes mode 3 resonant).
+    # must agree with the kernels applied to its row alone and with the
+    # closed-form homogeneous pair (phi0 = 3.2, mu = 0 puts mode 3 on the
+    # log resonance, where phi is log r).
     flow = ReferenceFlow(phi0, mu)
     boundary = BoundarySpectrum.from_modes(
         4, phi0, mu0=mu + 0.1, mu=mu, vr={1: 0.02 + 0.01j, 3: 0.01 + 0.004j},
@@ -153,15 +165,43 @@ def test_batched_modes_match_one_mode_kernels(grid, phi0, mu):
     for n in range(1, 5):
         zm = zeta_pair(phi0, mu, n)[1]
         w_part, dw_part = vorticity_response(grid, sources.F[n], phi0, mu, n)
-        g_part, dg_part = stream_response(grid, w_part, float(n))
-        (gamma_bar,), (w_bar,), (resonant,) = _trace_amplitudes(
-            np.array([n]), np.array([zm]), boundary.vr[n:n + 1],
-            boundary.vtheta[n:n + 1], g_part[:, 0], dg_part[:, 0])
-        assert sol.resonant[n] == resonant == (phi0 == 3.2 and n == 3)
+        (g_part,), (dg_part,) = stream_response(grid, w_part, float(n))
+        gamma_bar, w_bar, gamma_hom = homogeneous_pair(
+            grid, n, zm, boundary.vr[n], boundary.vtheta[n], g_part[0],
+            dg_part[0])
         assert close(sol.gamma_bar[n], gamma_bar)
         assert close(sol.w_bar[n], w_bar)
-        w_hom = w_bar * grid.r ** (zm if not resonant else -n - 2.0)
-        assert close(sol.w[n], w_hom - w_part)
+        assert close(sol.w[n], w_bar * grid.r ** zm - w_part)
+        assert close(sol.gamma[n], gamma_hom - g_part)
+
+
+@pytest.mark.parametrize("eps", [0.0, 3e-9, 3e-8, 1e-6, -3e-8, -1e-6])
+def test_homogeneous_pair_is_smooth_through_the_log_resonance(eps):
+    # Mode 3 at mu = 0 turns log-resonant at phi0 = 3.2 (zeta_3^- + 5 = 0);
+    # delta = zeta_3^- + 5 is negative above it and positive below.  The
+    # sourceless pair r^-3 (a + c phi), phi = (r^delta - 1)/delta, is
+    # checked node by node against phi's series in delta L, L = log r:
+    # a switch between a power pair and a log pair lost up to 6e-8 here.
+    grid = build_grid(1e4, 64)
+    phi0 = 3.2 + eps
+    boundary = BoundarySpectrum.from_modes(3, phi0, mu0=0.0, mu=0.0,
+                                           vr={3: 3j}, vtheta={3: 1.0})
+    sol = solve_linear(boundary.flow, grid, boundary)
+    zm = zeta_pair(phi0, 0.0, 3)[1]
+    delta = zm + 5.0
+    assert abs(delta) < 1e-5
+    r, log_r = grid.r, np.log(grid.r)
+    phi = log_r * sum((delta * log_r) ** j / math.factorial(j + 1)
+                      for j in range(5))
+    a, c = 1.0, 2.0       # -i vr/3 and 3 a - vtheta
+    w = (6.0 - delta) * c * r ** -5.0 * (1.0 + delta * phi)
+    exact = {"gamma": r ** -3.0 * (a + c * phi),
+             "dgamma": r ** -4.0 * (c * (1.0 + delta * phi)
+                                    - 3.0 * (a + c * phi)),
+             "w": w, "dw": zm * w / r}
+    for key, want in exact.items():
+        got = getattr(sol, key)[3]
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), key
 
 
 def test_linearity_in_boundary_and_sources(grid):

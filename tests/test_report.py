@@ -111,8 +111,7 @@ def ref_solution_payload(s):
                    "w": [complex(v) for v in s.w[n]],
                    "dw": [complex(v) for v in s.dw[n]],
                    "gamma_bar": complex(s.gamma_bar[n]),
-                   "w_bar": complex(s.w_bar[n]),
-                   "resonant": bool(s.resonant[n])}
+                   "w_bar": complex(s.w_bar[n])}
                   for n in range(s.n_max + 1)],
     }
 

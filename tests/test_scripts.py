@@ -46,6 +46,23 @@ def test_branch_portrait_runs(tmp_path):
     assert members[1]["field_gap_to_first"] > 1e-4
 
 
+def test_branch_portrait_writes_strict_json(tmp_path):
+    # A flat trace (--eps 0) leaves no active mode, so beta0 is undefined:
+    # summary.json holds null for it, not the NaN token a JSON parser
+    # other than Python's rejects.
+    res = run_script(ROOT / "scripts" / "branch_portrait.py", "--eps", "0",
+                     "--n-modes", "4", "--nodes-per-decade", "24",
+                     "--mu-values", "0.15", "0.2", "--out", str(tmp_path))
+    assert res.returncode == 0, res.stderr
+
+    def reject(token):
+        raise ValueError(f"non-JSON constant {token}")
+
+    text = (tmp_path / "summary.json").read_text(encoding="ascii")
+    summary = json.loads(text, parse_constant=reject)
+    assert [m["beta0"] for m in summary["members"]] == [None, None]
+
+
 def test_verification_portrait_runs(tmp_path):
     out = tmp_path / "portrait.json"
     res = run_script(ROOT / "scripts" / "verification_portrait.py",
