@@ -22,8 +22,8 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, build_boundary, load_config, solver_config
-from .field import (asymptotic_circulation, decay_fit, ns_residual,
-                    reconstruct)
+from .field import (NS_RESIDUAL_LIMIT, asymptotic_circulation, decay_fit,
+                    ns_residual, reconstruct)
 from .flows import circulation_is_free
 from .grid import synthesize_boundary
 from .report import (ModeTable, report_payload, solution_payload,
@@ -60,6 +60,13 @@ def _write_solution(outdir, solution, report, cfg, seed):
     """Write a solve's artifacts; returns the diagnostics in report.json."""
     os.makedirs(outdir, exist_ok=True)
     diagnostics = _diagnostics(solution)
+    if not diagnostics["ns_residual"] < NS_RESIDUAL_LIMIT:
+        warning = (f"ns_residual {diagnostics['ns_residual']:.3g} is not "
+                   f"below {NS_RESIDUAL_LIMIT:g}: the grid does not resolve "
+                   "this solve at solver.nodes_per_decade = "
+                   f"{solution.grid.nodes_per_decade}")
+        report.warnings.append(warning)
+        click.echo(f"warning: {warning}", err=True)
     extras = {"seed": seed, "config": cfg, **diagnostics}
     write_json(os.path.join(outdir, "report.json"),
                report_payload(report, extras))

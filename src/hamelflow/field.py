@@ -25,6 +25,7 @@ __all__ = [
     "derivative_consistency",
     "mode_ode_residuals",
     "ns_residual",
+    "NS_RESIDUAL_LIMIT",
     "reconstruct",
     "CirculationFit",
     "asymptotic_circulation",
@@ -131,6 +132,9 @@ def mode_ode_residuals(solution: SpectralSolution,
             raise ValueError("source rows do not match the solution")
         F = sources.F
     return _stream_residual(solution), _vorticity_residual(solution, F)
+
+
+NS_RESIDUAL_LIMIT = 1e-4   # ns_residual from here up: the grid is too coarse
 
 
 def ns_residual(solution: SpectralSolution) -> float:

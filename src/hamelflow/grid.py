@@ -162,7 +162,7 @@ class RadialGrid:
         inner = np.exp(z * (self.h * np.arange(size)))
         outer = np.exp(z * (size * self.h * np.arange(n_blocks)))
         table = outer[:, :, None] * inner[:, None, :]
-        return table.reshape(len(z), -1)[:, :self.n_nodes]
+        return table.reshape(len(z), n_blocks * size)[:, :self.n_nodes]
 
     def expm1_powers(self, z) -> np.ndarray:
         """(r_j^z - 1)/z at every node, one row per exponent of the 1-d
@@ -182,7 +182,7 @@ class RadialGrid:
         inner = table(self.h * np.arange(size))[:, None, :]
         outer = table(size * self.h * np.arange(n_blocks))[:, :, None]
         joined = outer + (1.0 + z[:, :, None] * outer) * inner
-        return joined.reshape(len(z), -1)[:, :self.n_nodes]
+        return joined.reshape(len(z), n_blocks * size)[:, :self.n_nodes]
 
 
 def build_grid(r_max: float = 1e4, nodes_per_decade: int = 64) -> RadialGrid:
@@ -508,6 +508,8 @@ class BoundarySpectrum:
     flow: ReferenceFlow = field(init=False, repr=False)  # checked here
 
     def __post_init__(self):
+        if self.n_max < 0:
+            raise ValueError(f"n_max must be >= 0, got {self.n_max}")
         for name in ("vr", "vtheta"):
             row = np.array(getattr(self, name), dtype=complex)
             if row.shape != (self.n_max + 1,):

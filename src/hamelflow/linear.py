@@ -19,14 +19,15 @@ The stream response uses the same kernel structure with exponents +-|n|.
 A single homogeneous pair is then fixed by the two trace conditions: the
 vorticity bar w_n r^{zeta-} and the stream r^{-|n|} (bar gamma_n + c_n phi),
 with phi = (r^delta - 1)/delta and delta = zeta_n^- + 2 + |n|.  One closed
-form serves every mode: at delta = 0, where the stream response to r^{zeta-}
-turns logarithmic, phi is log r, and near it nothing cancels.
+form serves every mode, n = 0 included: at delta = 0, where the stream
+response to r^{zeta-} turns logarithmic, phi is log r, and near it nothing
+cancels.
 
-The n = 0 mode has no radial trace freedom left after flux matching: its
-single constant is pinned by the circulation deficit mu0 - mu when the
-circulation is free (``flows.circulation_is_free``) and must be closed by
-shooting in mu otherwise.  ``solve_linear`` solves every mode, the mean
-mode included, around the spectrum's flow; there is no one-mode entry.
+The n = 0 mode has no radial trace freedom left after flux matching: when
+the circulation is free (``flows.circulation_is_free``) the circulation
+deficit mu0 - mu and the decay of its stream pin its pair; otherwise
+shooting in mu closes it.  ``solve_linear`` solves every mode, the mean mode included, around the
+spectrum's flow; there is no one-mode entry.
 """
 
 from __future__ import annotations
@@ -108,16 +109,43 @@ def _gamma_response(grid: RadialGrid, out, inn, k):
     return g, dg
 
 
-def _assemble_nonzero(grid: RadialGrid, n, zm, boundary: BoundarySpectrum,
-                      w_part, dw_part, g_part, dg_part):
-    """Modes 1..n_max at once from their particular responses.
+def _mean_particular(grid: RadialGrid, w0, inner):
+    """The mean mode's particular rows (w_part, dw_part, g_part, dg_part),
+    in the signs of the n >= 1 responses (w = -w_part, gamma = -g_part).
+
+    ``w0`` is the decaying response to F_0 (L_w w = +F_0 at n = 0),
+
+        w0(r) = int_r^inf int_s^inf (t/s)^{phi0+1} F_0(t) dt ds,
+
+    and -inner(r) its slope.  Its stream is two nested one-row quadratures,
+    Gamma(r) = int_r^inf H(s)/s ds with H(s) = int_s^inf sigma w0(sigma)
+    dsigma, and d_r Gamma = -H/r; then gamma_0 = -Gamma solves
+    Delta gamma_0 = -w0.  A negation is a subtraction from +0, so a zero
+    mean mode comes back +0.
+    """
+    big_h = integrate_out_all(grid, w0, 0.0)
+    big_gamma = integrate_out_all(grid, big_h / (grid.r * grid.r), 0.0)
+    return 0.0 - w0, inner, big_gamma, 0.0 - big_h / grid.r
+
+
+def _assemble(grid: RadialGrid, zm, boundary: BoundarySpectrum,
+              w_part, dw_part, g_part, dg_part):
+    """Modes 0..n_max at once from their particular responses.
 
     Mode n's homogeneous pair is w_bar r^zeta- for the vorticity and
     r^-k (a + c phi) for the stream, with k = n, delta = zeta_n^- + 2 + k
     and phi = (r^delta - 1)/delta (log r at delta == 0).  The mode
     Laplacian of r^-k phi is (delta - 2k) r^zeta-, so w_bar = (2k - delta) c
     with no division, and phi(1) = 0, phi'(1) = 1 leave the trace to a and
-    c.  ``a`` = gamma_hom(1) is returned as gamma_bar.
+    c.  The rows come back as SpectralSolution's gamma, dgamma, w, dw,
+    gamma_bar (``a`` = gamma_hom(1)) and w_bar.
+
+    The mean mode is the k = 0 row, delta = 2 - phi0: its trace leaves
+    c = dg_part(1) - vtheta_0, and its stream a + c phi, which is
+    (a - c/delta) + (c/delta) r^delta, must decay.  When the circulation is
+    free (``circulation_is_free``: delta < 0) that is a = c/delta, and the
+    stream is a R alone; otherwise r^delta does not decay, a = c = 0, and
+    shooting in mu closes the mean trace instead.
 
     The stream is evaluated as a R + (c - delta a) P, with R = r^(zeta- + 2)
     (the r^zeta- table times r^2) and P = r^-k phi = (R - r^-k)/delta.  P is
@@ -128,11 +156,18 @@ def _assemble_nonzero(grid: RadialGrid, n, zm, boundary: BoundarySpectrum,
     mean mode's source, a cancelling sum of products of the two, stays as
     smooth in mu as they are.
     """
-    k = n.astype(float)
-    a = -1j * boundary.vr[1:] / k + g_part[:, 0]
-    c = k * a + dg_part[:, 0] - boundary.vtheta[1:]
+    k = np.arange(len(zm), dtype=float)
+    a = np.zeros(len(k), dtype=complex)
+    a[1:] = -1j * boundary.vr[1:] / k[1:] + g_part[1:, 0]
+    c = k * a + dg_part[:, 0] - boundary.vtheta
     delta = zm + 2.0 + k
     w_bar = (2.0 * k - delta) * c
+    if circulation_is_free(boundary.phi0):
+        a[0] = c[0] / delta[0] + 0.0     # +0, not -0, when c is 0
+    else:
+        c[0] = w_bar[0] = 0.0
+    e = c - delta * a
+    e[0] = 0.0
 
     r = grid.r
     col = lambda v: v[:, None]
@@ -141,44 +176,11 @@ def _assemble_nonzero(grid: RadialGrid, n, zm, boundary: BoundarySpectrum,
     slow = delta.real >= 0.0
     p = (np.where(col(slow), big_r, grid.powers(-k))
          * grid.expm1_powers(np.where(slow, -delta, delta)))
-    e = c - delta * a
     gamma = col(a) * big_r + col(e) * p - g_part
     dgamma = (col(c - k * a) * big_r - col(k * e) * p) / r - dg_part
     w = col(w_bar) * rzm - w_part
     dw = col(w_bar) * col(zm) * rzm / r - dw_part
     return gamma, dgamma, w, dw, a, w_bar
-
-
-def _assemble_zero(grid: RadialGrid, phi0: float, circ_deficit: complex,
-                   w_part, dw_part):
-    """The mean mode from its vorticity response.
-
-    ``w_part`` is the decaying response to F_0 (L_w w = +F_0 at n = 0),
-
-        w(r) = int_r^inf int_s^inf (t/s)^{phi0+1} F_0(t) dt ds,
-
-    and ``dw_part`` = -inner(r) its slope.  Its stream is two nested one-row
-    quadratures, Gamma(r) = int_r^inf H(s)/s ds with
-    H(s) = int_s^inf sigma w(sigma) dsigma, and d_r Gamma = -H/r; then
-    gamma_0 = -Gamma solves Delta gamma_0 = -w.  When the circulation is
-    free the homogeneous pair w_bar r^-phi0 is fixed by the circulation
-    deficit; otherwise shooting in mu closes the mean trace instead.  A
-    negation is a subtraction from +0, so a zero mean mode comes back +0.
-    """
-    r = grid.r
-    big_h = integrate_out_all(grid, w_part, 0.0)
-    big_gamma = integrate_out_all(grid, big_h / (r * r), 0.0)
-    if not circulation_is_free(phi0):
-        return 0.0 - big_gamma, big_h / r, w_part, dw_part, 0.0 + 0.0j
-
-    c0 = circ_deficit + big_h[0]   # big_h[0] = int_1^inf s w_part ds
-    w_bar = 0.0 - (phi0 - 2.0) * c0
-    p = grid.powers([-phi0])[0]
-    w = w_bar * p + w_part
-    dw = -phi0 * w_bar * p / r + dw_part
-    gamma = 0.0 - big_gamma + c0 * (p * r * r) / (phi0 - 2.0)
-    dgamma = big_h / r - c0 * (p * r)
-    return gamma, dgamma, w, dw, w_bar
 
 
 def solve_linear(flow: ReferenceFlow, grid: RadialGrid,
@@ -194,7 +196,8 @@ def solve_linear(flow: ReferenceFlow, grid: RadialGrid,
     F_0/r at zeta = -(phi0+1) under the vorticity rows, inner/r at zeta = 0
     under the stream rows.  A solve thus makes four kernel calls, the last
     two the nested one-row stream quadratures of the mean mode
-    (``_assemble_zero``).  This is the one linear solve:
+    (``_mean_particular``), whose rows then join the others' in one
+    ``_assemble`` of modes 0..n_max.  This is the one linear solve:
     ``hamelflow.verify``'s manufactured solution checks it against a closed
     form of every mode at once.  Modes without a source (all of them when
     ``sources`` is None, and those above the reach of the trace's products)
@@ -211,36 +214,19 @@ def solve_linear(flow: ReferenceFlow, grid: RadialGrid,
     if abs(boundary.phi0 - flow.phi0) > 1e-12 * max(1.0, abs(flow.phi0)):
         raise ValueError("boundary spectrum carries a different phi0")
 
-    n_max = boundary.n_max
-    shape = (n_max + 1, grid.n_nodes)
-    gamma = np.zeros(shape, dtype=complex)
-    dgamma = np.zeros(shape, dtype=complex)
-    w = np.zeros(shape, dtype=complex)
-    dw = np.zeros(shape, dtype=complex)
-    gamma_bar = np.zeros(n_max + 1, dtype=complex)
-    w_bar = np.zeros(n_max + 1, dtype=complex)
-
     phi0 = boundary.phi0
     F, r = sources.F, grid.r
-    n = np.arange(1, n_max + 1)
-    k = n.astype(float)
-    zp, zm = zeta_pair(phi0, boundary.mu, n)
+    zp, zm = zeta_pair(phi0, boundary.mu, np.arange(boundary.n_max + 1))
+    k = np.arange(1, boundary.n_max + 1, dtype=float)
     out, inn = integrate_out_in(grid, np.vstack([F[1:], F[0] / r]),
-                                np.append(zp, -(phi0 + 1.0)), F[1:], zm)
+                                np.append(zp[1:], -(phi0 + 1.0)), F[1:],
+                                zm[1:])
     inner = out[-1]
-    w_part, dw_part = _w_response(grid, out[:-1], inn, zp, zm)
+    w_part, dw_part = _w_response(grid, out[:-1], inn, zp[1:], zm[1:])
     out, inn = integrate_out_in(grid, np.vstack([w_part, inner / r]),
                                 np.append(k, 0.0), w_part, -k)
-    w0 = out[-1]
     g_part, dg_part = _gamma_response(grid, out[:-1], inn, k)
-
-    gamma[0], dgamma[0], w[0], dw[0], w_bar[0] = _assemble_zero(
-        grid, phi0, complex(boundary.vtheta[0]), w0, 0.0 - inner)
-
-    (gamma[1:], dgamma[1:], w[1:], dw[1:],
-     gamma_bar[1:], w_bar[1:]) = _assemble_nonzero(
-        grid, n, zm, boundary, w_part, dw_part, g_part, dg_part)
-
-    return SpectralSolution(grid=grid, boundary=boundary, gamma=gamma,
-                            dgamma=dgamma, w=w, dw=dw, gamma_bar=gamma_bar,
-                            w_bar=w_bar)
+    parts = zip(_mean_particular(grid, out[-1], inner),
+                (w_part, dw_part, g_part, dg_part))
+    return SpectralSolution(grid, boundary, *_assemble(
+        grid, zm, boundary, *(np.vstack(pair) for pair in parts)))

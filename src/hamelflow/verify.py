@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .field import decay_fit, mode_ode_residuals, ns_residual
+from .field import (NS_RESIDUAL_LIMIT, decay_fit, mode_ode_residuals,
+                    ns_residual)
 from .flows import (existence_condition, re_zeta_minus_closed_form,
                     rho_decay, zeta_pair)
 from .grid import BoundarySpectrum, build_grid
@@ -179,10 +180,10 @@ def check_picard_fixed_point(quick: bool):
     ns = ns_residual(sol)
     prof = decay_fit(sol)
     slack = np.nanmax(prof.gamma_slopes - prof.gamma_ceilings)
-    ok = (rep.converged and fp < 2.0 * config.tol_fp and ns < 1e-4
-          and slack < 0.05)
-    return _check(ok, max(fp / (2 * config.tol_fp), ns / 1e-4), 1.0,
-                  f"{rep.iterations} iterations, contraction "
+    ok = (rep.converged and fp < 2.0 * config.tol_fp
+          and ns < NS_RESIDUAL_LIMIT and slack < 0.05)
+    return _check(ok, max(fp / (2 * config.tol_fp), ns / NS_RESIDUAL_LIMIT),
+                  1.0, f"{rep.iterations} iterations, contraction "
                   f"{rep.contraction_ratio:.3f}, fp residual {fp:.2e}, "
                   f"transport residual {ns:.2e}, worst slope slack "
                   f"{slack:+.3f}")

@@ -496,6 +496,12 @@ def test_block_expm1_powers_match_node_expm1():
     assert np.max(np.abs(got[1, 1:] - x) / x) <= 1e-13
 
 
+def test_empty_exponent_lists_give_no_rows():
+    g = build_grid(1e4, 48)
+    for table in (g.powers, g.expm1_powers):
+        assert table(np.array([])).shape == (0, g.n_nodes)
+
+
 def test_domain_doubling_leaves_head_unchanged():
     f = lambda r: r ** -4.0
     g1, g2 = build_grid(1e4, 32), build_grid(1e8, 32)
@@ -553,6 +559,8 @@ def test_spectrum_owns_its_rows():
     with pytest.raises(ValueError, match="shape"):
         BoundarySpectrum(2, np.zeros(4, complex), np.zeros(3, complex),
                          2.5, 0.3, 0.2)
+    with pytest.raises(ValueError, match="n_max must be >= 0"):
+        BoundarySpectrum.from_modes(-1, 2.5, 0.3, 0.2)
     # index 0 is derived, and modes beyond n_max have no row
     for modes in ({0: 0.1}, {3: 0.01}):
         with pytest.raises(ValueError, match="outside 1..2"):

@@ -10,7 +10,7 @@ from hamelflow import (BoundarySpectrum, DegenerateFluxError,
                        build_grid, linear as linear_module, solve_linear,
                        zeta_pair)
 from hamelflow.grid import integrate_out_all, integrate_out_in
-from hamelflow.linear import _assemble_zero, _gamma_response, _w_response
+from hamelflow.linear import _gamma_response, _mean_particular, _w_response
 from hamelflow.verify import manufactured_solution
 
 
@@ -84,14 +84,14 @@ def test_stream_kernel_inverts_mode_laplacian():
 def test_zero_mode_kernels_match_closed_forms():
     # The mean mode's vorticity through solve_linear on the manufactured
     # w_0 = r^-3 at phi0 = 2.5 (source F_0 = 1.5 r^-5), and its nested
-    # stream chain alone: at phi0 <= 2 _assemble_zero returns that chain's
-    # gamma_0 = -r^-1 for the exact w = r^-3.
+    # stream chain alone: _mean_particular's g_part is Gamma = r^-1 and its
+    # dg_part -r^-2 for the exact w = r^-3 (gamma_0 = -Gamma).
     def errors(grid):
         (err_w,) = manufactured_errors(grid, 2.5, 0.0, {0: 3.0}, keys=("w",))
         w = grid.r ** -3.0 + 0j
-        g, dg, *_ = _assemble_zero(grid, 1.5, 0j, w, -3.0 * w / grid.r)
-        return (err_w, np.abs(g + grid.r ** -1.0).max(),
-                np.abs(dg - grid.r ** -2.0).max())
+        *_, g, dg = _mean_particular(grid, w, 3.0 * w / grid.r)
+        return (err_w, np.abs(g - grid.r ** -1.0).max(),
+                np.abs(dg + grid.r ** -2.0).max())
 
     coarse, fine = errors(build_grid(1e4, 48)), errors(build_grid(1e4, 96))
     assert fine[0] < 2e-6                         # 7.8e-7 at 96 nodes/decade
@@ -108,8 +108,21 @@ def test_supercritical_flux_worked_example():
     assert np.abs(sol.gamma[0] - 0.2 * grid.r ** -0.5).max() < 1e-12
     assert np.abs(sol.w[0] + 0.05 * grid.r ** -2.5).max() < 1e-12
     assert np.abs(sol.dgamma[0] + 0.1 * grid.r ** -1.5).max() < 1e-12
+    # gamma_bar and w_bar are the pair's stream and vorticity at r = 1
+    assert abs(sol.gamma_bar[0] - 0.2) < 1e-12
+    assert abs(sol.w_bar[0] + 0.05) < 1e-12
     for n in (1, 2):
         assert np.abs(sol.gamma[n]).max() == 0.0
+
+
+def test_mean_mode_alone_is_the_closed_form_pair():
+    # n_max = 0 solves the mean mode by itself: the worked example's pair.
+    grid = build_grid(1e4, 48)
+    boundary = BoundarySpectrum.from_modes(0, 2.5, mu0=0.3, mu=0.2)
+    sol = solve_linear(boundary.flow, grid, boundary)
+    assert sol.n_max == 0
+    assert np.abs(sol.gamma[0] - 0.2 * grid.r ** -0.5).max() < 1e-12
+    assert np.abs(sol.w[0] + 0.05 * grid.r ** -2.5).max() < 1e-12
 
 
 def test_boundary_traces_exact_generic(grid):
@@ -308,27 +321,37 @@ def test_mean_mode_rows_are_bitwise_the_one_row_chain(grid, phi0, mu,
                                                       monkeypatch):
     # solve_linear integrates the mean mode's first two kernels as extra
     # rows of the vorticity and stream out stacks, each family's out and in
-    # stacks in one call; its mean-mode rows must be the bytes of the
-    # one-row chain: two out integrals for the vorticity, then the nested
-    # stream quadratures of _assemble_zero.
+    # stacks in one call, then its nested stream quadratures in
+    # _mean_particular: four kernel calls.  The mean particular rows must
+    # be the bytes of the one-row chain: two out integrals for the
+    # vorticity, then the nested stream quadratures.  At phi0 <= 2 there is
+    # no pair, and every mean output is that chain's, negated from +0.
     boundary = BoundarySpectrum.from_modes(4, phi0, mu0=mu + 0.1, mu=mu,
                                            vr={1: 0.02},
                                            vtheta={2: -0.01j, 3: 0.004})
     sources = steep_sources(grid, 4)
     sources.F[0] *= 1.0 + 0.3j * np.cos(2.0 * np.log(grid.r))
-    calls = []
+    calls, seen = [], []
     for name in ("integrate_out_all", "integrate_in_all", "integrate_out_in"):
         real = getattr(linear_module, name)
         monkeypatch.setattr(linear_module, name,
                             lambda *a, _real=real: calls.append(1) or _real(*a))
+    monkeypatch.setattr(linear_module, "_mean_particular",
+                        lambda *a: seen.append(_mean_particular(*a)) or seen[-1])
     sol = solve_linear(ReferenceFlow(phi0, mu), grid, boundary, sources)
-    assert len(calls) == 4
+    assert len(calls) == 4 and len(seen) == 1
     inner = integrate_out_all(grid, sources.F[0] / grid.r, -(phi0 + 1.0))
     w = integrate_out_all(grid, inner / grid.r, 0.0)
-    want = _assemble_zero(grid, phi0, boundary.vtheta[0], w, -inner)
-    got = (sol.gamma[0], sol.dgamma[0], sol.w[0], sol.dw[0], sol.w_bar[0])
-    for a, b in zip(got, want):
-        assert np.asarray(a).tobytes() == np.asarray(b, dtype=complex).tobytes()
+    want = _mean_particular(grid, w, inner)
+    for a, b in zip(seen[0], want):
+        assert a.tobytes() == b.tobytes()
+    if phi0 <= 2.0:
+        got = (sol.gamma[0], sol.dgamma[0], sol.w[0], sol.dw[0], sol.w_bar[0])
+        w_part, dw_part, g_part, dg_part = want
+        chain = (0.0 - g_part, 0.0 - dg_part, 0.0 - w_part, 0.0 - dw_part, 0j)
+        for a, b in zip(got, chain):
+            assert (np.asarray(a).tobytes()
+                    == np.asarray(b, dtype=complex).tobytes())
     assert (sol.w_bar[0] != 0) == (phi0 > 2.0)
 
 
