@@ -4,14 +4,16 @@
 For strong suction (phi0 > 2) the boundary data does not pin the flow: each
 asymptotic circulation mu in an admissible interval yields its own converged
 solution with the same trace on the unit circle.  This script solves the
-branch over a ladder of mu values and prints, per member, the fitted
-asymptotic circulation, the slowest stream-mode decay rate, the momentum
-residual, and the sup-norm gap (at a probe radius) to the first member —
-showing distinct fields behind identical boundary data.
+branch over a ladder of mu values and prints, per member, the circulation
+still carried beyond r_max (0 as r_max grows), the slowest stream-mode
+decay rate, the momentum residual, and the sup-norm gap (at a probe
+radius) to the first member — showing distinct fields behind identical
+boundary data.
 
 With --out, writes summary.json (in the package's JSON format, a value
 without a finite number as null) plus one CSV per member tabulating the
-circulation carried at radius r, y(r) = mu - r * Re d_r gamma_0(r).
+circulation carried at radius r, y(r) = mu - r * Re d_r gamma_0(r); the
+summary's circulation_at_r_max is mu - y(r_max).
 """
 
 import argparse
@@ -70,8 +72,9 @@ def main(argv=None):
     rows = []
     print(f"branch at phi0={args.phi0}, mu0={args.mu0}, trace amplitude "
           f"{args.eps}; probe radius {args.probe_radius}")
-    print(f"{'mu':>8} {'iters':>5} {'mu_fit':>12} {'beta0':>8} "
-          f"{'ns_resid':>10} {'field_gap':>10} {'trace_gap':>10}")
+    print(f"{'mu':>8} {'iters':>5} {'circulation_at_r_max':>20} "
+          f"{'beta0':>8} {'ns_resid':>10} {'field_gap':>10} "
+          f"{'trace_gap':>10}")
     for member in members:
         if member.solution is None:
             print(f"{member.mu:8.4f}  FAILED: {member.error}")
@@ -79,7 +82,7 @@ def main(argv=None):
                          "error": member.error})
             continue
         sol = member.solution
-        fit = asymptotic_circulation(sol)
+        carried = asymptotic_circulation(sol)
         profile = decay_fit(sol)
         resid = ns_residual(sol)
         field = field_row(sol, args.probe_radius)
@@ -89,11 +92,11 @@ def main(argv=None):
         field_gap = float(np.abs(field - reference_field).max())
         trace_gap = float(np.abs(trace - reference_trace).max())
         print(f"{member.mu:8.4f} {member.report.iterations:5d} "
-              f"{fit.mu_effective:12.8f} {profile.beta0:8.4f} "
+              f"{carried:20.4e} {profile.beta0:8.4f} "
               f"{resid:10.2e} {field_gap:10.2e} {trace_gap:10.2e}")
         rows.append({"mu": member.mu, "converged": True,
                      "iterations": member.report.iterations,
-                     "mu_effective": fit.mu_effective,
+                     "circulation_at_r_max": carried,
                      "beta0": profile.beta0, "ns_residual": resid,
                      "field_gap_to_first": field_gap,
                      "trace_gap_to_first": trace_gap})

@@ -25,5 +25,5 @@ from .solve import (SolverConfig, SolveReport, SolverConvergenceError,
                     shoot_mu, branch_sweep, picard_norm)
 from .field import (PhysicalField, reconstruct, ns_residual,
                     mode_ode_residuals, derivative_consistency,
-                    asymptotic_circulation, CirculationFit, DecayProfile,
-                    decay_fit, log_derivatives, interior)
+                    asymptotic_circulation, DecayProfile, decay_fit,
+                    log_derivatives, interior)

@@ -52,7 +52,7 @@ def _load(config_path, quick, overrides):
 
 def _diagnostics(solution):
     return {"ns_residual": ns_residual(solution),
-            "circulation_fit": asdict(asymptotic_circulation(solution)),
+            "circulation_at_r_max": asymptotic_circulation(solution),
             "decay": asdict(decay_fit(solution))}
 
 
@@ -138,9 +138,9 @@ def branch(config_path, outdir, mu_extra, quick, seed):
             entry["error"] = member.error
         else:
             sub = os.path.join(outdir, f"mu_{idx:02d}")
-            fit = _write_solution(sub, member.solution, member.report, cfg,
-                                  seed)["circulation_fit"]
-            entry["mu_effective"] = fit["mu_effective"]
+            entry["circulation_at_r_max"] = _write_solution(
+                sub, member.solution, member.report, cfg,
+                seed)["circulation_at_r_max"]
             entry["iterations"] = member.report.iterations
             trace_ur, trace_ut = synthesize_boundary(
                 member.solution.boundary, 64)

@@ -27,7 +27,6 @@ __all__ = [
     "ns_residual",
     "NS_RESIDUAL_LIMIT",
     "reconstruct",
-    "CirculationFit",
     "asymptotic_circulation",
     "DecayProfile",
     "decay_fit",
@@ -178,72 +177,19 @@ def reconstruct(solution: SpectralSolution, n_theta: int) -> PhysicalField:
     return PhysicalField(r=solution.grid.r, theta=theta, ur=ur, utheta=ut, w=wf)
 
 
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+def asymptotic_circulation(solution: SpectralSolution) -> float:
+    """The circulation still carried beyond r_max: r_max Re d_r gamma_0(r_max).
 
-
-def _golden_min(fun, lo: float, hi: float, xatol: float = 1e-8) -> float:
-    """Local minimizer of a scalar function on [lo, hi], golden-section search."""
-    c, d = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
-    fc, fd = fun(c), fun(d)
-    while hi - lo > xatol:
-        if fc <= fd:
-            hi, d, fd = d, c, fc
-            c = hi - _GOLDEN * (hi - lo)
-            fc = fun(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _GOLDEN * (hi - lo)
-            fd = fun(d)
-    return float(c if fc <= fd else d)
-
-
-@dataclass(frozen=True)
-class CirculationFit:
-    mu_effective: float  # extrapolated circulation r u_theta mean at infinity
-    decay_exponent: float
-    amplitude: float
-    rms: float
-
-
-def asymptotic_circulation(solution: SpectralSolution) -> CirculationFit:
-    """Fit mu_eff + c r^{-q} to the mean swirl moment y(r) = mu - r d_r gamma_0.
-
-    y is the circulation carried at radius r; for phi0 > 2 it tends to a
-    limit generally different from both mu and mu0.  Constant samples are
-    returned exactly without invoking the fit.  Each step of the search
-    over q fits y ~ a + b x, x = r^{-q}, in closed form: x is divided by
-    its largest value, so that no r_max underflows its sums, and centred,
-    b = sum dx dy / sum dx^2 and a = mean y - b mean x.  The residual sum
-    of squares is summed from the residuals: sum dy^2 - b sum dx dy would
-    cancel to the rounding of sum dy^2 on a close fit.
+    The mean swirl moment y(r) = mu - r Re d_r gamma_0(r) is the
+    circulation carried at radius r, and this is mu - y(r_max).  The mean
+    mode gives r d_r gamma_0 = c r^(2 - phi0) + H(r), with c the Hamel
+    swirl of its homogeneous pair (0 unless phi0 > 2) and H(r) the integral
+    of sigma w_0 over sigma > r (``linear._mean_particular``).  Both terms
+    vanish at infinity, so y tends to mu exactly, and the readout is the
+    part of mu that the truncated domain leaves beyond r_max: 0 as
+    r_max -> infinity, like r_max^(2 - phi0) when phi0 > 2 and c != 0.
     """
-    grid = solution.grid
-    mask = grid.r >= grid.r_max / 100.0
-    r = grid.r[mask]
-    y = solution.flow.mu - r * np.real(solution.dgamma[0])[mask]
-    mean = float(np.mean(y))
-    spread = float(np.max(np.abs(y - mean)))
-    if spread <= 1e-12 * max(1.0, abs(mean)):
-        return CirculationFit(mu_effective=mean, decay_exponent=float("inf"),
-                              amplitude=0.0, rms=0.0)
-
-    rel = r / r[0]          # x / max x = rel^{-q}
-    dy = y - mean
-
-    def residual(q):
-        x = rel ** (-q)
-        x_mean = np.mean(x)
-        dx = x - x_mean
-        slope = float(np.dot(dx, dy)) / float(np.dot(dx, dx))
-        res = dy - slope * dx
-        return float(np.dot(res, res)), mean - slope * x_mean, slope
-
-    q = _golden_min(lambda q: residual(q)[0], 0.05, 8.0)
-    rss, a, slope = residual(q)
-    return CirculationFit(mu_effective=float(a),
-                          decay_exponent=q,
-                          amplitude=float(slope * r[0] ** q),
-                          rms=float(np.sqrt(rss / r.size)))
+    return float(solution.grid.r[-1] * np.real(solution.dgamma[0, -1]))
 
 
 @dataclass(frozen=True, eq=False)

@@ -485,6 +485,27 @@ def test_branch_sweep_members_and_extras(tmp_path, runner):
     assert all(abs(c[0] - ur0) < 1e-9 for c in checks)
 
 
+def test_branch_summary_carries_each_members_circulation_at_r_max(tmp_path,
+                                                                 runner):
+    # summary.json holds each member's report.json circulation_at_r_max,
+    # bit for bit.
+    payload = json.loads(json.dumps(SOLVE_CFG))
+    payload["branch"] = {"mu_values": [0.15, 0.25]}
+    out = tmp_path / "sweep"
+    res = runner.invoke(main, ["branch", "--config",
+                               write_cfg(tmp_path, payload), "--out",
+                               str(out)])
+    assert res.exit_code == 0, res.output
+    summary = json.loads((out / "summary.json").read_text())
+    for idx, member in enumerate(summary["members"]):
+        assert "mu_effective" not in member
+        report = json.loads(
+            (out / f"mu_{idx:02d}" / "report.json").read_text())
+        assert "circulation_fit" not in report
+        assert (member["circulation_at_r_max"].hex()
+                == report["circulation_at_r_max"].hex())
+
+
 def test_branch_records_a_failed_member_and_exits_2(tmp_path, runner,
                                                   monkeypatch):
     # One member's solve fails: summary.json records it with its error, the

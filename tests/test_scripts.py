@@ -44,6 +44,10 @@ def test_branch_portrait_runs(tmp_path):
     # one trace, two flows
     assert members[1]["trace_gap_to_first"] < 1e-12
     assert members[1]["field_gap_to_first"] > 1e-4
+    # the circulation left beyond r_max: 5.0e-4 and 8.7e-8
+    assert all("mu_effective" not in m for m in members)
+    assert all(abs(m["circulation_at_r_max"]) <= 0.05 * m["mu"]
+               for m in members)
 
 
 def test_branch_portrait_writes_strict_json(tmp_path):
