@@ -8,9 +8,10 @@ Three panels, all printed as plain tables:
    fixed point, shooting and the inequality checks);
 2. fitted large-radius decay rates of a generic linear solve against the
    closed-form mode exponents;
-3. the uniqueness-window inequalities: randomized Hardy checks with the
-   sharpness of the constant, the positivity window of the weight factor,
-   and the measured constant in the high-mode lower bound.
+3. the sharp constants of the uniqueness-window inequalities, each
+   eigenvalue next to its closed form: the Hardy ratio per weight, and per
+   background the least Q_1 value and the positivity window of the weight
+   factor.
 
 With --out, the full portrait is also written as JSON, in the package's
 format (a value without a finite number, such as the metric of a check
@@ -25,9 +26,8 @@ import numpy as np
 
 from hamelflow import (BoundarySpectrum, build_grid, decay_fit,
                        re_zeta_minus_closed_form, solve_linear, zeta_pair)
-from hamelflow.uniq import (hardy_check, hardy_sharpness, positivity_roots,
-                            probe_q1_negativity, q_form, random_stream,
-                            random_w_profile)
+from hamelflow.uniq import (hardy_sharpness, positivity_roots,
+                            probe_q1_negativity)
 from hamelflow.report import write_json
 from hamelflow.verify import run_battery
 
@@ -67,36 +67,22 @@ def decay_panel(phi0, mu):
     return rows
 
 
-def inequality_panel(seed, n_hardy, n_streams):
-    rng = np.random.default_rng(seed)
-    grid = build_grid(1e4, 24)
-    w, dw = random_w_profile(grid, rng, size=n_hardy)
-    violations = sum(int(np.count_nonzero(~hardy_check(grid, w, dw, alpha).ok))
-                     for alpha in (2.0, 3.0, 4.0))
-    sharp = hardy_sharpness()
-    print("\n== uniqueness-window inequalities ==")
-    print(f"hardy: {violations} violations in {3 * n_hardy} randomized "
-          f"checks; constant attained to ratio {sharp.ratio:.4f}")
-
-    panel = {"hardy_violations": violations, "hardy_sharpness": sharp.ratio,
-             "backgrounds": []}
-    q_grid = build_grid(1e4, 16)
+def inequality_panel():
+    print("\n== uniqueness-window sharp constants (closed form, eigenvalue) ==")
+    hardy = [{"alpha": alpha, "closed_form": closed, "eigenvalue": eig}
+             for alpha, (closed, eig) in hardy_sharpness().items()]
+    for row in hardy:
+        print(f"hardy alpha={row['alpha']}: {row['closed_form']:.6f} "
+              f"{row['eigenvalue']:.6f}")
+    backgrounds = []
     for phi0 in (2.1, 2.5, 3.0):
         roots = positivity_roots(phi0)
-        stack = random_stream(q_grid, rng, size=n_streams)
-        min_c = float(q_form(stack, phi0).c_measured.min())
-        probe = probe_q1_negativity(phi0, n_samples=200, seed=seed)
-        print(f"phi0={phi0}: weight positive on "
-              f"({roots[0]:.6f}, {roots[1]:.6f}); high-mode constant "
-              f">= {min_c:.4f} over {n_streams} streams; "
-              f"negativity probe: {probe.verdict} "
-              f"(min value {probe.min_value:.3e})")
-        panel["backgrounds"].append(
-            {"phi0": phi0, "positivity_window": list(roots),
-             "min_high_mode_constant": min_c,
-             "q1_probe_verdict": probe.verdict,
-             "q1_probe_min": probe.min_value})
-    return panel
+        closed, eig = probe_q1_negativity(phi0)
+        print(f"phi0={phi0}: least Q1 {closed:.6f} {eig:.6f}; weight "
+              f"positive on ({roots[0]:.6f}, {roots[1]:.6f})")
+        backgrounds.append({"phi0": phi0, "positivity_window": roots,
+                            "q1_closed_form": closed, "q1_eigenvalue": eig})
+    return {"hardy": hardy, "backgrounds": backgrounds}
 
 
 def main(argv=None):
@@ -106,16 +92,13 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=2026)
     parser.add_argument("--phi0", type=float, default=2.5)
     parser.add_argument("--mu", type=float, default=0.2)
-    parser.add_argument("--hardy-samples", type=int, default=200)
-    parser.add_argument("--stream-samples", type=int, default=100)
     parser.add_argument("--out", type=pathlib.Path, default=None,
                         help="JSON file for the whole portrait")
     args = parser.parse_args(argv)
 
     battery = battery_panel(args.quick, args.seed)
     decay = decay_panel(args.phi0, args.mu)
-    inequalities = inequality_panel(args.seed, args.hardy_samples,
-                                    args.stream_samples)
+    inequalities = inequality_panel()
 
     if args.out is not None:
         args.out.parent.mkdir(parents=True, exist_ok=True)

@@ -8,9 +8,8 @@ non-finite floats are written as null.  Integer-valued floats below 1e16 in
 magnitude are written x.0; floats with 1e16 <= |x| < 1e17 (all integers)
 as bare integers, and from 1e17 on in exponent form.  A null in
 report.json marks an undefined value: the decay slope of an inactive mode,
-beta0/beta1/beta_sup1 without an active mode to take them from, the
-infinite decay exponent of a constant circulation fit, and the shoot
-residual of a fixed-mu solve.
+beta0/beta1/beta_sup1 without an active mode to take them from, and the
+shoot residual of a fixed-mu solve.
 
 Each value of a solve's modes.json, modes.csv and field.csv is formatted
 once: the radii for all three files, the angles for all rows of field.csv,

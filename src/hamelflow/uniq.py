@@ -1,4 +1,4 @@
-"""Desk-scale checks of the quadratic forms behind the uniqueness argument.
+"""Sharp constants of the quadratic forms behind the uniqueness argument.
 
 The difference of two solutions is a velocity field with stream modes
 phi_k; splitting it into the |k| = 1 part and the rest, the energy identity
@@ -13,12 +13,14 @@ parts to the manifestly nonnegative
     Q_1 = 2 pi sum_{k=+-1} int [ (3 - phi0) |d_r(phi_k/r)|^2 + |phi_k''|^2 ] r dr
 
 for phi0 <= 3, while the |k| >= 2 remainder Q_sup1 = Q_plus - Q_1 dominates
-a fixed fraction of the gradient-plus-weighted norm of that part.  These
-facts, a truncated Hardy inequality, and per-node Poincare-type mode
-inequalities are what the randomized suites here probe.  All streams are
-compactly supported smooth bumps in the log variable so every boundary term
-in the continuum identities vanishes identically.  Leading array axes stack
-independent samples; each form returns one value per sample (a float for one).
+a fixed fraction of the gradient-plus-weighted norm of that part.
+
+In x = log r on [0, L = ln r_max], with psi = phi/r (w = r^-beta v for the
+Hardy inequality), the forms are constant-coefficient sums of M0 = int v^2,
+M1 = int v'^2, M2 = int v''^2 dx on clamped profiles: their sharp constants
+are extreme eigenvalues of finite-difference pencils, matched to closed
+forms (Hardy, Littlewood and Polya, *Inequalities*, 1934) and to samples
+(random bump streams, stacked on leading axes), none of which may beat them.
 """
 
 from __future__ import annotations
@@ -41,13 +43,11 @@ __all__ = [
     "QFormResult",
     "q_form",
     "poincare_wirtinger_check",
-    "Q1Probe",
     "probe_q1_negativity",
 ]
 
-# Profile rows (samples x modes) in one stack of the randomized suites, which
-# bounds their working arrays: 50 profiles or probe samples, 10 streams.
-_STACK_ROWS = 50
+# (r_max, nodes per decade) of the sharp constants and their cross-check.
+_SHARP_GRID = (1e4, 16)
 
 
 # ---------------------------------------------------------------------------
@@ -91,12 +91,6 @@ def _bump_profile(grid: RadialGrid, rng, size, rows: tuple, n_bumps: int,
     return phi, dphi_x / r, (d2phi_x - dphi_x) / (r * r)
 
 
-def _stacks(n_samples: int, per_sample: int = 1):
-    """Sizes of the ``_STACK_ROWS``-row stacks covering ``n_samples``."""
-    step = max(1, _STACK_ROWS // per_sample)
-    return [min(step, n_samples - i) for i in range(0, n_samples, step)]
-
-
 @dataclass(frozen=True, eq=False)
 class TestStream:
     """Stream modes phi_k (k >= 1 rows) with analytic radial derivatives."""
@@ -126,7 +120,7 @@ def random_w_profile(grid: RadialGrid, rng, size=None):
 
 
 # ---------------------------------------------------------------------------
-# quadrature over [1, r_max] in the log variable
+# quadrature over [1, r_max] in the log variable, and its matrices
 
 
 def _integ(grid: RadialGrid, vals):
@@ -137,6 +131,26 @@ def _integ(grid: RadialGrid, vals):
 def _unstack(*values):
     """Python scalars for one sample, the arrays themselves for a stack."""
     return [v.item() if np.ndim(v) == 0 else v for v in values]
+
+
+def _sharp_forms():
+    """M0 = int v^2, M1 = int v'^2 and M2 = int v''^2 dx on the sharp grid's
+    interior nodes, v = 0 at both ends: trapezoid sums of differences, for M2
+    with mirror ghost nodes that also clamp v' = 0 there."""
+    grid = build_grid(*_SHARP_GRID)
+    n, h = grid.n_nodes - 2, grid.h
+    d = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+    d2 = d @ d
+    d2[[0, -1], [0, -1]] += 2.0
+    return h * np.eye(n), d / h, d2 / h ** 3
+
+
+def _extreme_eigenvalues(a, b):
+    """Least and largest eigenvalues of the symmetric pencils a - lambda b
+    (b = C C^T positive definite; leading axes stack them) via C^-1 a C^-T."""
+    inv = np.linalg.inv(np.linalg.cholesky(b))
+    lam = np.linalg.eigvalsh(inv @ a @ np.swapaxes(inv, -1, -2))
+    return lam[..., 0], lam[..., -1]
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +172,7 @@ def hardy_check(grid: RadialGrid, w, dw, alpha: float) -> HardyResult:
         int_1^M |w|^2 r^(alpha-2) dr <= (4/(alpha-1)^2) int_1^M |w'|^2 r^alpha dr.
 
     Valid for alpha > 1 on profiles vanishing at r = 1 with enough decay for
-    the outer boundary term to drop; the randomized suite guarantees both by
+    the outer boundary term to drop; the bump profiles guarantee both by
     compact support.
     """
     if alpha <= 1.0:
@@ -171,32 +185,18 @@ def hardy_check(grid: RadialGrid, w, dw, alpha: float) -> HardyResult:
     return HardyResult(alpha, *_unstack(lhs, rhs, ratio, ok))
 
 
-def hardy_sharpness() -> HardyResult:
-    """Ratio achieved by the near-extremal family r^(sigma+eps) - r^(sigma-eps).
-
-    sigma = (1 - alpha)/2 balances the two sides exactly in the untruncated
-    limit; a smooth cosine-squared ramp to zero over the last 35% of the
-    log range keeps the profile admissible.  The ratio approaches 1 as the
-    support lengthens (about 0.94 for alpha = 2 up to r = 1e13).
-    """
-    alpha, eps = 2.0, 0.01
-    grid = build_grid(1e13, 24)
-    x = grid.log_r
-    big_l = x[-1]
-    x0 = 0.65 * big_l
-    span = big_l - x0
-    u = np.clip((x - x0) / span, 0.0, 1.0)
-    chi = np.cos(0.5 * np.pi * u) ** 2
-    dchi = np.where((x > x0) & (x < big_l),
-                    -np.sin(np.pi * u) * (0.5 * np.pi / span), 0.0)
-
-    sigma = 0.5 * (1.0 - alpha)
-    core = np.exp(sigma * x) * 2.0 * np.sinh(eps * x)
-    dcore = np.exp(sigma * x) * (2.0 * sigma * np.sinh(eps * x)
-                                 + 2.0 * eps * np.cosh(eps * x))
-    w = core * chi
-    dw = (dcore * chi + core * dchi) / grid.r   # d/dr = (d/dx)/r
-    return hardy_check(grid, w, dw, alpha)
+def hardy_sharpness():
+    """{alpha: (closed form, eigenvalue)} of the best ``hardy_check`` ratio
+    for alpha = 1.5, 2 and 3.  With w = r^-beta v, beta = (alpha - 1)/2, the
+    sides are int v^2 dx and (int v'^2 + beta^2 v^2 dx) / beta^2, so the
+    ratio is the largest eigenvalue of (beta^2 M0, M1 + beta^2 M0), in the
+    continuum beta^2 / (beta^2 + (pi/L)^2), attained at v = sin(pi x / L)."""
+    m0, m1, _ = _sharp_forms()
+    alphas = (1.5, 2.0, 3.0)
+    b2 = (0.5 * (np.array(alphas) - 1.0))[:, None, None] ** 2
+    eig = _extreme_eigenvalues(b2 * m0, m1 + b2 * m0)[1]
+    closed = (b2 / (b2 + (np.pi / np.log(_SHARP_GRID[0])) ** 2)).ravel()
+    return dict(zip(alphas, zip(closed.tolist(), eig.tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -214,18 +214,9 @@ def positivity_factor(alpha: float, phi0: float) -> float:
 
 
 def positivity_roots(phi0: float):
-    """Sign-change locations of positivity_factor(., phi0) in (1.05, 30):
-    brackets from 4000 samples, all bisected together to 1e-12."""
-    a = np.linspace(1.05, 30.0, 4000)
-    vals = positivity_factor(a, phi0)
-    hits = np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0.0))
-    lo, hi = a[hits], a[hits + 1]
-    negative = vals[hits] < 0.0
-    while np.any(hi - lo > 1e-12):
-        mid = 0.5 * (lo + hi)
-        same = (positivity_factor(mid, phi0) < 0.0) == negative
-        lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
-    return np.where(vals[hits] == 0.0, a[hits], 0.5 * (lo + hi)).tolist()
+    """Sorted zeros of positivity_factor(., phi0) on alpha > 1: it equals
+    -(a - 2)(a + 2 - 2 phi0) / a^2, a = alpha - 1 (double at phi0 = 2)."""
+    return sorted(float(a) for a in {3.0, 2.0 * phi0 - 1.0} if a > 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -312,43 +303,36 @@ def poincare_wirtinger_check(stream: TestStream):
     return _unstack(np.minimum(m1.min(axis=-1), m2.min(axis=-1)) / scale)[0]
 
 
-@dataclass(frozen=True)
-class Q1Probe:
-    phi0: float
-    n_samples: int
-    min_value: float
-    found_negative: bool
-    verdict: str
+def _q_pencils(phi0, k):
+    """Matrices in psi = phi/r of the mode pairs k (leading axes), over
+    4 pi: Q_plus = gradient + phi0 sign, and gradient + weighted.  With
+    r d_r = d/dx, ``q_form``'s integrands times r dr = r^2 dx are these, and
+    their cross terms integrate to end values, which vanish:
 
-
-def probe_q1_negativity(phi0: float, n_samples: int = 10000,
-                        seed: int = 0) -> Q1Probe:
-    """Random search for a k = 1 stream making Q_1 negative.
-
-    In the log variable Q_1 is 4 pi int [(4 - phi0) u'^2 + u''^2] dx for
-    u = phi/r, so no sample can be negative for phi0 <= 4 and the expected
-    verdict up there is "inconclusive"; the probe exists to report the
-    margin honestly rather than assert an impossibility.  The search stops
-    at the stack holding the first negative sample; ``min_value`` and
-    ``n_samples`` cover the samples up to and including it.
+        gradient:  2 k^2 psi'^2 + (psi' + psi'')^2 + ((k^2 - 1) psi - psi')^2,
+        sign:      k^2 psi^2 - (psi + psi')^2,
+        weighted:  (psi + psi')^2 + k^2 psi^2    (a_k + k^2 b_k).
     """
-    rng = np.random.default_rng(seed)
-    grid = build_grid(1e4, 16)
-    best = np.inf
-    found = False
-    seen = 0
-    for size in _stacks(int(n_samples)):
-        res = q_form(random_stream(grid, rng, modes=(1,), n_bumps=3,
-                                   size=size), phi0)
-        rel = res.q_1 / res.scale
-        negative = np.flatnonzero(res.q_1 < -1e-12 * res.scale)
-        if negative.size:
-            best = min(best, float(rel[:negative[0] + 1].min()))
-            seen += int(negative[0]) + 1
-            found = True
-            break
-        best = min(best, float(rel.min()))
-        seen += size
-    verdict = "negative-found" if found else "inconclusive"
-    return Q1Probe(phi0=phi0, n_samples=seen, min_value=best,
-                   found_negative=found, verdict=verdict)
+    m0, m1, m2 = _sharp_forms()
+    k2 = np.asarray(k, float)[..., None, None] ** 2
+    grad = m2 + (2.0 * k2 + 2.0) * m1 + (k2 - 1.0) ** 2 * m0
+    return grad + phi0 * ((k2 - 1.0) * m0 - m1), grad + m1 + (k2 + 1.0) * m0
+
+
+def _high_mode_eigenvalues(phi0s):
+    """Least ``q_form`` c_measured of each mode k = 2..5 alone, shape
+    (phi0s, 4); Q is diagonal in the modes, so a row's least is the infimum."""
+    q_plus, norm = _q_pencils(np.array(phi0s)[:, None, None, None],
+                              (2, 3, 4, 5))
+    return _extreme_eigenvalues(q_plus, norm)[0]
+
+
+def probe_q1_negativity(phi0: float):
+    """(closed form, least eigenvalue) of Q_1 / (4 pi int psi'^2 dx) over
+    k = 1 streams.  Q_1 = 4 pi int (4 - phi0) psi'^2 + psi''^2 dx by parts,
+    and clamped psi have int psi''^2 >= (2 pi/L)^2 int psi'^2, with equality
+    at 1 - cos(2 pi x / L): Q_1 < 0 for some stream iff phi0 > 4 + (2 pi/L)^2.
+    """
+    least = _extreme_eigenvalues(_q_pencils(phi0, 1)[0], _sharp_forms()[1])[0]
+    return (4.0 - phi0 + (2.0 * np.pi / np.log(_SHARP_GRID[0])) ** 2,
+            float(least))

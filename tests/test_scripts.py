@@ -70,10 +70,14 @@ def test_branch_portrait_writes_strict_json(tmp_path):
 def test_verification_portrait_runs(tmp_path):
     out = tmp_path / "portrait.json"
     res = run_script(ROOT / "scripts" / "verification_portrait.py",
-                     "--quick", "--hardy-samples", "20", "--stream-samples",
-                     "10", "--out", str(out))
+                     "--quick", "--out", str(out))
     assert res.returncode == 0, res.stderr
     portrait = json.loads(out.read_text())
     assert portrait["battery"]["all_passed"]
     assert [row["n"] for row in portrait["decay"]] == [1, 2, 3, 4]
-    assert portrait["inequalities"]["hardy_violations"] == 0
+    hardy = portrait["inequalities"]["hardy"]
+    assert [row["alpha"] for row in hardy] == [1.5, 2.0, 3.0]
+    for row in hardy:
+        assert abs(row["eigenvalue"] - row["closed_form"]) < 1e-3
+    for row in portrait["inequalities"]["backgrounds"]:
+        assert abs(row["q1_eigenvalue"] - row["q1_closed_form"]) < 1e-3
