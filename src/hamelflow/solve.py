@@ -89,6 +89,7 @@ class SolveReport:
     iterations: int
     increments: list
     contraction_ratio: float
+    fixed_point_bound: float
     alpha: float
     alpha_feasible: bool
     mu: float
@@ -114,6 +115,31 @@ def _contraction_ratio(increments) -> float:
     return float(np.median([b / a for a, b in pairs]))
 
 
+def _fixed_point_bound(increments) -> float:
+    """What the loop's stop compares with ``tol_fp``: the last increment
+    delta_k times min(1, q/(1-q)), with q = delta_k/delta_{k-1} +
+    delta_{k-1}/delta_{k-2} the sum of the last two ratios.
+
+    For a map contracting by q per step, q/(1-q) delta_k bounds the
+    distance of the iterate to the fixed point (Banach's a-posteriori
+    estimate).  The ratios are not constant: each step carries the
+    nonlinearity into higher modes, and on the weak-flux bank the next
+    ratio was up to 5x the larger of the last two, so that one alone
+    underestimates the distance (by 1.9x on bank trace 178).  Their sum is
+    at most twice the larger.  The factor is 1 with fewer than three
+    increments or at q >= 1/2, so the value is never above delta_k; nan
+    before the first increment.
+    """
+    if not increments:
+        return float("nan")
+    delta = increments[-1]
+    if len(increments) >= 3 and increments[-2] > 0.0 and increments[-3] > 0.0:
+        q = delta / increments[-2] + increments[-2] / increments[-3]
+        if q < 0.5:
+            return delta * q / (1.0 - q)
+    return delta
+
+
 def _check_modes(boundary: BoundarySpectrum, config: SolverConfig):
     if config.n_modes != boundary.n_max:
         raise ValueError(f"config.n_modes={config.n_modes} but the boundary "
@@ -129,7 +155,10 @@ def _fixed_point(boundary: BoundarySpectrum, config: SolverConfig,
     applies one linear solve to the sources of the current iterate.  With
     ``shoot`` each step first sets mu <- mu0 + Re dgamma_0(1) of the
     current iterate, i.e. mu + g, and rebudgets the trace against it;
-    otherwise mu stays at ``boundary.mu``.
+    otherwise mu stays at ``boundary.mu``.  The loop stops when
+    ``_fixed_point_bound`` of the increments is below ``tol_fp`` and |g|
+    is within ``tol_mu``; the iterates up to there do not depend on the
+    stop.
     """
     _check_modes(boundary, config)
     grid = config.make_grid()
@@ -144,7 +173,8 @@ def _fixed_point(boundary: BoundarySpectrum, config: SolverConfig,
         return SolveReport(
             converged=converged, iterations=iterations,
             increments=list(increments),
-            contraction_ratio=_contraction_ratio(increments), alpha=alpha,
+            contraction_ratio=_contraction_ratio(increments),
+            fixed_point_bound=_fixed_point_bound(increments), alpha=alpha,
             alpha_feasible=feasible, mu=spec.mu, mu0=spec.mu0,
             phi0=spec.phi0, mu_history=list(mu_history),
             shoot_residual=abs(g) if shoot else float("nan"),
@@ -173,7 +203,7 @@ def _fixed_point(boundary: BoundarySpectrum, config: SolverConfig,
             raise SolverConvergenceError(
                 "Picard iterate lost finiteness; data too large for the "
                 "contraction regime", report(False))
-        if (increments and increments[-1] < config.tol_fp
+        if (_fixed_point_bound(increments) < config.tol_fp
                 and abs(g) <= config.tol_mu * max(1.0, abs(spec.mu))):
             return x, report(True)
 
@@ -212,8 +242,9 @@ def shoot_mu(boundary: BoundarySpectrum, config: SolverConfig | None = None):
     """Close the circulation condition for phi0 <= 2 with mu an unknown.
 
     One Picard loop over (X, mu) from ``boundary.mu``; it stops when both
-    the increment and g(mu) = mu0 + Re dgamma_0(1) - mu are within
-    tolerance.  The report holds one ``mu_history`` entry per step.
+    the bound on the distance to the fixed point and g(mu) =
+    mu0 + Re dgamma_0(1) - mu are within tolerance.  The report holds one
+    ``mu_history`` entry per step.
     """
     config = config or SolverConfig()
     if circulation_is_free(boundary.phi0):

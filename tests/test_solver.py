@@ -17,6 +17,7 @@ from hamelflow import (BoundarySpectrum, DivergentTailError, SolverConfig,
                        picard_norm, picard_solve, shoot_mu,
                        solve_linear, synthesize_boundary, zeta_pair)
 from hamelflow.field import ns_residual
+from hamelflow.flows import circulation_is_free
 
 
 def bdry(n_max, phi0, mu0, mu, eps):
@@ -182,20 +183,23 @@ BANK_TRACES = {
 }
 
 
+def bank_trace(trace, n_max):
+    phi0, mu0, vr, vt = BANK_TRACES[trace]
+    r = np.zeros(n_max + 1, complex)
+    t = np.zeros(n_max + 1, complex)
+    r[1:4], t[1:4] = vr, vt
+    return BoundarySpectrum(n_max, r, t, phi0, mu0, mu0)
+
+
 @pytest.mark.parametrize("trace", sorted(BANK_TRACES))
 def test_bank_traces_converge_under_refinement(trace):
     # Refining the grid must not turn rounding noise in a tail into a
     # divergence; mu then settles at the rule's order and the residual
     # falls with every doubling.
-    phi0, mu0, vr, vt = BANK_TRACES[trace]
-    n_max = 12
-    r = np.zeros(n_max + 1, complex)
-    t = np.zeros(n_max + 1, complex)
-    r[1:4], t[1:4] = vr, vt
-    spec = BoundarySpectrum(n_max, r, t, phi0, mu0, mu0)
+    spec = bank_trace(trace, 12)
     mus, residuals = [], []
     for npd in (96, 192, 384):
-        sol, rep = shoot_mu(spec, SolverConfig(n_modes=n_max,
+        sol, rep = shoot_mu(spec, SolverConfig(n_modes=12,
                                                nodes_per_decade=npd))
         assert rep.converged
         mus.append(rep.mu)
@@ -284,17 +288,84 @@ def test_fused_shooting_matches_nested_shooting(monkeypatch, boundary):
     assert rep.converged and rep.warnings == []
     assert abs(rep.mu - ref_rep.mu) <= 2 * CFG.tol_mu * max(1.0, abs(rep.mu))
     assert rep.shoot_residual <= CFG.tol_mu * max(1.0, abs(rep.mu))
-    # Each mode row agrees to 1e-8 of its maximum; rows whose maximum is
-    # below tol_fp are not resolved by either loop (the check_shooting
-    # trace's mode 8 peaks at 2e-24) and are held to the overall maximum.
-    scale = np.abs(ref_sol.gamma).max(axis=1, keepdims=True)
-    scale = np.where(scale > CFG.tol_fp, scale, scale.max())
-    assert (np.abs(sol.gamma - ref_sol.gamma) <= 1e-8 * scale).all()
+    # Each loop stops within tol_fp of its fixed point in the contraction
+    # norm, which resolves row n only to tol_fp (1 + n)^-4 at r >= 1: each
+    # row agrees to 1e-8 of its maximum or to twice that, whichever is
+    # larger (mode 6 of the test_solver trace peaks at 4.5e-11).
+    diff = sol.gamma - ref_sol.gamma
+    n = np.arange(diff.shape[0])[:, None]
+    rowmax = np.abs(ref_sol.gamma).max(axis=1, keepdims=True)
+    bound = np.maximum(1e-8 * rowmax, 2 * CFG.tol_fp * (1.0 + n) ** -4)
+    assert (np.abs(diff) <= bound).all()
     # one linear solve per step: the first has no sources
     assert calls[0] == len(rep.mu_history) == rep.iterations + 1
     assert rep.mu_history[0] == boundary.mu and rep.mu_history[-1] == rep.mu
     assert len(rep.increments) == rep.iterations
     assert calls[0] < nested_calls
+    # The whole stack is within 2 tol_fp of the fixed point at its own mu.
+    # Against the nested reference it is not: the two loops close mu
+    # within tol_mu but 2.6e-10 apart, which alone moves the stack by
+    # 1.4e-11 in the norm.
+    fixed, _ = picard_solve(boundary.with_mu(rep.mu), CFG)
+    assert picard_norm(sol.grid, sol.gamma - fixed.gamma,
+                       rep.alpha) <= 2 * CFG.tol_fp
+
+
+def test_fixed_point_bound_factor():
+    bound = hamelflow.solve._fixed_point_bound
+    assert np.isnan(bound([]))
+    # fewer than three increments: the increment itself
+    assert bound([1e-3]) == 1e-3 and bound([1e-3, 1e-6]) == 1e-6
+    # q = 0.3 + 0.3 and q = 2 + 2, both >= 1/2: the increment itself
+    assert bound([1.0, 0.3, 0.09]) == 0.09
+    assert bound([1.0, 2.0, 4.0]) == 4.0
+    # q = 0.005 + 0.005 = 0.01
+    assert bound([1.0, 5e-3, 2.5e-5]) == pytest.approx(2.5e-5 * 0.01 / 0.99,
+                                                       rel=1e-12)
+    # q takes both ratios, whichever is the larger: 0.1 + 0.01 either way,
+    # and 0.6 + 0.01 >= 1/2 although the last ratio is 0.01
+    for increments in ([1.0, 0.1, 1e-3], [1.0, 0.01, 1e-3]):
+        assert bound(increments) == pytest.approx(1e-3 * 0.11 / 0.89,
+                                                  rel=1e-12)
+    assert bound([1.0, 0.6, 0.006]) == 0.006
+
+
+@pytest.mark.parametrize("boundary", [bdry(8, 1.0, 5.0, 5.0, 0.01),
+                                      bdry(8, 2.5, 0.2, 0.2, 0.01)],
+                         ids=["shoot_mu", "picard_solve"])
+def test_loop_stops_at_the_first_step_that_passes(boundary):
+    # The stop, recomputed from the report at every step: it failed at
+    # each step before the last and passed at the last.
+    shoot = not circulation_is_free(boundary.phi0)
+    _, rep = (shoot_mu if shoot else picard_solve)(boundary, CFG)
+    last = rep.iterations
+    mus = rep.mu_history if shoot else [boundary.mu] * (last + 1)
+
+    def passes(k):
+        g = mus[k + 1] - mus[k] if k < last else rep.shoot_residual
+        bound = hamelflow.solve._fixed_point_bound(rep.increments[:k])
+        return (bound < CFG.tol_fp
+                and (not shoot
+                     or abs(g) <= CFG.tol_mu * max(1.0, abs(mus[k]))))
+
+    assert [passes(k) for k in range(last + 1)] == [False] * last + [True]
+    assert rep.fixed_point_bound == hamelflow.solve._fixed_point_bound(
+        rep.increments)
+
+
+@pytest.mark.parametrize("trace", sorted(BANK_TRACES))
+def test_stop_is_within_tol_fp_of_the_fixed_point(trace):
+    # The same loop run on to a 100x tighter tol_fp goes through the same
+    # steps; the iterate it stopped at lies within tol_fp of where that
+    # run ends, in the norm the stop controls.
+    spec = bank_trace(trace, 8)
+    sol, rep = shoot_mu(spec, CFG)
+    assert rep.fixed_point_bound < CFG.tol_fp
+    assert fixed_point_residual(sol) < 2.0 * CFG.tol_fp
+    on = SolverConfig(n_modes=8, nodes_per_decade=48, tol_fp=CFG.tol_fp / 100)
+    ref, ref_rep = shoot_mu(spec, on)
+    assert ref_rep.mu_history[:len(rep.mu_history)] == rep.mu_history
+    assert picard_norm(sol.grid, sol.gamma - ref.gamma, rep.alpha) < CFG.tol_fp
 
 
 def strong_trace(scale):
@@ -317,12 +388,13 @@ def test_shooting_closes_strong_traces(scale):
     assert rep.converged
     assert rep.warnings == []
     assert len(rep.mu_history) == rep.iterations + 1
+    assert rep.fixed_point_bound < CFG.tol_fp
+    assert fixed_point_residual(sol) < 2.0 * CFG.tol_fp
     if scale < 1.5:
         _, ref = nested_shoot_mu(b, CFG)
         assert abs(rep.mu - ref.mu) <= 2 * CFG.tol_mu * max(1.0, abs(ref.mu))
     else:
         assert ns_residual(sol) < 1e-4
-        assert fixed_point_residual(sol) < 2.0 * CFG.tol_fp
 
 
 @pytest.mark.parametrize("field, value", [
