@@ -40,10 +40,10 @@ def main():
     """Spectral solver and checks for steady exterior planar flows."""
 
 
-def _load(config_path, quick, overrides):
+def _load(config_path):
     try:
-        cfg = load_config(config_path, flow=overrides)
-        sc = solver_config(cfg, quick=quick)
+        cfg = load_config(config_path)
+        sc = solver_config(cfg)
         boundary = build_boundary(cfg, sc)
         return cfg, sc, boundary
     except ConfigError as exc:
@@ -87,15 +87,10 @@ def _write_solution(outdir, solution, report, cfg, seed):
 @click.option("--config", "config_path", required=True, type=click.Path())
 @click.option("--out", "outdir", default="out", show_default=True,
               type=click.Path(file_okay=False))
-@click.option("--phi0", type=float, default=None, help="Override flow.phi0.")
-@click.option("--mu0", type=float, default=None, help="Override flow.mu0.")
-@click.option("--mu", type=float, default=None, help="Override flow.mu.")
-@click.option("--quick", is_flag=True, help="Coarser grid and fewer modes.")
 @click.option("--seed", type=int, default=0, show_default=True)
-def solve(config_path, outdir, phi0, mu0, mu, quick, seed):
+def solve(config_path, outdir, seed):
     """Solve one flow: shooting closure for phi0 <= 2, fixed mu above."""
-    cfg, sc, boundary = _load(config_path, quick,
-                              {"phi0": phi0, "mu0": mu0, "mu": mu})
+    cfg, sc, boundary = _load(config_path)
     try:
         if circulation_is_free(boundary.phi0):
             solution, report = picard_solve(boundary, sc)
@@ -113,21 +108,16 @@ def solve(config_path, outdir, phi0, mu0, mu, quick, seed):
 @click.option("--config", "config_path", required=True, type=click.Path())
 @click.option("--out", "outdir", default="out", show_default=True,
               type=click.Path(file_okay=False))
-@click.option("--mu", "mu_extra", type=float, multiple=True,
-              help="Append a circulation to the sweep.")
-@click.option("--quick", is_flag=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-def branch(config_path, outdir, mu_extra, quick, seed):
+def branch(config_path, outdir, seed):
     """Sweep circulations against one trace (non-uniqueness, phi0 > 2)."""
-    cfg, sc, boundary = _load(config_path, quick, {})
-    mu_values = list(cfg.get("branch", {}).get("mu_values", []))
-    mu_values.extend(mu_extra)
-    if not mu_values:
+    cfg, sc, boundary = _load(config_path)
+    if "branch" not in cfg:
         raise click.ClickException("no circulations: give branch.mu_values "
-                                   "in the config or --mu")
+                                   "in the config")
     if not circulation_is_free(boundary.phi0):
         raise click.ClickException("branch sweeps need phi0 > 2")
-    members = branch_sweep(boundary, mu_values, sc)
+    members = branch_sweep(boundary, cfg["branch"]["mu_values"], sc)
     os.makedirs(outdir, exist_ok=True)
     summary = []
     failed = 0
@@ -159,7 +149,8 @@ def branch(config_path, outdir, mu_extra, quick, seed):
 @click.option("--out", "outdir", default=None,
               type=click.Path(file_okay=False),
               help="Also write verify_report.json here.")
-@click.option("--quick", is_flag=True, help="Reduced sample counts.")
+@click.option("--quick", is_flag=True,
+              help="Coarser exponent grid and smaller solves.")
 @click.option("--seed", type=int, default=0, show_default=True)
 def verify(outdir, quick, seed):
     """Run the oracle battery: kernels, traces, residuals, inequalities."""

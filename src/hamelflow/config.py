@@ -98,12 +98,10 @@ CONFIG_SCHEMA = {
 }
 
 
-def load_config(path, flow=None) -> dict:
+def load_config(path) -> dict:
     """The config at ``path``, validated against ``CONFIG_SCHEMA``.
 
-    The values of ``flow`` that are not None (command-line overrides)
-    replace those of the config's flow block before validation.  Floats
-    that the schema admits as integers (``4.0``) come back as ints.
+    Floats that the schema admits as integers (``4.0``) come back as ints.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -112,14 +110,6 @@ def load_config(path, flow=None) -> dict:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except ValueError as exc:   # json.JSONDecodeError included
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    overrides = {k: v for k, v in (flow or {}).items() if v is not None}
-    for key, value in overrides.items():
-        # the schema's bounds let NaN through, and JSON cannot spell one
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(f"config invalid at $.flow.{key}: {value!r} "
-                              "is not a finite number")
-    if isinstance(cfg, dict) and isinstance(cfg.get("flow"), dict):
-        cfg["flow"].update(overrides)
     error = _first_error(CONFIG_SCHEMA, cfg)
     if error:
         raise ConfigError("config invalid at %s: %s" % error)
@@ -228,13 +218,9 @@ def _errors(schema, value, path):
             yield path, f"{value!r} {problem}"
 
 
-def solver_config(cfg: dict, quick: bool = False) -> SolverConfig:
-    kwargs = dict(cfg.get("solver", {}))
-    if quick:
-        for key, cap in (("n_modes", 8), ("nodes_per_decade", 48)):
-            kwargs[key] = min(kwargs.get(key, cap), cap)
+def solver_config(cfg: dict) -> SolverConfig:
     try:
-        return SolverConfig(**kwargs)
+        return SolverConfig(**cfg.get("solver", {}))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"solver settings rejected: {exc}") from exc
 

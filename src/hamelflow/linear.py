@@ -26,8 +26,8 @@ cancels.
 The n = 0 mode has no radial trace freedom left after flux matching: when
 the circulation is free (``flows.circulation_is_free``) the circulation
 deficit mu0 - mu and the decay of its stream pin its pair; otherwise
-shooting in mu closes it.  ``solve_linear`` solves every mode, the mean mode included, around the
-spectrum's flow; there is no one-mode entry.
+shooting in mu closes it.  ``solve_linear`` solves every mode, the mean
+mode included, around the spectrum's flow; there is no one-mode entry.
 """
 
 from __future__ import annotations

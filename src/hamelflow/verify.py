@@ -17,8 +17,8 @@ import numpy as np
 
 from .field import (NS_RESIDUAL_LIMIT, decay_fit, mode_ode_residuals,
                     ns_residual)
-from .flows import (existence_condition, re_zeta_minus_closed_form,
-                    rho_decay, zeta_pair)
+from .flows import (circulation_threshold, existence_condition,
+                    re_zeta_minus_closed_form, rho_decay, zeta_pair)
 from .grid import BoundarySpectrum, build_grid
 from .linear import SourceSpectrum, solve_linear
 from .solve import (SolverConfig, SolverConvergenceError,
@@ -60,19 +60,16 @@ def check_exponent_identities(quick: bool):
 
 
 def check_existence_threshold():
-    lo, hi = 0.0, 16.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if existence_condition(0.0, mid):
-            hi = mid
-        else:
-            lo = mid
     target = 4.0 * np.sqrt(3.0)
-    err = abs(hi - target)
+    threshold = circulation_threshold(0.0)
+    err = abs(threshold - target)
+    flips = (not existence_condition(0.0, target * (1.0 - 1e-12))
+             and existence_condition(0.0, target * (1.0 + 1e-12)))
     rho_err = abs(rho_decay(0.0, target) - 2.0)
     metric = max(err, rho_err)
-    return _check(err < 1e-9 and rho_err < 1e-12, metric, 1e-9,
-                  f"bisected {hi:.12f} vs 4*sqrt(3)={target:.12f}; "
+    return _check(err < 1e-9 and flips and rho_err < 1e-12, metric, 1e-9,
+                  f"threshold {threshold:.12f} vs 4*sqrt(3)={target:.12f}, "
+                  f"existence flips across it: {flips}; "
                   f"rho at threshold off by {rho_err:.2e}")
 
 
@@ -150,8 +147,8 @@ def check_manufactured_solution():
                   f"in absent modes; stream n>=1 (not gated) {stream}")
 
 
-def check_ode_residuals(quick: bool):
-    grid = build_grid(1e4, 48 if quick else 64)
+def check_ode_residuals():
+    grid = build_grid(1e4, 64)
     n_max = 4
     phi0, mu = 2.5, 0.2
     boundary = BoundarySpectrum.from_modes(n_max, phi0, mu0=0.3, mu=mu,
@@ -271,7 +268,7 @@ def run_battery(quick: bool = False, seed: int = 0) -> dict:
             ("exponent_identities", check_exponent_identities, quick),
             ("existence_threshold", check_existence_threshold),
             ("manufactured_solution", check_manufactured_solution),
-            ("ode_residuals", check_ode_residuals, quick),
+            ("ode_residuals", check_ode_residuals),
             ("picard_fixed_point", check_picard_fixed_point, quick),
             ("circulation_shooting", check_shooting, quick),
             ("hardy_inequality", check_hardy, seed),

@@ -126,7 +126,7 @@ def test_criterion_03_manufactured_kernel_responses_converge():
 
 def test_criterion_04_fd_residuals_on_the_linear_verify_cases():
     t0 = time.perf_counter()
-    residuals = check_ode_residuals(quick=False)
+    residuals = check_ode_residuals()
     manufactured = check_manufactured_solution()
     elapsed = time.perf_counter() - t0
     assert residuals["passed"]

@@ -97,13 +97,16 @@ def test_unresolved_solve_warns_and_exits_0(tmp_path, runner):
 def test_solve_replaces_existing_outputs(tmp_path, runner):
     # A re-run into the same --out writes new files: a hard link to an old
     # artifact and a symlink at an artifact's path, dangling or not, are
-    # replaced, not written through.  The first run differs (another mu),
-    # so writing through would change the linked bytes.
-    cfg = write_cfg(tmp_path, {**SOLVE_CFG, "output": {"write_field": True}})
+    # replaced, not written through.  The first run differs (another
+    # config, mu = mu0 = 0.25), so writing through would change the linked
+    # bytes.
+    payload = {**SOLVE_CFG, "output": {"write_field": True}}
+    cfg = write_cfg(tmp_path, payload)
+    first = write_cfg(tmp_path, {**payload, "flow": {"phi0": 2.5, "mu0": 0.25,
+                                                    "mu": 0.25}},
+                      name="first.json")
     out, fresh = tmp_path / "out", tmp_path / "fresh"
-    solve = ["solve", "--config", cfg, "--out"]
-    res = runner.invoke(main, solve + [str(out), "--mu", "0.25",
-                                       "--mu0", "0.25"])
+    res = runner.invoke(main, ["solve", "--config", first, "--out", str(out)])
     assert res.exit_code == 0, res.output
     old_modes = read_bytes(out / "modes.csv")
     link = tmp_path / "modes_link.csv"
@@ -115,7 +118,8 @@ def test_solve_replaces_existing_outputs(tmp_path, runner):
     (out / "report.json").unlink()
     (out / "report.json").symlink_to(tmp_path / "missing")
     for target in (out, fresh):
-        res = runner.invoke(main, solve + [str(target)])
+        res = runner.invoke(main, ["solve", "--config", cfg,
+                                   "--out", str(target)])
         assert res.exit_code == 0, res.output
     for name in ("report.json", "modes.json", "modes.csv", "field.csv"):
         assert read_bytes(out / name) == read_bytes(fresh / name), name
@@ -124,16 +128,6 @@ def test_solve_replaces_existing_outputs(tmp_path, runner):
     assert not (tmp_path / "missing").exists()
     assert read_bytes(link) == old_modes != read_bytes(out / "modes.csv")
     assert read_bytes(sentinel) == b"sentinel\n"
-
-
-def test_solve_overrides_change_the_run(tmp_path, runner):
-    cfg = write_cfg(tmp_path, SOLVE_CFG)
-    out = tmp_path / "o"
-    res = runner.invoke(main, ["solve", "--config", cfg, "--out", str(out),
-                               "--mu", "0.25", "--mu0", "0.25"])
-    assert res.exit_code == 0, res.output
-    report = json.loads((out / "report.json").read_text())
-    assert report["mu"] == 0.25
 
 
 def test_solve_nonconvergence_exits_2(tmp_path, runner):
@@ -345,31 +339,21 @@ def test_non_finite_numbers_are_not_json(tmp_path, runner, block, key,
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("flag, value, message", [
-    ("--phi0", "-1", "-1.0 is less than the minimum of 0"),
-    ("--phi0", "nan", "nan is not a finite number"),
-    ("--mu0", "inf", "inf is not a finite number"),
-    ("--mu", "nan", "nan is not a finite number")],
-    ids=["phi0-negative", "phi0-nan", "mu0-inf", "mu-nan"])
-def test_flow_overrides_are_validated(tmp_path, runner, flag, value, message):
+def test_solve_and_branch_take_their_parameters_from_the_config(tmp_path,
+                                                                runner):
+    # The config file is the one source of a run's parameters: an option
+    # for one of them is click's usage error (exit 2), and nothing is
+    # written.
+    for name in ("solve", "branch"):
+        assert {p.name for p in main.commands[name].params} == {
+            "config_path", "outdir", "seed"}
+    out = tmp_path / "o"
     res = runner.invoke(main, ["solve", "--config",
                                write_cfg(tmp_path, SOLVE_CFG),
-                               "--out", str(tmp_path / "o"), flag, value])
-    assert res.exit_code == 1
-    assert isinstance(res.exception, SystemExit)   # handled, no traceback
-    assert res.output.count("\n") == 1
-    assert f"config invalid at $.flow.{flag[2:]}: {message}" in res.output
-    assert not (tmp_path / "o").exists()
-
-
-def test_override_replaces_an_invalid_flow_value(tmp_path, runner):
-    bad = json.loads(json.dumps(SOLVE_CFG))
-    bad["flow"]["phi0"] = -1.0
-    out = tmp_path / "o"
-    res = runner.invoke(main, ["solve", "--config", write_cfg(tmp_path, bad),
-                               "--out", str(out), "--phi0", "2.5"])
-    assert res.exit_code == 0, res.output
-    assert json.loads((out / "report.json").read_text())["phi0"] == 2.5
+                               "--out", str(out), "--mu", "0.25"])
+    assert res.exit_code == 2
+    assert "No such option '--mu'" in res.output
+    assert not out.exists()
 
 
 def test_shoot_closes_circulation(tmp_path, runner):
@@ -428,27 +412,27 @@ def test_grid_of_fewer_than_5_nodes_is_rejected_in_one_line(tmp_path, runner,
 
 
 def _sixteen_rows(base, nonzero_row=None):
-    """``base`` with 16 vr and vtheta rows; the added rows are zero except
-    ``nonzero_row`` (1-based mode number) of vr, if given."""
+    """``base`` with 16 vr and vtheta rows at n_modes = 8; the added rows
+    are zero except ``nonzero_row`` (1-based mode number) of vr, if
+    given."""
     cfg = json.loads(json.dumps(base))
     modes = cfg["boundary"]["modes"]
     for key in ("vr", "vtheta"):
         modes[key] += [[0.0, 0.0]] * (16 - len(modes[key]))
     if nonzero_row is not None:
         modes["vr"][nonzero_row - 1] = [0.001, 0.0]
-    cfg["solver"]["n_modes"] = 16
+    cfg["solver"]["n_modes"] = 8
     return cfg
 
 
 @pytest.mark.parametrize("base", [SOLVE_CFG, SHOOT_CFG],
                          ids=["solve", "shoot"])
 def test_quick_ignores_trailing_zero_mode_rows(tmp_path, runner, base):
-    # --quick caps n_modes at 8; rows above the last nonzero one prescribe
-    # nothing, so a config that writes all 16 rows still runs.
+    # Rows above the last nonzero one prescribe nothing, so a config that
+    # writes all 16 rows still runs at n_modes = 8.
     cfg = write_cfg(tmp_path, _sixteen_rows(base))
     out = tmp_path / "o"
-    res = runner.invoke(main, ["solve", "--quick", "--config", cfg,
-                               "--out", str(out)])
+    res = runner.invoke(main, ["solve", "--config", cfg, "--out", str(out)])
     assert res.exit_code == 0, res.output
     report = json.loads((out / "report.json").read_text())
     assert report["converged"] is True
@@ -457,7 +441,7 @@ def test_quick_ignores_trailing_zero_mode_rows(tmp_path, runner, base):
 
 def test_quick_rejects_nonzero_mode_row_above_cap(tmp_path, runner):
     cfg = write_cfg(tmp_path, _sixteen_rows(SOLVE_CFG, nonzero_row=12))
-    res = runner.invoke(main, ["solve", "--quick", "--config", cfg,
+    res = runner.invoke(main, ["solve", "--config", cfg,
                                "--out", str(tmp_path / "o")])
     assert res.exit_code == 1
     assert res.output.count("\n") == 1
@@ -467,11 +451,10 @@ def test_quick_rejects_nonzero_mode_row_above_cap(tmp_path, runner):
 
 def test_branch_sweep_members_and_extras(tmp_path, runner):
     payload = json.loads(json.dumps(SOLVE_CFG))
-    payload["branch"] = {"mu_values": [0.15, 0.2]}
+    payload["branch"] = {"mu_values": [0.15, 0.2, 0.25]}
     cfg = write_cfg(tmp_path, payload)
     out = tmp_path / "sweep"
-    res = runner.invoke(main, ["branch", "--config", cfg, "--out", str(out),
-                               "--mu", "0.25"])
+    res = runner.invoke(main, ["branch", "--config", cfg, "--out", str(out)])
     assert res.exit_code == 0, res.output
     summary = json.loads((out / "summary.json").read_text())
     assert [m["mu"] for m in summary["members"]] == [0.15, 0.2, 0.25]
@@ -542,11 +525,13 @@ def test_branch_needs_mu_values_and_high_phi0(tmp_path, runner):
     res = runner.invoke(main, ["branch", "--config", cfg,
                                "--out", str(tmp_path / "o")])
     assert res.exit_code == 1
+    assert res.output.count("\n") == 1
     assert "no circulations" in res.output
 
-    low = write_cfg(tmp_path, SHOOT_CFG, name="low.json")
+    low = write_cfg(tmp_path, {**SHOOT_CFG, "branch": {"mu_values": [5.0]}},
+                    name="low.json")
     res = runner.invoke(main, ["branch", "--config", low,
-                               "--out", str(tmp_path / "o"), "--mu", "5.0"])
+                               "--out", str(tmp_path / "o")])
     assert res.exit_code == 1
     assert "phi0 > 2" in res.output
 
@@ -734,26 +719,6 @@ def test_mode_boundary_is_from_modes():
     assert (got.n_max, got.phi0, got.mu0, got.mu) == (4, 2.5, 0.3, 0.2)
     assert got.vr.tobytes() == want.vr.tobytes()
     assert got.vtheta.tobytes() == want.vtheta.tobytes()
-
-
-def test_quick_mode_caps_resolution():
-    cfg = {"flow": {"phi0": 2.5, "mu0": 0.2},
-           "boundary": {"modes": {"vr": [[0.01, 0.0]]}},
-           "solver": {"n_modes": 32, "nodes_per_decade": 256}}
-    sc = solver_config(cfg, quick=True)
-    assert sc.n_modes == 8
-    assert sc.nodes_per_decade == 48
-    full = solver_config(cfg)
-    assert full.n_modes == 32
-    assert full.nodes_per_decade == 256
-    # Without a solver block the caps are the settings; values below the
-    # caps stay as they are.
-    bare = {key: cfg[key] for key in ("flow", "boundary")}
-    sc = solver_config(bare, quick=True)
-    assert (sc.n_modes, sc.nodes_per_decade) == (8, 48)
-    low = dict(cfg, solver={"n_modes": 4, "nodes_per_decade": 32})
-    sc = solver_config(low, quick=True)
-    assert (sc.n_modes, sc.nodes_per_decade) == (4, 32)
 
 
 def test_schema_rejects_unknown_keys(tmp_path):
