@@ -1,18 +1,16 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 invalid input (a config that cannot be read, a
-flux in the degenerate band just above 2, phi0 = mu = 0, a grid of fewer
-than 5 nodes and an export source that is not a modes.json included) or
-failed verification, 2 solver non-convergence.  The usage errors that click
-raises itself (an unknown command or option, a missing required option)
-keep click's exit 2.
+flux in the degenerate band just above 2, phi0 = mu = 0 and a grid of
+fewer than 5 nodes included) or failed verification, 2 solver
+non-convergence.  The usage errors that click raises itself (an unknown
+command or option, a missing required option) keep click's exit 2.
 Reports are deterministic: rerunning a command with the same config and
 seed reproduces every output byte for byte.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 from dataclasses import asdict
@@ -167,34 +165,6 @@ def verify(outdir, quick, seed):
         click.echo("verification FAILED", err=True)
         sys.exit(1)
     click.echo(f"all {len(battery['checks'])} checks passed")
-
-
-@main.command()
-@click.option("--solution", "soldir", required=True, type=click.Path(),
-              help="Directory written by solve/branch, or a modes.json.")
-@click.option("--out", "outpath", required=True, type=click.Path())
-def export(soldir, outpath):
-    """Re-emit stored mode profiles as the bytes of a modes.csv."""
-    src = soldir if os.path.isfile(soldir) else os.path.join(soldir,
-                                                             "modes.json")
-    if not os.path.isfile(src):
-        raise click.ClickException(f"{soldir} has no modes.json")
-    try:
-        with open(src, encoding="utf-8") as fh:
-            payload = json.load(fh)
-        # [re, im] pairs viewed as complex: no arithmetic, exact values.
-        modes = payload["modes"]
-        profile = lambda key: np.array([m[key] for m in modes],
-                                       dtype=float).view(complex)[..., 0]
-        columns = ([m["n"] for m in modes],
-                   np.asarray(payload["r"], dtype=float),
-                   *map(profile, ("gamma", "dgamma", "w", "dw")))
-        write_modes_csv(outpath, ModeTable(*columns))
-    except (IndexError, KeyError, TypeError, ValueError) as exc:
-        raise click.ClickException(
-            f"{src} is not a modes.json ({type(exc).__name__}: {exc})"
-        ) from exc
-    click.echo(f"wrote {outpath}")
 
 
 if __name__ == "__main__":

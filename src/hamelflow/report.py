@@ -432,13 +432,8 @@ class ModeTable:
         self.n = np.asarray(n).tolist()
         self._r = _column(r)
         self.r = _Cells(len(self._r), [self._r])
-        profiles = (gamma, dgamma, w, dw)
-        shape = (len(self.n), len(self.r))
-        if any(np.shape(z) != shape for z in profiles):
-            raise ValueError(f"profiles must have shape {shape} "
-                             "(modes, nodes)")
         self._modes = [format_rows(np.stack(
-            [np.asarray(p[i], dtype=complex) for p in profiles],
+            [np.asarray(p[i], dtype=complex) for p in (gamma, dgamma, w, dw)],
             axis=-1).view(float), None) for i in range(len(self.n))]
 
     @classmethod

@@ -235,24 +235,25 @@ def test_cli_import_leaves_scipy_out(module):
 
 def test_cli_reads_and_writes_without_the_locale_encoding(tmp_path):
     # Under -X warn_default_encoding with EncodingWarning an error, every
-    # file the CLI opens must name its encoding: the config it reads, the
-    # artifacts it writes and the modes.json that export reads.
+    # file the CLI opens must name its encoding: the config that solve and
+    # branch read and the artifacts that all three commands write.
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    cfg = write_cfg(tmp_path, SOLVE_CFG)
+    cfg = write_cfg(tmp_path, {**SOLVE_CFG,
+                               "branch": {"mu_values": [0.1, 0.3]}})
     cli = [sys.executable, "-X", "warn_default_encoding",
            "-W", "error::EncodingWarning", "-m", "hamelflow.cli"]
-    for args in (["solve", "--config", str(cfg), "--out",
-                  str(tmp_path / "run")],
-                 ["export", "--solution", str(tmp_path / "run"), "--out",
-                  str(tmp_path / "export.csv")]):
+    for args in (["solve", "--config", cfg, "--out", str(tmp_path / "run")],
+                 ["branch", "--config", cfg, "--out",
+                  str(tmp_path / "branch")],
+                 ["verify", "--quick", "--out", str(tmp_path / "verify")]):
         res = subprocess.run(cli + args, env=env, capture_output=True,
                              text=True)
         assert res.returncode == 0, res.stderr
-    assert ((tmp_path / "export.csv").read_bytes()
-            == (tmp_path / "run" / "modes.csv").read_bytes())
+    assert (tmp_path / "branch" / "mu_01" / "modes.csv").is_file()
+    assert (tmp_path / "verify" / "verify_report.json").is_file()
 
 
 def test_cli_import_leaves_formatter_tables_unbuilt():
@@ -282,10 +283,8 @@ def test_invalid_config_exits_1(tmp_path, runner):
 
 @pytest.mark.parametrize("args, message", [
     (["solve", "--config", "missing.json"], "cannot read config"),
-    (["branch", "--config", "."], "cannot read config"),
-    (["export", "--solution", "missing", "--out", "x.csv"],
-     "has no modes.json")],
-    ids=["missing-config", "directory-config", "missing-solution"])
+    (["branch", "--config", "."], "cannot read config")],
+    ids=["missing-config", "directory-config"])
 def test_unreadable_input_exits_1_in_one_line(tmp_path, runner, args,
                                               message):
     # exit 2 is for non-convergence, not for a path that cannot be read
@@ -581,65 +580,6 @@ def test_verify_records_a_failing_solve_and_runs_on(tmp_path, runner,
                  if not c["passed"]]
     assert record["name"] == "circulation_shooting"
     assert record["metric"] is None     # inf, written as null
-
-
-def test_export_formats(tmp_path, runner):
-    cfg = write_cfg(tmp_path, SOLVE_CFG)
-    out = tmp_path / "sol"
-    assert runner.invoke(main, ["solve", "--config", cfg,
-                                "--out", str(out)]).exit_code == 0
-
-    csv_path = tmp_path / "modes_export.csv"
-    res = runner.invoke(main, ["export", "--solution", str(out),
-                               "--out", str(csv_path)])
-    assert res.exit_code == 0, res.output
-    lines = csv_path.read_text().splitlines()
-    assert lines[0] == ("n,r,gamma_re,gamma_im,dgamma_re,dgamma_im,"
-                        "w_re,w_im,dw_re,dw_im")
-    assert len(lines) > 100
-    assert read_bytes(csv_path) == read_bytes(out / "modes.csv")
-
-    empty = tmp_path / "empty"
-    empty.mkdir()
-    res = runner.invoke(main, ["export", "--solution", str(empty),
-                               "--out", "x"])
-    assert res.exit_code == 1
-    assert "no modes.json" in res.output
-
-
-NO_PROFILE = '{"r": [1.0], "modes": [{"n": 0, "gamma": [[0.0, 0.0]]}]}'
-
-
-@pytest.mark.parametrize("content", [
-    '{"a": 1}', "not json", NO_PROFILE, '{"r": [], "modes": []}'],
-    ids=["no-modes-key", "not-json-csv", "no-profile-key-csv",
-         "no-modes-json"])
-def test_export_rejects_input_that_is_not_modes_json(tmp_path, runner,
-                                                     content):
-    src = tmp_path / "modes.json"
-    src.write_text(content)
-    res = runner.invoke(main, ["export", "--solution", str(src),
-                               "--out", str(tmp_path / "x")])
-    assert res.exit_code == 1
-    assert isinstance(res.exception, SystemExit)   # handled, no traceback
-    assert "Traceback" not in res.output
-    assert res.output.count("\n") == 1
-    assert "is not a modes.json" in res.output
-
-
-def test_export_csv_keeps_signed_zeros_and_nulls(tmp_path, runner):
-    pair = [[-0.0, 1e300], [None, -0.0]]
-    modes = {"r": [1.0, 2.5], "modes": [
-        {"n": 3, "gamma": pair, "dgamma": pair, "w": pair, "dw": pair}]}
-    src = tmp_path / "modes.json"
-    src.write_text(json.dumps(modes))
-    out = tmp_path / "modes.csv"
-    res = runner.invoke(main, ["export", "--solution", str(src),
-                               "--out", str(out)])
-    assert res.exit_code == 0, res.output
-    assert out.read_text().splitlines()[1:] == [
-        "3,1.0" + ",-0.0,1.0000000000000001e+300" * 4,
-        "3,2.5" + ",null,-0.0" * 4]
 
 
 def test_sample_boundary_cross_checks_mu0(tmp_path):

@@ -443,13 +443,21 @@ def test_writer_writes_into_a_pipe_at_its_path(tmp_path):
     assert stat.S_ISFIFO(os.lstat(path).st_mode)
 
 
-def test_export_reproduces_the_mode_files(tmp_path):
+def test_modes_json_reads_back_to_the_cells_of_modes_csv(tmp_path):
+    # Each value of modes.json parses to the same double, bit for bit, as
+    # its cell in modes.csv: n, r and the re, im of the four profiles.
     out = solve(tmp_path, CFG)
-    dest = tmp_path / "export.csv"
-    res = CliRunner().invoke(hamelflow.cli.main, [
-        "export", "--solution", str(out), "--out", str(dest)])
-    assert res.exit_code == 0, res.output
-    assert dest.read_bytes() == (out / "modes.csv").read_bytes()
+    num = lambda v: math.nan if v in (None, "null") else float(v)
+    with open(out / "modes.json", encoding="ascii") as fh:
+        payload = json.load(fh)
+    from_json = [[m["n"], r] + [num(x) for key in hamelflow.report._PROFILES
+                                for x in m[key][j]]
+                 for m in payload["modes"] for j, r in enumerate(payload["r"])]
+    lines = (out / "modes.csv").read_text(encoding="ascii").splitlines()
+    from_csv = [[num(c) for c in line.split(",")] for line in lines[1:]]
+    a, b = np.array(from_json), np.array(from_csv)
+    assert a.shape == b.shape == (5 * 97, 10)   # 5 modes, 97 nodes
+    assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 def test_each_value_is_formatted_once(tmp_path, monkeypatch):

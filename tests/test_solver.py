@@ -81,6 +81,48 @@ def test_nonlinear_correction_is_quadratic_in_data():
     assert max(ratios) / min(ratios) < 1.05
 
 
+# A trace on vr modes 1-2 and vtheta modes 1 and 3, solved by Picard at a
+# fixed circulation and by shooting; mu0 = mu, the shooting's first guess.
+SYMMETRY_TRACE = {"vr": {1: 0.01 + 0.005j, 2: -0.004 + 0.008j},
+                  "vtheta": {1: 0.006 - 0.003j, 3: 0.002 + 0.004j}}
+symmetry_cases = pytest.mark.parametrize(
+    "solver, phi0, mu", [(picard_solve, 2.5, 0.2), (shoot_mu, 1.2, 6.0)],
+    ids=["picard", "shoot"])
+
+
+@symmetry_cases
+def test_rotating_the_trace_rotates_each_mode(solver, phi0, mu):
+    # Turning the trace by theta0, u(theta) -> u(theta - theta0), multiplies
+    # mode n of the trace, and so of the stream and vorticity, by
+    # e^{-i n theta0}.
+    b = BoundarySpectrum.from_modes(8, phi0, mu, mu, **SYMMETRY_TRACE)
+    turn = np.exp(-0.7j * np.arange(9))
+    sol, _ = solver(b, CFG)
+    rot, _ = solver(BoundarySpectrum(8, turn * b.vr, turn * b.vtheta, phi0,
+                                     mu, mu), CFG)
+    for key in ("gamma", "w"):
+        z = getattr(sol, key)
+        err = np.abs(getattr(rot, key) - turn[:, None] * z).max()
+        assert err < 1e-14 * np.abs(z).max(), key
+
+
+@symmetry_cases
+def test_reflecting_the_trace_conjugates_the_solution(solver, phi0, mu):
+    # theta -> -theta with u_theta -> -u_theta takes vr to conj vr, vtheta
+    # to -conj vtheta and mu0, mu to -mu0, -mu; the stream and vorticity
+    # come back as their -conj, exactly, after as many steps.
+    b = BoundarySpectrum.from_modes(8, phi0, mu, mu, **SYMMETRY_TRACE)
+    sol, rep = solver(b, CFG)
+    refl, rep_refl = solver(BoundarySpectrum(8, np.conj(b.vr),
+                                             -np.conj(b.vtheta), phi0, -mu,
+                                             -mu), CFG)
+    assert rep_refl.iterations == rep.iterations
+    assert rep_refl.mu == -rep.mu
+    for key in ("gamma", "w"):
+        assert np.array_equal(getattr(refl, key),
+                              -np.conj(getattr(sol, key))), key
+
+
 def test_scan_overflow_is_a_typed_convergence_error():
     # At phi0 = 60 and r_max = 1e6 the mean mode's sink-weighted row
     # (zeta = -61) grows by 1e366 over the grid.  The first solve has no
